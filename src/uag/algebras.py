@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+import math
+from operator import getitem, itemgetter
+from typing import Callable, Mapping, Optional, Sequence
 
-from .config import check_cap
+from .config import CapExceeded, check_cap
 from .terms import (
     App,
+    Op,
     Signature,
     Term,
     Var,
@@ -28,7 +31,7 @@ Point = tuple[int, ...]
 
 
 class FiniteAlgebra:
-    __slots__ = ("sig", "sizes", "tables", "name", "_digest")
+    __slots__ = ("sig", "sizes", "tables", "name", "_digest", "_nested")
 
     def __init__(
         self,
@@ -41,6 +44,7 @@ class FiniteAlgebra:
         self.sizes = tuple(sizes)
         self.name = name
         self._digest: Optional[str] = None
+        self._nested: Optional[dict] = None
         if len(self.sizes) != len(sig.sorts):
             raise ValueError("one carrier size per sort required")
         if any(n < 1 for n in self.sizes):
@@ -73,11 +77,39 @@ class FiniteAlgebra:
             self._digest = h.hexdigest()[:12]
         return self._digest
 
+    def nested(self) -> dict:
+        """Every op's table as nested lists indexed one argument at a time.
+
+        nested()["mul"][a][b] is mul(a, b); a nullary op maps to its value.
+        """
+        if self._nested is None:
+            self._nested = {
+                op.name: _nest(self.tables[op.name], [self.sizes[s] for s in op.args])
+                for op in self.sig.ops
+            }
+        return self._nested
+
     def apply(self, op_name: str, args: tuple[int, ...]) -> int:
         return self.tables[op_name][args]
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra({self.name}, sizes={self.sizes})"
+
+
+def _nest(table: Mapping[tuple[int, ...], int], dims: Sequence[int]):
+    flat = [table[args] for args in itertools.product(*map(range, dims))]
+    for n in reversed(dims[1:]):
+        flat = [flat[i : i + n] for i in range(0, len(flat), n)]
+    return flat if dims else flat[0]
+
+
+def _unnest(nested, dims: Sequence[int]) -> dict[tuple[int, ...], int]:
+    if not dims:
+        return {(): nested}
+    flat = nested
+    for _ in dims[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    return dict(zip(itertools.product(*map(range, dims)), flat))
 
 
 def unit_algebra(sig: Signature, name: str = "unit") -> FiniteAlgebra:
@@ -125,53 +157,251 @@ def point_from_names(ctx: VarContext, assignment: Mapping[str, int]) -> Point:
 
 
 class GeneratedSubalgebra:
-    """Closure of a seed under all operations, with a witness term per member.
+    """The subalgebra of a product of factor algebras generated by seed rows.
 
-    Witnesses are over the generator variables, breadth-first shortest, ties
-    broken by op declaration order then argument order.
+    Built by generate(). Members of each sort are kept in discovery order,
+    each with a witness term over the generator variables: breadth-first
+    shortest, ties broken by op declaration order then argument order. A
+    member is a row with one entry per factor, except in subalgebras of a
+    single algebra (subalgebra_generated), whose members are its elements.
+    cells holds every op's table over member positions as nested lists (the
+    result position itself for a nullary op); origin lists each generated
+    member's sort, op and generating cell, in discovery order.
     """
 
-    __slots__ = ("parent", "members", "index", "witness", "gen_vars", "_alg")
+    __slots__ = (
+        "sig", "members", "index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg", "_rows"
+    )
 
-    def __init__(self, parent: FiniteAlgebra, members, index, witness, gen_vars):
-        self.parent = parent
-        self.members: tuple[tuple[int, ...], ...] = members
-        self.index: dict[tuple[int, int], int] = index
-        self.witness: dict[tuple[int, int], Term] = witness
-        self.gen_vars: tuple[tuple[str, int, int], ...] = gen_vars
+    def __init__(self, sig, members, index, witnesses, gen_vars, seeds, cells, origin, name):
+        self.sig: Signature = sig
+        self.members: tuple[tuple, ...] = members
+        self.index: list[dict] = index
+        self.witnesses: tuple[tuple[Term, ...], ...] = witnesses
+        self.gen_vars: tuple[tuple[str, int, object], ...] = gen_vars
+        self.seeds: tuple[tuple[int, int], ...] = seeds
+        self.cells: dict[str, object] = cells
+        self.origin: list[tuple[int, Op, tuple[int, ...]]] = origin
+        self.name = name
         self._alg: Optional[FiniteAlgebra] = None
+        self._rows: Optional[list] = None
 
-    def contains(self, sort: int, element: int) -> bool:
-        return (sort, element) in self.index
+    def contains(self, sort: int, element) -> bool:
+        return element in self.index[sort]
 
     def size(self) -> int:
         return sum(len(m) for m in self.members)
 
+    def witness_of(self, sort: int, element) -> Term:
+        return self.witnesses[sort][self.index[sort][element]]
+
     def as_algebra(self) -> FiniteAlgebra:
+        """The members as an algebra, each one renamed to its position."""
         if self._alg is None:
-            g = self.parent
             sizes = tuple(len(m) for m in self.members)
-            tables: dict[str, dict[tuple[int, ...], int]] = {}
-            for op in g.sig.ops:
-                table: dict[tuple[int, ...], int] = {}
-                for args in itertools.product(*[self.members[s] for s in op.args]):
-                    val = g.tables[op.name][args]
-                    key = tuple(self.index[(s, a)] for s, a in zip(op.args, args))
-                    table[key] = self.index[(op.result, val)]
-                tables[op.name] = table
-            self._alg = FiniteAlgebra(g.sig, sizes, tables, name=f"sub({g.name})")
+            tables = {op.name: _unnest(self.cells[op.name], [sizes[s] for s in op.args]) for op in self.sig.ops}
+            self._alg = FiniteAlgebra(self.sig, sizes, tables, name=self.name)
+            self._alg._nested = self.cells
         return self._alg
 
+    def on_positions(self) -> "GeneratedSubalgebra":
+        """This generation as the subalgebra of as_algebra() it spans."""
+        view = self._renamed(tuple(tuple(range(len(m))) for m in self.members))
+        view._alg = self.as_algebra()
+        return view
+
+    def _renamed(self, members) -> "GeneratedSubalgebra":
+        gen_vars = tuple((name, s, members[s][pos]) for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds))
+        index = [{e: i for i, e in enumerate(ms)} for ms in members]
+        return GeneratedSubalgebra(
+            self.sig, members, index, self.witnesses, gen_vars, self.seeds, self.cells, self.origin, self.name
+        )
+
     def generator_context(self) -> VarContext:
-        sig = self.parent.sig
+        sig = self.sig
         return VarContext(sig, [(name, sig.sorts[s]) for name, s, _ in self.gen_vars])
 
     def generator_point(self) -> Point:
         """Generator assignment into as_algebra(), aligned with generator_context()."""
-        return tuple(self.index[(s, e)] for _, s, e in self.gen_vars)
+        return tuple(pos for _, pos in self.seeds)
 
-    def member_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.index)
+    def extend(self, images: Sequence[int], b: FiniteAlgebra) -> Optional[list[list[int]]]:
+        """Member images of the homomorphism into b sending generator i to images[i].
+
+        Each generated member's image is read off b's table at the images of
+        its generating cell; then every cell is checked against b, one table
+        row at a time. None means no such homomorphism exists.
+        """
+        imgs: list[list[int]] = [[] for _ in self.members]
+        for (s, pos), v in zip(self.seeds, images):
+            got = imgs[s]
+            if pos == len(got):
+                got.append(v)
+            elif got[pos] != v:
+                return None
+        tables = b.nested()
+        for s, op, combo in self.origin:
+            t = tables[op.name]
+            for a, i in zip(op.args, combo):
+                t = t[imgs[a][i]]
+            imgs[s].append(t)
+        if self._rows is None:
+            self._rows = [
+                (op, list(_cell_rows(self.cells[op.name], len(op.args))) if op.args else None)
+                for op in self.sig.ops
+            ]
+        for op, rows in self._rows:
+            table, results = tables[op.name], imgs[op.result]
+            if not op.args:
+                if table != results[self.cells[op.name]]:
+                    return None
+                continue
+            last = itemgetter(*imgs[op.args[-1]]) if imgs[op.args[-1]] else None
+            for prefix, row in rows:
+                t = table
+                for a, i in zip(op.args, prefix):
+                    t = t[imgs[a][i]]
+                if last(t) != row(results):
+                    return None
+        return imgs
+
+
+def _cell_rows(cells, arity: int, prefix: tuple[int, ...] = ()):
+    """(prefix, getter of the row's result positions) for each nonempty cell row."""
+    if arity == 1:
+        if cells:
+            yield prefix, itemgetter(*cells)
+        return
+    for i, sub in enumerate(cells):
+        yield from _cell_rows(sub, arity - 1, (*prefix, i))
+
+
+class _Stop(Exception):
+    pass
+
+
+def generate(
+    factors: Sequence[FiniteAlgebra],
+    seeds: Sequence[tuple[int, tuple[int, ...]]],
+    names: Sequence[str],
+    budget: Optional[int] = None,
+    charge_cells: bool = False,
+    stage: str = "generation",
+    watch: Optional[Callable[[int, tuple[int, ...], Term], bool]] = None,
+    name: Optional[str] = None,
+) -> Optional[GeneratedSubalgebra]:
+    """The subalgebra of the product of the factors generated by seed rows.
+
+    seeds are (sort, row) pairs, named by names. Generation goes in rounds;
+    each round visits, in lexicographic order of member positions, only the
+    argument combos that touch a member added in the previous round (nullary
+    ops in round one), so every cell is computed once and recorded. Members
+    beyond budget raise CapExceeded, and so do cells when charge_cells is set.
+    watch sees each new member before it is added; if it returns true,
+    generation stops and None is returned.
+    """
+    sig = _common_sig(factors)
+    nsorts = len(sig.sorts)
+    members: list[list[tuple[int, ...]]] = [[] for _ in range(nsorts)]
+    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(nsorts)]
+    witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
+    origin: list[tuple[int, Op, tuple[int, ...]]] = []
+    cells: dict[str, object] = {op.name: [] for op in sig.ops}
+    columns = {op.name: [f.nested()[op.name] for f in factors] for op in sig.ops}
+    total = charged = 0
+
+    def add(s: int, key: tuple[int, ...], wit: Term) -> int:
+        nonlocal total
+        if watch is not None and watch(s, key, wit):
+            raise _Stop
+        pos = len(members[s])
+        index[s][key] = pos
+        members[s].append(key)
+        witnesses[s].append(wit)
+        total += 1
+        if budget is not None and total > budget:
+            raise CapExceeded(f"{stage} members", total, budget)
+        return pos
+
+    def charge(n: int) -> None:
+        nonlocal charged
+        charged += n
+        if charge_cells and budget is not None and charged > budget:
+            raise CapExceeded(f"{stage} tables", charged, budget)
+
+    try:
+        seed_pos = []
+        for (s, key), gen_name in zip(seeds, names):
+            pos = index[s].get(key)
+            if pos is None:
+                pos = add(s, key, var(gen_name))
+            seed_pos.append((s, pos))
+        old = [0] * nsorts
+        first = True
+        while True:
+            cur = [len(m) for m in members]
+            for op in sig.ops:
+                cols, idx, arg_sorts = columns[op.name], index[op.result], op.args
+                if not arg_sorts:
+                    if first:
+                        charge(1)
+                        key = tuple(cols)
+                        pos = idx.get(key)
+                        if pos is None:
+                            pos = add(op.result, key, app(op.name))
+                            origin.append((op.result, op, ()))
+                        cells[op.name] = pos
+                    continue
+                last = members[arg_sorts[-1]]
+                for prefix, span, row in _round_runs(
+                    cells[op.name], [old[s] for s in arg_sorts], [cur[s] for s in arg_sorts], False
+                ):
+                    charge(len(span))
+                    leaf = cols
+                    for s, i in zip(arg_sorts, prefix):
+                        leaf = list(map(getitem, leaf, members[s][i]))
+                    for j in span:
+                        key = tuple(map(getitem, leaf, last[j]))
+                        pos = idx.get(key)
+                        if pos is None:
+                            combo = (*prefix, j)
+                            wit = app(op.name, *[witnesses[s][i] for s, i in zip(arg_sorts, combo)])
+                            pos = add(op.result, key, wit)
+                            origin.append((op.result, op, combo))
+                        row.append(pos)
+            first = False
+            if [len(m) for m in members] == cur:
+                break
+            old = cur
+    except _Stop:
+        return None
+    return GeneratedSubalgebra(
+        sig,
+        tuple(map(tuple, members)),
+        index,
+        tuple(map(tuple, witnesses)),
+        tuple((gen_name, s, key) for (s, key), gen_name in zip(seeds, names)),
+        tuple(seed_pos),
+        cells,
+        origin,
+        name or "sub(" + "x".join(f.name for f in factors) + ")",
+    )
+
+
+def _round_runs(cells: list, olds: Sequence[int], curs: Sequence[int], fresh: bool):
+    """(prefix, last-index range, cell row) runs of one round, lexicographically.
+
+    Covers the index tuples below curs with some index at or above olds (any,
+    once fresh); the row is where their cells go, created when first reached.
+    """
+    if len(curs) == 1:
+        yield (), range(0 if fresh else olds[0], curs[0]), cells
+        return
+    for i in range(curs[0]):
+        if i == len(cells):
+            cells.append([])
+        for prefix, span, row in _round_runs(cells[i], olds[1:], curs[1:], fresh or i >= olds[0]):
+            yield (i, *prefix), span, row
 
 
 def _normalize_seed(g: FiniteAlgebra, seed) -> list[tuple[int, int]]:
@@ -193,41 +423,12 @@ def subalgebra_generated(
     g: FiniteAlgebra, seed, gen_names: Optional[Sequence[str]] = None
 ) -> GeneratedSubalgebra:
     seeds = _normalize_seed(g, seed)
-    if gen_names is not None and len(gen_names) != len(seeds):
+    if gen_names is None:
+        gen_names = [f"g{i}" for i in range(len(seeds))]
+    elif len(gen_names) != len(seeds):
         raise ValueError("one generator name per seed element required")
-    members: list[list[int]] = [[] for _ in g.sig.sorts]
-    index: dict[tuple[int, int], int] = {}
-    witness: dict[tuple[int, int], Term] = {}
-    gen_vars: list[tuple[str, int, int]] = []
-    for i, (s, e) in enumerate(seeds):
-        name = gen_names[i] if gen_names is not None else f"g{i}"
-        gen_vars.append((name, s, e))
-        if (s, e) not in index:
-            index[(s, e)] = len(members[s])
-            members[s].append(e)
-            witness[(s, e)] = var(name)
-    while True:
-        snapshot = [list(m) for m in members]
-        added = False
-        for op in g.sig.ops:
-            table = g.tables[op.name]
-            for args in itertools.product(*[snapshot[s] for s in op.args]):
-                val = table[args]
-                key = (op.result, val)
-                if key not in index:
-                    index[key] = len(members[op.result])
-                    members[op.result].append(val)
-                    witness[key] = app(op.name, *(witness[(s, a)] for s, a in zip(op.args, args)))
-                    added = True
-        if not added:
-            break
-    return GeneratedSubalgebra(
-        g,
-        tuple(tuple(m) for m in members),
-        index,
-        witness,
-        tuple(gen_vars),
-    )
+    rows = generate((g,), [(s, (e,)) for s, e in seeds], gen_names, name=f"sub({g.name})")
+    return rows._renamed(tuple(tuple(row[0] for row in ms) for ms in rows.members))
 
 
 HomMap = dict[tuple[int, int], int]
@@ -236,38 +437,12 @@ HomMap = dict[tuple[int, int], int]
 def hom_extension(sub: GeneratedSubalgebra, gen_assignment: Mapping[tuple[int, int], int], b: FiniteAlgebra) -> Optional[HomMap]:
     """The unique homomorphic extension of a generator assignment, if any.
 
-    Candidate images come from evaluating witness terms in b; the candidate is
-    then verified against every operation table entry over the subalgebra.
     Absence (None) means the assignment does not respect a realized relation.
     """
-    g = sub.parent
-    gctx = sub.generator_context() if sub.gen_vars else _EMPTY_CTX_SENTINEL
-    point = tuple(gen_assignment[(s, e)] for _, s, e in sub.gen_vars)
-    mapping: HomMap = {}
-    memo: dict = {}
-    for s in range(len(g.sig.sorts)):
-        for e in sub.members[s]:
-            t = sub.witness[(s, e)]
-            mapping[(s, e)] = eval_term(t, point, b, gctx, memo)
-    for op in g.sig.ops:
-        table_a = g.tables[op.name]
-        table_b = b.tables[op.name]
-        for args in itertools.product(*[sub.members[s] for s in op.args]):
-            val = table_a[args]
-            image_args = tuple(mapping[(s, a)] for s, a in zip(op.args, args))
-            if table_b[image_args] != mapping[(op.result, val)]:
-                return None
-    return mapping
-
-
-class _EmptyCtx:
-    """Stand-in context for evaluating ground terms (no variables to resolve)."""
-
-    def position(self, name):
-        raise ValueError("no variables in an empty generator context")
-
-
-_EMPTY_CTX_SENTINEL = _EmptyCtx()
+    imgs = sub.extend([gen_assignment[(s, e)] for _, s, e in sub.gen_vars], b)
+    if imgs is None:
+        return None
+    return {(s, e): v for s, ms in enumerate(sub.members) for e, v in zip(ms, imgs[s])}
 
 
 def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], GeneratedSubalgebra]:
@@ -289,29 +464,22 @@ def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], Generat
     return gens, sub
 
 
-def hom_dense(mapping: HomMap, a: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(mapping[(s, e)] for e in range(a.sizes[s])) for s in range(len(a.sig.sorts)))
-
-
 def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], ...]]:
     """All homomorphisms a -> b as dense per-sort image tuples, sorted.
 
     Backtracks over images of a greedily chosen generating family; every
-    returned map is verified against all operation tables by hom_extension.
+    returned map is verified against all operation tables.
     """
     if a.sig is not b.sig and (a.sig.sorts, a.sig.ops) != (b.sig.sorts, b.sig.ops):
         raise ValueError("homomorphisms require a common signature")
     gens, sub = _greedy_generators(a)
-    count = 1
-    for s, _ in gens:
-        count *= b.sizes[s]
-    check_cap("hom search", count, cap)
+    check_cap("hom search", math.prod(b.sizes[s] for s, _ in gens), cap)
+    positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
     out = []
     for images in itertools.product(*[range(b.sizes[s]) for s, _ in gens]):
-        assignment = {ge: img for ge, img in zip(gens, images)}
-        mapping = hom_extension(sub, assignment, b)
-        if mapping is not None:
-            out.append(hom_dense(mapping, a))
+        imgs = sub.extend(images, b)
+        if imgs is not None:
+            out.append(tuple(tuple(map(img.__getitem__, pos)) for img, pos in zip(imgs, positions)))
     out.sort()
     return out
 
@@ -319,14 +487,9 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None
 def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteAlgebra:
     if not gs:
         raise ValueError("product of an empty family is the unit algebra; build it explicitly")
-    sig = gs[0].sig
-    for g in gs[1:]:
-        if g.sig is not sig and (g.sig.sorts, g.sig.ops) != (sig.sorts, sig.ops):
-            raise ValueError("product factors must share a signature")
-    sizes = tuple(
-        _prod(g.sizes[s] for g in gs) for s in range(len(sig.sorts))
-    )
-    table_cells = sum(_prod(sizes[s] for s in op.args) for op in sig.ops)
+    sig = _common_sig(gs)
+    sizes = tuple(math.prod(g.sizes[s] for g in gs) for s in range(len(sig.sorts)))
+    table_cells = sum(math.prod(sizes[s] for s in op.args) for op in sig.ops)
     check_cap("product tables", table_cells, cap)
     factor_sizes = [tuple(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
     tables: dict[str, dict[tuple[int, ...], int]] = {}
@@ -342,11 +505,12 @@ def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Option
     return FiniteAlgebra(sig, sizes, tables, name=name or "x".join(g.name for g in gs))
 
 
-def _prod(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+def _common_sig(gs: Sequence[FiniteAlgebra]) -> Signature:
+    sig = gs[0].sig
+    for g in gs[1:]:
+        if g.sig is not sig and (g.sig.sorts, g.sig.ops) != (sig.sorts, sig.ops):
+            raise ValueError("product factors must share a signature")
+    return sig
 
 
 def tuple_to_index(tup: Sequence[int], sizes: Sequence[int]) -> int:
@@ -379,13 +543,16 @@ def quotient(g: FiniteAlgebra, partition, name: Optional[str] = None) -> FiniteA
         if len(labels) != g.sizes[s]:
             raise ValueError(f"partition for sort {s} has wrong length")
         relabel: dict = {}
-        dense = []
-        for lab in labels:
-            if lab not in relabel:
-                relabel[lab] = len(relabel)
-            dense.append(relabel[lab])
-        block_of.append(dense)
+        block_of.append([relabel.setdefault(lab, len(relabel)) for lab in labels])
         counts.append(len(relabel))
+    return FiniteAlgebra(g.sig, counts, class_tables(g, block_of), name=name or f"{g.name}/~")
+
+
+def class_tables(g: FiniteAlgebra, block_of: Sequence[Sequence[int]]) -> dict[str, dict[tuple[int, ...], int]]:
+    """Op tables on blocks, given each element's block per sort.
+
+    Raises ValueError unless the partition is a congruence of g.
+    """
     tables: dict[str, dict[tuple[int, ...], int]] = {}
     for op in g.sig.ops:
         table: dict[tuple[int, ...], int] = {}
@@ -395,7 +562,7 @@ def quotient(g: FiniteAlgebra, partition, name: Optional[str] = None) -> FiniteA
             if table.setdefault(key, res) != res:
                 raise ValueError(f"partition is not a congruence: op {op.name!r} splits class {key}")
         tables[op.name] = table
-    return FiniteAlgebra(g.sig, counts, tables, name=name or f"{g.name}/~")
+    return tables
 
 
 def inferred_context(sig: Signature, terms: Sequence[Term]) -> VarContext:

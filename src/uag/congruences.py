@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .config import check_cap, get_cap
+from .config import CapExceeded, get_cap
 from .algebras import (
     FiniteAlgebra,
+    GeneratedSubalgebra,
     Point,
+    class_tables,
     enumerate_homs,
     eval_term,
-    hom_extension,
-    product,
+    generate,
     subalgebra_generated,
-    tuple_to_index,
     unit_algebra,
 )
 from .terms import App, Term, VarContext, subterm_universe, term_key
@@ -175,9 +175,15 @@ def ground_closure(pairs: PairSet | Iterable[Pair], extra_terms: Iterable[Term] 
 class KernelCongruence:
     """Ker of the evaluation W(ctx) -> target extending the assignment."""
 
-    __slots__ = ("target", "ctx", "assignment")
+    __slots__ = ("target", "ctx", "assignment", "_image")
 
-    def __init__(self, target: FiniteAlgebra, ctx: VarContext, assignment: Point):
+    def __init__(
+        self,
+        target: FiniteAlgebra,
+        ctx: VarContext,
+        assignment: Point,
+        image: Optional[GeneratedSubalgebra] = None,
+    ):
         if len(assignment) != len(ctx):
             raise ValueError("assignment must cover the context")
         for (_, s), e in zip(ctx.vars, assignment):
@@ -186,6 +192,7 @@ class KernelCongruence:
         self.target = target
         self.ctx = ctx
         self.assignment = tuple(assignment)
+        self._image = image
 
     def contains(self, pair: Pair) -> bool:
         memo: dict = {}
@@ -197,12 +204,26 @@ class KernelCongruence:
     def rows(self) -> list[tuple[int, int]]:
         return [(s, e) for (_, s), e in zip(self.ctx.vars, self.assignment)]
 
-    def image(self):
-        """The generated image subalgebra, generators named by context variables."""
-        return subalgebra_generated(self.target, self.rows(), gen_names=self.ctx.names)
+    def image(self) -> GeneratedSubalgebra:
+        """The generated image subalgebra, generators named by context variables.
+
+        Kernels built by generated_kernel carry it; others generate it once.
+        """
+        if self._image is None:
+            self._image = subalgebra_generated(self.target, self.rows(), gen_names=self.ctx.names)
+        return self._image
 
     def __repr__(self) -> str:
         return f"KernelCongruence(target={self.target.name}, assignment={self.assignment})"
+
+
+def generated_kernel(sub: GeneratedSubalgebra, ctx: VarContext) -> KernelCongruence:
+    """Ker of W(ctx) onto a generation seeded by ctx's variable rows.
+
+    The target is the generated algebra itself, which the kernel carries as
+    its image.
+    """
+    return KernelCongruence(sub.as_algebra(), ctx, sub.generator_point(), image=sub.on_positions())
 
 
 def unit_kernel(ctx: VarContext, sig) -> KernelCongruence:
@@ -213,23 +234,28 @@ def unit_kernel(ctx: VarContext, sig) -> KernelCongruence:
 class LazyMeetKernel:
     """Meet of kernels kept as a list; membership is conjunction of memberships.
 
-    Used when the materialized product target would exceed the cap. Exact
-    comparisons need a materialized KernelCongruence; materialize() builds one
-    if the cap permits.
+    Stands in for the meet when generating its image overflowed the cap;
+    overflow is that CapExceeded. Exact comparisons need a materialized
+    KernelCongruence: materialize() builds one if the cap permits, and under
+    the cap that overflowed re-raises at once instead of generating again.
     """
 
-    __slots__ = ("kernels", "ctx")
+    __slots__ = ("kernels", "ctx", "overflow")
 
-    def __init__(self, kernels: Sequence[KernelCongruence]):
+    def __init__(self, kernels: Sequence[KernelCongruence], overflow: Optional[CapExceeded] = None):
         if not kernels:
             raise ValueError("lazy meet needs at least one kernel")
         self.kernels = tuple(kernels)
         self.ctx = kernels[0].ctx
+        self.overflow = overflow
 
     def contains(self, pair: Pair) -> bool:
         return all(k.contains(pair) for k in self.kernels)
 
     def materialize(self, cap: Optional[int] = None) -> KernelCongruence:
+        o = self.overflow
+        if o is not None and get_cap(cap) == o.cap:
+            raise CapExceeded(o.what, o.count, o.cap)
         return meet_kernels(list(self.kernels), cap=cap, force=True)
 
     def __repr__(self) -> str:
@@ -245,9 +271,11 @@ def meet_kernels(
 ) -> KernelCongruence | LazyMeetKernel:
     """Meet of kernel congruences; empty input yields the unit congruence.
 
-    The product target is materialized when its tables fit under the cap,
-    otherwise a lazy membership-only form is returned (force=True raises
-    instead of going lazy).
+    The meet is the kernel onto the image of W(ctx) in the product of the
+    targets: the subalgebra generated by the paired variable rows, never the
+    whole product. Its members and table cells are charged against the cap
+    as they are generated; past the cap a lazy membership-only form is
+    returned (force=True raises instead of going lazy).
     """
     if not ks:
         if sig is None or ctx is None:
@@ -259,29 +287,16 @@ def meet_kernels(
             raise ValueError("kernels must share a context")
     if len(ks) == 1:
         return first
-    sig = first.target.sig
-    sizes = [
-        _prod(k.target.sizes[s] for k in ks) for s in range(len(sig.sorts))
-    ]
-    cells = sum(_prod(sizes[s] for s in op.args) for op in sig.ops)
-    if cells > get_cap(cap):
+    rows = [(s, tuple(k.assignment[i] for k in ks)) for i, (_, s) in enumerate(first.ctx.vars)]
+    try:
+        sub = generate(
+            [k.target for k in ks], rows, first.ctx.names, get_cap(cap), charge_cells=True, stage="kernel meet image"
+        )
+    except CapExceeded as e:
         if force:
-            check_cap("materialized kernel meet", cells, cap)
-        return LazyMeetKernel(ks)
-    target = product([k.target for k in ks], cap=cap)
-    factor_sizes = [tuple(k.target.sizes[s] for k in ks) for s in range(len(sig.sorts))]
-    assignment = tuple(
-        tuple_to_index(tuple(k.assignment[i] for k in ks), factor_sizes[s])
-        for i, (_, s) in enumerate(first.ctx.vars)
-    )
-    return KernelCongruence(target, first.ctx, assignment)
-
-
-def _prod(xs: Iterable[int]) -> int:
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+            raise
+        return LazyMeetKernel(ks, e)
+    return generated_kernel(sub, first.ctx)
 
 
 def kernel_of_point(p: Point, g: FiniteAlgebra, ctx: VarContext) -> KernelCongruence:
@@ -300,14 +315,7 @@ def kernel_leq(k1, k2, cap: Optional[int] = None) -> bool:
         k2 = k2.materialize(cap)
     if k1.ctx.vars != k2.ctx.vars:
         raise ValueError("kernel comparison needs a common context")
-    assignment: dict[tuple[int, int], int] = {}
-    for i, (_, s) in enumerate(k1.ctx.vars):
-        src, dst = k1.assignment[i], k2.assignment[i]
-        prev = assignment.setdefault((s, src), dst)
-        if prev != dst:
-            return False
-    sub = k1.image()
-    return hom_extension(sub, assignment, k2.target) is not None
+    return k1.image().extend(k2.assignment, k2.target) is not None
 
 
 class FinitePartitionCongruence:
@@ -329,13 +337,7 @@ class FinitePartitionCongruence:
             self._check_compatible()
 
     def _check_compatible(self) -> None:
-        for op in self.algebra.sig.ops:
-            seen: dict[tuple[int, ...], int] = {}
-            for args, val in self.algebra.tables[op.name].items():
-                key = tuple(self.block_ids[s][a] for s, a in zip(op.args, args))
-                res = self.block_ids[op.result][val]
-                if seen.setdefault(key, res) != res:
-                    raise ValueError(f"partition is not a congruence at op {op.name!r}")
+        class_tables(self.algebra, self.block_ids)
 
     def same(self, sort: int, x: int, y: int) -> bool:
         return self.block_ids[sort][x] == self.block_ids[sort][y]
@@ -371,12 +373,17 @@ def unit_partition(g: FiniteAlgebra) -> FinitePartitionCongruence:
 
 
 def h_ker(g: FiniteAlgebra, h: FiniteAlgebra, cap: Optional[int] = None) -> FinitePartitionCongruence:
-    """Intersection of the kernels of all homomorphisms g -> h.
+    """Intersection of the kernels of all homomorphisms g -> h."""
+    return meet_of_hom_kernels(g, enumerate_homs(g, h, cap))
 
+
+def meet_of_hom_kernels(g: FiniteAlgebra, homs) -> FinitePartitionCongruence:
+    """Intersection of the kernels of the given homomorphisms out of g.
+
+    homs are dense per-sort image tuples, as enumerate_homs returns them.
     With no homomorphisms at all the intersection is empty, hence the unit
     partition (everything congruent).
     """
-    homs = enumerate_homs(g, h, cap)
     if not homs:
         return unit_partition(g)
     blocks = []

@@ -14,27 +14,28 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .config import CapExceeded, check_cap, get_cap
+from .config import CapExceeded, get_cap
 from .algebras import (
     FiniteAlgebra,
+    GeneratedSubalgebra,
     Point,
     enumerate_homs,
     eval_term,
-    hom_extension,
+    generate,
     quotient,
     satisfies_identity,
     subalgebra_generated,
 )
 from .congruences import (
-    FinitePartitionCongruence,
     KernelCongruence,
     LazyMeetKernel,
     Pair,
     PairSet,
+    generated_kernel,
     ground_closure,
-    h_ker,
     kernel_of_point,
     meet_kernels,
+    meet_of_hom_kernels,
     normalize_pair,
     unit_kernel,
 )
@@ -80,108 +81,61 @@ class CoordinateAlgebra:
     element keeps a witness term that evaluates to it at each point of A.
     """
 
-    __slots__ = ("gctx", "point_list", "algebra", "row_index", "witnesses", "vectors")
+    __slots__ = ("gctx", "point_list", "generation", "algebra", "row_index", "witnesses", "vectors")
 
-    def __init__(self, gctx, point_list, algebra, row_index, witnesses, vectors):
+    def __init__(self, gctx: GeoContext, point_list: list[Point], generation: GeneratedSubalgebra):
         self.gctx = gctx
         self.point_list = point_list
-        self.algebra = algebra
-        self.row_index = row_index
-        self.witnesses = witnesses
-        self.vectors = vectors
+        self.generation = generation
+        self.algebra = generation.as_algebra()
+        self.row_index = generation.generator_point()
+        self.witnesses = generation.witnesses
+        self.vectors = generation.members
 
     def kernel(self) -> KernelCongruence:
-        return KernelCongruence(self.algebra, self.gctx.ctx, self.row_index)
+        return generated_kernel(self.generation, self.gctx.ctx)
 
     def __repr__(self) -> str:
         return f"CoordinateAlgebra(sizes={self.algebra.sizes}, points={len(self.point_list)})"
 
 
 def coordinate_algebra(a: PointSet, cap: Optional[int] = None) -> CoordinateAlgebra:
+    """The subalgebra of G^A generated by the variable rows of A.
+
+    Members and table cells are charged against the cap as they are
+    generated.
+    """
     if len(a) == 0:
         raise ValueError("coordinate algebra needs a nonempty point set")
     gctx = a.gctx
-    sig, g, ctx = gctx.sig, gctx.g, gctx.ctx
     pts = a.points()
-    npts = len(pts)
-    budget = get_cap(cap)
-    nsorts = len(sig.sorts)
-    members: list[list[tuple[int, ...]]] = [[] for _ in range(nsorts)]
-    wits: list[list[Term]] = [[] for _ in range(nsorts)]
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    total = 0
-
-    def add(s: int, vec: tuple[int, ...], wit: Term) -> int:
-        nonlocal total
-        got = index.get((s, vec))
-        if got is None:
-            got = len(members[s])
-            index[(s, vec)] = got
-            members[s].append(vec)
-            wits[s].append(wit)
-            total += 1
-            if total > budget:
-                raise CapExceeded("coordinate algebra members", total, budget)
-        return got
-
-    row_index = tuple(
-        add(s, tuple(p[i] for p in pts), var(name))
-        for i, (name, s) in enumerate(ctx.vars)
+    rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(gctx.ctx.vars)]
+    sub = generate(
+        [gctx.g] * len(pts),
+        rows,
+        gctx.ctx.names,
+        get_cap(cap),
+        charge_cells=True,
+        stage="coordinate algebra",
+        name=f"coord[{len(pts)}@{gctx.g.name}]",
     )
-    changed = True
-    while changed:
-        changed = False
-        lens = [len(m) for m in members]
-        for op in sig.ops:
-            table = g.tables[op.name]
-            for combo in itertools.product(*[range(lens[s]) for s in op.args]):
-                vecs = [members[s][k] for s, k in zip(op.args, combo)]
-                out = tuple(table[tuple(v[j] for v in vecs)] for j in range(npts))
-                if (op.result, out) not in index:
-                    wit = app(op.name, *[wits[s][k] for s, k in zip(op.args, combo)])
-                    add(op.result, out, wit)
-                    changed = True
-    sizes = tuple(len(m) for m in members)
-    cells = 0
-    for op in sig.ops:
-        c = 1
-        for s in op.args:
-            c *= sizes[s]
-        cells += c
-    check_cap("coordinate algebra tables", cells, cap)
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    for op in sig.ops:
-        table = g.tables[op.name]
-        out_table: dict[tuple[int, ...], int] = {}
-        for combo in itertools.product(*[range(sizes[s]) for s in op.args]):
-            vecs = [members[s][k] for s, k in zip(op.args, combo)]
-            res = tuple(table[tuple(v[j] for v in vecs)] for j in range(npts))
-            out_table[combo] = index[(op.result, res)]
-        tables[op.name] = out_table
-    alg = FiniteAlgebra(sig, sizes, tables, name=f"coord[{len(pts)}@{g.name}]")
-    return CoordinateAlgebra(
-        gctx,
-        pts,
-        alg,
-        row_index,
-        tuple(tuple(w) for w in wits),
-        tuple(tuple(m) for m in members),
-    )
+    return CoordinateAlgebra(gctx, pts, sub)
 
 
 def congruence_of(a: PointSet, cap: Optional[int] = None):
     """A', the kernel congruence cutting out the point set.
 
     Empty sets yield the unit congruence. If the coordinate algebra overflows
-    the cap the result degrades to a (possibly lazy) meet of point kernels.
+    the cap the result is the lazy meet of the point kernels: that meet's
+    image is the coordinate algebra, so materializing it overflows too.
     """
     if len(a) == 0:
         return unit_kernel(a.gctx.ctx, a.gctx.sig)
     try:
         return coordinate_algebra(a, cap).kernel()
-    except CapExceeded:
+    except CapExceeded as e:
         ks = [kernel_of_point(p, a.gctx.g, a.gctx.ctx) for p in a.points()]
-        return meet_kernels(ks, cap=cap)
+        return ks[0] if len(ks) == 1 else LazyMeetKernel(ks, e)
 
 
 def _materialized(k, cap: Optional[int] = None) -> KernelCongruence:
@@ -199,19 +153,8 @@ def variety_of_kernel(k, gctx: GeoContext, cap: Optional[int] = None) -> PointSe
     k = _materialized(k, cap)
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
-    sub = k.image()
-    idxs = []
-    for i, p in enumerate(gctx.points):
-        assignment: dict[tuple[int, int], int] = {}
-        ok = True
-        for j, (_, s) in enumerate(gctx.ctx.vars):
-            prev = assignment.setdefault((s, k.assignment[j]), p[j])
-            if prev != p[j]:
-                ok = False
-                break
-        if ok and hom_extension(sub, assignment, gctx.g) is not None:
-            idxs.append(i)
-    return PointSet(gctx, idxs)
+    sub, g = k.image(), gctx.g
+    return PointSet(gctx, [i for i, p in enumerate(gctx.points) if sub.extend(p, g) is not None])
 
 
 def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None):
@@ -379,67 +322,30 @@ def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
 def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[int] = None):
     """A pair of terms in exactly one of the two kernels, or None if equal.
 
-    Walks the subalgebra of target_a x target_b generated by the paired
-    variable rows, carrying witness terms; a first-component collision is a
-    pair in Ker(ka) only, a second-component collision one in Ker(kb) only.
-    None means the kernels coincide (the collision-free pairing is a
+    Generates the subalgebra of target_a x target_b from the paired variable
+    rows, carrying witness terms; a first-component collision is a pair in
+    Ker(ka) only, a second-component collision one in Ker(kb) only. None
+    means the kernels coincide (the collision-free pairing is a
     homomorphism both ways).
     """
     ka, kb = _materialized(ka, cap), _materialized(kb, cap)
     if ka.ctx.vars != kb.ctx.vars:
         raise ValueError("kernels live over different contexts")
-    sig = ka.target.sig
-    budget = get_cap(cap)
-    nsorts = len(sig.sorts)
-    members: list[list[tuple[int, int]]] = [[] for _ in range(nsorts)]
-    wits: list[list[Term]] = [[] for _ in range(nsorts)]
-    index: dict[tuple[int, tuple[int, int]], int] = {}
-    first_u: dict[tuple[int, int], Term] = {}
-    first_v: dict[tuple[int, int], Term] = {}
-    total = 0
+    first: dict[tuple[int, int, int], Term] = {}  # (side, sort, element) -> earliest witness
+    hit = None
 
-    def add(s: int, u: int, v: int, wit: Term):
-        nonlocal total
-        if (s, (u, v)) in index:
-            return None
-        old = first_u.get((s, u))
+    def collides(s: int, row: tuple[int, int], wit: Term) -> bool:
+        nonlocal hit
+        old = first.get((0, s, row[0])) or first.get((1, s, row[1]))
         if old is not None:
-            return normalize_pair((old, wit))
-        old = first_v.get((s, v))
-        if old is not None:
-            return normalize_pair((old, wit))
-        index[(s, (u, v))] = len(members[s])
-        members[s].append((u, v))
-        wits[s].append(wit)
-        first_u[(s, u)] = wit
-        first_v[(s, v)] = wit
-        total += 1
-        if total > budget:
-            raise CapExceeded("kernel separation scan", total, budget)
-        return None
+            hit = normalize_pair((old, wit))
+            return True
+        first[(0, s, row[0])] = first[(1, s, row[1])] = wit
+        return False
 
-    for i, (name, s) in enumerate(ka.ctx.vars):
-        hit = add(s, ka.assignment[i], kb.assignment[i], var(name))
-        if hit:
-            return hit
-    changed = True
-    while changed:
-        changed = False
-        lens = [len(m) for m in members]
-        for op in sig.ops:
-            ta, tb = ka.target.tables[op.name], kb.target.tables[op.name]
-            for combo in itertools.product(*[range(lens[s]) for s in op.args]):
-                pairs_ = [members[s][k] for s, k in zip(op.args, combo)]
-                u = ta[tuple(x[0] for x in pairs_)]
-                v = tb[tuple(x[1] for x in pairs_)]
-                if (op.result, (u, v)) in index:
-                    continue
-                wit = app(op.name, *[wits[s][k] for s, k in zip(op.args, combo)])
-                hit = add(op.result, u, v, wit)
-                if hit:
-                    return hit
-                changed = True
-    return None
+    rows = [(s, (u, v)) for (_, s), u, v in zip(ka.ctx.vars, ka.assignment, kb.assignment)]
+    generate((ka.target, kb.target), rows, ka.ctx.names, get_cap(cap), stage="kernel separation scan", watch=collides)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -740,16 +646,13 @@ def nullstellensatz_check(
     """
     sub = t_kernel.image()
     a0 = sub.as_algebra()
-    re_assign = tuple(
-        sub.index[(s, t_kernel.assignment[i])]
-        for i, (_, s) in enumerate(t_kernel.ctx.vars)
-    )
-    hk = h_ker(a0, gctx.g, cap)
+    homs = enumerate_homs(a0, gctx.g, cap)
+    hk = meet_of_hom_kernels(a0, homs)
     q = quotient(a0, hk, name=f"{a0.name}/hker")
     rhs = KernelCongruence(
         q,
         t_kernel.ctx,
-        tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, re_assign)),
+        tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point())),
     )
     points = variety_of_kernel(t_kernel, gctx, cap)
     if len(points) > 0:
@@ -761,8 +664,8 @@ def nullstellensatz_check(
         probes = []
     hit = separating_pair(lhs, rhs, cap)
     # the meet of the individual point kernels must match the coordinate
-    # route; kept lazy, so the cross-check probes presentation pairs plus a
-    # seeded sample rather than materializing a giant product
+    # route; past the cap it stays lazy, so the cross-check probes
+    # presentation pairs plus a seeded sample
     if len(points) > 0:
         meet = meet_kernels(
             [kernel_of_point(p, gctx.g, gctx.ctx) for p in points.points()], cap=cap
@@ -776,7 +679,7 @@ def nullstellensatz_check(
         meet_agrees=meet_agrees,
         image_sizes=a0.sizes,
         quotient_sizes=q.sizes,
-        hom_count=len(enumerate_homs(a0, gctx.g, cap)),
+        hom_count=len(homs),
         image_digest=a0.digest(),
         target_digest=gctx.g.digest(),
         separating=hit,

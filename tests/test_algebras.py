@@ -57,7 +57,7 @@ def test_subalgebra_witnesses(z4):
     assert sub.size() == 4
     ctx = sub.generator_context()
     for e in range(4):
-        w = sub.witness[(0, e)]
+        w = sub.witness_of(0, e)
         assert eval_term(w, (1,), z4, ctx) == e
 
 
@@ -65,7 +65,7 @@ def test_subalgebra_discovery_order(z4):
     # from the generator 1: seed first, then mul, inv, e in declaration order
     sub = subalgebra_generated(z4, [1], gen_names=["x"])
     assert sub.members[0] == (1, 2, 3, 0)
-    assert render(sub.witness[(0, 2)]) == "(mul x x)"
+    assert render(sub.witness_of(0, 2)) == "(mul x x)"
 
 
 def test_subalgebra_proper(s3):

@@ -21,6 +21,8 @@ from uag.congruences import (
     unit_partition,
 )
 from uag.config import CapExceeded
+from uag.geometry import candidate_pairs, coordinate_algebra
+from uag.spaces import GeoContext, PointSet
 from uag.terms import VarContext, app, render, var
 
 
@@ -117,6 +119,17 @@ def test_meet_kernels_lazy_beyond_cap(z4, gctx2):
     assert lazy.contains(pair) == all(k.contains(pair) for k in ks)
     with pytest.raises(CapExceeded):
         lazy.materialize(cap=8)
+
+
+def test_meet_kernels_image_route(z4, gctx2):
+    # the meet's target is the 16-element image, not the 256-element product
+    pts = [(1, 2), (3, 1), (2, 2), (0, 3)]
+    meet = meet_kernels([kernel_of_point(p, z4, gctx2) for p in pts])
+    assert isinstance(meet, KernelCongruence)
+    assert meet.target.sizes == (16,)
+    coord = coordinate_algebra(PointSet.of_points(GeoContext(z4, gctx2), pts)).kernel()
+    for pair in candidate_pairs(GROUP_SIG, gctx2, depth=3, seed=5, count=40):
+        assert meet.contains(pair) == coord.contains(pair)
 
 
 def test_meet_empty_needs_context(gctx2):

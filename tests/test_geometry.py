@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -37,7 +38,7 @@ from uag.geometry import (
     verbal_variety,
 )
 from uag.spaces import GeoContext, PointSet
-from uag.terms import Substitution, VarContext, app, var
+from uag.terms import Substitution, VarContext, app, render, var
 
 X, Y = var("x"), var("y")
 COMM = (app("mul", X, Y), app("mul", Y, X))
@@ -239,6 +240,31 @@ def test_variety_iso_empty_cases(z2, r5, gctx2, rctx2):
     iso = variety_iso(e1, e1)
     assert iso is not None
     assert variety_iso(gctx.empty(), gctx.full()) is None
+
+
+def test_coordinate_algebra_exact_s3_eight_points(s3, gctx2):
+    # member order, witnesses and tables pinned from the round-by-round loop
+    # that regenerated every combo each round
+    a = PointSet(GeoContext(s3, gctx2), range(1, 17, 2))
+    ca = coordinate_algebra(a)
+    assert ca.algebra.sizes == (108,)
+    assert ca.row_index == (0, 1)
+    assert ca.vectors[0][:3] == ((0, 0, 0, 1, 1, 1, 2, 2), (1, 3, 5, 1, 3, 5, 1, 3), (0,) * 8)
+    assert [render(w) for w in ca.witnesses[0][:10]] == [
+        "x", "y", "(mul x x)", "(mul x y)", "(mul y x)", "(mul y y)", "(inv y)",
+        "(mul x (mul y x))", "(mul x (mul y y))", "(mul x (inv y))",
+    ]
+    text = "\n".join(f"{v} {render(w)}" for v, w in zip(ca.vectors[0], ca.witnesses[0]))
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("2649c2a35624256d768dcc1abbdf73de")
+    assert ca.algebra.digest() == "4ad6fe33b590"
+    assert sorted(ca.vectors[0]) == oracles.o_row_subalgebra(s3, gctx2, a.points())[0]
+
+
+def test_separating_pair_pinned(z2, z4, gctx1, gctx2):
+    same = (kernel_of_point((1, 2), z4, gctx2), kernel_of_point((3, 2), z4, gctx2))
+    assert separating_pair(*same) is None
+    hit = separating_pair(kernel_of_point((1,), z2, gctx1), kernel_of_point((1,), z4, gctx1))
+    assert (render(hit[0]), render(hit[1])) == ("x", "(inv x)")
 
 
 def test_separating_pair_none_for_equal(z4, gctx2):
