@@ -133,6 +133,41 @@ def eval_term(t: Term, point: Point, g: FiniteAlgebra, ctx: VarContext, _memo: O
     return out
 
 
+def eval_columns(terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext) -> list[list[int]]:
+    """Each term's value at every point, one column per term.
+
+    Each distinct subterm's column is computed once, by table lookups over
+    whole columns. Unknown variables and ops, wrong arities and ill-sorted
+    arguments raise ValueError. eval_term is the route for one assignment.
+    """
+    sig, tables = g.sig, g.nested()
+    memo: dict[int, tuple[int, list[int]]] = {}
+
+    def column(t: Term) -> tuple[int, list[int]]:
+        hit = memo.get(id(t))
+        if hit is None:
+            if isinstance(t, Var):
+                i = ctx.position(t.name)
+                hit = ctx.vars[i][1], list(map(itemgetter(i), points))
+            else:
+                op = sig.op(t.op)
+                if len(t.args) != op.arity:
+                    raise ValueError(f"op {t.op!r}: expected {op.arity} arguments, got {len(t.args)}")
+                out = [tables[op.name]] * len(points)
+                for want, a in zip(op.args, t.args):
+                    got, col = column(a)
+                    if got != want:
+                        raise ValueError(
+                            f"op {t.op!r}: argument of sort {sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
+                        )
+                    out = list(map(getitem, out, col))
+                hit = op.result, out
+            memo[id(t)] = hit
+        return hit
+
+    return [column(t)[1] for t in terms]
+
+
 def point_count(ctx: VarContext, g: FiniteAlgebra) -> int:
     n = 1
     for _, s in ctx.vars:
@@ -144,16 +179,6 @@ def enumerate_points(ctx: VarContext, g: FiniteAlgebra, cap: Optional[int] = Non
     """All points in lexicographic order of the declared variable order."""
     check_cap("point enumeration", point_count(ctx, g), cap)
     return list(itertools.product(*[range(g.sizes[s]) for _, s in ctx.vars]))
-
-
-def point_from_names(ctx: VarContext, assignment: Mapping[str, int]) -> Point:
-    missing = [n for n in ctx.names if n not in assignment]
-    if missing:
-        raise ValueError(f"point missing variables {missing}")
-    extra = [n for n in assignment if not ctx.has(n)]
-    if extra:
-        raise ValueError(f"point binds unknown variables {extra}")
-    return tuple(assignment[n] for n in ctx.names)
 
 
 class GeneratedSubalgebra:
@@ -617,11 +642,8 @@ def satisfies_identity(
         ctx = inferred_context(g.sig, [w, w2])
     if sort_of(w, g.sig, ctx) != sort_of(w2, g.sig, ctx):
         raise ValueError("identity sides have different sorts")
-    for p in enumerate_points(ctx, g, cap):
-        memo: dict = {}
-        if eval_term(w, p, g, ctx, memo) != eval_term(w2, p, g, ctx, memo):
-            return False
-    return True
+    lhs, rhs = eval_columns([w, w2], enumerate_points(ctx, g, cap), g, ctx)
+    return lhs == rhs
 
 
 def ops_commute(g: FiniteAlgebra, name1: str, name2: str) -> bool:

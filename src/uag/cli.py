@@ -42,13 +42,11 @@ from .geometry import (
     point_closure,
     variety_iso,
     variety_of,
-    variety_of_kernel,
     verbal_variety,
 )
 from .logic import (
     Model,
     RelSignature,
-    eval_formula,
     filter_generated,
     fo_closure_member,
     fo_variety,
@@ -63,13 +61,12 @@ from .rules import KINDS, SaturationBounds, derive_closure, holds_clause, soundn
 from .sexpr import (
     SexprError,
     Workspace,
-    load_files,
     parse_inline_pair,
     parse_inline_subst,
     parse_inline_term,
 )
 from .spaces import GeoContext, PointSet
-from .terms import Signature, Substitution, VarContext, app, render, sort_of, var
+from .terms import Substitution, VarContext, app, render, sort_of, var
 
 
 def builtin_workspace(kind: str) -> Workspace:
@@ -154,8 +151,8 @@ def cmd_eval(args) -> int:
     p = parse_point(args.point, ctx, g)
     from .algebras import eval_term
 
-    value = eval_term(t, p, g, ctx)
     srt = sort_of(t, ws.sig(), ctx)
+    value = eval_term(t, p, g, ctx)
     payload = {
         "verb": "eval",
         "algebra": g.name,
@@ -651,13 +648,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SexprError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as e:
+    except (CapExceeded, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from .algebras import (
     GeneratedSubalgebra,
     Point,
     enumerate_homs,
-    eval_term,
+    eval_columns,
     generate,
     quotient,
     satisfies_identity,
@@ -41,7 +41,6 @@ from .congruences import (
 )
 from .spaces import GeoContext, PointSet
 from .terms import (
-    App,
     Substitution,
     Term,
     adjoin_constants,
@@ -53,24 +52,16 @@ from .terms import (
     var,
 )
 
-Variety = PointSet
-
-
 def variety_of(gctx: GeoContext, pairs: Iterable[Pair]) -> PointSet:
     """All points at which every equation holds."""
     pairs = list(pairs)
     for w, w2 in pairs:
         if sort_of(w, gctx.sig, gctx.ctx) != sort_of(w2, gctx.sig, gctx.ctx):
             raise ValueError("equation sides have different sorts")
-    idxs = []
-    for i, p in enumerate(gctx.points):
-        memo: dict = {}
-        if all(
-            eval_term(w, p, gctx.g, gctx.ctx, memo)
-            == eval_term(w2, p, gctx.g, gctx.ctx, memo)
-            for w, w2 in pairs
-        ):
-            idxs.append(i)
+    cols = eval_columns([t for pair in pairs for t in pair], gctx.points, gctx.g, gctx.ctx)
+    idxs = range(len(gctx.points))
+    for lhs, rhs in zip(cols[::2], cols[1::2]):
+        idxs = [i for i in idxs if lhs[i] == rhs[i]]
     return PointSet(gctx, idxs)
 
 
@@ -203,22 +194,17 @@ def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
     return PairSet((apply_subst(s, w), apply_subst(s, w2)) for w, w2 in pairs)
 
 
-def _point_through(s: Substitution, p: Point, gctx: GeoContext, out_ctx=None) -> Point:
+def _points_through(s: Substitution, points: Sequence[Point], gctx: GeoContext, out_ctx=None) -> list[Point]:
+    """Each point composed with s: its values at s's images of out_ctx's variables."""
     out_ctx = out_ctx or gctx.ctx
-    memo: dict = {}
-    return tuple(
-        eval_term(s(name), p, gctx.g, gctx.ctx, memo) for name, _ in out_ctx.vars
-    )
+    return list(zip(*eval_columns([s(name) for name in out_ctx.names], points, gctx.g, gctx.ctx)))
 
 
 def act_endo_variety(s: Substitution, a: PointSet) -> PointSet:
     """sA = {points whose composition with s lands in A}."""
     gctx = a.gctx
     s.validate(gctx.sig, gctx.ctx)
-    idxs = [
-        i for i, p in enumerate(gctx.points) if _point_through(s, p, gctx) in a
-    ]
-    return PointSet(gctx, idxs)
+    return PointSet(gctx, [i for i, q in enumerate(_points_through(s, gctx.points, gctx)) if q in a])
 
 
 @dataclass(frozen=True)
@@ -240,8 +226,8 @@ def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
         t = s(name)
         if sort_of(t, ga.sig, ga.ctx) != srt:
             raise ValueError(f"substitution image for {name!r} has the wrong sort")
-    for p in a.points():
-        q = _point_through(s, p, ga, gb.ctx)
+    pts = a.points()
+    for p, q in zip(pts, _points_through(s, pts, ga, gb.ctx)):
         if q not in b:
             return MorphismCheck(False, failing_point=p, image_point=q)
     return MorphismCheck(True)
@@ -527,18 +513,10 @@ def variety_iso(
 
 
 def _iso_verifies(a: PointSet, b: PointSet, forward: Substitution, backward: Substitution) -> bool:
-    ga, gb = a.gctx, b.gctx
-    for p in a.points():
-        q = _point_through(forward, p, ga, gb.ctx)
-        if q not in b:
-            return False
-        if _point_through(backward, q, gb, ga.ctx) != p:
-            return False
-    for q in b.points():
-        p = _point_through(backward, q, gb, ga.ctx)
-        if p not in a:
-            return False
-        if _point_through(forward, p, ga, gb.ctx) != q:
+    for x, y, there, back in ((a, b, forward, backward), (b, a, backward, forward)):
+        pts = x.points()
+        images = _points_through(there, pts, x.gctx, y.gctx.ctx)
+        if not all(q in y for q in images) or _points_through(back, images, y.gctx, x.gctx.ctx) != pts:
             return False
     return True
 
@@ -567,21 +545,6 @@ def pointwise_closed(a: PointSet, op_name: str) -> bool:
         if out not in a:
             return False
     return True
-
-
-def ops_in_pairs(pairs: Iterable[Pair]) -> list[str]:
-    seen: dict[str, None] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            seen.setdefault(t.op, None)
-            for x in t.args:
-                walk(x)
-
-    for w, w2 in pairs:
-        walk(w)
-        walk(w2)
-    return list(seen)
 
 
 @dataclass(frozen=True)

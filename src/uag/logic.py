@@ -19,7 +19,7 @@ from .config import check_cap
 from .algebras import (
     FiniteAlgebra,
     Point,
-    eval_term,
+    eval_columns,
     extend_with_constants,
     index_to_tuple,
     product,
@@ -41,9 +41,6 @@ from .terms import (
     term_vars,
     var,
 )
-
-ValueSet = PointSet
-
 
 class Formula:
     __slots__ = ()
@@ -82,36 +79,12 @@ class Exists(Formula):
     body: Formula
 
 
-def eq_f(lhs: Term, rhs: Term) -> Eq:
-    return Eq(lhs, rhs)
-
-
-def rel_f(name: str, *args: Term) -> Rel:
-    return Rel(name, tuple(args))
-
-
-def and_f(*items: Formula) -> And:
-    return And(tuple(items))
-
-
-def or_f(*items: Formula) -> Or:
-    return Or(tuple(items))
-
-
-def not_f(body: Formula) -> Not:
-    return Not(body)
-
-
 def exists_f(ys: Iterable[str], body: Formula) -> Exists:
     return Exists(tuple(sorted(set(ys))), body)
 
 
 def forall_f(ys: Iterable[str], body: Formula) -> Formula:
     return Not(exists_f(ys, Not(body)))
-
-
-TRUE = And(())
-FALSE = Or(())
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -219,24 +192,16 @@ def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
         raise ValueError("model and geometry context use different algebras")
     ctx, g = gctx.ctx, gctx.g
     if isinstance(f, Eq):
-        idxs = []
-        for i, p in enumerate(gctx.points):
-            memo: dict = {}
-            if eval_term(f.lhs, p, g, ctx, memo) == eval_term(f.rhs, p, g, ctx, memo):
-                idxs.append(i)
-        return PointSet(gctx, idxs)
+        lhs, rhs = eval_columns([f.lhs, f.rhs], gctx.points, g, ctx)
+        return PointSet(gctx, [i for i, (u, v) in enumerate(zip(lhs, rhs)) if u == v])
     if isinstance(f, Rel):
         sorts = m.rel_sig.arity(f.name)
         if len(f.args) != len(sorts):
             raise ValueError(f"relation {f.name!r} applied to {len(f.args)} terms")
         rows = m.relations[f.name]
-        idxs = []
-        for i, p in enumerate(gctx.points):
-            memo = {}
-            row = tuple(eval_term(t, p, g, ctx, memo) for t in f.args)
-            if row in rows:
-                idxs.append(i)
-        return PointSet(gctx, idxs)
+        cols = eval_columns(f.args, gctx.points, g, ctx)
+        args = zip(*cols) if cols else [()] * len(gctx.points)
+        return PointSet(gctx, [i for i, row in enumerate(args) if row in rows])
     if isinstance(f, And):
         out = gctx.full()
         for item in f.items:

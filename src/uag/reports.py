@@ -26,10 +26,6 @@ from .spaces import PointSet
 from .terms import Substitution, Term, render
 
 
-def pair_text(p) -> str:
-    return f"{render(p[0])} = {render(p[1])}"
-
-
 def to_jsonable(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj

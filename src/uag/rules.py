@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import eq, ne, or_
 from typing import Iterable, Optional, Sequence
 
-from .algebras import FiniteAlgebra, enumerate_points, eval_term, inferred_context
+from .algebras import FiniteAlgebra, enumerate_points, eval_columns, inferred_context
 from .congruences import EMPTY_PAIRS, Pair, PairSet, ground_closure, normalize_pair
 from .terms import (
     Substitution,
@@ -110,30 +111,23 @@ def quasi(ante: Iterable[Pair], cons: Optional[Pair]) -> Clause:
 
 
 def holds_clause(g: FiniteAlgebra, c: Clause, ctx=None, cap: Optional[int] = None) -> bool:
-    """Truth of the clause under every assignment into g."""
+    """Truth of the clause under every assignment into g.
+
+    Every kind is a disjunction of literals: the equations of pos and cons,
+    and the negated equations of neg and ante (a quasi-identity's premises).
+    The clause holds iff some literal holds at every point.
+    """
     if ctx is None:
         ctx = inferred_context(g.sig, c.terms())
-    for p in enumerate_points(ctx, g, cap):
-        memo: dict = {}
-
-        def eq(pair) -> bool:
-            w, w2 = pair
-            return eval_term(w, p, g, ctx, memo) == eval_term(w2, p, g, ctx, memo)
-
-        if c.kind == "identity":
-            if not eq(c.cons):
-                return False
-        elif c.kind == "pseudo":
-            if not any(eq(q) for q in c.pos):
-                return False
-        elif c.kind == "universal":
-            if not (any(eq(q) for q in c.pos) or any(not eq(q) for q in c.neg)):
-                return False
-        else:
-            if all(eq(q) for q in c.ante):
-                if c.cons is None or not eq(c.cons):
-                    return False
-    return True
+    literals = [(q, eq) for q in c.pos] + [(q, ne) for q in (*c.neg, *c.ante)]
+    if c.cons is not None:
+        literals.append((c.cons, eq))
+    points = enumerate_points(ctx, g, cap)
+    cols = eval_columns([t for q, _ in literals for t in q], points, g, ctx)
+    sat = [False] * len(points)
+    for (_, test), lhs, rhs in zip(literals, cols[::2], cols[1::2]):
+        sat = list(map(or_, sat, map(test, lhs, rhs)))
+    return all(sat)
 
 
 def rho_membership(premises: Iterable[Pair], query: Pair, extra_terms: Iterable[Term] = ()) -> bool:
@@ -148,18 +142,9 @@ def rho_membership(premises: Iterable[Pair], query: Pair, extra_terms: Iterable[
 
 def circ_pseudo_member(premises: Sequence[Clause], candidate: Clause, choice_cap: int = 10**6) -> bool:
     """The composition test: every choice of one disjunct per premise must
-    ground-derive some disjunct of the candidate."""
-    lists = [list(u.pos) for u in premises]
-    count = 1
-    for l in lists:
-        count *= len(l)
-        if count > choice_cap:
-            return False
-    for chosen in itertools.product(*lists):
-        gc = ground_closure(PairSet(chosen))
-        if not any(gc.contains(q) for q in candidate.pos):
-            return False
-    return True
+    ground-derive some disjunct of the candidate. Pseudoidentities are the
+    negation-free universal clauses, so this is circ_universal_member."""
+    return circ_universal_member(premises, candidate, choice_cap)
 
 
 def circ_universal_member(premises: Sequence[Clause], candidate: Clause, choice_cap: int = 10**6) -> bool:

@@ -25,7 +25,7 @@ that name exists, otherwise a variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebras import FiniteAlgebra
 from .congruences import Pair, PairSet
@@ -43,7 +43,7 @@ from .logic import (
     forall_f,
 )
 from .rules import Clause, identity, pseudo, quasi, universal
-from .terms import App, Signature, Term, Var, VarContext, app, render, var
+from .terms import Signature, Term, VarContext, app, render, var
 
 
 class SexprError(ValueError):
@@ -458,10 +458,6 @@ def load_files(paths: Sequence[str]) -> Workspace:
         except SexprError as e:
             raise SexprError(f"{path}:{e}") from e
     return ws
-
-
-def print_term(t: Term) -> str:
-    return render(t)
 
 
 def print_pair(p: Pair) -> str:

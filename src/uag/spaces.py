@@ -45,9 +45,9 @@ class PointSet:
 
     def __init__(self, gctx: GeoContext, indices: Iterable[int]):
         idx = frozenset(indices)
-        for i in idx:
-            if not 0 <= i < len(gctx.points):
-                raise ValueError(f"point index {i} out of range")
+        lo, hi = (min(idx), max(idx)) if idx else (0, -1)
+        if lo < 0 or hi >= len(gctx.points):
+            raise ValueError(f"point index {lo if lo < 0 else hi} out of range")
         self.gctx = gctx
         self.indices = idx
 
@@ -85,10 +85,6 @@ class PointSet:
     def intersection(self, other: "PointSet") -> "PointSet":
         self._check(other)
         return PointSet(self.gctx, self.indices & other.indices)
-
-    def difference(self, other: "PointSet") -> "PointSet":
-        self._check(other)
-        return PointSet(self.gctx, self.indices - other.indices)
 
     def complement(self) -> "PointSet":
         return PointSet(self.gctx, set(range(len(self.gctx.points))) - self.indices)

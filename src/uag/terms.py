@@ -8,7 +8,7 @@ terms are signature-agnostic trees and well-sortedness is a separate check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -239,9 +239,6 @@ class Substitution:
     def __call__(self, name: str) -> Term:
         return self.bindings.get(name) or var(name)
 
-    def is_identity_on(self, names: Iterable[str]) -> bool:
-        return all(self(n) is var(n) for n in names)
-
     def validate(self, sig: Signature, ctx: VarContext) -> None:
         for name, t in self.bindings.items():
             if not ctx.has(name):
@@ -298,12 +295,6 @@ def subterm_universe(terms: Iterable[Term]) -> list[Term]:
     for t in terms:
         walk(t)
     return out
-
-
-def iter_pairs_terms(pairs: Iterable[tuple[Term, Term]]) -> Iterator[Term]:
-    for w, w2 in pairs:
-        yield w
-        yield w2
 
 
 def constant_name(sig: Signature, sort: int, element: int) -> str:

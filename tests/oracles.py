@@ -42,6 +42,27 @@ def o_identity_holds(g, ctx, pair) -> bool:
     return len(o_variety(g, ctx, [pair])) == len(o_points(g, ctx))
 
 
+def o_clause_holds(g, ctx, c) -> bool:
+    """Clause truth read off each kind's definition, point by point."""
+    for p in o_points(g, ctx):
+        env = o_env(ctx, p)
+
+        def eq(pair):
+            return o_eval(pair[0], env, g.tables) == o_eval(pair[1], env, g.tables)
+
+        if c.kind == "identity":
+            ok = eq(c.cons)
+        elif c.kind == "pseudo":
+            ok = any(eq(q) for q in c.pos)
+        elif c.kind == "universal":
+            ok = any(eq(q) for q in c.pos) or any(not eq(q) for q in c.neg)
+        else:
+            ok = not all(eq(q) for q in c.ante) or (c.cons is not None and eq(c.cons))
+        if not ok:
+            return False
+    return True
+
+
 def o_subterms(terms):
     seen: list[Term] = []
     ids = set()

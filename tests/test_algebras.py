@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 import oracles
 from uag.algebras import (
+    FiniteAlgebra,
     GROUP_SIG,
     RING_SIG,
     cyclic_group,
     enumerate_homs,
     enumerate_points,
+    eval_columns,
     eval_term,
     hom_extension,
     inferred_context,
@@ -26,7 +28,7 @@ from uag.algebras import (
     index_to_tuple,
 )
 from uag.congruences import h_ker
-from uag.terms import app, render, var
+from uag.terms import Signature, VarContext, app, render, var
 
 
 def test_eval_frozen_value(z4, gctx2):
@@ -34,10 +36,31 @@ def test_eval_frozen_value(z4, gctx2):
     assert eval_term(t, (1, 2), z4, gctx2) == 1
 
 
-def test_eval_matches_oracle(s3, gctx2):
+def test_eval_matches_oracle(s3, gctx2, r5, rctx2):
     t = app("mul", app("inv", var("x")), app("mul", var("y"), var("x")))
-    for p in enumerate_points(gctx2, s3):
+    terms = [t, var("y"), app("e"), app("inv", t)]
+    points = enumerate_points(gctx2, s3)
+    cols = eval_columns(terms, points, s3, gctx2)
+    for i, p in enumerate(points):
         assert eval_term(t, p, s3, gctx2) == oracles.o_eval(t, oracles.o_env(gctx2, p), s3.tables)
+        assert [col[i] for col in cols] == [oracles.o_eval(u, oracles.o_env(gctx2, p), s3.tables) for u in terms]
+    ring = app("add", app("mul", var("x"), app("two")), app("one"))
+    ring_points = enumerate_points(rctx2, r5)
+    assert eval_columns([ring], ring_points, r5, rctx2) == [
+        [oracles.o_eval(ring, oracles.o_env(rctx2, p), r5.tables) for p in ring_points]
+    ]
+    assert eval_columns(terms, [], s3, gctx2) == [[], [], [], []]
+    for bad in (var("w"), app("nope", var("x")), app("mul", var("x")), app("e", var("x"))):
+        with pytest.raises(ValueError):
+            eval_columns([bad], points, s3, gctx2)
+    # an ill-sorted argument must not be read off another sort's table row
+    two = Signature(("a", "b"), [("f", ("b",), "a")])
+    g2 = FiniteAlgebra(two, (3, 2), {"f": {(0,): 1, (1,): 2}})
+    ctx2 = VarContext(two, [("x", "a"), ("y", "b")])
+    points2 = enumerate_points(ctx2, g2)
+    assert eval_columns([app("f", var("y"))], points2, g2, ctx2) == [[1, 2] * 3]
+    with pytest.raises(ValueError):
+        eval_columns([app("f", var("x"))], points2, g2, ctx2)
 
 
 def test_enumerate_points_lexicographic(z3, gctx2):

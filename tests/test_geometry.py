@@ -53,6 +53,19 @@ def test_variety_matches_oracle(z4, s3, gctx2):
             assert got.points() == oracles.o_variety(g, gctx2, pairs)
 
 
+def test_variety_of_no_pairs_is_full_space(s3, gctx2):
+    gctx = GeoContext(s3, gctx2)
+    assert variety_of(gctx, []) == gctx.full()
+
+
+def test_point_set_rejects_out_of_range_index(z2, gctx2):
+    gctx = GeoContext(z2, gctx2)
+    for bad in ([-1], [0, 4]):
+        with pytest.raises(ValueError):
+            PointSet(gctx, bad)
+    assert len(PointSet(gctx, [0, 3])) == 2
+
+
 def test_variety_rejects_sort_mismatch(z4):
     ctx = VarContext(GROUP_SIG, [("x", "g")])
     gctx = GeoContext(z4, ctx)

@@ -77,6 +77,15 @@ def test_model_validation(m_z4):
         Model(z4, rel_sig, {"R": [(0,)]})
 
 
+def test_nullary_relation_is_full_or_empty(gctx2):
+    z3 = cyclic_group(3)
+    rel_sig = RelSignature(GROUP_SIG, [("T", ()), ("F", ())])
+    m = Model(z3, rel_sig, {"T": [()]})
+    gctx = GeoContext(z3, gctx2)
+    assert eval_formula(m, Rel("T", ()), gctx) == gctx.full()
+    assert eval_formula(m, Rel("F", ()), gctx) == gctx.empty()
+
+
 def test_eval_formula_matches_oracle(m_z4, gctx2):
     gctx = GeoContext(m_z4.algebra, gctx2)
     rng = random.Random(9)

@@ -1,7 +1,14 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
 from uag.algebras import GROUP_SIG, cyclic_group, klein_four, symmetric_group_3
+from uag.geometry import random_term
 from uag.rules import (
+    KINDS,
     Clause,
     SaturationBounds,
     circ_pseudo_member,
@@ -65,6 +72,27 @@ def test_holds_quasi_and_falsum(z2, z3):
     # falsum: antecedent must never fire; x*x = e fires at x = e
     f = quasi([SQ_E], None)
     assert not holds_clause(z2, f)
+
+
+CTX2 = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
+SMALL_GROUPS = [cyclic_group(2), cyclic_group(3), klein_four(), symmetric_group_3()]
+
+
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 2**32))
+def test_holds_clause_matches_oracle(g, seed):
+    rng = random.Random(seed)
+    pairs = [tuple(random_term(rng, GROUP_SIG, CTX2, 2, 0) for _ in "ab") for _ in range(4)]
+    k = rng.randint(1, 3)
+    clauses = [
+        identity(pairs[0]),
+        pseudo(pairs[:k]),
+        universal(pairs[1:k], pairs[k:]),
+        quasi(pairs[1 : k + 1], pairs[0]),
+        quasi(pairs[1 : k + 1], None),
+    ]
+    assert {c.kind for c in clauses} == set(KINDS)
+    for c in clauses:
+        assert holds_clause(g, c, CTX2) == oracles.o_clause_holds(g, CTX2, c), c
 
 
 def test_rho_membership_transitivity():

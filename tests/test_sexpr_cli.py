@@ -233,6 +233,19 @@ def test_cli_parse_error_exit():
     assert code == 2
 
 
+def test_cli_ill_sorted_term_exits_2(tmp_path):
+    path = tmp_path / "two.sx"
+    path.write_text(
+        "(sort a) (sort b) (op f (b) a)\n"
+        "(algebra G (carrier a 3) (carrier b 2) (table f (0 1) (1 2)))\n"
+        "(context C (x a) (y b)) (rel-sig) (model M G) (formula q (eq (f x) x))\n"
+    )
+    code, _ = run_cli("eval", "-f", str(path), "-a", "G", "-c", "C", "--term", "(f x)", "--point", "2,0")
+    assert code == 2
+    code, _ = run_cli("fo-variety", "-f", str(path), "--model", "M", "-c", "C", "--formulas", "q")
+    assert code == 2
+
+
 def test_cli_check_single_suite():
     code, out = run_cli("check", "--suite", "halmos", "--format", "json")
     assert code == 0
