@@ -16,7 +16,6 @@ from .algebras import (
     cyclic_group,
     enumerate_homs,
     enumerate_points,
-    eval_term,
     inferred_context,
     klein_four,
     mod_ring,
@@ -107,7 +106,7 @@ from .rules import (
     soundness_check,
     universal,
 )
-from .sexpr import SexprError, Workspace, load_files, load_workspace
+from .sexpr import SexprError, Workspace, load_workspace
 from .spaces import GeoContext, PointSet
 from .terms import (
     Signature,

@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import math
 from operator import getitem, itemgetter
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import CapExceeded, check_cap
 from .terms import (
@@ -22,7 +22,7 @@ from .terms import (
     Var,
     VarContext,
     app,
-    sort_of,
+    render,
     term_vars,
     var,
 )
@@ -118,27 +118,16 @@ def unit_algebra(sig: Signature, name: str = "unit") -> FiniteAlgebra:
     return FiniteAlgebra(sig, sizes, tables, name=name)
 
 
-def eval_term(t: Term, point: Point, g: FiniteAlgebra, ctx: VarContext, _memo: Optional[dict] = None) -> int:
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(t))
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        out = point[ctx.position(t.name)]
-    else:
-        assert isinstance(t, App)
-        out = g.tables[t.op][tuple(eval_term(a, point, g, ctx, _memo) for a in t.args)]
-    _memo[id(t)] = out
-    return out
+def eval_columns(
+    terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext
+) -> list[tuple[int, list[int]]]:
+    """Each term's sort and its value at every point, one (sort, column) per term.
 
-
-def eval_columns(terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext) -> list[list[int]]:
-    """Each term's value at every point, one column per term.
-
+    This is the one term evaluator: a single assignment is a one-point list.
     Each distinct subterm's column is computed once, by table lookups over
-    whole columns. Unknown variables and ops, wrong arities and ill-sorted
-    arguments raise ValueError. eval_term is the route for one assignment.
+    whole columns, and its sort is checked on the way, with or without
+    points. Unknown variables and ops, wrong arities and ill-sorted arguments
+    raise ValueError.
     """
     sig, tables = g.sig, g.nested()
     memo: dict[int, tuple[int, list[int]]] = {}
@@ -165,7 +154,26 @@ def eval_columns(terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebr
             memo[id(t)] = hit
         return hit
 
-    return [column(t)[1] for t in terms]
+    return [column(t) for t in terms]
+
+
+def eval_pairs(
+    pairs: Iterable[tuple[Term, Term]], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext
+) -> list[tuple[list[int], list[int]]]:
+    """Both sides' columns for each equation, from one eval_columns call.
+
+    Raises ValueError when an equation's sides have different sorts.
+    """
+    pairs = list(pairs)
+    cols = eval_columns([t for pair in pairs for t in pair], points, g, ctx)
+    out = []
+    for (w, w2), (s, lhs), (s2, rhs) in zip(pairs, cols[::2], cols[1::2]):
+        if s != s2:
+            raise ValueError(
+                f"equation {render(w)} = {render(w2)}: sides of sorts {g.sig.sorts[s]!r} and {g.sig.sorts[s2]!r}"
+            )
+        out.append((lhs, rhs))
+    return out
 
 
 def point_count(ctx: VarContext, g: FiniteAlgebra) -> int:
@@ -456,20 +464,6 @@ def subalgebra_generated(
     return rows._renamed(tuple(tuple(row[0] for row in ms) for ms in rows.members))
 
 
-HomMap = dict[tuple[int, int], int]
-
-
-def hom_extension(sub: GeneratedSubalgebra, gen_assignment: Mapping[tuple[int, int], int], b: FiniteAlgebra) -> Optional[HomMap]:
-    """The unique homomorphic extension of a generator assignment, if any.
-
-    Absence (None) means the assignment does not respect a realized relation.
-    """
-    imgs = sub.extend([gen_assignment[(s, e)] for _, s, e in sub.gen_vars], b)
-    if imgs is None:
-        return None
-    return {(s, e): v for s, ms in enumerate(sub.members) for e, v in zip(ms, imgs[s])}
-
-
 def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], GeneratedSubalgebra]:
     gens: list[tuple[int, int]] = []
     sub = subalgebra_generated(g, gens)
@@ -637,12 +631,9 @@ def satisfies_identity(
     cap: Optional[int] = None,
 ) -> bool:
     """True iff both terms evaluate equal at every point of the pair's context."""
-    w, w2 = pair
     if ctx is None:
-        ctx = inferred_context(g.sig, [w, w2])
-    if sort_of(w, g.sig, ctx) != sort_of(w2, g.sig, ctx):
-        raise ValueError("identity sides have different sorts")
-    lhs, rhs = eval_columns([w, w2], enumerate_points(ctx, g, cap), g, ctx)
+        ctx = inferred_context(g.sig, pair)
+    [(lhs, rhs)] = eval_pairs([pair], enumerate_points(ctx, g, cap), g, ctx)
     return lhs == rhs
 
 

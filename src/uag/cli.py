@@ -22,6 +22,7 @@ from .algebras import (
     SEMILATTICE_SIG,
     chain_semilattice,
     cyclic_group,
+    eval_columns,
     klein_four,
     mod_ring,
     subalgebra_generated,
@@ -61,12 +62,13 @@ from .rules import KINDS, SaturationBounds, derive_closure, holds_clause, soundn
 from .sexpr import (
     SexprError,
     Workspace,
+    load_workspace,
     parse_inline_pair,
     parse_inline_subst,
     parse_inline_term,
 )
 from .spaces import GeoContext, PointSet
-from .terms import Substitution, VarContext, app, render, sort_of, var
+from .terms import Substitution, VarContext, app, render, var
 
 
 def builtin_workspace(kind: str) -> Workspace:
@@ -98,13 +100,13 @@ def builtin_workspace(kind: str) -> Workspace:
 
 def build_ws(args) -> Workspace:
     ws = builtin_workspace(args.builtin) if args.builtin else Workspace()
-    if args.file:
-        for path in args.file:
-            with open(path, "r", encoding="utf-8") as fh:
-                src = fh.read()
-            from .sexpr import load_workspace
-
+    for path in args.file or ():
+        with open(path, "r", encoding="utf-8") as fh:
+            src = fh.read()
+        try:
             load_workspace(src, ws)
+        except SexprError as e:
+            raise SexprError(f"{path}:{e}") from e
     return ws
 
 
@@ -149,10 +151,7 @@ def cmd_eval(args) -> int:
     ctx = ws.context(args.context)
     t = parse_inline_term(args.term, ws.sig())
     p = parse_point(args.point, ctx, g)
-    from .algebras import eval_term
-
-    srt = sort_of(t, ws.sig(), ctx)
-    value = eval_term(t, p, g, ctx)
+    [(srt, [value])] = eval_columns([t], [p], g, ctx)
     payload = {
         "verb": "eval",
         "algebra": g.name,
@@ -351,7 +350,7 @@ def _battery_galois(seed: int, trials: int, cap: Optional[int], failures: list[s
             if not a2.issubset(a1):
                 failures.append(f"galois antitone broke on {g.name} trial {trial}")
             k1 = congruence_of(a1, cap)
-            if not all(k1.contains(p) for p in t1):
+            if not all(k1.members(t1)):
                 failures.append(f"galois T within T'' broke on {g.name} trial {trial}")
             a1cc = closure_variety(a1, cap)
             if not a1.issubset(a1cc):

@@ -17,7 +17,7 @@ from .algebras import (
     Point,
     class_tables,
     enumerate_homs,
-    eval_term,
+    eval_pairs,
     generate,
     subalgebra_generated,
     unit_algebra,
@@ -194,12 +194,12 @@ class KernelCongruence:
         self.assignment = tuple(assignment)
         self._image = image
 
+    def members(self, pairs: Iterable[Pair]) -> list[bool]:
+        """Membership of each pair, from one evaluation at the assignment."""
+        return [lhs == rhs for lhs, rhs in eval_pairs(pairs, [self.assignment], self.target, self.ctx)]
+
     def contains(self, pair: Pair) -> bool:
-        memo: dict = {}
-        w, w2 = pair
-        return eval_term(w, self.assignment, self.target, self.ctx, memo) == eval_term(
-            w2, self.assignment, self.target, self.ctx, memo
-        )
+        return self.members([pair])[0]
 
     def rows(self) -> list[tuple[int, int]]:
         return [(s, e) for (_, s), e in zip(self.ctx.vars, self.assignment)]
@@ -249,8 +249,20 @@ class LazyMeetKernel:
         self.ctx = kernels[0].ctx
         self.overflow = overflow
 
+    def members(self, pairs: Iterable[Pair]) -> list[bool]:
+        """Membership of each pair; a kernel only sees the pairs all earlier ones hold."""
+        pairs = list(pairs)
+        out = [True] * len(pairs)
+        for k in self.kernels:
+            live = [i for i, ok in enumerate(out) if ok]
+            if not live:
+                break
+            for i, ok in zip(live, k.members([pairs[i] for i in live])):
+                out[i] = ok
+        return out
+
     def contains(self, pair: Pair) -> bool:
-        return all(k.contains(pair) for k in self.kernels)
+        return self.members([pair])[0]
 
     def materialize(self, cap: Optional[int] = None) -> KernelCongruence:
         o = self.overflow

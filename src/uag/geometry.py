@@ -21,6 +21,7 @@ from .algebras import (
     Point,
     enumerate_homs,
     eval_columns,
+    eval_pairs,
     generate,
     quotient,
     satisfies_identity,
@@ -47,20 +48,14 @@ from .terms import (
     app,
     apply_subst,
     constant_name,
-    sort_of,
     term_vars,
     var,
 )
 
 def variety_of(gctx: GeoContext, pairs: Iterable[Pair]) -> PointSet:
     """All points at which every equation holds."""
-    pairs = list(pairs)
-    for w, w2 in pairs:
-        if sort_of(w, gctx.sig, gctx.ctx) != sort_of(w2, gctx.sig, gctx.ctx):
-            raise ValueError("equation sides have different sorts")
-    cols = eval_columns([t for pair in pairs for t in pair], gctx.points, gctx.g, gctx.ctx)
     idxs = range(len(gctx.points))
-    for lhs, rhs in zip(cols[::2], cols[1::2]):
+    for lhs, rhs in eval_pairs(pairs, gctx.points, gctx.g, gctx.ctx):
         idxs = [i for i in idxs if lhs[i] == rhs[i]]
     return PointSet(gctx, idxs)
 
@@ -195,9 +190,16 @@ def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
 
 
 def _points_through(s: Substitution, points: Sequence[Point], gctx: GeoContext, out_ctx=None) -> list[Point]:
-    """Each point composed with s: its values at s's images of out_ctx's variables."""
+    """Each point composed with s: its values at s's images of out_ctx's variables.
+
+    An image whose sort is not its variable's raises ValueError.
+    """
     out_ctx = out_ctx or gctx.ctx
-    return list(zip(*eval_columns([s(name) for name in out_ctx.names], points, gctx.g, gctx.ctx)))
+    cols = eval_columns([s(name) for name in out_ctx.names], points, gctx.g, gctx.ctx)
+    for (name, want), (got, _) in zip(out_ctx.vars, cols):
+        if got != want:
+            raise ValueError(f"substitution image for {name!r} has the wrong sort")
+    return list(zip(*(col for _, col in cols)))
 
 
 def act_endo_variety(s: Substitution, a: PointSet) -> PointSet:
@@ -222,10 +224,6 @@ def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
     ga, gb = a.gctx, b.gctx
     if ga.g.digest() != gb.g.digest():
         raise ValueError("morphisms need a common target algebra")
-    for name, srt in gb.ctx.vars:
-        t = s(name)
-        if sort_of(t, ga.sig, ga.ctx) != srt:
-            raise ValueError(f"substitution image for {name!r} has the wrong sort")
     pts = a.points()
     for p, q in zip(pts, _points_through(s, pts, ga, gb.ctx)):
         if q not in b:
@@ -636,7 +634,7 @@ def nullstellensatz_check(
     else:
         meet = unit_kernel(gctx.ctx, gctx.sig)
     probes += candidate_pairs(gctx.sig, gctx.ctx, 2, seed=17, count=25)
-    meet_agrees = all(lhs.contains(pr) == meet.contains(pr) for pr in probes)
+    meet_agrees = lhs.members(probes) == meet.members(probes)
     return NullstellensatzReport(
         agrees=hit is None,
         meet_agrees=meet_agrees,

@@ -20,6 +20,7 @@ from .algebras import (
     FiniteAlgebra,
     Point,
     eval_columns,
+    eval_pairs,
     extend_with_constants,
     index_to_tuple,
     product,
@@ -192,15 +193,17 @@ def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
         raise ValueError("model and geometry context use different algebras")
     ctx, g = gctx.ctx, gctx.g
     if isinstance(f, Eq):
-        lhs, rhs = eval_columns([f.lhs, f.rhs], gctx.points, g, ctx)
+        [(lhs, rhs)] = eval_pairs([(f.lhs, f.rhs)], gctx.points, g, ctx)
         return PointSet(gctx, [i for i, (u, v) in enumerate(zip(lhs, rhs)) if u == v])
     if isinstance(f, Rel):
         sorts = m.rel_sig.arity(f.name)
-        if len(f.args) != len(sorts):
-            raise ValueError(f"relation {f.name!r} applied to {len(f.args)} terms")
         rows = m.relations[f.name]
         cols = eval_columns(f.args, gctx.points, g, ctx)
-        args = zip(*cols) if cols else [()] * len(gctx.points)
+        if tuple(s for s, _ in cols) != sorts:
+            got = " ".join(g.sig.sorts[s] for s, _ in cols)
+            want = " ".join(g.sig.sorts[s] for s in sorts)
+            raise ValueError(f"relation {f.name!r} takes ({want}), applied to terms of sorts ({got})")
+        args = zip(*(col for _, col in cols)) if cols else [()] * len(gctx.points)
         return PointSet(gctx, [i for i, row in enumerate(args) if row in rows])
     if isinstance(f, And):
         out = gctx.full()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import eq, ne, or_
 from typing import Iterable, Optional, Sequence
 
-from .algebras import FiniteAlgebra, enumerate_points, eval_columns, inferred_context
+from .algebras import FiniteAlgebra, enumerate_points, eval_pairs, inferred_context
 from .congruences import EMPTY_PAIRS, Pair, PairSet, ground_closure, normalize_pair
 from .terms import (
     Substitution,
@@ -123,9 +123,8 @@ def holds_clause(g: FiniteAlgebra, c: Clause, ctx=None, cap: Optional[int] = Non
     if c.cons is not None:
         literals.append((c.cons, eq))
     points = enumerate_points(ctx, g, cap)
-    cols = eval_columns([t for q, _ in literals for t in q], points, g, ctx)
     sat = [False] * len(points)
-    for (_, test), lhs, rhs in zip(literals, cols[::2], cols[1::2]):
+    for (_, test), (lhs, rhs) in zip(literals, eval_pairs([q for q, _ in literals], points, g, ctx)):
         sat = list(map(or_, sat, map(test, lhs, rhs)))
     return all(sat)
 
@@ -313,42 +312,48 @@ def derive_closure(
     return DeriveResult(tuple(ordered), budget.exhausted, rounds)
 
 
-def _step_identity(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
-    pairs = [c.cons for c in cur]
-    out: list[Clause] = []
+def _equality_steps(eqs: Sequence[Pair], sig, ctx, budget: _Budget, keep) -> bool:
+    """Transitivity, then one congruence step through each unary or binary op.
 
-    def keep(w, w2):
-        if w is w2:
-            return
-        if max(term_depth(w), term_depth(w2)) > bounds.depth:
-            return
-        out.append(identity((w, w2)))
-
-    # reflexive consequences are left implicit; storing w=w clauses would
-    # bloat the result without adding information
+    Each consequence spends one unit of budget before keep sees it; False
+    means the budget ran out.
+    """
     partners: dict[Term, list[Term]] = {}
-    for a, b in pairs:
+    for a, b in eqs:
         partners.setdefault(a, []).append(b)
         partners.setdefault(b, []).append(a)
     for a in sorted(partners, key=term_key):
         for b in partners[a]:
             for c in partners.get(b, ()):
                 if not budget.spend():
-                    return out
+                    return False
                 keep(a, c)
     for op in sig.ops:
         if op.arity == 0 or op.arity > 2:
             continue
-        sorted_pairs = [
-            [(w, w2) for (w, w2) in pairs if sort_of(w, sig, ctx) == s] for s in op.args
-        ]
-        for combo in itertools.product(*sorted_pairs):
+        pools = [[(w, w2) for (w, w2) in eqs if sort_of(w, sig, ctx) == s] for s in op.args]
+        for combo in itertools.product(*pools):
             if not budget.spend():
-                return out
-            keep(
-                app(op.name, *[w for w, _ in combo]),
-                app(op.name, *[w2 for _, w2 in combo]),
-            )
+                return False
+            keep(app(op.name, *[w for w, _ in combo]), app(op.name, *[w2 for _, w2 in combo]))
+    return True
+
+
+def _step_identity(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
+    pairs = [c.cons for c in cur]
+    out: list[Clause] = []
+
+    def keep(w, w2):
+        # reflexive consequences are left implicit; storing w=w clauses would
+        # bloat the result without adding information
+        if w is w2:
+            return
+        if max(term_depth(w), term_depth(w2)) > bounds.depth:
+            return
+        out.append(identity((w, w2)))
+
+    if not _equality_steps(pairs, sig, ctx, budget, keep):
+        return out
     universe = term_universe(sig, ctx, bounds.depth)
     for name, s in ctx.vars:
         for t in universe:
@@ -375,6 +380,26 @@ def _weakenings(c: Clause, extras: Sequence[Pair], width: int, budget) -> list[C
     return out
 
 
+def _composed(cur, candidates: Sequence[Clause], sizes: Sequence[int], member, budget: _Budget) -> list[Clause]:
+    """The candidates outside cur that member derives from some premise combination.
+
+    Combinations of cur are tried smallest first, each spending one unit of
+    budget; the search stops when the budget runs out.
+    """
+    out: list[Clause] = []
+    seen = set(cur)
+    for cand in candidates:
+        if cand in seen:
+            continue
+        for prem in itertools.chain.from_iterable(itertools.combinations(cur, k) for k in sizes):
+            if not budget.spend():
+                return out
+            if member(prem, cand):
+                out.append(cand)
+                break
+    return out
+
+
 def _step_pseudo(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
     out: list[Clause] = []
     extras = _pair_universe(base, sig, ctx, limit=8)
@@ -382,22 +407,7 @@ def _step_pseudo(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
         if _max_depth(c) <= bounds.depth:
             out.extend(_weakenings(c, extras, min(bounds.width, 1), budget))
     candidates = [pseudo([q]) for q in _pair_universe(base, sig, ctx, limit=24)]
-    seen = set(cur)
-    for cand in candidates:
-        if cand in seen:
-            continue
-        for k in (1, 2, 3):
-            hit = False
-            for prem in itertools.combinations(cur, k):
-                if not budget.spend():
-                    return out
-                if circ_pseudo_member(prem, cand):
-                    out.append(cand)
-                    hit = True
-                    break
-            if hit:
-                break
-    return out
+    return out + _composed(cur, candidates, (1, 2, 3), circ_pseudo_member, budget)
 
 
 def _step_universal(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
@@ -409,22 +419,7 @@ def _step_universal(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
     qs = _pair_universe(base, sig, ctx, limit=12)
     candidates = [universal([q], []) for q in qs]
     candidates += [universal([q], [r]) for q in qs[:6] for r in qs[:6] if q != r]
-    seen = set(cur)
-    for cand in candidates:
-        if cand in seen:
-            continue
-        for k in (1, 2):
-            hit = False
-            for prem in itertools.combinations(cur, k):
-                if not budget.spend():
-                    return out
-                if circ_universal_member(prem, cand):
-                    out.append(cand)
-                    hit = True
-                    break
-            if hit:
-                break
-    return out
+    return out + _composed(cur, candidates, (1, 2), circ_universal_member, budget)
 
 
 def _step_quasi(cur, sig, ctx, bounds, budget, base, quackenbush) -> list[Clause]:
@@ -453,33 +448,8 @@ def _step_quasi(cur, sig, ctx, bounds, budget, base, quackenbush) -> list[Clause
         by_ante.setdefault(c.ante, []).append(c)
     for ante, group in by_ante.items():
         eqs = [c.cons for c in group if c.cons is not None]
-        partners: dict[Term, list[Term]] = {}
-        for a, b in eqs:
-            partners.setdefault(a, []).append(b)
-            partners.setdefault(b, []).append(a)
-        for a in sorted(partners, key=term_key):
-            for b in partners[a]:
-                for c2 in partners.get(b, ()):
-                    if not budget.spend():
-                        return out
-                    if a is not c2:
-                        keep(ante, (a, c2))
-        for op in sig.ops:
-            if op.arity == 0 or op.arity > 2:
-                continue
-            pools = [
-                [(w, w2) for (w, w2) in eqs if sort_of(w, sig, ctx) == s] for s in op.args
-            ]
-            for combo in itertools.product(*pools):
-                if not budget.spend():
-                    return out
-                keep(
-                    ante,
-                    (
-                        app(op.name, *[w for w, _ in combo]),
-                        app(op.name, *[w2 for _, w2 in combo]),
-                    ),
-                )
+        if not _equality_steps(eqs, sig, ctx, budget, lambda w, w2: keep(ante, (w, w2))):
+            return out
     for c1 in cur:
         if c1.cons is None:
             continue

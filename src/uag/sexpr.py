@@ -25,7 +25,7 @@ that name exists, otherwise a variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .algebras import FiniteAlgebra
 from .congruences import Pair, PairSet
@@ -445,18 +445,6 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
             _parse_clause(node, ws)
         else:
             raise SexprError(f"unknown form {head!r}", *_pos(node))
-    return ws
-
-
-def load_files(paths: Sequence[str]) -> Workspace:
-    ws = Workspace()
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            src = fh.read()
-        try:
-            load_workspace(src, ws)
-        except SexprError as e:
-            raise SexprError(f"{path}:{e}") from e
     return ws
 
 

@@ -377,14 +377,14 @@ def test_criterion_11(z2, gctx2):
         assert iso is not None
         assert morphism_check(iso.forward, diag, line).ok
         assert morphism_check(iso.backward, line, diag).ok
-        from uag.algebras import eval_term
+        from uag.algebras import eval_columns
 
         for p in diag.points():
             q = tuple(
-                eval_term(iso.forward(n), p, z2, gctx2) for n, _ in line_ctx.vars
+                v for _, [v] in eval_columns([iso.forward(n) for n in line_ctx.names], [p], z2, gctx2)
             )
             back = tuple(
-                eval_term(iso.backward(n), q, z2, line_ctx) for n, _ in gctx2.vars
+                v for _, [v] in eval_columns([iso.backward(n) for n in gctx2.names], [q], z2, line_ctx)
             )
             assert back == p
         t0 = time.monotonic()

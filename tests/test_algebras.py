@@ -13,8 +13,6 @@ from uag.algebras import (
     enumerate_homs,
     enumerate_points,
     eval_columns,
-    eval_term,
-    hom_extension,
     inferred_context,
     is_commutative,
     ops_commute,
@@ -33,23 +31,24 @@ from uag.terms import Signature, VarContext, app, render, var
 
 def test_eval_frozen_value(z4, gctx2):
     t = app("inv", app("mul", var("x"), var("y")))
-    assert eval_term(t, (1, 2), z4, gctx2) == 1
+    assert eval_columns([t], [(1, 2)], z4, gctx2) == [(0, [1])]
 
 
 def test_eval_matches_oracle(s3, gctx2, r5, rctx2):
     t = app("mul", app("inv", var("x")), app("mul", var("y"), var("x")))
     terms = [t, var("y"), app("e"), app("inv", t)]
     points = enumerate_points(gctx2, s3)
-    cols = eval_columns(terms, points, s3, gctx2)
+    sorted_cols = eval_columns(terms, points, s3, gctx2)
+    assert [s for s, _ in sorted_cols] == [0, 0, 0, 0]
+    cols = [col for _, col in sorted_cols]
     for i, p in enumerate(points):
-        assert eval_term(t, p, s3, gctx2) == oracles.o_eval(t, oracles.o_env(gctx2, p), s3.tables)
         assert [col[i] for col in cols] == [oracles.o_eval(u, oracles.o_env(gctx2, p), s3.tables) for u in terms]
     ring = app("add", app("mul", var("x"), app("two")), app("one"))
     ring_points = enumerate_points(rctx2, r5)
     assert eval_columns([ring], ring_points, r5, rctx2) == [
-        [oracles.o_eval(ring, oracles.o_env(rctx2, p), r5.tables) for p in ring_points]
+        (0, [oracles.o_eval(ring, oracles.o_env(rctx2, p), r5.tables) for p in ring_points])
     ]
-    assert eval_columns(terms, [], s3, gctx2) == [[], [], [], []]
+    assert eval_columns(terms, [], s3, gctx2) == [(0, [])] * 4
     for bad in (var("w"), app("nope", var("x")), app("mul", var("x")), app("e", var("x"))):
         with pytest.raises(ValueError):
             eval_columns([bad], points, s3, gctx2)
@@ -58,7 +57,7 @@ def test_eval_matches_oracle(s3, gctx2, r5, rctx2):
     g2 = FiniteAlgebra(two, (3, 2), {"f": {(0,): 1, (1,): 2}})
     ctx2 = VarContext(two, [("x", "a"), ("y", "b")])
     points2 = enumerate_points(ctx2, g2)
-    assert eval_columns([app("f", var("y"))], points2, g2, ctx2) == [[1, 2] * 3]
+    assert eval_columns([app("f", var("y")), var("y")], points2, g2, ctx2) == [(0, [1, 2] * 3), (1, [0, 1] * 3)]
     with pytest.raises(ValueError):
         eval_columns([app("f", var("x"))], points2, g2, ctx2)
 
@@ -81,7 +80,7 @@ def test_subalgebra_witnesses(z4):
     ctx = sub.generator_context()
     for e in range(4):
         w = sub.witness_of(0, e)
-        assert eval_term(w, (1,), z4, ctx) == e
+        assert eval_columns([w], [(1,)], z4, ctx) == [(0, [e])]
 
 
 def test_subalgebra_discovery_order(z4):
@@ -117,9 +116,9 @@ def test_hom_counts_frozen(z4, z2, z3):
 def test_hom_extension_rejects(z4, z2, z3):
     sub = subalgebra_generated(z4, [1])
     # 1 -> 1 into Z3 breaks at 0 = 1*4 -> 1; into Z2 it is the mod-2 surjection
-    assert hom_extension(sub, {(0, 1): 1}, z3) is None
-    ok = hom_extension(sub, {(0, 1): 1}, z2)
-    assert ok is not None and ok[(0, 3)] == 1 and ok[(0, 2)] == 0
+    assert sub.extend([1], z3) is None
+    ok = sub.extend([1], z2)
+    assert ok is not None and ok[0][sub.index[0][3]] == 1 and ok[0][sub.index[0][2]] == 0
 
 
 def test_product_mixed_radix(z2, z3):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from uag.algebras import GROUP_SIG, cyclic_group, product
+from uag.algebras import GROUP_SIG, FiniteAlgebra, cyclic_group, enumerate_points, eval_columns, product
 from uag.congruences import (
     FinitePartitionCongruence,
     KernelCongruence,
@@ -21,9 +21,9 @@ from uag.congruences import (
     unit_partition,
 )
 from uag.config import CapExceeded
-from uag.geometry import candidate_pairs, coordinate_algebra
+from uag.geometry import candidate_pairs, coordinate_algebra, random_term
 from uag.spaces import GeoContext, PointSet
-from uag.terms import VarContext, app, render, var
+from uag.terms import Signature, VarContext, app, render, sort_of, var
 
 
 def test_normalize_pair_orders_by_key():
@@ -86,6 +86,41 @@ def test_kernel_contains(z4, gctx2):
     assert k.contains((app("mul", x, x), y))
     assert not k.contains((x, y))
     assert k.rows() == [(1, 1), (2, 2)] or len(k.rows()) == 2
+
+
+TWO_SIG = Signature(("a", "b"), [("f", ("b",), "a"), ("m", ("a", "a"), "a"), ("g", ("a", "b"), "b"), ("c", (), "a")])
+TWO = FiniteAlgebra(
+    TWO_SIG,
+    (3, 2),
+    {
+        "f": {(0,): 1, (1,): 2},
+        "m": {(i, j): (i + 2 * j) % 3 for i in range(3) for j in range(3)},
+        "g": {(i, j): (i * j + i) % 2 for i in range(3) for j in range(2)},
+        "c": {(): 2},
+    },
+)
+TWO_CTX = VarContext(TWO_SIG, [("x", "a"), ("y", "b"), ("z", "a")])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_typed_evaluation_and_kernel_members(seed):
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(8):
+        srt = rng.randrange(2)
+        pairs.append(tuple(random_term(rng, TWO_SIG, TWO_CTX, rng.randint(0, 3), srt) for _ in range(2)))
+    terms = [t for pair in pairs for t in pair]
+    points = enumerate_points(TWO_CTX, TWO)
+    for t, (s, col) in zip(terms, eval_columns(terms, points, TWO, TWO_CTX)):
+        assert s == sort_of(t, TWO_SIG, TWO_CTX)
+        assert col == [oracles.o_eval(t, oracles.o_env(TWO_CTX, p), TWO.tables) for p in points]
+    kernels = [kernel_of_point(p, TWO, TWO_CTX) for p in rng.sample(points, 3)]
+    for k in kernels:
+        env = oracles.o_env(TWO_CTX, k.assignment)
+        got = k.members(pairs)
+        assert got == [k.contains(q) for q in pairs]
+        assert got == [oracles.o_eval(u, env, TWO.tables) == oracles.o_eval(w, env, TWO.tables) for u, w in pairs]
+    assert LazyMeetKernel(kernels).members(pairs) == [all(k.contains(q) for k in kernels) for q in pairs]
 
 
 def test_kernel_validates_range(z2, gctx2):

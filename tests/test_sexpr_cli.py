@@ -228,22 +228,38 @@ def test_cli_subprocess_deterministic_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_cli_parse_error_exit():
+def test_cli_parse_error_exit(tmp_path, capsys):
     code, _ = run_cli("variety", "--builtin", "group", "-a", "NOPE", "-c", "C1", "-p", "T")
     assert code == 2
+    bad = tmp_path / "bad.sx"
+    bad.write_text("(sort g)\n(op e () g")
+    capsys.readouterr()
+    code, _ = run_cli("parse", "-f", str(bad))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}:2:1: unclosed parenthesis\n"
 
 
 def test_cli_ill_sorted_term_exits_2(tmp_path):
     path = tmp_path / "two.sx"
     path.write_text(
-        "(sort a) (sort b) (op f (b) a)\n"
-        "(algebra G (carrier a 3) (carrier b 2) (table f (0 1) (1 2)))\n"
-        "(context C (x a) (y b)) (rel-sig) (model M G) (formula q (eq (f x) x))\n"
+        "(sort a) (sort b) (op f (b) a) (op c () a)\n"
+        "(algebra G (carrier a 3) (carrier b 2) (table f (0 1) (1 2)) (table c (0)))\n"
+        "(context C (x a) (y b)) (pairs T (x c)) (rel-sig (P b)) (model M G (rel P (1)))\n"
+        "(formula q (eq (f x) x)) (formula r (eq (f y) y)) (formula s (rel P x))\n"
+        "(clause i identity ((f y) y))\n"
     )
-    code, _ = run_cli("eval", "-f", str(path), "-a", "G", "-c", "C", "--term", "(f x)", "--point", "2,0")
-    assert code == 2
-    code, _ = run_cli("fo-variety", "-f", str(path), "--model", "M", "-c", "C", "--formulas", "q")
-    assert code == 2
+    ws = ("-f", str(path), "-a", "G", "-c", "C")
+    for argv in (
+        ("eval", *ws, "--term", "(f x)", "--point", "2,0"),
+        ("closure", *ws, "-p", "T", "--query", "(y x)"),
+        ("closure", *ws, "-p", "T", "--query", "((f x) x)"),
+        ("query", *ws, "--clause", "i"),
+        ("query", "-f", str(path), "-a", "G", "--clause", "i"),
+    ):
+        assert run_cli(*argv)[0] == 2, argv
+    for formula in ("q", "r", "s"):
+        code, _ = run_cli("fo-variety", "-f", str(path), "--model", "M", "-c", "C", "--formulas", formula)
+        assert code == 2, formula
 
 
 def test_cli_check_single_suite():
