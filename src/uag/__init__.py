@@ -91,7 +91,6 @@ from .logic import (
     open_variety_check,
     restrict_submodel,
     subst_formula,
-    subst_value,
     substitution_theorem_check,
     ultrapower_model,
 )

@@ -22,7 +22,7 @@ from .terms import (
     Var,
     VarContext,
     app,
-    render,
+    check_same_sort,
     term_vars,
     var,
 )
@@ -168,10 +168,7 @@ def eval_pairs(
     cols = eval_columns([t for pair in pairs for t in pair], points, g, ctx)
     out = []
     for (w, w2), (s, lhs), (s2, rhs) in zip(pairs, cols[::2], cols[1::2]):
-        if s != s2:
-            raise ValueError(
-                f"equation {render(w)} = {render(w2)}: sides of sorts {g.sig.sorts[s]!r} and {g.sig.sorts[s2]!r}"
-            )
+        check_same_sort(w, w2, s, s2, g.sig)
         out.append((lhs, rhs))
     return out
 

@@ -382,7 +382,7 @@ def _battery_halmos(seed: int, trials: int, cap: Optional[int], failures: list[s
     ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
     gctx = GeoContext(g, ctx, cap)
     n = len(gctx.points)
-    values = [PointSet(gctx, [i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)]
+    values = [PointSet.of_mask(gctx, mask) for mask in range(1 << n)]
     subs = [
         Substitution({}),
         Substitution({"x": var("y"), "y": var("x")}),
@@ -473,9 +473,9 @@ def _experiment_filters(args) -> dict:
     rows = []
     seen = set()
     for mask in range(1 << n):
-        gen = PointSet(gctx, [i for i in range(n) if mask >> i & 1])
+        gen = PointSet.of_mask(gctx, mask)
         fam = filter_generated([gen], gctx, args.cap)
-        key = frozenset(ps.indices for ps in fam)
+        key = frozenset(ps.mask for ps in fam)
         fresh = key not in seen
         seen.add(key)
         rows.append(

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import eq
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import CapExceeded, get_cap
 from .algebras import (
@@ -54,10 +55,10 @@ from .terms import (
 
 def variety_of(gctx: GeoContext, pairs: Iterable[Pair]) -> PointSet:
     """All points at which every equation holds."""
-    idxs = range(len(gctx.points))
+    out = gctx.full()
     for lhs, rhs in eval_pairs(pairs, gctx.points, gctx.g, gctx.ctx):
-        idxs = [i for i in idxs if lhs[i] == rhs[i]]
-    return PointSet(gctx, idxs)
+        out = out.intersection(PointSet.of_flags(gctx, map(eq, lhs, rhs)))
+    return out
 
 
 class CoordinateAlgebra:
@@ -140,7 +141,7 @@ def variety_of_kernel(k, gctx: GeoContext, cap: Optional[int] = None) -> PointSe
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
     sub, g = k.image(), gctx.g
-    return PointSet(gctx, [i for i, p in enumerate(gctx.points) if sub.extend(p, g) is not None])
+    return PointSet.of_flags(gctx, [sub.extend(p, g) is not None for p in gctx.points])
 
 
 def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None):
@@ -170,8 +171,8 @@ def verbal_variety(
     this is the point shape of restricting the target to a variety.
     """
     cache: dict[tuple, bool] = {}
-    idxs = []
-    for i, p in enumerate(gctx.points):
+    flags = []
+    for p in gctx.points:
         sub = subalgebra_generated(gctx.g, [(s, p[j]) for j, (_, s) in enumerate(gctx.ctx.vars)])
         key = tuple(frozenset(ms) for ms in sub.members)
         ok = cache.get(key)
@@ -179,9 +180,8 @@ def verbal_variety(
             alg = sub.as_algebra()
             ok = all(satisfies_identity(alg, pair, ictx, cap) for pair in identities)
             cache[key] = ok
-        if ok:
-            idxs.append(i)
-    return PointSet(gctx, idxs)
+        flags.append(ok)
+    return PointSet.of_flags(gctx, flags)
 
 
 def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
@@ -192,9 +192,13 @@ def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
 def _points_through(s: Substitution, points: Sequence[Point], gctx: GeoContext, out_ctx=None) -> list[Point]:
     """Each point composed with s: its values at s's images of out_ctx's variables.
 
-    An image whose sort is not its variable's raises ValueError.
+    A binding for a variable outside out_ctx, or an image whose sort is not
+    its variable's, raises ValueError.
     """
     out_ctx = out_ctx or gctx.ctx
+    for name in s.bindings:
+        if not out_ctx.has(name):
+            raise ValueError(f"substitution binds unknown variable {name!r}")
     cols = eval_columns([s(name) for name in out_ctx.names], points, gctx.g, gctx.ctx)
     for (name, want), (got, _) in zip(out_ctx.vars, cols):
         if got != want:
@@ -202,11 +206,22 @@ def _points_through(s: Substitution, points: Sequence[Point], gctx: GeoContext, 
     return list(zip(*(col for _, col in cols)))
 
 
+def pull_back(s: Substitution, gctx: GeoContext) -> Callable[[PointSet], PointSet]:
+    """s acting on the point sets over gctx: A -> sA (see act_endo_variety).
+
+    Composes every point with s once and keeps each point's image index
+    (GeoContext.preimage). Reuse the result to act on many sets.
+    """
+    return gctx.preimage(map(gctx.point_index.__getitem__, _points_through(s, gctx.points, gctx)))
+
+
 def act_endo_variety(s: Substitution, a: PointSet) -> PointSet:
-    """sA = {points whose composition with s lands in A}."""
-    gctx = a.gctx
-    s.validate(gctx.sig, gctx.ctx)
-    return PointSet(gctx, [i for i, q in enumerate(_points_through(s, gctx.points, gctx)) if q in a])
+    """sA = {points whose composition with s lands in A}.
+
+    s must bind only variables of a's context, each to a term of the same
+    sort; anything else raises ValueError. For many sets, use pull_back.
+    """
+    return pull_back(s, a.gctx)(a)
 
 
 @dataclass(frozen=True)
@@ -284,20 +299,22 @@ def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
     """Every closed point set, in lectic order (Ganter's next-closure walk)."""
     n = len(gctx.points)
 
-    def clo(front: frozenset) -> frozenset:
-        k = congruence_of(PointSet(gctx, front), cap)
-        return variety_of_kernel(k, gctx, cap).indices
+    def clo(front: int) -> int:
+        k = congruence_of(PointSet.of_mask(gctx, front), cap)
+        return variety_of_kernel(k, gctx, cap).mask
 
-    current = clo(frozenset())
-    yield PointSet(gctx, current)
+    current = clo(0)
+    yield PointSet.of_mask(gctx, current)
     while True:
         for i in range(n - 1, -1, -1):
-            if i in current:
+            bit = 1 << i
+            if current & bit:
                 continue
-            candidate = clo(frozenset(x for x in current if x < i) | {i})
-            if all(x >= i or x in current for x in candidate):
+            low = bit - 1
+            candidate = clo(current & low | bit)
+            if candidate & low == current & low:
                 current = candidate
-                yield PointSet(gctx, current)
+                yield PointSet.of_mask(gctx, current)
                 break
         else:
             return

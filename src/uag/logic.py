@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .config import check_cap
@@ -28,7 +29,7 @@ from .algebras import (
     subalgebra_generated,
 )
 from .congruences import FinitePartitionCongruence
-from .geometry import act_endo_variety, random_term
+from .geometry import pull_back, random_term
 from .spaces import GeoContext, PointSet
 from .terms import (
     Signature,
@@ -194,7 +195,7 @@ def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
     ctx, g = gctx.ctx, gctx.g
     if isinstance(f, Eq):
         [(lhs, rhs)] = eval_pairs([(f.lhs, f.rhs)], gctx.points, g, ctx)
-        return PointSet(gctx, [i for i, (u, v) in enumerate(zip(lhs, rhs)) if u == v])
+        return PointSet.of_flags(gctx, map(eq, lhs, rhs))
     if isinstance(f, Rel):
         sorts = m.rel_sig.arity(f.name)
         rows = m.relations[f.name]
@@ -204,7 +205,7 @@ def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
             want = " ".join(g.sig.sorts[s] for s in sorts)
             raise ValueError(f"relation {f.name!r} takes ({want}), applied to terms of sorts ({got})")
         args = zip(*(col for _, col in cols)) if cols else [()] * len(gctx.points)
-        return PointSet(gctx, [i for i, row in enumerate(args) if row in rows])
+        return PointSet.of_flags(gctx, map(rows.__contains__, args))
     if isinstance(f, And):
         out = gctx.full()
         for item in f.items:
@@ -222,29 +223,16 @@ def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
 
 
 def exists_set(a: PointSet, ys: Iterable[str]) -> PointSet:
-    """Cylindrification: forget the listed coordinates, then restore them freely."""
-    gctx = a.gctx
-    names = set(ys)
-    for y in names:
-        if not gctx.ctx.has(y):
-            raise ValueError(f"quantified variable {y!r} is not in the context")
-    if not names:
-        return PointSet(gctx, a.indices)
-    keep = [i for i, (n, _) in enumerate(gctx.ctx.vars) if n not in names]
-    keys = {tuple(p[i] for i in keep) for p in a.points()}
-    return PointSet(
-        gctx,
-        (i for i, p in enumerate(gctx.points) if tuple(p[j] for j in keep) in keys),
-    )
+    """Cylindrification: forget the listed coordinates, then restore them freely.
+
+    A bit operation on a's mask per variable (GeoContext.cylindrify); an
+    unknown variable raises ValueError.
+    """
+    return a.gctx.cylindrify(a, ys)
 
 
 def forall_set(a: PointSet, ys: Iterable[str]) -> PointSet:
     return exists_set(a.complement(), ys).complement()
-
-
-def subst_value(s: Substitution, a: PointSet) -> PointSet:
-    """The substitution acting on a value set: points whose composition lies in a."""
-    return act_endo_variety(s, a)
 
 
 def support_set(a: PointSet) -> frozenset[str]:
@@ -318,16 +306,17 @@ def halmos_axiom_violations(
                 rhs = exists_set(a, ys).intersection(exists_set(b, ys))
                 if lhs != rhs:
                     note(f"E({sorted(ys)}) fails the meet scheme")
-    for s1 in substitutions:
-        for s2 in substitutions:
+    acts = [pull_back(s, gctx) for s in substitutions]
+    for s1, act1 in zip(substitutions, acts):
+        for s2, act2 in zip(substitutions, acts):
             for ys in subsets:
                 if any(s1(n) is not s2(n) for n in names if n not in ys):
                     continue
                 for a in values:
                     ea = exists_set(a, ys)
-                    if subst_value(s1, ea) != subst_value(s2, ea):
+                    if act1(ea) != act2(ea):
                         note(f"s1 E({sorted(ys)}) != s2 E({sorted(ys)}) for off-agreeing pair")
-    for s in substitutions:
+    for s, act in zip(substitutions, acts):
         for ys in subsets:
             pre: set[str] = set()
             ok = True
@@ -347,8 +336,8 @@ def halmos_axiom_violations(
             if not ok:
                 continue
             for a in values:
-                lhs = exists_set(subst_value(s, a), ys)
-                rhs = subst_value(s, exists_set(a, pre))
+                lhs = exists_set(act(a), ys)
+                rhs = act(exists_set(a, pre))
                 if lhs != rhs:
                     note(f"E({sorted(ys)})s != s E({sorted(pre)}) despite side conditions")
     return out
@@ -357,26 +346,24 @@ def halmos_axiom_violations(
 def is_filter(family: Iterable[PointSet], gctx: GeoContext, cap: Optional[int] = None) -> bool:
     """Nonempty, meet-closed, up-closed, and closed under every universal
     quantifier; the last condition is the Halmos-side characterization."""
-    fam = {a.indices for a in family}
+    fam = {a.mask for a in family}
     if not fam:
         return False
     n = len(gctx.points)
     check_cap("filter up-closure", 1 << n, cap)
     names = [nm for nm, _ in gctx.ctx.vars]
-    universe = list(range(n))
     for a in list(fam):
         for b in list(fam):
             if a & b not in fam:
                 return False
-        rest = [i for i in universe if i not in a]
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                if a | frozenset(extra) not in fam:
-                    return False
-        ps = PointSet(gctx, a)
+        # a family holding every one-point extension of each member holds
+        # every superset of each member
+        if any(a | 1 << i not in fam for i in range(n)):
+            return False
+        ps = PointSet.of_mask(gctx, a)
         for r in range(len(names) + 1):
             for ys in itertools.combinations(names, r):
-                if forall_set(ps, ys).indices not in fam:
+                if forall_set(ps, ys).mask not in fam:
                     return False
     return True
 
@@ -388,8 +375,8 @@ def filter_generated(
     n = len(gctx.points)
     check_cap("filter generation", 1 << n, cap)
     names = [nm for nm, _ in gctx.ctx.vars]
-    fam: set[frozenset[int]] = {frozenset(range(n))}
-    fam.update(a.indices for a in gens)
+    fam: set[int] = {gctx.full_mask}
+    fam.update(a.mask for a in gens)
     changed = True
     while changed:
         changed = False
@@ -400,31 +387,31 @@ def filter_generated(
                     fam.add(a & b)
                     changed = True
         for a in current:
-            ps = PointSet(gctx, a)
+            ps = PointSet.of_mask(gctx, a)
             for r in range(len(names) + 1):
                 for ys in itertools.combinations(names, r):
-                    got = forall_set(ps, ys).indices
+                    got = forall_set(ps, ys).mask
                     if got not in fam:
                         fam.add(got)
                         changed = True
-            rest = [i for i in range(n) if i not in a]
-            for r in range(1, len(rest) + 1):
-                for extra in itertools.combinations(rest, r):
-                    up = a | frozenset(extra)
-                    if up not in fam:
-                        fam.add(up)
-                        changed = True
-    return {PointSet(gctx, a) for a in fam}
+            rest = gctx.full_mask & ~a
+            extra = rest
+            while extra:  # every nonempty submask of rest
+                if a | extra not in fam:
+                    fam.add(a | extra)
+                    changed = True
+                extra = (extra - 1) & rest
+    return {PointSet.of_mask(gctx, a) for a in fam}
 
 
 def universal_part(family: Iterable[PointSet], gctx: GeoContext) -> set[PointSet]:
     """Members whose full universal closure stays in the family."""
-    fam = {a.indices for a in family}
+    fam = {a.mask for a in family}
     names = [nm for nm, _ in gctx.ctx.vars]
     return {
-        PointSet(gctx, a)
+        PointSet.of_mask(gctx, a)
         for a in fam
-        if forall_set(PointSet(gctx, a), names).indices in fam
+        if forall_set(PointSet.of_mask(gctx, a), names).mask in fam
     }
 
 
@@ -571,7 +558,7 @@ def open_variety_check(
     g = m.algebra
     cache: dict[tuple, tuple] = {}
     mismatches = []
-    for i, p in enumerate(gctx.points):
+    for p in gctx.points:
         sub = subalgebra_generated(
             g, [(s, p[j]) for j, (_, s) in enumerate(gctx.ctx.vars)]
         )
@@ -586,7 +573,7 @@ def open_variety_check(
         view, value = hit
         q = view.drop_point(p, gctx.ctx)
         in_sub = q is not None and q in value
-        if in_sub != (i in direct.indices):
+        if in_sub != (p in direct):
             mismatches.append(p)
     return OpenVarietyReport(
         agrees=not mismatches,

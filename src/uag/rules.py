@@ -23,6 +23,8 @@ from .terms import (
     Term,
     app,
     apply_subst,
+    check_same_sort,
+    render,
     sort_of,
     subterm_universe,
     term_depth,
@@ -60,14 +62,12 @@ class Clause:
             if self.cons is not None:
                 object.__setattr__(self, "cons", normalize_pair(self.cons))
 
+    def pairs(self) -> list[Pair]:
+        """Every equation of the clause: pos, neg and ante, then cons."""
+        return [*self.pos, *self.neg, *self.ante, *([] if self.cons is None else [self.cons])]
+
     def terms(self) -> list[Term]:
-        out: list[Term] = []
-        for ps in (self.pos, self.neg, self.ante):
-            for w, w2 in ps:
-                out.extend((w, w2))
-        if self.cons is not None:
-            out.extend(self.cons)
-        return out
+        return [t for pair in self.pairs() for t in pair]
 
     def key(self):
         def pk(ps):
@@ -77,8 +77,6 @@ class Clause:
         return (self.kind, ck, pk(self.pos), pk(self.neg), pk(self.ante))
 
     def __repr__(self) -> str:
-        from .terms import render
-
         def fmt(ps, sep):
             return sep.join(f"{render(a)}={render(b)}" for a, b in ps)
 
@@ -250,6 +248,16 @@ def _max_depth(c: Clause) -> int:
     return max((term_depth(t) for t in c.terms()), default=0)
 
 
+def _check_seed_equation(w: Term, w2: Term, sig, ctx) -> None:
+    """Raise ValueError, naming the equation, unless both sides are
+    well-sorted terms of one sort."""
+    try:
+        s, s2 = sort_of(w, sig, ctx), sort_of(w2, sig, ctx)
+    except ValueError as e:
+        raise ValueError(f"seed equation {render(w)} = {render(w2)}: {e}") from None
+    check_same_sort(w, w2, s, s2, sig, "seed equation")
+
+
 def derive_closure(
     kind: str,
     seeds: Iterable,
@@ -286,6 +294,9 @@ def derive_closure(
         clauses.append(c)
     if ctx is None:
         ctx = inferred_context(sig, [t for c in clauses for t in c.terms()])
+    for c in clauses:
+        for w, w2 in c.pairs():
+            _check_seed_equation(w, w2, sig, ctx)
     budget = _Budget(bounds.budget)
     current: dict[Clause, None] = dict.fromkeys(clauses)
     rounds = 0

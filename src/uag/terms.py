@@ -164,6 +164,15 @@ def render(t: Term) -> str:
     return "(" + " ".join([t.op] + [render(a) for a in t.args]) + ")"
 
 
+def check_same_sort(w: Term, w2: Term, s: int, s2: int, sig: Signature, what: str = "equation") -> None:
+    """Raise ValueError, naming the equation w = w2, when its sides' sorts
+    s and s2 differ."""
+    if s != s2:
+        raise ValueError(
+            f"{what} {render(w)} = {render(w2)}: sides of sorts {sig.sorts[s]!r} and {sig.sorts[s2]!r}"
+        )
+
+
 def term_key(t: Term) -> tuple[int, str]:
     """Canonical sortable key: (node count, rendered form)."""
     return (term_size(t), render(t))
@@ -238,13 +247,6 @@ class Substitution:
 
     def __call__(self, name: str) -> Term:
         return self.bindings.get(name) or var(name)
-
-    def validate(self, sig: Signature, ctx: VarContext) -> None:
-        for name, t in self.bindings.items():
-            if not ctx.has(name):
-                raise ValueError(f"substitution binds unknown variable {name!r}")
-            if sort_of(t, sig, ctx) != ctx.sort_of(name):
-                raise ValueError(f"substitution changes sort of {name!r}")
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}->{render(t)}" for n, t in sorted(self.bindings.items()))

@@ -61,7 +61,6 @@ from uag.logic import (
     open_variety_check,
     random_formula,
     subst_formula,
-    subst_value,
     substitution_theorem_check,
 )
 from uag.rules import (
@@ -253,7 +252,7 @@ def test_criterion_6(z2, z4, klein, gctx2):
                 assert k_left.contains(pr) == k_a.contains(back)
             fos = [random_open_formula() for _ in range(rng.randint(1, 2))]
             left_fo = fo_variety(m, [subst_formula(s, u) for u in fos], gctx)
-            right_fo = subst_value(s, fo_variety(m, fos, gctx))
+            right_fo = act_endo_variety(s, fo_variety(m, fos, gctx))
             assert left_fo == right_fo
             sa = act_endo_variety(sp, a)
             for u in fos:

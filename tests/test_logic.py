@@ -1,9 +1,16 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from uag.algebras import GROUP_SIG, cyclic_group, subalgebra_generated
+from test_congruences import TWO, TWO_CTX
+from uag import geometry, spaces
+from uag.algebras import GROUP_SIG, cyclic_group, subalgebra_generated, symmetric_group_3
+from uag.geometry import act_endo_variety, random_term
 from uag.logic import (
     And,
     Eq,
@@ -31,7 +38,6 @@ from uag.logic import (
     random_formula,
     restrict_submodel,
     subst_formula,
-    subst_value,
     substitution_theorem_check,
     support_set,
     ultrapower_model,
@@ -123,6 +129,97 @@ def test_support_set(m_z2, gctx2):
     assert support_set(gctx.full()) == frozenset()
 
 
+def _group_ctx(k):
+    return VarContext(GROUP_SIG, [(name, "g") for name in "xyz"[:k]])
+
+
+MASK_SPACES = [
+    *(GeoContext(cyclic_group(n), _group_ctx(k)) for n in (2, 3) for k in (1, 2, 3)),
+    *(GeoContext(symmetric_group_3(), _group_ctx(k)) for k in (1, 2)),
+    GeoContext(TWO, TWO_CTX),
+]
+
+
+@given(st.sampled_from(MASK_SPACES), st.data())
+def test_point_set_masks_match_frozensets(gctx, data):
+    n, ctx, g = len(gctx.points), gctx.ctx, gctx.g
+    m1, m2 = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    a, b = PointSet.of_mask(gctx, m1), PointSet.of_mask(gctx, m2)
+    ia, ib = a.indices, b.indices
+    assert ia == {i for i in range(n) if m1 >> i & 1}
+    assert PointSet(gctx, ia) == a == PointSet.of_flags(gctx, [i in ia for i in range(n)])
+    assert a.union(b).indices == ia | ib
+    assert a.intersection(b).indices == ia & ib
+    assert a.complement().indices == frozenset(range(n)) - ia
+    assert a.issubset(b) == (ia <= ib)
+    assert (a == b) == (ia == ib)
+    assert hash(a) == hash(PointSet(gctx, ia))
+    assert len(a) == len(ia)
+    assert a.points() == list(a) == [gctx.points[i] for i in sorted(ia)]
+    assert [p in a for p in gctx.points] == [i in ia for i in range(n)]
+    for r in range(len(ctx) + 1):
+        for ys in itertools.combinations(ctx.names, r):
+            assert exists_set(a, ys).points() == oracles.o_exists(a.points(), ys, ctx, gctx.points)
+            assert forall_set(a, ys).points() == oracles.o_forall(a.points(), ys, ctx, gctx.points)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    s = Substitution(
+        {name: random_term(rng, g.sig, ctx, 2, srt) for name, srt in ctx.vars if rng.random() < 0.7}
+    )
+    images = [tuple(oracles.o_eval(s(name), oracles.o_env(ctx, p), g.tables) for name in ctx.names) for p in gctx.points]
+    assert act_endo_variety(s, a).points() == [p for p, q in zip(gctx.points, images) if q in a]
+    for bad in (-1, -m1 - 1, 1 << n, m1 | 1 << n):
+        with pytest.raises(ValueError):
+            PointSet.of_mask(gctx, bad)
+    with pytest.raises(ValueError):
+        PointSet.of_flags(gctx, [True] * (n + 1))
+
+
+def test_halmos_work_counts(monkeypatch, m_z2, gctx3):
+    """Each substitution's columns are evaluated once per call, and each
+    variable's cylinder mask is built once per context."""
+    gctx = GeoContext(m_z2.algebra, gctx3)
+    values = [PointSet.of_mask(gctx, m) for m in (0, 0b1, 0b10110, 0b11111111, 0b1001)]
+    subs = [
+        Substitution({}),
+        Substitution({"x": Y, "y": X}),
+        Substitution({"x": Y}),
+        Substitution({"x": app("mul", X, Y)}),
+    ]
+    evaluated, built = [], []
+    eval_columns, low_mask = geometry.eval_columns, spaces._low_mask
+    monkeypatch.setattr(geometry, "eval_columns", lambda terms, *rest: evaluated.append(terms) or eval_columns(terms, *rest))
+    monkeypatch.setattr(spaces, "_low_mask", lambda *args: built.append(args) or low_mask(*args))
+    for calls in (1, 2):
+        assert halmos_axiom_violations(gctx, values, subs) == []
+        assert len(evaluated) == calls * len(subs)
+        # (points, stride, size) for z, y and x
+        assert sorted(built) == [(8, 1, 2), (8, 2, 2), (8, 4, 2)]
+
+
+def test_large_space_tables_stay_linear():
+    """On 2^16 points (Z2 over 16 variables), exists_set and pull_back stay
+    within memory linear in the point count; a table of one point mask per
+    fiber or per preimage would take over 100 MB here."""
+    names = [f"x{i}" for i in range(16)]
+    gctx = GeoContext(cyclic_group(2), VarContext(GROUP_SIG, [(nm, "g") for nm in names]))
+    n = len(gctx.points)
+    a = PointSet(gctx, range(0, n, 3))
+    swap = Substitution({"x0": var("x15"), "x15": var("x0")})
+    tracemalloc.start()
+    try:
+        first, last = exists_set(a, ["x0"]), exists_set(a, ["x15"])
+        sa = geometry.pull_back(swap, gctx)(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
+    # x0 is bit 15 of a point's index, x15 bit 0
+    assert first.indices == {i for i in range(n) if i % 3 == 0 or (i ^ 1 << 15) % 3 == 0}
+    assert last.indices == {i for i in range(n) if i % 3 == 0 or (i ^ 1) % 3 == 0}
+    swapped = [i & ~(1 << 15 | 1) | (i & 1) << 15 | i >> 15 & 1 for i in range(n)]
+    assert sa.indices == {i for i in range(n) if swapped[i] % 3 == 0}
+
+
 def test_halmos_axioms_exhaustive_z2(m_z2, gctx2):
     gctx = GeoContext(m_z2.algebra, gctx2)
     n = len(gctx.points)
@@ -151,7 +248,7 @@ def test_subst_value_through_formula(m_z4, gctx2):
     s = Substitution({"x": app("mul", X, Y)})
     f = Rel("P", (X,))
     direct = eval_formula(m_z4, subst_formula(s, f), gctx)
-    lifted = subst_value(s, eval_formula(m_z4, f, gctx))
+    lifted = act_endo_variety(s, eval_formula(m_z4, f, gctx))
     assert direct == lifted
 
 

@@ -228,6 +228,14 @@ def test_cli_subprocess_deterministic_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_python_dash_m_uag_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "uag", "parse", "--builtin", "group"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("verb: parse\n")
+
+
 def test_cli_parse_error_exit(tmp_path, capsys):
     code, _ = run_cli("variety", "--builtin", "group", "-a", "NOPE", "-c", "C1", "-p", "T")
     assert code == 2
@@ -239,14 +247,15 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:2:1: unclosed parenthesis\n"
 
 
-def test_cli_ill_sorted_term_exits_2(tmp_path):
+def test_cli_ill_sorted_term_exits_2(tmp_path, capsys):
     path = tmp_path / "two.sx"
     path.write_text(
         "(sort a) (sort b) (op f (b) a) (op c () a)\n"
         "(algebra G (carrier a 3) (carrier b 2) (table f (0 1) (1 2)) (table c (0)))\n"
         "(context C (x a) (y b)) (pairs T (x c)) (rel-sig (P b)) (model M G (rel P (1)))\n"
         "(formula q (eq (f x) x)) (formula r (eq (f y) y)) (formula s (rel P x))\n"
-        "(clause i identity ((f y) y))\n"
+        "(clause i identity ((f y) y)) (clause k pseudo ((f y) y))\n"
+        "(context D (x a)) (pairs E) (pairs B ((f y) y))\n"
     )
     ws = ("-f", str(path), "-a", "G", "-c", "C")
     for argv in (
@@ -255,8 +264,18 @@ def test_cli_ill_sorted_term_exits_2(tmp_path):
         ("closure", *ws, "-p", "T", "--query", "((f x) x)"),
         ("query", *ws, "--clause", "i"),
         ("query", "-f", str(path), "-a", "G", "--clause", "i"),
+        ("morphism", "-f", str(path), "-a", "G", "--ctx-a", "C", "--pairs-a", "E",
+         "--ctx-b", "D", "--pairs-b", "E", "--subst", "((w y))"),
     ):
         assert run_cli(*argv)[0] == 2, argv
+    capsys.readouterr()
+    for argv in (
+        *(("derive", "-f", str(path), "--kind", kind, "--seed-pairs", "B", "-c", "C")
+          for kind in ("identity", "pseudo", "universal", "quasi")),
+        ("derive", "-f", str(path), "--kind", "pseudo", "--seeds", "k", "-c", "C"),
+    ):
+        assert run_cli(*argv)[0] == 2, argv
+        assert capsys.readouterr().err == "error: seed equation y = (f y): sides of sorts 'b' and 'a'\n", argv
     for formula in ("q", "r", "s"):
         code, _ = run_cli("fo-variety", "-f", str(path), "--model", "M", "-c", "C", "--formulas", formula)
         assert code == 2, formula
