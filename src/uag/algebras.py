@@ -551,17 +551,25 @@ def quotient(g: FiniteAlgebra, partition, name: Optional[str] = None) -> FiniteA
     object exposing them as .block_ids). Labels are normalized by first
     occurrence; compatibility is verified while building the class tables.
     """
-    raw = getattr(partition, "block_ids", partition)
-    block_of: list[list[int]] = []
-    counts: list[int] = []
-    for s in range(len(g.sig.sorts)):
-        labels = list(raw[s])
-        if len(labels) != g.sizes[s]:
+    block_of = dense_blocks(g, getattr(partition, "block_ids", partition))
+    counts = [max(blocks) + 1 for blocks in block_of]
+    return FiniteAlgebra(g.sig, counts, class_tables(g, block_of), name=name or f"{g.name}/~")
+
+
+def dense_blocks(g: FiniteAlgebra, labels) -> tuple[tuple[int, ...], ...]:
+    """Each sort's block labels renumbered 0, 1, ... by first occurrence.
+
+    labels holds one label sequence per sort of g; a sequence whose length
+    is not its carrier's size raises ValueError.
+    """
+    out = []
+    for s, n in enumerate(g.sizes):
+        row = list(labels[s])
+        if len(row) != n:
             raise ValueError(f"partition for sort {s} has wrong length")
         relabel: dict = {}
-        block_of.append([relabel.setdefault(lab, len(relabel)) for lab in labels])
-        counts.append(len(relabel))
-    return FiniteAlgebra(g.sig, counts, class_tables(g, block_of), name=name or f"{g.name}/~")
+        out.append(tuple(relabel.setdefault(lab, len(relabel)) for lab in row))
+    return tuple(out)
 
 
 def class_tables(g: FiniteAlgebra, block_of: Sequence[Sequence[int]]) -> dict[str, dict[tuple[int, ...], int]]:

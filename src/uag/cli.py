@@ -34,13 +34,13 @@ from .congruences import KernelCongruence, PairSet, kernel_of_point
 from .geometry import (
     NotEquivalent,
     candidate_pairs,
-    closed_congruence_presentation,
     closure_variety,
     congruence_of,
     geometric_equiv,
     morphism_check,
     nullstellensatz_check,
     point_closure,
+    presentation_pairs,
     variety_iso,
     variety_of,
     verbal_variety,
@@ -178,21 +178,17 @@ def cmd_closure(args) -> int:
     g = ws.algebra(args.algebra)
     gctx = GeoContext(g, ws.context(args.context), args.cap)
     a = variety_of(gctx, ws.pairs(args.pairs))
-    try:
-        _, presentation = closed_congruence_presentation(a, args.cap)
-        pres_out = presentation
-    except ValueError:
-        pres_out = None
+    k = congruence_of(a, args.cap)
     payload = {
         "verb": "closure",
         "algebra": g.name,
         "count": len(a),
-        "presentation": pres_out,
+        "presentation": presentation_pairs(k, args.cap),
     }
     code = 0
     if args.query:
         qpair = parse_inline_pair(args.query, ws.sig())
-        member = congruence_of(a, args.cap).contains(qpair)
+        member = k.contains(qpair)
         payload["query"] = [render(qpair[0]), render(qpair[1])]
         payload["member"] = member
         code = 0 if member else 1

@@ -16,6 +16,7 @@ from .algebras import (
     GeneratedSubalgebra,
     Point,
     class_tables,
+    dense_blocks,
     enumerate_homs,
     eval_pairs,
     generate,
@@ -204,6 +205,10 @@ class KernelCongruence:
     def rows(self) -> list[tuple[int, int]]:
         return [(s, e) for (_, s), e in zip(self.ctx.vars, self.assignment)]
 
+    def materialize(self, cap: Optional[int] = None) -> "KernelCongruence":
+        """Already materialized: itself (LazyMeetKernel builds one)."""
+        return self
+
     def image(self) -> GeneratedSubalgebra:
         """The generated image subalgebra, generators named by context variables.
 
@@ -321,10 +326,7 @@ def kernel_leq(k1, k2, cap: Optional[int] = None) -> bool:
     Builds the image of phi1 and attempts the extension sending each variable
     row of k1 to the corresponding row of k2; inclusion holds iff it exists.
     """
-    if isinstance(k1, LazyMeetKernel):
-        k1 = k1.materialize(cap)
-    if isinstance(k2, LazyMeetKernel):
-        k2 = k2.materialize(cap)
+    k1, k2 = k1.materialize(cap), k2.materialize(cap)
     if k1.ctx.vars != k2.ctx.vars:
         raise ValueError("kernel comparison needs a common context")
     return k1.image().extend(k2.assignment, k2.target) is not None
@@ -336,15 +338,8 @@ class FinitePartitionCongruence:
     __slots__ = ("algebra", "block_ids")
 
     def __init__(self, algebra: FiniteAlgebra, block_ids: Sequence[Sequence[int]], validate: bool = True):
-        dense: list[tuple[int, ...]] = []
-        for s in range(len(algebra.sig.sorts)):
-            labels = list(block_ids[s])
-            if len(labels) != algebra.sizes[s]:
-                raise ValueError(f"partition for sort {s} has wrong length")
-            relabel: dict = {}
-            dense.append(tuple(relabel.setdefault(lab, len(relabel)) for lab in labels))
         self.algebra = algebra
-        self.block_ids = tuple(dense)
+        self.block_ids = dense_blocks(algebra, block_ids)
         if validate:
             self._check_compatible()
 

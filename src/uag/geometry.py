@@ -36,7 +36,6 @@ from .congruences import (
     generated_kernel,
     ground_closure,
     kernel_of_point,
-    meet_kernels,
     meet_of_hom_kernels,
     normalize_pair,
     unit_kernel,
@@ -125,19 +124,13 @@ def congruence_of(a: PointSet, cap: Optional[int] = None):
         return ks[0] if len(ks) == 1 else LazyMeetKernel(ks, e)
 
 
-def _materialized(k, cap: Optional[int] = None) -> KernelCongruence:
-    if isinstance(k, LazyMeetKernel):
-        return k.materialize(cap)
-    return k
-
-
 def variety_of_kernel(k, gctx: GeoContext, cap: Optional[int] = None) -> PointSet:
     """All points whose kernel contains the given congruence.
 
     Decided per point by factoring through the image algebra of k, so no
     term enumeration is involved.
     """
-    k = _materialized(k, cap)
+    k = k.materialize(cap)
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
     sub, g = k.image(), gctx.g
@@ -246,53 +239,28 @@ def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
     return MorphismCheck(True)
 
 
-def presentation_pairs(ca: CoordinateAlgebra) -> PairSet:
-    """Equations presenting the closed congruence of a coordinate algebra.
+def presentation_pairs(k, cap: Optional[int] = None) -> PairSet:
+    """Equations presenting a kernel congruence, read off its image.
 
-    For every target H and point v: v satisfies these pairs iff Ker(ca) is
-    contained in Ker(v), because the pairs transcribe the multiplication
-    tables through the witness terms.
+    For every target H and point v: v satisfies these pairs iff k is
+    contained in Ker(v), because the pairs transcribe the image's operation
+    tables through the witness terms. The unit kernel's image presents the
+    unit congruence; a lazy meet is materialized under the cap first.
     """
+    k = k.materialize(cap)
+    sub = k.image()
+    wit = sub.witnesses
     pairs: list[Pair] = []
-    ctx = ca.gctx.ctx
-    for i, (name, s) in enumerate(ctx.vars):
-        w = ca.witnesses[s][ca.row_index[i]]
-        if w is not var(name):
-            pairs.append((var(name), w))
-    for op in ca.algebra.sig.ops:
-        for combo, val in sorted(ca.algebra.tables[op.name].items()):
-            t = app(op.name, *[ca.witnesses[s][k] for s, k in zip(op.args, combo)])
-            rhs = ca.witnesses[op.result][val]
-            if t is not rhs:
-                pairs.append((t, rhs))
+    for (name, s), pos in zip(k.ctx.vars, sub.generator_point()):
+        if wit[s][pos] is not var(name):
+            pairs.append((var(name), wit[s][pos]))
+    tables = sub.as_algebra().tables
+    for op in sub.sig.ops:
+        for combo, val in sorted(tables[op.name].items()):
+            t = app(op.name, *[wit[s][i] for s, i in zip(op.args, combo)])
+            if t is not wit[op.result][val]:
+                pairs.append((t, wit[op.result][val]))
     return PairSet(pairs)
-
-
-def unit_presentation(sig, ctx) -> PairSet:
-    """Equations forcing every point to collapse each sort completely."""
-    rep: dict[int, Term] = {}
-    for name, s in ctx.vars:
-        rep.setdefault(s, var(name))
-    pairs: list[Pair] = []
-    for name, s in ctx.vars:
-        if rep[s] is not var(name):
-            pairs.append((rep[s], var(name)))
-    for op in sig.ops:
-        if any(s not in rep for s in op.args) or op.result not in rep:
-            raise ValueError(
-                f"cannot present the unit congruence: op {op.name!r} touches a sort with no variable"
-            )
-        t = app(op.name, *[rep[s] for s in op.args])
-        pairs.append((t, rep[op.result]))
-    return PairSet(pairs)
-
-
-def closed_congruence_presentation(a: PointSet, cap: Optional[int] = None):
-    """(kernel, presentation) for a closed point set; empty sets give the unit."""
-    if len(a) == 0:
-        return unit_kernel(a.gctx.ctx, a.gctx.sig), unit_presentation(a.gctx.sig, a.gctx.ctx)
-    ca = coordinate_algebra(a, cap)
-    return ca.kernel(), presentation_pairs(ca)
 
 
 def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
@@ -329,7 +297,7 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     means the kernels coincide (the collision-free pairing is a
     homomorphism both ways).
     """
-    ka, kb = _materialized(ka, cap), _materialized(kb, cap)
+    ka, kb = ka.materialize(cap), kb.materialize(cap)
     if ka.ctx.vars != kb.ctx.vars:
         raise ValueError("kernels live over different contexts")
     first: dict[tuple[int, int, int], Term] = {}  # (side, sort, element) -> earliest witness
@@ -407,8 +375,9 @@ def geometric_equiv(
     if mode == "exact":
         for src, dst in ((gg, gh), (gh, gg)):
             for closed in all_closed_point_sets(src, cap):
-                k, eqs = closed_congruence_presentation(closed, cap)
-                k2 = _materialized(congruence_of(variety_of_kernel(k, dst, cap), cap), cap)
+                k = congruence_of(closed, cap).materialize(cap)
+                eqs = presentation_pairs(k)
+                k2 = congruence_of(variety_of_kernel(k, dst, cap), cap).materialize(cap)
                 hit = separating_pair(k, k2, cap)
                 if hit:
                     return _verified_not_equiv(k, k2, hit, eqs, src.g.name, dst.g.name)
@@ -419,8 +388,8 @@ def geometric_equiv(
     pool = candidate_pairs(g.sig, ctx, depth, seed, count=max(20, samples))
 
     def closures(eqs):
-        kg = _materialized(congruence_of(variety_of(gg, eqs), cap), cap)
-        kh = _materialized(congruence_of(variety_of(gh, eqs), cap), cap)
+        kg = congruence_of(variety_of(gg, eqs), cap).materialize(cap)
+        kh = congruence_of(variety_of(gh, eqs), cap).materialize(cap)
         return kg, kh
 
     for _ in range(samples):
@@ -619,8 +588,8 @@ def nullstellensatz_check(
     then the coordinate-algebra congruence. Route two never touches points:
     quotient the image algebra W/T by the meet of kernels of all its
     homomorphisms into the target, and read T'' off as a kernel congruence.
-    A third view re-checks route one against the materialized meet of the
-    individual point kernels.
+    A third view re-checks route one against the meet of the individual
+    point kernels, decided pointwise on presentation and sample probes.
     """
     sub = t_kernel.image()
     a0 = sub.as_algebra()
@@ -633,25 +602,13 @@ def nullstellensatz_check(
         tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point())),
     )
     points = variety_of_kernel(t_kernel, gctx, cap)
-    if len(points) > 0:
-        ca = coordinate_algebra(points, cap)
-        lhs = ca.kernel()
-        probes = list(presentation_pairs(ca))
-    else:
-        lhs = unit_kernel(gctx.ctx, gctx.sig)
-        probes = []
+    lhs = congruence_of(points, cap).materialize(cap)
     hit = separating_pair(lhs, rhs, cap)
-    # the meet of the individual point kernels must match the coordinate
-    # route; past the cap it stays lazy, so the cross-check probes
-    # presentation pairs plus a seeded sample
-    if len(points) > 0:
-        meet = meet_kernels(
-            [kernel_of_point(p, gctx.g, gctx.ctx) for p in points.points()], cap=cap
-        )
-    else:
-        meet = unit_kernel(gctx.ctx, gctx.sig)
-    probes += candidate_pairs(gctx.sig, gctx.ctx, 2, seed=17, count=25)
-    meet_agrees = lhs.members(probes) == meet.members(probes)
+    # the meet of the point kernels, taken pointwise: a probe is in it iff
+    # its sides agree at every point, so nothing is generated
+    probes = [*presentation_pairs(lhs), *candidate_pairs(gctx.sig, gctx.ctx, 2, seed=17, count=25)]
+    meet = [u == v for u, v in eval_pairs(probes, points.points(), gctx.g, gctx.ctx)]
+    meet_agrees = lhs.members(probes) == meet
     return NullstellensatzReport(
         agrees=hit is None,
         meet_agrees=meet_agrees,

@@ -258,6 +258,26 @@ def _check_seed_equation(w: Term, w2: Term, sig, ctx) -> None:
     check_same_sort(w, w2, s, s2, sig, "seed equation")
 
 
+def _seed_context(clauses: Sequence[Clause], sig):
+    """The context inferred from all seeds.
+
+    When inference fails, the first seed equation that fails alone with the
+    same error is named; a conflict spanning two equations keeps the plain
+    message.
+    """
+    try:
+        return inferred_context(sig, [t for c in clauses for t in c.terms()])
+    except ValueError as e:
+        for c in clauses:
+            for w, w2 in c.pairs():
+                try:
+                    inferred_context(sig, [w, w2])
+                except ValueError as alone:
+                    if str(alone) == str(e):
+                        raise ValueError(f"seed equation {render(w)} = {render(w2)}: {e}") from None
+        raise
+
+
 def derive_closure(
     kind: str,
     seeds: Iterable,
@@ -293,7 +313,7 @@ def derive_closure(
             raise ValueError("falsum conclusions need quackenbush=True")
         clauses.append(c)
     if ctx is None:
-        ctx = inferred_context(sig, [t for c in clauses for t in c.terms()])
+        ctx = _seed_context(clauses, sig)
     for c in clauses:
         for w, w2 in c.pairs():
             _check_seed_equation(w, w2, sig, ctx)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from uag.algebras import GROUP_SIG, FiniteAlgebra, cyclic_group, enumerate_points, eval_columns, product
+from uag.algebras import GROUP_SIG, FiniteAlgebra, cyclic_group, enumerate_points, eval_columns, product, quotient
 from uag.congruences import (
     FinitePartitionCongruence,
     KernelCongruence,
@@ -187,6 +187,20 @@ def test_partition_congruence_validates(z4):
     ok = FinitePartitionCongruence(z4, [[0, 1, 0, 1]])
     assert ok.same(0, 0, 2) and not ok.same(0, 0, 1)
     assert ok.block_counts() == (2,)
+
+
+def test_partition_and_quotient_share_one_relabel(z4):
+    labels = [["b", "a", "b", "a"]]
+    p = FinitePartitionCongruence(z4, labels)
+    assert p.block_ids == ((0, 1, 0, 1),)
+    q = quotient(z4, labels)
+    assert q.sizes == (2,)
+    assert q.tables == quotient(z4, p).tables
+    for short in ([[0, 1, 0]], [[0, 1, 0, 1, 0]]):
+        with pytest.raises(ValueError, match="^partition for sort 0 has wrong length$"):
+            FinitePartitionCongruence(z4, short)
+        with pytest.raises(ValueError, match="^partition for sort 0 has wrong length$"):
+            quotient(z4, short)
 
 
 def test_partition_meet(z6):

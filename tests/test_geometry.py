@@ -12,7 +12,7 @@ from uag.algebras import (
     subalgebra_generated,
 )
 from uag.config import CapExceeded
-from uag.congruences import PairSet, kernel_leq, kernel_of_point
+from uag.congruences import PairSet, kernel_leq, kernel_of_point, unit_kernel
 from uag.geometry import (
     Equivalent,
     NotEquivalent,
@@ -20,7 +20,6 @@ from uag.geometry import (
     act_endo_variety,
     all_closed_point_sets,
     candidate_pairs,
-    closed_congruence_presentation,
     closure_variety,
     congruence_of,
     coordinate_algebra,
@@ -37,6 +36,7 @@ from uag.geometry import (
     variety_of_kernel,
     verbal_variety,
 )
+from uag.sexpr import load_workspace
 from uag.spaces import GeoContext, PointSet
 from uag.terms import Substitution, VarContext, app, render, var
 
@@ -137,12 +137,51 @@ def test_presentation_recovers_variety(z2, z4, gctx2):
     for g in (z2, z4):
         gctx = GeoContext(g, gctx2)
         pool = candidate_pairs(GROUP_SIG, gctx2, depth=2, seed=9, count=15)
-        for _ in range(6):
-            t = PairSet(rng.sample(pool, rng.randint(0, 3)))
-            a = closure_variety(variety_of(gctx, t))
-            k, eqs = closed_congruence_presentation(a)
-            assert variety_of(gctx, eqs) == a
-            assert all(k.contains(p) for p in eqs)
+        closed = [closure_variety(variety_of(gctx, PairSet(rng.sample(pool, rng.randint(0, 3))))) for _ in range(6)]
+        for a in (gctx.empty(), *closed):
+            k = congruence_of(a)
+            eqs = presentation_pairs(k)
+            assert variety_of(gctx, eqs) == closure_variety(a)
+            assert all(k.members(eqs))
+        # over a group the empty set closes to the identity point
+        assert variety_of(gctx, presentation_pairs(congruence_of(gctx.empty()))).points() == [(0, 0)]
+
+
+def test_point_kernel_and_coordinate_kernel_present_alike(z4, s3, gctx2):
+    rng = random.Random(3)
+    for g in (z4, s3):
+        gctx = GeoContext(g, gctx2)
+        for p in rng.sample(gctx.points, 5):
+            one = PointSet.of_points(gctx, [p])
+            assert presentation_pairs(kernel_of_point(p, g, gctx2)) == presentation_pairs(
+                coordinate_algebra(one).kernel()
+            )
+
+
+TWO_SORTED = """
+(sort a) (sort b)
+(op c0 () a) (op c1 () a) (op f (a) b) (op g (b) a)
+(algebra A (carrier a 2) (carrier b 2)
+  (table c0 (0)) (table c1 (1)) (table f (0 0) (1 1)) (table g (0 0) (1 1)))
+(algebra D (carrier a 2) (carrier b 2)
+  (table c0 (0)) (table c1 (0)) (table f (0 0) (1 1)) (table g (0 0) (1 0)))
+(context C (x a))
+"""
+
+
+def test_unit_presentation_with_a_variable_less_sort():
+    # sort b has no variable in C, which the unit congruence must still present
+    ws = load_workspace(TWO_SORTED)
+    ctx = ws.context("C")
+    eqs = presentation_pairs(unit_kernel(ctx, ws.sig()))
+    for name, want in (("A", []), ("D", [(0,)])):
+        g = ws.algebra(name)
+        collapsed = [
+            p for p in oracles.o_points(g, ctx)
+            if all(len(rows) <= 1 for rows in oracles.o_row_subalgebra(g, ctx, [p]).values())
+        ]
+        assert collapsed == want
+        assert variety_of(GeoContext(g, ctx), eqs).points() == want
 
 
 def test_all_closed_point_sets_is_exactly_the_closure_image(z2, z3, gctx2, gctx1):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import oracles
+import uag.geometry as geometry
 from uag.cli import main
 from uag.logic import And, Eq, Exists, Not, Or, Rel
 from uag.sexpr import (
@@ -279,6 +281,81 @@ def test_cli_ill_sorted_term_exits_2(tmp_path, capsys):
     for formula in ("q", "r", "s"):
         code, _ = run_cli("fo-variety", "-f", str(path), "--model", "M", "-c", "C", "--formulas", formula)
         assert code == 2, formula
+
+
+def test_cli_derive_names_the_seed_with_a_two_sorted_variable(tmp_path, capsys):
+    path = tmp_path / "seeds.sx"
+    path.write_text(
+        "(sort a) (sort b) (op f (b) a) (op h (a) a)\n"
+        "(pairs B ((f y) (h y))) (pairs Q ((f y) x)) (pairs R ((h y) x))\n"
+    )
+    capsys.readouterr()
+    assert run_cli("derive", "-f", str(path), "--kind", "identity", "--seed-pairs", "B")[0] == 2
+    assert capsys.readouterr().err == "error: seed equation (f y) = (h y): variable 'y' used at two sorts\n"
+    # a conflict spanning two equations names neither
+    assert run_cli("derive", "-f", str(path), "--kind", "identity", "--seed-pairs", "Q,R")[0] == 2
+    assert capsys.readouterr().err == "error: variable 'y' used at two sorts\n"
+
+
+# sort b has no variable in C; in A and B the constants differ, so the empty
+# point set is closed and presented by the unit congruence
+TWO_SORTED = """
+(sort a) (sort b)
+(op c0 () a) (op c1 () a) (op f (a) b) (op g (b) a)
+(algebra A (carrier a 2) (carrier b 2)
+  (table c0 (0)) (table c1 (1)) (table f (0 0) (1 1)) (table g (0 0) (1 1)))
+(algebra B (carrier a 2) (carrier b 1)
+  (table c0 (0)) (table c1 (1)) (table f (0 0) (1 0)) (table g (0 0)))
+(context C (x a))
+(pairs P (c0 c1))
+"""
+
+
+def test_cli_closure_presents_the_unit_congruence(tmp_path):
+    path = tmp_path / "two.sx"
+    path.write_text(TWO_SORTED)
+    code, out = run_cli("closure", "-f", str(path), "-a", "A", "-c", "C", "-p", "P", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 0
+    assert data["presentation"] == [["c0", "x"], ["c1", "x"], ["x", "(g (f x))"]]
+
+
+def test_cli_exact_equiv_answers_with_a_variable_less_sort(tmp_path):
+    path = tmp_path / "two.sx"
+    path.write_text(TWO_SORTED)
+    ws = load_workspace(TWO_SORTED)
+    ctx = ws.context("C")
+    for left, right, want in (("A", "A", 0), ("A", "B", 1), ("B", "A", 1)):
+        code, out = run_cli(
+            "equiv", "-f", str(path), "-a", left, "-b", right, "-c", "C", "--mode", "exact", "--format", "json"
+        )
+        assert code == want, (left, right)
+        verdict = json.loads(out)["verdict"]
+        if code == 1:
+            eqs = [parse_inline_pair(f"{u} {v}", ws.sig()) for u, v in verdict["equations"]]
+            pair = parse_inline_pair(" ".join(verdict["pair"]), ws.sig())
+            holds, fails = ws.algebra(verdict["holds_in"]), ws.algebra(verdict["fails_in"])
+            assert oracles.o_closure_member(holds, ctx, eqs, pair)
+            assert not oracles.o_closure_member(fails, ctx, eqs, pair)
+
+
+def test_cli_closure_query_builds_one_coordinate_algebra(tmp_path, monkeypatch):
+    built = []
+    real = geometry.coordinate_algebra
+
+    def counting(a, cap=None):
+        built.append(len(a))
+        return real(a, cap)
+
+    monkeypatch.setattr(geometry, "coordinate_algebra", counting)
+    path = tmp_path / "t.sx"
+    path.write_text("(pairs T ((mul x x) e))")
+    code, _ = run_cli(
+        "closure", "--builtin", "group", "-f", str(path), "-a", "Z4", "-c", "C2", "-p", "T", "--query", "(x (inv x))"
+    )
+    assert code == 0
+    assert built == [8]
 
 
 def test_cli_check_single_suite():
