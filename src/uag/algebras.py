@@ -226,9 +226,16 @@ class GeneratedSubalgebra:
         return self.witnesses[sort][self.index[sort][element]]
 
     def as_algebra(self) -> FiniteAlgebra:
-        """The members as an algebra, each one renamed to its position."""
+        """The members as an algebra, each one renamed to its position.
+
+        A sort with no members has no term over the generators, and an
+        algebra cannot have an empty carrier: that raises ValueError.
+        """
         if self._alg is None:
             sizes = tuple(len(m) for m in self.members)
+            if 0 in sizes:
+                sort = self.sig.sorts[sizes.index(0)]
+                raise ValueError(f"sort {sort!r} has no term over the generators")
             tables = {op.name: _unnest(self.cells[op.name], [sizes[s] for s in op.args]) for op in self.sig.ops}
             self._alg = FiniteAlgebra(self.sig, sizes, tables, name=self.name)
             self._alg._nested = self.cells
@@ -319,7 +326,8 @@ def generate(
     stage: str = "generation",
     watch: Optional[Callable[[int, tuple[int, ...], Term], bool]] = None,
     name: Optional[str] = None,
-) -> Optional[GeneratedSubalgebra]:
+    members_only: bool = False,
+) -> Optional[GeneratedSubalgebra | tuple[tuple[tuple[int, ...], ...], ...]]:
     """The subalgebra of the product of the factors generated by seed rows.
 
     seeds are (sort, row) pairs, named by names. Generation goes in rounds;
@@ -329,25 +337,38 @@ def generate(
     beyond budget raise CapExceeded, and so do cells when charge_cells is set.
     watch sees each new member before it is added; if it returns true,
     generation stops and None is returned.
+
+    With members_only the result is just the members of each sort, in
+    discovery order: no witness terms are built (so none is interned), and
+    no cells or origin are recorded. Members and cells are charged as with
+    charge_cells, so the same rows overflow at the same count.
     """
     sig = _common_sig(factors)
     nsorts = len(sig.sorts)
+    charge_cells = charge_cells or members_only
     members: list[list[tuple[int, ...]]] = [[] for _ in range(nsorts)]
     index: list[dict[tuple[int, ...], int]] = [{} for _ in range(nsorts)]
     witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
     origin: list[tuple[int, Op, tuple[int, ...]]] = []
-    cells: dict[str, object] = {op.name: [] for op in sig.ops}
+    cells: dict[str, object] = {op.name: None if members_only else [] for op in sig.ops}
     columns = {op.name: [f.nested()[op.name] for f in factors] for op in sig.ops}
     total = charged = 0
 
-    def add(s: int, key: tuple[int, ...], wit: Term) -> int:
+    def add(s: int, key: tuple[int, ...], op: Optional[Op], combo: tuple[int, ...] = (), gen_name: str = "") -> int:
+        """Adds a member made by op from the members at combo, or a seed (op None)."""
         nonlocal total
+        wit = None
+        if not members_only:
+            wit = var(gen_name) if op is None else app(op.name, *[witnesses[a][i] for a, i in zip(op.args, combo)])
         if watch is not None and watch(s, key, wit):
             raise _Stop
         pos = len(members[s])
         index[s][key] = pos
         members[s].append(key)
-        witnesses[s].append(wit)
+        if not members_only:
+            witnesses[s].append(wit)
+            if op is not None:
+                origin.append((s, op, combo))
         total += 1
         if budget is not None and total > budget:
             raise CapExceeded(f"{stage} members", total, budget)
@@ -364,7 +385,7 @@ def generate(
         for (s, key), gen_name in zip(seeds, names):
             pos = index[s].get(key)
             if pos is None:
-                pos = add(s, key, var(gen_name))
+                pos = add(s, key, None, gen_name=gen_name)
             seed_pos.append((s, pos))
         old = [0] * nsorts
         first = True
@@ -378,8 +399,7 @@ def generate(
                         key = tuple(cols)
                         pos = idx.get(key)
                         if pos is None:
-                            pos = add(op.result, key, app(op.name))
-                            origin.append((op.result, op, ()))
+                            pos = add(op.result, key, op)
                         cells[op.name] = pos
                     continue
                 last = members[arg_sorts[-1]]
@@ -394,17 +414,17 @@ def generate(
                         key = tuple(map(getitem, leaf, last[j]))
                         pos = idx.get(key)
                         if pos is None:
-                            combo = (*prefix, j)
-                            wit = app(op.name, *[witnesses[s][i] for s, i in zip(arg_sorts, combo)])
-                            pos = add(op.result, key, wit)
-                            origin.append((op.result, op, combo))
-                        row.append(pos)
+                            pos = add(op.result, key, op, (*prefix, j))
+                        if row is not None:
+                            row.append(pos)
             first = False
             if [len(m) for m in members] == cur:
                 break
             old = cur
     except _Stop:
         return None
+    if members_only:
+        return tuple(map(tuple, members))
     return GeneratedSubalgebra(
         sig,
         tuple(map(tuple, members)),
@@ -418,19 +438,21 @@ def generate(
     )
 
 
-def _round_runs(cells: list, olds: Sequence[int], curs: Sequence[int], fresh: bool):
+def _round_runs(cells: Optional[list], olds: Sequence[int], curs: Sequence[int], fresh: bool):
     """(prefix, last-index range, cell row) runs of one round, lexicographically.
 
     Covers the index tuples below curs with some index at or above olds (any,
     once fresh); the row is where their cells go, created when first reached.
+    With cells None, nothing is created and every row is None.
     """
     if len(curs) == 1:
         yield (), range(0 if fresh else olds[0], curs[0]), cells
         return
     for i in range(curs[0]):
-        if i == len(cells):
+        if cells is not None and i == len(cells):
             cells.append([])
-        for prefix, span, row in _round_runs(cells[i], olds[1:], curs[1:], fresh or i >= olds[0]):
+        sub = None if cells is None else cells[i]
+        for prefix, span, row in _round_runs(sub, olds[1:], curs[1:], fresh or i >= olds[0]):
             yield (i, *prefix), span, row
 
 

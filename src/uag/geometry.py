@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import eq
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import CapExceeded, get_cap
+from .config import CapExceeded, check_cap, get_cap
 from .algebras import (
     FiniteAlgebra,
     GeneratedSubalgebra,
@@ -264,12 +264,38 @@ def presentation_pairs(k, cap: Optional[int] = None) -> PairSet:
 
 
 def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
-    """Every closed point set, in lectic order (Ganter's next-closure walk)."""
-    n = len(gctx.points)
+    """Every closed point set, in lectic order (Ganter's NextClosure).
 
-    def clo(front: int) -> int:
-        k = congruence_of(PointSet.of_mask(gctx, front), cap)
-        return variety_of_kernel(k, gctx, cap).mask
+    The closed sets are the intersections of basic sets V(u = v), so they
+    are the closed sets of a formal context whose objects are the points and
+    whose attributes are the equalizers of the term functions on the whole
+    space (_equalizers): the closure of a set is the meet of the attributes
+    that contain it. No step builds a coordinate algebra or runs a hom check.
+
+    If generating the term functions passes the cap, each closure is A''
+    instead: the coordinate algebra of A, then the variety of its kernel.
+    The term functions are the coordinate algebra of the full set, so that
+    walk overflows too, with the same CapExceeded, at the latest at the
+    first front whose closure is the full set; a consumer that stops early
+    still gets the same sets before it.
+    """
+    n = len(gctx.points)
+    try:
+        attributes = _equalizers(gctx, cap)
+    except CapExceeded:
+
+        def clo(front: int) -> int:
+            k = congruence_of(PointSet.of_mask(gctx, front), cap)
+            return variety_of_kernel(k, gctx, cap).mask
+
+    else:
+
+        def clo(front: int) -> int:
+            out = gctx.full_mask
+            for a in attributes:
+                if front & a == front:
+                    out &= a
+            return out
 
     current = clo(0)
     yield PointSet.of_mask(gctx, current)
@@ -286,6 +312,37 @@ def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
                 break
         else:
             return
+
+
+def _equalizers(gctx: GeoContext, cap: Optional[int] = None) -> list[int]:
+    """The distinct masks of V(u = v) for term functions u, v on the whole space.
+
+    The term functions are the members of the coordinate algebra of
+    gctx.full(), generated as value columns alone (generate's members_only)
+    and charged like coordinate_algebra, so they raise the same CapExceeded;
+    the pairs compared are charged too. There are at most
+    min(pairs, 2^points) masks of one bit per point.
+    """
+    pts, cap = gctx.points, get_cap(cap)
+    rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(gctx.ctx.vars)]
+    members = generate([gctx.g] * len(pts), rows, gctx.ctx.names, cap, stage="coordinate algebra", members_only=True)
+    check_cap("equalizer pairs", sum(len(ms) * (len(ms) - 1) // 2 for ms in members), cap)
+    # Each column is packed into one int, point i in digit i of w bits, whose
+    # top bit (the guard) no value sets. With every guard of u ^ v set,
+    # subtracting 1 from each digit clears exactly the guards of the points
+    # where u and v agree.
+    w = max(gctx.g.sizes).bit_length() + 1
+    digits = [format(v, f"0{w}b") for v in range(max(gctx.g.sizes))]
+    ones = int(("0" * (w - 1) + "1") * len(pts), 2)
+    guards = ones << w - 1
+    agree: set[int] = set()
+    for ms in members:
+        packed = [int("".join(map(digits.__getitem__, reversed(u))), 2) for u in ms]
+        for i, u in enumerate(packed):
+            agree.update([guards & ~((u ^ v | guards) - ones) for v in packed[i + 1 :]])
+    # the guard of point i is character (n - 1 - i) * w of the numeral
+    width = f"0{len(pts) * w}b"
+    return [int(format(m, width)[::w], 2) for m in agree]
 
 
 def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[int] = None):
@@ -376,11 +433,10 @@ def geometric_equiv(
         for src, dst in ((gg, gh), (gh, gg)):
             for closed in all_closed_point_sets(src, cap):
                 k = congruence_of(closed, cap).materialize(cap)
-                eqs = presentation_pairs(k)
                 k2 = congruence_of(variety_of_kernel(k, dst, cap), cap).materialize(cap)
                 hit = separating_pair(k, k2, cap)
                 if hit:
-                    return _verified_not_equiv(k, k2, hit, eqs, src.g.name, dst.g.name)
+                    return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
         return Equivalent(mode="exact", notice=notice)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,15 +1,23 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 import oracles
+from uag import geometry, terms
 from uag.algebras import (
     GROUP_SIG,
     RING_SIG,
+    chain_semilattice,
     cyclic_group,
+    generate,
+    klein_four,
+    mod_ring,
     product,
     subalgebra_generated,
+    symmetric_group_3,
+    vee_semilattice,
 )
 from uag.config import CapExceeded
 from uag.congruences import PairSet, kernel_leq, kernel_of_point, unit_kernel
@@ -197,6 +205,136 @@ def test_all_closed_point_sets_is_exactly_the_closure_image(z2, z3, gctx2, gctx1
         assert len(got) == len(brute)
         for a in got:
             assert closure_variety(a) == a
+
+
+def _walk(monkeypatch, gctx, cap=None):
+    """The sweep with every closure taken as A'', as when the term functions
+    pass the cap: the first step computes the equalizers, so failing it
+    there switches the whole walk."""
+
+    def overflow(gctx, cap=None):
+        raise CapExceeded("forced", 1, 0)
+
+    sets = all_closed_point_sets(gctx, cap)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_equalizers", overflow)
+        first = next(sets)
+    return itertools.chain([first], sets)
+
+
+def _masks(sets):
+    return [a.mask for a in sets]
+
+
+def _context(g, n):
+    return VarContext(g.sig, [(name, g.sig.sorts[0]) for name in "xyz"[:n]])
+
+
+def test_equalizer_sweep_matches_the_walk(monkeypatch):
+    """Same sets in the same lectic order as closing each front by A''."""
+    algebras = [cyclic_group(n) for n in (2, 3, 4, 5)] + [klein_four(), symmetric_group_3()]
+    algebras += [chain_semilattice(2), chain_semilattice(3), vee_semilattice(), mod_ring(2)]
+    # the walk takes seconds or more on these
+    slow = {("Z4", 3), ("Z5", 3), ("S3", 2), ("S3", 3), ("R2", 3)}
+    for g in algebras:
+        for n in (1, 2, 3):
+            if (g.name, n) in slow:
+                continue
+            gctx = GeoContext(g, _context(g, n))
+            assert _masks(all_closed_point_sets(gctx)) == _masks(_walk(monkeypatch, gctx)), (g.name, n)
+
+
+def test_equalizer_sweep_frozen_digests():
+    """Digests of the lectic mask sequences the A'' walk gives on inputs
+    where it takes from seconds to minutes."""
+    for g, n, count, digest in (
+        (cyclic_group(4), 3, 129, "2cfb0cb59882"),
+        (cyclic_group(6), 2, 30, "361c51d39864"),
+        (mod_ring(2), 3, 256, "0ecab6d5ddee"),
+    ):
+        masks = _masks(all_closed_point_sets(GeoContext(g, _context(g, n))))
+        assert len(masks) == count
+        assert hashlib.sha256(repr(masks).encode()).hexdigest()[:12] == digest, g.name
+
+
+def test_sweep_past_the_cap_keeps_the_walk(monkeypatch):
+    """R3 over 2 variables: the term functions pass 2**16, so the sweep
+    walks by A'' and raises the walk's CapExceeded after the same sets."""
+    cap = 2**16
+    gctx = GeoContext(mod_ring(3), _context(mod_ring(3), 2))
+    prefixes, errors = [], []
+    for sets in (all_closed_point_sets(gctx, cap), _walk(monkeypatch, gctx, cap)):
+        yielded = []
+        with pytest.raises(CapExceeded) as e:
+            yielded.extend(sets)
+        prefixes.append(_masks(yielded))
+        errors.append(str(e.value))
+    assert len(prefixes[0]) == 31
+    assert prefixes[0] == prefixes[1]
+    assert errors == ["coordinate algebra tables: 65667 exceeds cap 65536"] * 2
+    # a consumer that stops early gets its sets without an error
+    assert _masks(itertools.islice(all_closed_point_sets(gctx, cap), 10)) == prefixes[1][:10]
+    # the term functions overflow at the same count with or without terms
+    # and tables, and so does the coordinate algebra of the full set
+    rows = [(0, tuple(p[i] for p in gctx.points)) for i in range(2)]
+    full = []
+    for flags in ({"charge_cells": True}, {"members_only": True}):
+        with pytest.raises(CapExceeded) as e:
+            generate([gctx.g] * 9, rows, ("x", "y"), cap, stage="coordinate algebra", **flags)
+        full.append(str(e.value))
+    with pytest.raises(CapExceeded) as e:
+        coordinate_algebra(gctx.full(), cap)
+    assert full == [str(e.value)] * 2 == ["coordinate algebra tables: 65931 exceeds cap 65536"] * 2
+
+
+def test_equalizer_sweep_work_counts(monkeypatch, z4, gctx3):
+    """One sweep generates the term functions once, builds no coordinate
+    algebra, runs no hom check and interns no term."""
+    calls = {"generate": 0, "coordinate_algebra": 0, "variety_of_kernel": 0}
+    for name in calls:
+        real = getattr(geometry, name)
+        monkeypatch.setattr(
+            geometry, name, lambda *args, real=real, name=name, **kw: calls.__setitem__(name, calls[name] + 1) or real(*args, **kw)
+        )
+    gctx = GeoContext(z4, gctx3)
+    interned = len(terms._APPS)
+    assert len(list(all_closed_point_sets(gctx))) == 129
+    assert calls == {"generate": 1, "coordinate_algebra": 0, "variety_of_kernel": 0}
+    assert len(terms._APPS) == interned
+
+
+def test_equalizer_pairs_are_charged(monkeypatch):
+    """With one unary op the pairs of term functions outnumber their cells:
+    6 members and 6 cells fit cap 10, 15 pairs do not, so the sweep closes
+    by A'' there, with the same sets."""
+    ws = load_workspace(
+        "(sort g) (op s (g) g) (context C (x g))\n"
+        "(algebra M (carrier g 6) (table s (0 1) (1 2) (2 3) (3 4) (4 5) (5 5)))"
+    )
+    gctx = GeoContext(ws.algebra("M"), ws.context("C"))
+    built = []
+    real = geometry.coordinate_algebra
+    monkeypatch.setattr(geometry, "coordinate_algebra", lambda a, cap=None: built.append(cap) or real(a, cap))
+    # the closed sets are the up-sets {x >= k}
+    want = [0b100000, 0b110000, 0b111000, 0b111100, 0b111110, 0b111111]
+    assert _masks(all_closed_point_sets(gctx)) == want
+    assert built == []
+    assert _masks(all_closed_point_sets(gctx, cap=10)) == want
+    assert built and set(built) == {10}
+
+
+def test_equalizer_sweep_with_a_termless_sort():
+    """A sort with no term over the context has no equalizers: the sweep
+    answers, though no coordinate algebra exists there."""
+    ws = load_workspace(
+        "(sort a) (sort b) (op c () a) (op h (b) a)\n"
+        "(algebra G (carrier a 2) (carrier b 2) (table c (0)) (table h (0 1) (1 0)))\n"
+        "(context C (x a))"
+    )
+    gctx = GeoContext(ws.algebra("G"), ws.context("C"))
+    assert _masks(all_closed_point_sets(gctx)) == [0b01, 0b11]
+    with pytest.raises(ValueError, match="^sort 'b' has no term over the generators$"):
+        coordinate_algebra(gctx.full())
 
 
 def test_point_closure_is_kernel_cone(z4, gctx2):

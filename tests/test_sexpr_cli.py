@@ -340,6 +340,27 @@ def test_cli_exact_equiv_answers_with_a_variable_less_sort(tmp_path):
             assert not oracles.o_closure_member(fails, ctx, eqs, pair)
 
 
+def test_cli_names_a_sort_with_no_term(tmp_path, capsys):
+    """Sort b has no term over x alone, so no coordinate algebra or image
+    table exists; every route that needs one says why and exits 2."""
+    path = tmp_path / "termless.sx"
+    path.write_text(
+        "(sort a) (sort b) (op c () a) (op h (b) a)\n"
+        "(algebra G (carrier a 2) (carrier b 2) (table c (0)) (table h (0 1) (1 0)))\n"
+        "(context C (x a)) (pairs T (x c))\n"
+    )
+    ws = ("-f", str(path), "-c", "C")
+    for argv in (
+        ("closure", *ws, "-a", "G", "-p", "T"),
+        ("closure", *ws, "-a", "G", "-p", "T", "--query", "(x c)"),
+        ("nullsatz", *ws, "--image", "G", "--target", "G", "--assignment", "1"),
+        ("equiv", *ws, "-a", "G", "-b", "G", "--mode", "exact"),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv)[0] == 2, argv
+        assert capsys.readouterr().err == "error: sort 'b' has no term over the generators\n", argv
+
+
 def test_cli_closure_query_builds_one_coordinate_algebra(tmp_path, monkeypatch):
     built = []
     real = geometry.coordinate_algebra
