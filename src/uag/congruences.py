@@ -35,9 +35,12 @@ def normalize_pair(pair: Pair) -> Pair:
 
 
 class PairSet:
-    """Finite symmetric set of term pairs, canonically ordered and deduplicated."""
+    """Finite symmetric set of term pairs, canonically ordered and deduplicated.
 
-    __slots__ = ("pairs",)
+    Immutable, so its hash is computed once, at construction.
+    """
+
+    __slots__ = ("pairs", "_hash")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         seen: dict[tuple[int, int], Pair] = {}
@@ -47,6 +50,7 @@ class PairSet:
         self.pairs: tuple[Pair, ...] = tuple(
             sorted(seen.values(), key=lambda p: (term_key(p[0]), term_key(p[1])))
         )
+        self._hash = hash(tuple((id(a), id(b)) for a, b in self.pairs))
 
     def __iter__(self):
         return iter(self.pairs)
@@ -62,7 +66,7 @@ class PairSet:
         return isinstance(other, PairSet) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(tuple((id(a), id(b)) for a, b in self.pairs))
+        return self._hash
 
     def union(self, other: "PairSet") -> "PairSet":
         return PairSet((*self.pairs, *other.pairs))

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import eq, ne, or_
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebras import FiniteAlgebra, enumerate_points, eval_pairs, inferred_context
-from .congruences import EMPTY_PAIRS, Pair, PairSet, ground_closure, normalize_pair
+from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_closure, normalize_pair
 from .terms import (
     Substitution,
     Term,
@@ -147,21 +147,61 @@ def circ_pseudo_member(premises: Sequence[Clause], candidate: Clause, choice_cap
 def circ_universal_member(premises: Sequence[Clause], candidate: Clause, choice_cap: int = 10**6) -> bool:
     """Composition for mixed clauses: each premise contributes either one of
     its equations (kept as a premise) or one of its negated equations (kept
-    as a goal); the candidate's negated side always joins the premises."""
+    as a goal); the candidate's negated side always joins the premises.
+
+    Each choice is decided in a fresh ground closure of its premises;
+    derive_closure runs the same test with one closure per distinct premise
+    set, shared by all candidates of the run.
+    """
+    choices = _choices(premises, choice_cap)
+    return choices is not None and _derives(candidate, choices, lambda prem: ground_closure(PairSet(prem)))
+
+
+def _shared_closures() -> Callable[[list[Pair]], GroundCongruence]:
+    """A closure lookup that closes each distinct premise set once.
+
+    Sharing is sound because ground consequence among registered terms does
+    not depend on which other terms are registered, so goals registered by
+    one candidate change no later answer. Keys are term ids, which stay
+    valid because interned terms are never freed.
+    """
+    memo: dict[frozenset, GroundCongruence] = {}
+
+    def closure(prem: list[Pair]) -> GroundCongruence:
+        key = frozenset([(id(a), id(b)) for a, b in prem])
+        gc = memo.get(key)
+        if gc is None:
+            gc = memo[key] = ground_closure(PairSet(prem))
+        return gc
+
+    return closure
+
+
+def _choices(premises: Sequence[Clause], choice_cap: int) -> Optional[Iterator[tuple[list[Pair], list[Pair]]]]:
+    """Every choice of one literal per premise, split into the equations kept
+    as premises and the negated equations kept as goals; None when there are
+    more than choice_cap choices. Lazy, so a test that fails early builds
+    only the choices it reads."""
     lists = []
-    for u in premises:
-        tagged = [("+", q) for q in u.pos] + [("-", q) for q in u.neg]
-        lists.append(tagged)
     count = 1
-    for l in lists:
-        count *= len(l)
+    for u in premises:
+        lists.append([(q, True) for q in u.pos] + [(q, False) for q in u.neg])
+        count *= len(lists[-1])
         if count > choice_cap:
-            return False
-    for chosen in itertools.product(*lists):
-        prem = list(candidate.neg) + [q for tag, q in chosen if tag == "+"]
-        goals = list(candidate.pos) + [q for tag, q in chosen if tag == "-"]
-        gc = ground_closure(PairSet(prem))
-        if not any(gc.contains(q) for q in goals):
+            return None
+    return (
+        ([q for q, kept in chosen if kept], [q for q, kept in chosen if not kept])
+        for chosen in itertools.product(*lists)
+    )
+
+
+def _derives(candidate: Clause, choices, closure) -> bool:
+    """Does every choice, with the candidate's negated side joining its
+    premises, ground-derive a positive literal of the candidate or one of its
+    own goals?"""
+    for prem, goals in choices:
+        gc = closure([*candidate.neg, *prem])
+        if not any(gc.contains(q) for q in (*candidate.pos, *goals)):
             return False
     return True
 
@@ -223,18 +263,21 @@ def _subterms_of(clauses: Iterable[Clause]) -> list[Term]:
 
 def term_universe(sig, ctx, depth: int, limit: int = 4000) -> list[Term]:
     """All well-sorted terms of bounded depth, in layered deterministic order."""
-    layer: list[Term] = [var(name) for name, _ in ctx.vars]
-    seen: set[int] = set(id(t) for t in layer)
-    out = list(layer)
+    out: list[Term] = [var(name) for name, _ in ctx.vars]
+    sorts = [s for _, s in ctx.vars]
+    seen: set[int] = set(id(t) for t in out)
     for _ in range(depth):
+        by_sort: dict[int, list[Term]] = {}
+        for t, s in zip(out, sorts):
+            by_sort.setdefault(s, []).append(t)
         new: list[Term] = []
         for op in sig.ops:
-            pools = [[t for t in out if sort_of(t, sig, ctx) == s] for s in op.args]
-            for combo in itertools.product(*pools):
+            for combo in itertools.product(*[by_sort.get(s, []) for s in op.args]):
                 t = app(op.name, *combo)
                 if id(t) not in seen:
                     seen.add(id(t))
                     new.append(t)
+                    sorts.append(op.result)
                     if len(out) + len(new) >= limit:
                         out.extend(new)
                         return out
@@ -292,6 +335,10 @@ def derive_closure(
     Derived clauses beyond the depth bound are dropped rather than kept, so a
     completed run is a fixpoint of the depth-bounded rule system. Falsum
     conclusions are only admitted with quackenbush=True.
+
+    The composition steps (pseudo and universal) share one ground closure per
+    distinct premise set across all candidates and rounds of the run; the
+    answers, and the budget spent, are those of a fresh closure per test.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown clause kind {kind!r}")
@@ -329,9 +376,10 @@ def derive_closure(
     else:
         step = _step_quasi
     base = _subterms_of(current)
+    closures = _shared_closures()
     for _ in range(bounds.iterations):
         rounds += 1
-        fresh = step(list(current), sig, ctx, bounds, budget, base, quackenbush)
+        fresh = step(list(current), sig, ctx, bounds, budget, base, quackenbush, closures)
         added = False
         for c in fresh:
             if c not in current:
@@ -359,10 +407,11 @@ def _equality_steps(eqs: Sequence[Pair], sig, ctx, budget: _Budget, keep) -> boo
                 if not budget.spend():
                     return False
                 keep(a, c)
+    eq_sorts = [sort_of(w, sig, ctx) for w, _ in eqs]
     for op in sig.ops:
         if op.arity == 0 or op.arity > 2:
             continue
-        pools = [[(w, w2) for (w, w2) in eqs if sort_of(w, sig, ctx) == s] for s in op.args]
+        pools = [[q for q, qs in zip(eqs, eq_sorts) if qs == s] for s in op.args]
         for combo in itertools.product(*pools):
             if not budget.spend():
                 return False
@@ -370,7 +419,7 @@ def _equality_steps(eqs: Sequence[Pair], sig, ctx, budget: _Budget, keep) -> boo
     return True
 
 
-def _step_identity(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
+def _step_identity(cur, sig, ctx, bounds, budget, base, _qk, _closures) -> list[Clause]:
     pairs = [c.cons for c in cur]
     out: list[Clause] = []
 
@@ -386,9 +435,10 @@ def _step_identity(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
     if not _equality_steps(pairs, sig, ctx, budget, keep):
         return out
     universe = term_universe(sig, ctx, bounds.depth)
+    sorts = [sort_of(t, sig, ctx) for t in universe]
     for name, s in ctx.vars:
-        for t in universe:
-            if sort_of(t, sig, ctx) != s or (getattr(t, "name", None) == name):
+        for t, ts in zip(universe, sorts):
+            if ts != s or (getattr(t, "name", None) == name):
                 continue
             sub = Substitution({name: t})
             for w, w2 in pairs:
@@ -411,37 +461,43 @@ def _weakenings(c: Clause, extras: Sequence[Pair], width: int, budget) -> list[C
     return out
 
 
-def _composed(cur, candidates: Sequence[Clause], sizes: Sequence[int], member, budget: _Budget) -> list[Clause]:
-    """The candidates outside cur that member derives from some premise combination.
+def _composed(cur, candidates: Sequence[Clause], sizes: Sequence[int], closures, budget: _Budget) -> list[Clause]:
+    """The candidates outside cur that the composition test derives from some
+    premise combination, deciding each choice in the run's shared closures.
 
     Combinations of cur are tried smallest first, each spending one unit of
     budget; the search stops when the budget runs out.
     """
     out: list[Clause] = []
     seen = set(cur)
+    choices: dict[tuple[int, ...], Optional[list]] = {}
     for cand in candidates:
         if cand in seen:
             continue
-        for prem in itertools.chain.from_iterable(itertools.combinations(cur, k) for k in sizes):
+        for combo in itertools.chain.from_iterable(itertools.combinations(range(len(cur)), k) for k in sizes):
             if not budget.spend():
                 return out
-            if member(prem, cand):
+            if combo not in choices:
+                ch = _choices([cur[i] for i in combo], 10**6)
+                choices[combo] = None if ch is None else list(ch)
+            ch = choices[combo]
+            if ch is not None and _derives(cand, ch, closures):
                 out.append(cand)
                 break
     return out
 
 
-def _step_pseudo(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
+def _step_pseudo(cur, sig, ctx, bounds, budget, base, _qk, closures) -> list[Clause]:
     out: list[Clause] = []
     extras = _pair_universe(base, sig, ctx, limit=8)
     for c in cur:
         if _max_depth(c) <= bounds.depth:
             out.extend(_weakenings(c, extras, min(bounds.width, 1), budget))
     candidates = [pseudo([q]) for q in _pair_universe(base, sig, ctx, limit=24)]
-    return out + _composed(cur, candidates, (1, 2, 3), circ_pseudo_member, budget)
+    return out + _composed(cur, candidates, (1, 2, 3), closures, budget)
 
 
-def _step_universal(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
+def _step_universal(cur, sig, ctx, bounds, budget, base, _qk, closures) -> list[Clause]:
     out: list[Clause] = []
     extras = _pair_universe(base, sig, ctx, limit=6)
     for c in cur:
@@ -450,10 +506,10 @@ def _step_universal(cur, sig, ctx, bounds, budget, base, _qk) -> list[Clause]:
     qs = _pair_universe(base, sig, ctx, limit=12)
     candidates = [universal([q], []) for q in qs]
     candidates += [universal([q], [r]) for q in qs[:6] for r in qs[:6] if q != r]
-    return out + _composed(cur, candidates, (1, 2), circ_universal_member, budget)
+    return out + _composed(cur, candidates, (1, 2), closures, budget)
 
 
-def _step_quasi(cur, sig, ctx, bounds, budget, base, quackenbush) -> list[Clause]:
+def _step_quasi(cur, sig, ctx, bounds, budget, base, quackenbush, _closures) -> list[Clause]:
     out: list[Clause] = []
     ante_cap = max((len(c.ante) for c in cur), default=0) + bounds.width
 

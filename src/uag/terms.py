@@ -1,8 +1,9 @@
 """Many-sorted signatures, terms over a finite variable context, substitutions.
 
 Terms are interned: structurally equal trees are the same object, so equality
-is identity and hashing is precomputed. The intern tables are process-global;
-terms are signature-agnostic trees and well-sortedness is a separate check.
+is identity; hash, node count and depth are set at construction. The intern
+tables are process-global; terms are signature-agnostic trees and
+well-sortedness is a separate check.
 """
 
 from __future__ import annotations
@@ -104,32 +105,33 @@ class VarContext:
 
 class Term:
     __slots__ = ()
+    size: int  # node count
+    depth: int  # see term_depth
+    _key: Optional[tuple[int, str]]  # term_key, once asked for
 
 
 class Var(Term):
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "size", "depth", "_key")
 
     def __init__(self, name: str):
         self.name = name
-        self._hash = hash(("v", name))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self.size = 1
+        self.depth = 0
+        self._key = None
 
     def __repr__(self) -> str:
         return render(self)
 
 
 class App(Term):
-    __slots__ = ("op", "args", "_hash")
+    __slots__ = ("op", "args", "size", "depth", "_key")
 
     def __init__(self, op: str, args: tuple[Term, ...]):
         self.op = op
         self.args = args
-        self._hash = hash(("a", op, tuple(id(a) for a in args)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        self.size = 1 + sum(a.size for a in args)
+        self.depth = 1 + max((a.depth for a in args), default=0)
+        self._key = None
 
     def __repr__(self) -> str:
         return render(self)
@@ -174,24 +176,27 @@ def check_same_sort(w: Term, w2: Term, s: int, s2: int, sig: Signature, what: st
 
 
 def term_key(t: Term) -> tuple[int, str]:
-    """Canonical sortable key: (node count, rendered form)."""
-    return (term_size(t), render(t))
+    """Canonical sortable key: (node count, rendered form).
+
+    Computed on first request and kept on the interned node, so later calls
+    are O(1). Only the node asked about keeps its string; its subterms' are
+    not cached, so keying the root of a deep chain stores one string.
+    """
+    key = t._key
+    if key is None:
+        key = t._key = (t.size, render(t))
+    return key
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)  # type: ignore[union-attr]
+    """Node count, kept on the interned node."""
+    return t.size
 
 
 def term_depth(t: Term) -> int:
-    """Depth 0 for variables; an application is one deeper than its deepest child."""
-    if isinstance(t, Var):
-        return 0
-    assert isinstance(t, App)
-    if not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
+    """Depth 0 for variables; an application is one deeper than its deepest
+    child, so a constant has depth 1. Kept on the interned node."""
+    return t.depth
 
 
 def term_vars(t: Term, acc: Optional[list[str]] = None) -> list[str]:

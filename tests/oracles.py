@@ -63,6 +63,20 @@ def o_clause_holds(g, ctx, c) -> bool:
     return True
 
 
+def o_term_size(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(o_term_size(a) for a in t.args)
+
+
+def o_term_depth(t: Term) -> int:
+    """0 for a variable; 1 for a constant; otherwise one more than the
+    deepest argument."""
+    if isinstance(t, Var):
+        return 0
+    return 1 + max((o_term_depth(a) for a in t.args), default=0)
+
+
 def o_subterms(terms):
     seen: list[Term] = []
     ids = set()
@@ -124,6 +138,20 @@ def o_ground_closure_classes(pairs, extra_terms=()):
 def o_ground_same(pairs, a, b, extra_terms=()) -> bool:
     _, label, _ = o_ground_closure_classes(pairs, list(extra_terms) + [a, b])
     return label[id(a)] == label[id(b)]
+
+
+def o_circ_member(premises, candidate) -> bool:
+    """The composition test with a fresh relabeling closure per goal: every
+    choice of one literal per premise, with the candidate's negated side
+    joining the chosen equations, must ground-derive a positive literal of the
+    candidate or a chosen negated equation."""
+    lists = [[("+", q) for q in u.pos] + [("-", q) for q in u.neg] for u in premises]
+    for chosen in itertools.product(*lists):
+        prem = list(candidate.neg) + [q for tag, q in chosen if tag == "+"]
+        goals = list(candidate.pos) + [q for tag, q in chosen if tag == "-"]
+        if not any(o_ground_same(prem, a, b) for a, b in goals):
+            return False
+    return True
 
 
 def o_homs(a, b):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from uag import rules
 from uag.algebras import GROUP_SIG, cyclic_group, klein_four, symmetric_group_3
 from uag.geometry import random_term
 from uag.rules import (
@@ -191,3 +194,96 @@ def test_derive_each_kind_sound_small():
     for kind, seeds in cases.items():
         res = derive_closure(kind, seeds, GROUP_SIG, bounds=bounds)
         assert soundness_check(res.clauses, seeds, pool) == [], kind
+
+
+def _random_pairs(rng, n, depth):
+    out = []
+    while len(out) < n:
+        w, w2 = (random_term(rng, GROUP_SIG, CTX2, depth, 0) for _ in "ab")
+        if w is not w2:
+            out.append((w, w2))
+    return out
+
+
+@given(st.integers(0, 2**32))
+def test_shared_closures_match_oracle(seed):
+    """One closure per premise set, shared by every candidate and premise
+    combination, answers as a fresh closure per choice does."""
+    rng = random.Random(seed)
+    pairs = _random_pairs(rng, 5, rng.randint(1, 2))
+    pool = []
+    for _ in range(3):
+        pos = rng.sample(pairs, rng.randint(0, 2))
+        neg = rng.sample(pairs, rng.randint(0 if pos else 1, 1))
+        pool.append(universal(pos, neg))
+    candidates = [universal([q], []) for q in pairs[:3]]
+    candidates += [universal([q], [r]) for q in pairs[:3] for r in pairs[:3] if q != r]
+    closures = rules._shared_closures()
+    for cand in candidates:
+        for prem in itertools.chain(itertools.combinations(pool, 1), itertools.combinations(pool, 2)):
+            want = oracles.o_circ_member(prem, cand)
+            choices = list(rules._choices(prem, 10**6))
+            assert rules._derives(cand, choices, closures) == want, (prem, cand)
+            assert circ_universal_member(prem, cand) == want, (prem, cand)
+
+
+def test_pseudo_run_closes_each_premise_set_once(monkeypatch):
+    """Every ground closure built in one pseudo run is of a new premise set."""
+    closed = []
+    ground_closure = rules.ground_closure
+    monkeypatch.setattr(rules, "ground_closure", lambda pairs, *rest: closed.append(frozenset(pairs)) or ground_closure(pairs, *rest))
+    seeds = [pseudo(_random_pairs(random.Random(2), 2, 1))]
+    bounds = SaturationBounds(depth=2, width=1, iterations=2, budget=1500)
+    res = derive_closure("pseudo", seeds, GROUP_SIG, CTX2, bounds)
+    assert res.rounds == 2 and len(closed) > 20
+    assert len(closed) == len(set(closed))
+
+
+# sha256 of repr((exhausted, rounds, [repr(c) for c in clauses])), computed
+# before premise closures were shared; pins the output and the budget order
+DERIVE_PINS = {
+    ("identity", 1, 300): "fdd96697fec2375c7c37462e150047351e459711f6c19954f190b185071f6f58",
+    ("identity", 1, 1500): "2fd7e71e4dca8635896bb2591d9117fb1f9e9f7271a79256774eb13eaa82960b",
+    ("identity", 2, 300): "033d6890609e2b6513f5c7c039d5675f30f0ed05cf96aa7762ad08db38111314",
+    ("identity", 2, 1500): "033d6890609e2b6513f5c7c039d5675f30f0ed05cf96aa7762ad08db38111314",
+    ("identity", 3, 300): "fd2baf48369621bb4ea841a1f242f89753b388a474718b7483c3c34c938670fb",
+    ("identity", 3, 1500): "2df4d8b8588deb7d5b85a5d65f0f64e1ca2a8c9355a12f9b8613031497d21028",
+    ("pseudo", 1, 300): "f1da6cdec726d4fe7b098af84fd5be0ae7fd382cdd42af1a793ab82d979bcfc4",
+    ("pseudo", 1, 1500): "1da89b2fed0279977a7e33079899b7c2336a4653f5f1fa6efba69b3d7e43ef18",
+    ("pseudo", 2, 300): "db49cca2e3261af979872524a8741967927b7a0a69340cbd2b75eac38eb44fdd",
+    ("pseudo", 2, 1500): "69e7ab237c0eacdafa7ed87d2e7c54c3966e111b3d6996e9042b8c9a36a634e4",
+    ("pseudo", 3, 300): "88a6178b7629044826ec7e93c47b00b58b7d986cb62b518ba8523b8aebc109a6",
+    ("pseudo", 3, 1500): "88a6178b7629044826ec7e93c47b00b58b7d986cb62b518ba8523b8aebc109a6",
+    ("universal", 1, 300): "86c5a8719dc522f7a6214277387e6c87440a2eae7ae00d1acaf2906059b8b82b",
+    ("universal", 1, 1500): "76eaa0f9190ec1034fb5c02b4edd46be6425704a856ac851de8bcf30334e857b",
+    ("universal", 2, 300): "ad3acb95005027d4647bd96803f620afa1b2aef31abf1174f31607e54a4feb26",
+    ("universal", 2, 1500): "f523a6fada252c4e5e888dfa84c4146f5cb35022f1e1b1f290d51bfaf068ddd4",
+    ("universal", 3, 300): "2b58059b15bb6d571fda3a78109061c9a98c358c23d409d119ef0a8f996c3924",
+    ("universal", 3, 1500): "7515c5d187a1cfe9ee777c7ee1157a48dbf5c27c69d8609cbbb2fbb29a13086f",
+    ("quasi", 1, 300): "d0ba18dab06c73cd5d1f248b2c7f0e79d692379e9c4b479578ea6eddc7ebebd5",
+    ("quasi", 1, 1500): "d0ba18dab06c73cd5d1f248b2c7f0e79d692379e9c4b479578ea6eddc7ebebd5",
+    ("quasi", 2, 300): "1b068a0fd543ad5b1c5005f0a787f143a8554027e61c6c4056d9bb4611e59c38",
+    ("quasi", 2, 1500): "1b068a0fd543ad5b1c5005f0a787f143a8554027e61c6c4056d9bb4611e59c38",
+    ("quasi", 3, 300): "a37b8f0106723707a101de02d1c0c982687842fcbc8b057ca00e69ee42f3c101",
+    ("quasi", 3, 1500): "a37b8f0106723707a101de02d1c0c982687842fcbc8b057ca00e69ee42f3c101",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_derive_closure_pinned(kind):
+    exhausted = []
+    for seed, budget in itertools.product((1, 2, 3), (300, 1500)):
+        p1, p2, p3 = _random_pairs(random.Random(seed), 3, 1)
+        seeds = {
+            "identity": [identity(p1)],
+            "pseudo": [pseudo([p1, p2])],
+            "universal": [universal([p1], [p2])],
+            "quasi": [quasi([p1], p2), quasi([], p3)],
+        }[kind]
+        bounds = SaturationBounds(depth=2, width=1, iterations=2, budget=budget)
+        res = derive_closure(kind, seeds, GROUP_SIG, CTX2, bounds)
+        text = repr((res.exhausted, res.rounds, [repr(c) for c in res.clauses]))
+        assert hashlib.sha256(text.encode()).hexdigest() == DERIVE_PINS[(kind, seed, budget)], (seed, budget)
+        exhausted.append(res.exhausted)
+    # the composition kinds must run out mid-step at budget 300
+    assert kind == "quasi" or any(exhausted)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from uag.algebras import GROUP_SIG
 from uag.terms import (
     IDENTITY,
@@ -113,6 +114,18 @@ def test_term_key_orders_by_size_first(t):
     k = term_key(t)
     assert k[0] == term_size(t)
     assert k[1] == render(t)
+    assert term_size(t) == oracles.o_term_size(t)
+    assert term_depth(t) == oracles.o_term_depth(t)
+    assert k == (oracles.o_term_size(t), render(t))
+    assert term_key(t) is k
+
+
+def test_deep_term_size_and_depth():
+    t = app("e")
+    for _ in range(5000):
+        t = app("inv", t)
+    assert term_size(t) == 5001
+    assert term_depth(t) == 5001
 
 
 def test_subterm_universe_dedup():
