@@ -521,126 +521,162 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+_ALGEBRA = _arg("-a", "--algebra", required=True)
+_CONTEXT = _arg("-c", "--context", required=True)
+_PAIRS = _arg("-p", "--pairs", required=True)
+_TWO_VARIETIES = (
+    _arg("--ctx-a", required=True),
+    _arg("--pairs-a", required=True),
+    _arg("--ctx-b", required=True),
+    _arg("--pairs-b", required=True),
+)
+
+# options every verb takes, registered ahead of the verb's own
+COMMON = (
+    _arg("-f", "--file", action="append", help="workspace file (repeatable)"),
+    _arg("--builtin", choices=["group", "semilattice", "ring"], help="preload a stock library"),
+    _arg("--format", choices=["text", "json"], default="text"),
+    _arg("--cap", type=int, default=None, help="state-count guard"),
+    _arg("--seed", type=int, default=0),
+    _arg("--depth", type=int, default=3),
+)
+
+# verb -> (help, its own arguments); a verb such as fo-variety runs cmd_fo_variety
+VERBS = {
+    "parse": ("load workspace files and summarize", ()),
+    "eval": (
+        "evaluate a term at a point",
+        (
+            _ALGEBRA,
+            _CONTEXT,
+            _arg("--term", required=True),
+            _arg("--point", required=True, help="comma-separated values in context order"),
+        ),
+    ),
+    "variety": ("solution set of an equation set", (_ALGEBRA, _CONTEXT, _PAIRS)),
+    "closure": (
+        "closure T'' of an equation set",
+        (
+            _ALGEBRA,
+            _CONTEXT,
+            _PAIRS,
+            _arg("--query", help="inline pair to test for membership in T''"),
+        ),
+    ),
+    "nullsatz": (
+        "two-route closure comparison for a point kernel",
+        (
+            _arg("--image", required=True, help="algebra receiving the presenting kernel"),
+            _arg("--assignment", required=True, help="kernel point, comma-separated"),
+            _arg("--target", required=True, help="algebra the geometry lives over"),
+            _CONTEXT,
+        ),
+    ),
+    "point-closure": (
+        "closure of a single point",
+        (_ALGEBRA, _CONTEXT, _arg("--point", required=True)),
+    ),
+    "verbal": (
+        "points whose image satisfies given identities",
+        (_ALGEBRA, _CONTEXT, _PAIRS, _arg("--ictx", help="context the identities are read in")),
+    ),
+    "morphism": (
+        "check a substitution maps one variety into another",
+        (_ALGEBRA, *_TWO_VARIETIES, _arg("--subst", required=True, help="inline ((var term) ...)")),
+    ),
+    "iso": (
+        "search for a variety isomorphism",
+        (_ALGEBRA, *_TWO_VARIETIES, _arg("--bound", type=int, default=64)),
+    ),
+    "equiv": (
+        "geometric equivalence of two algebras",
+        (
+            _ALGEBRA,
+            _arg("-b", "--other", required=True),
+            _CONTEXT,
+            _arg("--mode", choices=["exact", "sampled"], default="exact"),
+            _arg("--samples", type=int, default=40),
+            _arg("--max-points", type=int, default=20),
+        ),
+    ),
+    "derive": (
+        "bounded saturation of closure rules",
+        (
+            _arg("--kind", choices=list(KINDS), required=True),
+            _arg("--seeds", help="comma-separated clause names"),
+            _arg("--seed-pairs", help="comma-separated pairs names, lifted to clauses"),
+            _arg("-c", "--context"),
+            _arg("--width", type=int, default=2),
+            _arg("--iterations", type=int, default=6),
+            _arg("--budget", type=int, default=20000),
+            _arg("--quackenbush", action="store_true"),
+        ),
+    ),
+    "query": (
+        "does a clause hold in an algebra",
+        (_ALGEBRA, _arg("--clause", required=True), _arg("-c", "--context")),
+    ),
+    "fo-variety": (
+        "solution set of first-order formulas",
+        (
+            _arg("--model", required=True),
+            _CONTEXT,
+            _arg("--formulas", required=True, help="comma-separated formula names"),
+            _arg("--closure-query", help="formula name to test for closure membership"),
+        ),
+    ),
+    "check": (
+        "run internal consistency batteries",
+        (
+            _arg("--suite", choices=["all"] + sorted(_BATTERIES), default="all"),
+            _arg("--trials", type=int, default=12),
+        ),
+    ),
+    "experiment": (
+        "exploratory sweeps",
+        (
+            _arg("--name", choices=["proper-filter-search", "submodel-closure"], required=True),
+            _arg("--trials", type=int, default=30),
+        ),
+    ),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-f", "--file", action="append", help="workspace file (repeatable)")
-    common.add_argument(
-        "--builtin", choices=["group", "semilattice", "ring"], help="preload a stock library"
-    )
-    common.add_argument("--format", choices=["text", "json"], default="text")
-    common.add_argument("--cap", type=int, default=None, help="state-count guard")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--depth", type=int, default=3)
+    """The full parser: every verb in VERBS, each with COMMON and its own
+    arguments. ``main`` registers only the verb its argv names, when it
+    names one, since building a subparser costs more than many verbs' own
+    work on small inputs."""
+    return _parser(list(VERBS))
 
+
+def _parser(names: list[str]) -> argparse.ArgumentParser:
+    """The parser with only the verbs ``names`` registered. It parses an
+    argv for one of them as the full parser does, and every usage line
+    lists all verbs: with fewer registered, the full list is passed as
+    ``metavar``, which the full parser leaves unset because it would rename
+    the verb in ``invalid choice`` errors."""
     top = argparse.ArgumentParser(prog="uag", description=__doc__)
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("parse", cmd_parse, help="load workspace files and summarize")
-
-    p = add("eval", cmd_eval, help="evaluate a term at a point")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("--term", required=True)
-    p.add_argument("--point", required=True, help="comma-separated values in context order")
-
-    p = add("variety", cmd_variety, help="solution set of an equation set")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("-p", "--pairs", required=True)
-
-    p = add("closure", cmd_closure, help="closure T'' of an equation set")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("-p", "--pairs", required=True)
-    p.add_argument("--query", help="inline pair to test for membership in T''")
-
-    p = add("nullsatz", cmd_nullsatz, help="two-route closure comparison for a point kernel")
-    p.add_argument("--image", required=True, help="algebra receiving the presenting kernel")
-    p.add_argument("--assignment", required=True, help="kernel point, comma-separated")
-    p.add_argument("--target", required=True, help="algebra the geometry lives over")
-    p.add_argument("-c", "--context", required=True)
-
-    p = add("point-closure", cmd_point_closure, help="closure of a single point")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("--point", required=True)
-
-    p = add("verbal", cmd_verbal, help="points whose image satisfies given identities")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("-p", "--pairs", required=True)
-    p.add_argument("--ictx", help="context the identities are read in")
-
-    p = add("morphism", cmd_morphism, help="check a substitution maps one variety into another")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("--ctx-a", required=True)
-    p.add_argument("--pairs-a", required=True)
-    p.add_argument("--ctx-b", required=True)
-    p.add_argument("--pairs-b", required=True)
-    p.add_argument("--subst", required=True, help="inline ((var term) ...)")
-
-    p = add("iso", cmd_iso, help="search for a variety isomorphism")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("--ctx-a", required=True)
-    p.add_argument("--pairs-a", required=True)
-    p.add_argument("--ctx-b", required=True)
-    p.add_argument("--pairs-b", required=True)
-    p.add_argument("--bound", type=int, default=64)
-
-    p = add("equiv", cmd_equiv, help="geometric equivalence of two algebras")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("-b", "--other", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--max-points", type=int, default=20)
-
-    p = add("derive", cmd_derive, help="bounded saturation of closure rules")
-    p.add_argument("--kind", choices=list(KINDS), required=True)
-    p.add_argument("--seeds", help="comma-separated clause names")
-    p.add_argument("--seed-pairs", help="comma-separated pairs names, lifted to clauses")
-    p.add_argument("-c", "--context")
-    p.add_argument("--width", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--quackenbush", action="store_true")
-
-    p = add("query", cmd_query, help="does a clause hold in an algebra")
-    p.add_argument("-a", "--algebra", required=True)
-    p.add_argument("--clause", required=True)
-    p.add_argument("-c", "--context")
-
-    p = add("fo-variety", cmd_fo_variety, help="solution set of first-order formulas")
-    p.add_argument("--model", required=True)
-    p.add_argument("-c", "--context", required=True)
-    p.add_argument("--formulas", required=True, help="comma-separated formula names")
-    p.add_argument("--closure-query", help="formula name to test for closure membership")
-
-    p = add("check", cmd_check, help="run internal consistency batteries")
-    p.add_argument(
-        "--suite",
-        choices=["all"] + sorted(_BATTERIES),
-        default="all",
-    )
-    p.add_argument("--trials", type=int, default=12)
-
-    p = add("experiment", cmd_experiment, help="exploratory sweeps")
-    p.add_argument(
-        "--name", choices=["proper-filter-search", "submodel-closure"], required=True
-    )
-    p.add_argument("--trials", type=int, default=30)
-
+    metavar = "{" + ",".join(VERBS) + "}" if len(names) < len(VERBS) else None
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in names:
+        help_text, own = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in COMMON + own:
+            p.add_argument(*flags, **kwargs)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    names = [argv[0]] if argv and argv[0] in VERBS else list(VERBS)
+    args = _parser(names).parse_args(argv)
     try:
         return args.fn(args)
     except (CapExceeded, ValueError, OSError) as e:

@@ -24,7 +24,7 @@ that name exists, otherwise a variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional, Union
 
 from .algebras import FiniteAlgebra
@@ -52,70 +52,76 @@ class SexprError(ValueError):
         super().__init__(f"{line}:{col}: {msg}" if line else msg)
 
 
-@dataclass(frozen=True)
 class Atom:
-    text: str
-    line: int
-    col: int
+    """A symbol with the line and column (both 1-based) where it starts."""
+
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text, self.line, self.col = text, line, col
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return (self.text, self.line, self.col) == (other.text, other.line, other.col)
+
+    def __hash__(self):
+        return hash((self.text, self.line, self.col))
+
+    def __repr__(self):
+        return f"Atom(text={self.text!r}, line={self.line!r}, col={self.col!r})"
 
 
 Node = Union[Atom, list]
 
+# one token: a parenthesis, a run of symbol characters, or a comment start;
+# spaces, tabs and carriage returns between tokens are skipped
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;")
+
 
 def tokenize(src: str) -> list[Atom]:
+    """Parentheses and symbols of ``src`` in order, each at its line and column.
+
+    One compiled regex runs over each line; a ``;`` ends the line. Every
+    character but the newline takes one column.
+    """
     out: list[Atom] = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch in "()":
-            out.append(Atom(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start, scol = i, col
-            while i < n and src[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            out.append(Atom(src[start:i], line, scol))
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            tok = m.group()
+            if tok == ";":
+                break
+            out.append(Atom(tok, line, m.start() + 1))
     return out
 
 
 def parse_nodes(src: str) -> list[Node]:
-    tokens = tokenize(src)
-    pos = 0
+    """The top-level forms of ``src``: a list is a parenthesized form, an
+    Atom a symbol.
 
-    def walk() -> Node:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.text == "(":
-            pos += 1
-            items: list[Node] = []
-            while True:
-                if pos >= len(tokens):
-                    raise SexprError("unclosed parenthesis", tok.line, tok.col)
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(walk())
-        if tok.text == ")":
-            raise SexprError("unexpected ')'", tok.line, tok.col)
-        pos += 1
-        return tok
-
+    A loop with an explicit stack of open lists, so nesting depth is bounded
+    by memory, not by Python's recursion limit. A stray ``)`` is reported
+    where it stands, an unclosed ``(`` at the innermost one left open.
+    """
     out: list[Node] = []
-    while pos < len(tokens):
-        out.append(walk())
+    items = out
+    stack: list[tuple[list, Atom]] = []  # (enclosing list, its open paren)
+    for tok in tokenize(src):
+        text = tok.text
+        if text == "(":
+            stack.append((items, tok))
+            items = []
+        elif text == ")":
+            if not stack:
+                raise SexprError("unexpected ')'", tok.line, tok.col)
+            enclosing = stack.pop()[0]
+            enclosing.append(items)
+            items = enclosing
+        else:
+            items.append(tok)
+    if stack:
+        tok = stack[-1][1]
+        raise SexprError("unclosed parenthesis", tok.line, tok.col)
     return out
 
 
@@ -137,6 +143,18 @@ def _atom(node: Node, what: str) -> str:
     if not isinstance(node, Atom):
         raise SexprError(f"expected {what}", *_pos(node))
     return node.text
+
+
+def _item(form: list, i: int, what: str) -> Node:
+    """Item ``i`` of ``form``; a form too short for it is an error naming
+    what belongs there."""
+    if i >= len(form):
+        raise SexprError(f"expected {what}", *_pos(form))
+    return form[i]
+
+
+def _atom_at(form: list, i: int, what: str) -> str:
+    return _atom(_item(form, i, what), what)
 
 
 def _int(node: Node, what: str) -> int:
@@ -273,7 +291,7 @@ def parse_formula(node: Node, ws: Workspace) -> Formula:
 
 
 def _parse_algebra(node: list, ws: Workspace) -> None:
-    name = _atom(node[1], "an algebra name")
+    name = _atom_at(node, 1, "an algebra name")
     sig = ws.sig()
     sizes = [0] * len(sig.sorts)
     seen_sizes = [False] * len(sig.sorts)
@@ -287,7 +305,7 @@ def _parse_algebra(node: list, ws: Workspace) -> None:
             sizes[s] = _int(form[2], "carrier size")
             seen_sizes[s] = True
         elif head == "table":
-            opname = _atom(form[1], "an operation name")
+            opname = _atom_at(form, 1, "an operation name")
             if not sig.has_op(opname):
                 raise SexprError(f"unknown operation {opname!r}", *_pos(form))
             op = sig.op(opname)
@@ -310,7 +328,7 @@ def _parse_algebra(node: list, ws: Workspace) -> None:
 
 
 def _parse_context(node: list, ws: Workspace) -> None:
-    name = _atom(node[1], "a context name")
+    name = _atom_at(node, 1, "a context name")
     sig = ws.sig()
     decls = []
     for v in node[2:]:
@@ -328,14 +346,14 @@ def _parse_context(node: list, ws: Workspace) -> None:
 
 
 def _parse_model(node: list, ws: Workspace) -> None:
-    name = _atom(node[1], "a model name")
-    alg = ws.algebra(_atom(node[2], "an algebra name"))
+    name = _atom_at(node, 1, "a model name")
+    alg = ws.algebra(_atom_at(node, 2, "an algebra name"))
     rel_sig = ws.rel_sig()
     rels: dict[str, list[tuple[int, ...]]] = {}
     for form in node[3:]:
         if _head(form) != "rel":
             raise SexprError("model forms are (rel name rows...)", *_pos(form))
-        rname = _atom(form[1], "a relation name")
+        rname = _atom_at(form, 1, "a relation name")
         rows = []
         for row in form[2:]:
             if not isinstance(row, list):
@@ -346,8 +364,8 @@ def _parse_model(node: list, ws: Workspace) -> None:
 
 
 def _parse_clause(node: list, ws: Workspace) -> None:
-    name = _atom(node[1], "a clause name")
-    kind = _atom(node[2], "a clause kind")
+    name = _atom_at(node, 1, "a clause name")
+    kind = _atom_at(node, 2, "a clause kind")
     sig = ws.sig()
     body = node[3:]
     if kind == "identity":
@@ -401,7 +419,7 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
     for node in parse_nodes(src):
         head = _head(node)
         if head == "sort":
-            sname = _atom(node[1], "a sort name")
+            sname = _atom_at(node, 1, "a sort name")
             if ws._sig is not None:
                 raise SexprError("sorts must be declared before algebras or terms")
             ws.sorts.append(sname)
@@ -422,7 +440,7 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
         elif head == "context":
             _parse_context(node, ws)
         elif head == "pairs":
-            name = _atom(node[1], "a pairs name")
+            name = _atom_at(node, 1, "a pairs name")
             ws.pairsets[name] = PairSet(parse_pair(p, ws.sig()) for p in node[2:])
         elif head == "rel-sig":
             if ws._rel_sig is not None:
@@ -439,8 +457,8 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
         elif head == "model":
             _parse_model(node, ws)
         elif head == "formula":
-            name = _atom(node[1], "a formula name")
-            ws.formulas[name] = parse_formula(node[2], ws)
+            name = _atom_at(node, 1, "a formula name")
+            ws.formulas[name] = parse_formula(_item(node, 2, "a formula"), ws)
         elif head == "clause":
             _parse_clause(node, ws)
         else:

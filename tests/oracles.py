@@ -335,3 +335,63 @@ def o_eval_formula(m, f, ctx, all_points):
         return False
 
     return sorted(p for p in all_points if sat(f, o_env(ctx, p)))
+
+
+def o_tokenize(src: str) -> list[tuple[str, int, int]]:
+    """(text, line, col) of each token, walking the text one character at a time."""
+    out = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < n and src[i] != "\n":
+                i += 1
+        elif ch in "()":
+            out.append((ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start, scol = i, col
+            while i < n and src[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            out.append((src[start:i], line, scol))
+    return out
+
+
+def o_parse_nodes(src: str) -> list:
+    """Top-level forms as nested lists of (text, line, col) atoms, by recursive
+    descent; errors are ValueError with the reader's "line:col: message" text."""
+    tokens = o_tokenize(src)
+    pos = 0
+
+    def walk():
+        nonlocal pos
+        tok = tokens[pos]
+        if tok[0] == "(":
+            pos += 1
+            items = []
+            while True:
+                if pos >= len(tokens):
+                    raise ValueError(f"{tok[1]}:{tok[2]}: unclosed parenthesis")
+                if tokens[pos][0] == ")":
+                    pos += 1
+                    return items
+                items.append(walk())
+        if tok[0] == ")":
+            raise ValueError(f"{tok[1]}:{tok[2]}: unexpected ')'")
+        pos += 1
+        return tok
+
+    out = []
+    while pos < len(tokens):
+        out.append(walk())
+    return out

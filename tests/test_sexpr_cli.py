@@ -1,10 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import uag.cli as cli
 import uag.geometry as geometry
 from uag.cli import main
 from uag.logic import And, Eq, Exists, Not, Or, Rel
@@ -61,6 +64,34 @@ def test_parse_unclosed():
         parse_nodes("(a (b)")
     with pytest.raises(SexprError, match="unexpected"):
         parse_nodes(")")
+
+
+def _shape(node):
+    if isinstance(node, list):
+        return [_shape(n) for n in node]
+    return (node.text, node.line, node.col)
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet="() \t\r\n;ab1-\f\u00e9", max_size=60))
+def test_reader_matches_oracle(src):
+    try:
+        want = ("ok", oracles.o_parse_nodes(src))
+    except ValueError as e:
+        want = ("error", str(e))
+    try:
+        got = ("ok", [_shape(n) for n in parse_nodes(src)])
+    except SexprError as e:
+        got = ("error", str(e))
+    assert got == want
+
+
+def test_reader_nests_deeper_than_the_recursion_limit():
+    depth = 5000
+    [node] = parse_nodes("(" * depth + "x" + ")" * depth)
+    for _ in range(depth):
+        [node] = node
+    assert (node.text, node.line, node.col) == ("x", 1, depth + 1)
 
 
 def test_load_workspace_full():
@@ -383,3 +414,113 @@ def test_cli_check_single_suite():
     code, out = run_cli("check", "--suite", "halmos", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+SIG_OP = "(sort g) (op e () g) "
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(sort)",
+        "(pairs)",
+        "(algebra)",
+        "(context)",
+        "(formula f)",
+        "(clause c)",
+        "(model M)",
+        SIG_OP + "(algebra A (table))",
+        SIG_OP + "(algebra A (carrier g 1) (table e (0))) (rel-sig (P g)) (model M A (rel))",
+    ],
+)
+def test_cli_short_workspace_form_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "short.sx"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("parse", "-f", str(path))[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1:") and err.count("\n") == 1, err
+
+
+TWO_VARIETIES = ["--ctx-a", "C1", "--pairs-a", "T", "--ctx-b", "C1", "--pairs-b", "T"]
+
+# a valid argv for every verb, without the verb; no verb runs in the tests below
+VALID_ARGS = {
+    "parse": ["--builtin", "group"],
+    "eval": ["--builtin", "group", "-a", "Z4", "-c", "C2", "--term", "(mul x y)", "--point", "1,2"],
+    "variety": ["-a", "Z4", "-c", "C2", "-p", "T", "--cap", "9"],
+    "closure": ["-a", "Z4", "-c", "C2", "-p", "T", "--query", "(x e)"],
+    "nullsatz": ["--image", "Z2", "--assignment", "1", "--target", "Z4", "-c", "C1"],
+    "point-closure": ["-a", "Z4", "-c", "C1", "--point", "1", "-f", "a.sx", "-f", "b.sx"],
+    "verbal": ["-a", "Z4", "-c", "C2", "-p", "T", "--ictx", "C1"],
+    "morphism": ["-a", "Z4", *TWO_VARIETIES, "--subst", "((x x))"],
+    "iso": ["-a", "Z4", *TWO_VARIETIES, "--bound", "8"],
+    "equiv": ["-a", "Z2", "-b", "Z4", "-c", "C1", "--mode", "sampled", "--samples", "5",
+              "--max-points", "9"],
+    "derive": ["--kind", "pseudo", "--seeds", "a,b", "--width", "1", "--quackenbush", "--depth", "2"],
+    "query": ["-a", "Z4", "--clause", "k", "-c", "C1", "--format", "json"],
+    "fo-variety": ["--model", "M", "-c", "C2", "--formulas", "q", "--closure-query", "q"],
+    "check": ["--suite", "halmos", "--trials", "3", "--seed", "4"],
+    "experiment": ["--name", "submodel-closure", "--trials", "2"],
+}
+
+ARGV_CORPUS = [[], ["-h"], ["bogus"], ["--format", "json", "parse"]] + [
+    argv
+    for verb, rest in VALID_ARGS.items()
+    for argv in (
+        [verb, *rest],
+        [verb, "-h"],
+        [verb],
+        [verb, *rest, "--format", "xml"],
+        [verb, *rest, "--trials", "many"],
+        [verb, *rest, "--bogus"],
+    )
+]
+
+
+def _parsed(parse, argv, capsys):
+    """(exit code, stdout, stderr, namespace without fn) of one parse."""
+    capsys.readouterr()
+    try:
+        ns = {k: v for k, v in vars(parse(argv)).items() if k != "fn"}
+        code = 0
+    except SystemExit as e:
+        ns, code = None, e.code
+    out, err = capsys.readouterr()
+    return code, out, err, ns
+
+
+def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = []
+    for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+
+    def through_main(argv):
+        seen.clear()
+        assert main(list(argv)) == 0
+        return seen[0]
+
+    codes = set()
+    for argv in ARGV_CORPUS:
+        got = _parsed(through_main, argv, capsys)
+        assert got == _parsed(cli.make_parser().parse_args, argv, capsys), argv
+        codes.add(got[0])
+    assert codes == {0, 2}
+
+
+def test_a_call_registers_only_its_verb(monkeypatch, capsys):
+    registered = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        registered.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run_cli("parse", "--builtin", "group")[0] == 0
+    assert registered == ["parse"]
+    registered.clear()
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert registered == list(cli.VERBS) and len(registered) == 15

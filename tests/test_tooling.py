@@ -1,5 +1,8 @@
+import argparse
 import ast
 from pathlib import Path
+
+import uag.cli as cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uag"
 
@@ -29,3 +32,12 @@ def test_no_unused_imports_in_the_package():
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_cmd_function_is_bound_to_exactly_one_verb():
+    [sub] = [a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bound = {verb: p.get_default("fn") for verb, p in sub.choices.items()}
+    cmds = {fn for name, fn in vars(cli).items() if name.startswith("cmd_") and callable(fn)}
+    assert list(bound) == list(cli.VERBS)
+    assert len(set(bound.values())) == len(bound)
+    assert set(bound.values()) == cmds
