@@ -241,12 +241,6 @@ class GeneratedSubalgebra:
             self._alg._nested = self.cells
         return self._alg
 
-    def on_positions(self) -> "GeneratedSubalgebra":
-        """This generation as the subalgebra of as_algebra() it spans."""
-        view = self._renamed(tuple(tuple(range(len(m))) for m in self.members))
-        view._alg = self.as_algebra()
-        return view
-
     def _renamed(self, members) -> "GeneratedSubalgebra":
         gen_vars = tuple((name, s, members[s][pos]) for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds))
         index = [{e: i for i, e in enumerate(ms)} for ms in members]

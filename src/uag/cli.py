@@ -183,7 +183,7 @@ def cmd_closure(args) -> int:
         "verb": "closure",
         "algebra": g.name,
         "count": len(a),
-        "presentation": presentation_pairs(k, args.cap),
+        "presentation": presentation_pairs(k),
     }
     code = 0
     if args.query:
@@ -214,7 +214,7 @@ def cmd_point_closure(args) -> int:
     ctx = ws.context(args.context)
     gctx = GeoContext(g, ctx, args.cap)
     p = parse_point(args.point, ctx, g)
-    pc = point_closure(gctx, p, args.cap)
+    pc = point_closure(gctx, p)
     _out(
         args,
         {"verb": "point-closure", "algebra": g.name, "point": list(p), "count": len(pc), "points": pc},

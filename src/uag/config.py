@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 DEFAULT_CAP = 1 << 20
 
 
@@ -21,13 +19,8 @@ class CapExceeded(RuntimeError):
 
 
 def get_cap(explicit: int | None = None) -> int:
-    """Resolve the enumeration cap: explicit argument, then UAG_CAP, then default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("UAG_CAP")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    """The enumeration cap: the explicit argument, else DEFAULT_CAP."""
+    return DEFAULT_CAP if explicit is None else explicit
 
 
 def check_cap(what: str, count: int, cap: int | None = None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .config import CapExceeded, get_cap
+from .config import get_cap
 from .algebras import (
     FiniteAlgebra,
     GeneratedSubalgebra,
@@ -23,7 +23,7 @@ from .algebras import (
     subalgebra_generated,
     unit_algebra,
 )
-from .terms import App, Term, VarContext, subterm_universe, term_key
+from .terms import App, Term, VarContext, term_key
 
 
 Pair = tuple[Term, Term]
@@ -70,9 +70,6 @@ class PairSet:
 
     def union(self, other: "PairSet") -> "PairSet":
         return PairSet((*self.pairs, *other.pairs))
-
-    def terms(self) -> list[Term]:
-        return subterm_universe(t for p in self.pairs for t in p)
 
     def __repr__(self) -> str:
         return f"PairSet({len(self.pairs)} pairs)"
@@ -209,10 +206,6 @@ class KernelCongruence:
     def rows(self) -> list[tuple[int, int]]:
         return [(s, e) for (_, s), e in zip(self.ctx.vars, self.assignment)]
 
-    def materialize(self, cap: Optional[int] = None) -> "KernelCongruence":
-        """Already materialized: itself (LazyMeetKernel builds one)."""
-        return self
-
     def image(self) -> GeneratedSubalgebra:
         """The generated image subalgebra, generators named by context variables.
 
@@ -229,10 +222,11 @@ class KernelCongruence:
 def generated_kernel(sub: GeneratedSubalgebra, ctx: VarContext) -> KernelCongruence:
     """Ker of W(ctx) onto a generation seeded by ctx's variable rows.
 
-    The target is the generated algebra itself, which the kernel carries as
-    its image.
+    The target is the generated algebra itself, and the generation is the
+    kernel's image; its members stay tuples over the factors, which no
+    reader of image() looks at.
     """
-    return KernelCongruence(sub.as_algebra(), ctx, sub.generator_point(), image=sub.on_positions())
+    return KernelCongruence(sub.as_algebra(), ctx, sub.generator_point(), image=sub)
 
 
 def unit_kernel(ctx: VarContext, sig) -> KernelCongruence:
@@ -243,20 +237,17 @@ def unit_kernel(ctx: VarContext, sig) -> KernelCongruence:
 class LazyMeetKernel:
     """Meet of kernels kept as a list; membership is conjunction of memberships.
 
-    Stands in for the meet when generating its image overflowed the cap;
-    overflow is that CapExceeded. Exact comparisons need a materialized
-    KernelCongruence: materialize() builds one if the cap permits, and under
-    the cap that overflowed re-raises at once instead of generating again.
+    Answers membership without generating the meet's image; meet_kernels
+    builds the exact KernelCongruence.
     """
 
-    __slots__ = ("kernels", "ctx", "overflow")
+    __slots__ = ("kernels", "ctx")
 
-    def __init__(self, kernels: Sequence[KernelCongruence], overflow: Optional[CapExceeded] = None):
+    def __init__(self, kernels: Sequence[KernelCongruence]):
         if not kernels:
             raise ValueError("lazy meet needs at least one kernel")
         self.kernels = tuple(kernels)
         self.ctx = kernels[0].ctx
-        self.overflow = overflow
 
     def members(self, pairs: Iterable[Pair]) -> list[bool]:
         """Membership of each pair; a kernel only sees the pairs all earlier ones hold."""
@@ -273,12 +264,6 @@ class LazyMeetKernel:
     def contains(self, pair: Pair) -> bool:
         return self.members([pair])[0]
 
-    def materialize(self, cap: Optional[int] = None) -> KernelCongruence:
-        o = self.overflow
-        if o is not None and get_cap(cap) == o.cap:
-            raise CapExceeded(o.what, o.count, o.cap)
-        return meet_kernels(list(self.kernels), cap=cap, force=True)
-
     def __repr__(self) -> str:
         return f"LazyMeetKernel({len(self.kernels)} kernels)"
 
@@ -288,15 +273,14 @@ def meet_kernels(
     sig=None,
     ctx: Optional[VarContext] = None,
     cap: Optional[int] = None,
-    force: bool = False,
-) -> KernelCongruence | LazyMeetKernel:
+) -> KernelCongruence:
     """Meet of kernel congruences; empty input yields the unit congruence.
 
     The meet is the kernel onto the image of W(ctx) in the product of the
     targets: the subalgebra generated by the paired variable rows, never the
     whole product. Its members and table cells are charged against the cap
-    as they are generated; past the cap a lazy membership-only form is
-    returned (force=True raises instead of going lazy).
+    as they are generated, and past the cap that generation raises
+    CapExceeded.
     """
     if not ks:
         if sig is None or ctx is None:
@@ -309,14 +293,9 @@ def meet_kernels(
     if len(ks) == 1:
         return first
     rows = [(s, tuple(k.assignment[i] for k in ks)) for i, (_, s) in enumerate(first.ctx.vars)]
-    try:
-        sub = generate(
-            [k.target for k in ks], rows, first.ctx.names, get_cap(cap), charge_cells=True, stage="kernel meet image"
-        )
-    except CapExceeded as e:
-        if force:
-            raise
-        return LazyMeetKernel(ks, e)
+    sub = generate(
+        [k.target for k in ks], rows, first.ctx.names, get_cap(cap), charge_cells=True, stage="kernel meet image"
+    )
     return generated_kernel(sub, first.ctx)
 
 
@@ -324,13 +303,12 @@ def kernel_of_point(p: Point, g: FiniteAlgebra, ctx: VarContext) -> KernelCongru
     return KernelCongruence(g, ctx, p)
 
 
-def kernel_leq(k1, k2, cap: Optional[int] = None) -> bool:
+def kernel_leq(k1: KernelCongruence, k2: KernelCongruence) -> bool:
     """Ker(phi1) included in Ker(phi2), decided by homomorphic factorization.
 
     Builds the image of phi1 and attempts the extension sending each variable
     row of k1 to the corresponding row of k2; inclusion holds iff it exists.
     """
-    k1, k2 = k1.materialize(cap), k2.materialize(cap)
     if k1.ctx.vars != k2.ctx.vars:
         raise ValueError("kernel comparison needs a common context")
     return k1.image().extend(k2.assignment, k2.target) is not None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import eq
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,7 +30,6 @@ from .algebras import (
 )
 from .congruences import (
     KernelCongruence,
-    LazyMeetKernel,
     Pair,
     PairSet,
     generated_kernel,
@@ -108,48 +107,42 @@ def coordinate_algebra(a: PointSet, cap: Optional[int] = None) -> CoordinateAlge
     return CoordinateAlgebra(gctx, pts, sub)
 
 
-def congruence_of(a: PointSet, cap: Optional[int] = None):
+def congruence_of(a: PointSet, cap: Optional[int] = None) -> KernelCongruence:
     """A', the kernel congruence cutting out the point set.
 
-    Empty sets yield the unit congruence. If the coordinate algebra overflows
-    the cap the result is the lazy meet of the point kernels: that meet's
-    image is the coordinate algebra, so materializing it overflows too.
+    Empty sets yield the unit congruence; otherwise it is the kernel onto the
+    coordinate algebra, whose generation raises CapExceeded past the cap.
     """
     if len(a) == 0:
         return unit_kernel(a.gctx.ctx, a.gctx.sig)
-    try:
-        return coordinate_algebra(a, cap).kernel()
-    except CapExceeded as e:
-        ks = [kernel_of_point(p, a.gctx.g, a.gctx.ctx) for p in a.points()]
-        return ks[0] if len(ks) == 1 else LazyMeetKernel(ks, e)
+    return coordinate_algebra(a, cap).kernel()
 
 
-def variety_of_kernel(k, gctx: GeoContext, cap: Optional[int] = None) -> PointSet:
+def variety_of_kernel(k: KernelCongruence, gctx: GeoContext) -> PointSet:
     """All points whose kernel contains the given congruence.
 
     Decided per point by factoring through the image algebra of k, so no
     term enumeration is involved.
     """
-    k = k.materialize(cap)
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
     sub, g = k.image(), gctx.g
     return PointSet.of_flags(gctx, [sub.extend(p, g) is not None for p in gctx.points])
 
 
-def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None):
+def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None) -> KernelCongruence:
     """T'' as a kernel congruence: membership via .contains."""
     return congruence_of(variety_of(gctx, pairs), cap)
 
 
 def closure_variety(a: PointSet, cap: Optional[int] = None) -> PointSet:
     """A'' inside the same point space."""
-    return variety_of_kernel(congruence_of(a, cap), a.gctx, cap)
+    return variety_of_kernel(congruence_of(a, cap), a.gctx)
 
 
-def point_closure(gctx: GeoContext, p: Point, cap: Optional[int] = None) -> PointSet:
+def point_closure(gctx: GeoContext, p: Point) -> PointSet:
     """Closure of a single point: all points whose kernel contains its kernel."""
-    return variety_of_kernel(kernel_of_point(tuple(p), gctx.g, gctx.ctx), gctx, cap)
+    return variety_of_kernel(kernel_of_point(tuple(p), gctx.g, gctx.ctx), gctx)
 
 
 def verbal_variety(
@@ -239,15 +232,14 @@ def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
     return MorphismCheck(True)
 
 
-def presentation_pairs(k, cap: Optional[int] = None) -> PairSet:
+def presentation_pairs(k: KernelCongruence) -> PairSet:
     """Equations presenting a kernel congruence, read off its image.
 
     For every target H and point v: v satisfies these pairs iff k is
     contained in Ker(v), because the pairs transcribe the image's operation
     tables through the witness terms. The unit kernel's image presents the
-    unit congruence; a lazy meet is materialized under the cap first.
+    unit congruence.
     """
-    k = k.materialize(cap)
     sub = k.image()
     wit = sub.witnesses
     pairs: list[Pair] = []
@@ -286,7 +278,7 @@ def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
 
         def clo(front: int) -> int:
             k = congruence_of(PointSet.of_mask(gctx, front), cap)
-            return variety_of_kernel(k, gctx, cap).mask
+            return variety_of_kernel(k, gctx).mask
 
     else:
 
@@ -354,7 +346,6 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     means the kernels coincide (the collision-free pairing is a
     homomorphism both ways).
     """
-    ka, kb = ka.materialize(cap), kb.materialize(cap)
     if ka.ctx.vars != kb.ctx.vars:
         raise ValueError("kernels live over different contexts")
     first: dict[tuple[int, int, int], Term] = {}  # (side, sort, element) -> earliest witness
@@ -374,14 +365,17 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     return hit
 
 
+# each verdict's first field is its JSON tag, set by the class
 @dataclass(frozen=True)
 class Equivalent:
+    verdict: str = field(default="equivalent", init=False, repr=False)
     mode: str
     notice: str = ""
 
 
 @dataclass(frozen=True)
 class NotEquivalent:
+    verdict: str = field(default="not-equivalent", init=False, repr=False)
     equations: PairSet
     pair: Pair
     holds_in: str
@@ -391,6 +385,7 @@ class NotEquivalent:
 
 @dataclass(frozen=True)
 class Inconclusive:
+    verdict: str = field(default="inconclusive", init=False, repr=False)
     samples: int
     notice: str = ""
 
@@ -432,8 +427,8 @@ def geometric_equiv(
     if mode == "exact":
         for src, dst in ((gg, gh), (gh, gg)):
             for closed in all_closed_point_sets(src, cap):
-                k = congruence_of(closed, cap).materialize(cap)
-                k2 = congruence_of(variety_of_kernel(k, dst, cap), cap).materialize(cap)
+                k = congruence_of(closed, cap)
+                k2 = congruence_of(variety_of_kernel(k, dst), cap)
                 hit = separating_pair(k, k2, cap)
                 if hit:
                     return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
@@ -444,9 +439,7 @@ def geometric_equiv(
     pool = candidate_pairs(g.sig, ctx, depth, seed, count=max(20, samples))
 
     def closures(eqs):
-        kg = congruence_of(variety_of(gg, eqs), cap).materialize(cap)
-        kh = congruence_of(variety_of(gh, eqs), cap).materialize(cap)
-        return kg, kh
+        return congruence_of(variety_of(gg, eqs), cap), congruence_of(variety_of(gh, eqs), cap)
 
     for _ in range(samples):
         take = rng.randint(0, min(3, len(pool)))
@@ -630,8 +623,6 @@ class NullstellensatzReport:
     image_sizes: tuple[int, ...]
     quotient_sizes: tuple[int, ...]
     hom_count: int
-    image_digest: str
-    target_digest: str
     separating: Optional[Pair] = None
 
 
@@ -657,8 +648,8 @@ def nullstellensatz_check(
         t_kernel.ctx,
         tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point())),
     )
-    points = variety_of_kernel(t_kernel, gctx, cap)
-    lhs = congruence_of(points, cap).materialize(cap)
+    points = variety_of_kernel(t_kernel, gctx)
+    lhs = congruence_of(points, cap)
     hit = separating_pair(lhs, rhs, cap)
     # the meet of the point kernels, taken pointwise: a probe is in it iff
     # its sides agree at every point, so nothing is generated
@@ -671,8 +662,6 @@ def nullstellensatz_check(
         image_sizes=a0.sizes,
         quotient_sizes=q.sizes,
         hom_count=len(homs),
-        image_digest=a0.digest(),
-        target_digest=gctx.g.digest(),
         separating=hit,
     )
 

@@ -8,25 +8,19 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .congruences import PairSet
-from .geometry import (
-    Equivalent,
-    FaithfulVerdict,
-    Inconclusive,
-    MorphismCheck,
-    NotEquivalent,
-    NullstellensatzReport,
-    VarietyIso,
-)
-from .logic import FundamentalReport, OpenVarietyReport
 from .rules import Clause, DeriveResult
 from .spaces import PointSet
 from .terms import Substitution, Term, render
 
 
 def to_jsonable(obj: Any) -> Any:
+    """Plain JSON data for a result; a result dataclass becomes its fields in
+    declaration order, and only Clause and DeriveResult, whose JSON is not
+    their field list, are spelled out."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Term):
@@ -57,55 +51,8 @@ def to_jsonable(obj: Any) -> Any:
             "rounds": obj.rounds,
             "clauses": [to_jsonable(c) for c in obj.clauses],
         }
-    if isinstance(obj, Equivalent):
-        return {"verdict": "equivalent", "mode": obj.mode, "notice": obj.notice}
-    if isinstance(obj, NotEquivalent):
-        return {
-            "verdict": "not-equivalent",
-            "equations": to_jsonable(obj.equations),
-            "pair": to_jsonable_pair(obj.pair),
-            "holds_in": obj.holds_in,
-            "fails_in": obj.fails_in,
-            "notice": obj.notice,
-        }
-    if isinstance(obj, Inconclusive):
-        return {"verdict": "inconclusive", "samples": obj.samples, "notice": obj.notice}
-    if isinstance(obj, MorphismCheck):
-        return {
-            "ok": obj.ok,
-            "failing_point": list(obj.failing_point) if obj.failing_point else None,
-            "image_point": list(obj.image_point) if obj.image_point else None,
-        }
-    if isinstance(obj, VarietyIso):
-        return {"forward": to_jsonable(obj.forward), "backward": to_jsonable(obj.backward)}
-    if isinstance(obj, NullstellensatzReport):
-        return {
-            "agrees": obj.agrees,
-            "meet_agrees": obj.meet_agrees,
-            "image_sizes": list(obj.image_sizes),
-            "quotient_sizes": list(obj.quotient_sizes),
-            "hom_count": obj.hom_count,
-            "separating": to_jsonable_pair(obj.separating) if obj.separating else None,
-        }
-    if isinstance(obj, FaithfulVerdict):
-        return {
-            "status": obj.status,
-            "witness": to_jsonable_pair(obj.witness) if obj.witness else None,
-        }
-    if isinstance(obj, FundamentalReport):
-        return {
-            "relation": obj.relation,
-            "open_formula": obj.open_formula,
-            "positive_formula": obj.positive_formula,
-            "sub_value": to_jsonable(obj.sub_value),
-            "restricted_value": to_jsonable(obj.restricted_value),
-        }
-    if isinstance(obj, OpenVarietyReport):
-        return {
-            "agrees": obj.agrees,
-            "all_open": obj.all_open,
-            "mismatches": [list(p) for p in obj.mismatches],
-        }
+    if is_dataclass(obj):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

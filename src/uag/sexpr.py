@@ -153,6 +153,12 @@ def _item(form: list, i: int, what: str) -> Node:
     return form[i]
 
 
+def _end(form: list, n: int) -> None:
+    """A form of exactly n items: an item past them is an error at its position."""
+    if len(form) > n:
+        raise SexprError("unexpected item", *_pos(form[n]))
+
+
 def _atom_at(form: list, i: int, what: str) -> str:
     return _atom(_item(form, i, what), what)
 
@@ -420,6 +426,7 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
         head = _head(node)
         if head == "sort":
             sname = _atom_at(node, 1, "a sort name")
+            _end(node, 2)
             if ws._sig is not None:
                 raise SexprError("sorts must be declared before algebras or terms")
             ws.sorts.append(sname)
@@ -459,6 +466,7 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
         elif head == "formula":
             name = _atom_at(node, 1, "a formula name")
             ws.formulas[name] = parse_formula(_item(node, 2, "a formula"), ws)
+            _end(node, 3)
         elif head == "clause":
             _parse_clause(node, ws)
         else:

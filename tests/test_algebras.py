@@ -25,6 +25,7 @@ from uag.algebras import (
     unit_algebra,
     index_to_tuple,
 )
+from uag.config import DEFAULT_CAP, get_cap
 from uag.congruences import h_ker
 from uag.terms import Signature, VarContext, app, render, var
 
@@ -203,3 +204,9 @@ def test_product_projections_are_homs(n, m):
             z = p.apply("mul", (x, y))
             zt = index_to_tuple(z, [n, m])
             assert zt == ((xt[0] + yt[0]) % n, (xt[1] + yt[1]) % m)
+
+
+def test_the_environment_does_not_set_the_cap(monkeypatch):
+    monkeypatch.setenv("UAG_CAP", "5")
+    assert get_cap() == DEFAULT_CAP
+    assert get_cap(7) == 7

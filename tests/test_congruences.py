@@ -137,7 +137,7 @@ def test_unit_kernel_identifies_everything(gctx2):
 def test_meet_kernels_product_route(z2, gctx2):
     k1 = kernel_of_point((0, 0), z2, gctx2)
     k2 = kernel_of_point((1, 1), z2, gctx2)
-    m = meet_kernels([k1, k2], force=True)
+    m = meet_kernels([k1, k2])
     x, y = var("x"), var("y")
     # x=y holds at both diagonal points, x=e only at the first
     assert k1.contains((x, y)) and k2.contains((x, y))
@@ -148,12 +148,10 @@ def test_meet_kernels_product_route(z2, gctx2):
 
 def test_meet_kernels_lazy_beyond_cap(z4, gctx2):
     ks = [kernel_of_point(p, z4, gctx2) for p in [(0, 1), (1, 2), (2, 3), (3, 0)]]
-    lazy = meet_kernels(ks, cap=8)
-    assert isinstance(lazy, LazyMeetKernel)
+    with pytest.raises(CapExceeded, match="kernel meet image"):
+        meet_kernels(ks, cap=8)
     pair = (app("mul", var("x"), var("x")), app("mul", var("y"), var("y")))
-    assert lazy.contains(pair) == all(k.contains(pair) for k in ks)
-    with pytest.raises(CapExceeded):
-        lazy.materialize(cap=8)
+    assert LazyMeetKernel(ks).contains(pair) == all(k.contains(pair) for k in ks)
 
 
 def test_meet_kernels_image_route(z4, gctx2):

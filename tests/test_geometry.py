@@ -497,6 +497,15 @@ def test_geometric_equiv_sampled_never_equivalent(z2, gctx1):
     assert not isinstance(v, Equivalent)
 
 
+def test_geometric_equiv_sampled_witness_splits_the_closures(z2, z4, gctx2):
+    v = geometric_equiv(z2, z4, gctx2, mode="sampled", samples=6, seed=3)
+    assert isinstance(v, NotEquivalent)
+    by_name = {g.name: g for g in (z2, z4)}
+    eqs = list(v.equations)
+    assert oracles.o_closure_member(by_name[v.holds_in], gctx2, eqs, v.pair)
+    assert not oracles.o_closure_member(by_name[v.fails_in], gctx2, eqs, v.pair)
+
+
 def test_parabola_closure_frozen(r5, rctx2):
     gctx = GeoContext(r5, rctx2)
     parabola = variety_of(gctx, PairSet([(app("mul", Y, Y), X)]))

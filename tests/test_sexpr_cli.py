@@ -524,3 +524,19 @@ def test_a_call_registers_only_its_verb(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(["bogus"])
     assert registered == list(cli.VERBS) and len(registered) == 15
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("(sort g h)", "1:9"),
+        ("(sort g)\n(op e () g)\n(formula f (eq e e) (eq e e e))", "3:22"),
+    ],
+)
+def test_cli_trailing_items_in_a_form_exit_2(tmp_path, capsys, text, where):
+    path = tmp_path / "extra.sx"
+    path.write_text(text)
+    capsys.readouterr()
+    code, _ = run_cli("parse", "-f", str(path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:{where}: unexpected item\n"

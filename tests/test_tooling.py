@@ -34,6 +34,59 @@ def test_no_unused_imports_in_the_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+# the check batteries and the derive steps are called through a table with
+# one shared signature, so some of them leave a parameter unread
+SHARED_SIGNATURE = ("_battery_", "_step_")
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of each function that its body never reads, as name.param.
+
+    self and _-prefixed names are exempt, and so are the functions named
+    with a SHARED_SIGNATURE prefix.
+    """
+    out = []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not child.name.startswith(SHARED_SIGNATURE):
+                    a = child.args
+                    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                    read = {
+                        n.id
+                        for stmt in child.body
+                        for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    }
+                    out.extend(
+                        f"{name}({p.arg})"
+                        for p in params
+                        if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read
+                    )
+                visit(child, f"{name}.")
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_unread_parameters_detector():
+    src = (
+        "def f(a, b, *, c, _d):\n    return a + (lambda: c)()\n"
+        "class K:\n    def m(self, x):\n        def inner(y):\n            return 1\n        return inner\n"
+        "def _step_x(a):\n    pass\n"
+    )
+    assert unread_parameters(src) == ["f(b)", "K.m(x)", "K.m.inner(y)"]
+
+
+def test_every_parameter_is_read():
+    found = {p.name: unread_parameters(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def test_every_cmd_function_is_bound_to_exactly_one_verb():
     [sub] = [a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     bound = {verb: p.get_default("fn") for verb, p in sub.choices.items()}
