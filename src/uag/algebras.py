@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import struct
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +32,7 @@ Point = tuple[int, ...]
 
 
 class FiniteAlgebra:
-    __slots__ = ("sig", "sizes", "tables", "name", "_digest", "_nested")
+    __slots__ = ("sig", "sizes", "tables", "name", "_digest", "_nested", "_bytes")
 
     def __init__(
         self,
@@ -39,16 +40,22 @@ class FiniteAlgebra:
         sizes: Sequence[int],
         tables: Mapping[str, Mapping[tuple[int, ...], int]],
         name: str = "G",
+        validate: bool = True,
     ):
+        """validate=False takes tables known to be total and in range as they are."""
         self.sig = sig
         self.sizes = tuple(sizes)
         self.name = name
         self._digest: Optional[str] = None
         self._nested: Optional[dict] = None
+        self._bytes: Optional[dict] | bool = False  # False until byte_tables() runs
         if len(self.sizes) != len(sig.sorts):
             raise ValueError("one carrier size per sort required")
         if any(n < 1 for n in self.sizes):
             raise ValueError("carriers must be nonempty")
+        if not validate:
+            self.tables = dict(tables)
+            return
         checked: dict[str, dict[tuple[int, ...], int]] = {}
         for op in sig.ops:
             try:
@@ -88,6 +95,19 @@ class FiniteAlgebra:
                 for op in self.sig.ops
             }
         return self._nested
+
+    def byte_tables(self) -> Optional[dict]:
+        """Every op's table for byte-column generation (see _ByteCells).
+
+        A nullary op keeps its value and a unary op becomes a 256-byte
+        translation table. A binary op becomes the pair (times, flat): times
+        sends a to a * n_b, flat sends a * n_b + b to op(a, b). None past the
+        byte bound: a sort of more than 256 elements, an op of arity 3 or
+        more, or a binary op with n_a * n_b > 256.
+        """
+        if self._bytes is False:
+            self._bytes = _byte_tables(self)
+        return self._bytes
 
     def apply(self, op_name: str, args: tuple[int, ...]) -> int:
         return self.tables[op_name][args]
@@ -196,17 +216,18 @@ class GeneratedSubalgebra:
     single algebra (subalgebra_generated), whose members are its elements.
     cells holds every op's table over member positions as nested lists (the
     result position itself for a nullary op); origin lists each generated
-    member's sort, op and generating cell, in discovery order.
+    member's sort, op and generating cell, in discovery order. index, each
+    sort's member -> position map, is built on its first read.
     """
 
     __slots__ = (
-        "sig", "members", "index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg", "_rows"
+        "sig", "members", "_index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg", "_rows"
     )
 
-    def __init__(self, sig, members, index, witnesses, gen_vars, seeds, cells, origin, name):
+    def __init__(self, sig, members, witnesses, gen_vars, seeds, cells, origin, name):
         self.sig: Signature = sig
         self.members: tuple[tuple, ...] = members
-        self.index: list[dict] = index
+        self._index: Optional[list[dict]] = None
         self.witnesses: tuple[tuple[Term, ...], ...] = witnesses
         self.gen_vars: tuple[tuple[str, int, object], ...] = gen_vars
         self.seeds: tuple[tuple[int, int], ...] = seeds
@@ -215,6 +236,12 @@ class GeneratedSubalgebra:
         self.name = name
         self._alg: Optional[FiniteAlgebra] = None
         self._rows: Optional[list] = None
+
+    @property
+    def index(self) -> list[dict]:
+        if self._index is None:
+            self._index = [dict(zip(ms, itertools.count())) for ms in self.members]
+        return self._index
 
     def contains(self, sort: int, element) -> bool:
         return element in self.index[sort]
@@ -237,15 +264,14 @@ class GeneratedSubalgebra:
                 sort = self.sig.sorts[sizes.index(0)]
                 raise ValueError(f"sort {sort!r} has no term over the generators")
             tables = {op.name: _unnest(self.cells[op.name], [sizes[s] for s in op.args]) for op in self.sig.ops}
-            self._alg = FiniteAlgebra(self.sig, sizes, tables, name=self.name)
+            self._alg = FiniteAlgebra(self.sig, sizes, tables, name=self.name, validate=False)
             self._alg._nested = self.cells
         return self._alg
 
     def _renamed(self, members) -> "GeneratedSubalgebra":
         gen_vars = tuple((name, s, members[s][pos]) for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds))
-        index = [{e: i for i, e in enumerate(ms)} for ms in members]
         return GeneratedSubalgebra(
-            self.sig, members, index, self.witnesses, gen_vars, self.seeds, self.cells, self.origin, self.name
+            self.sig, members, self.witnesses, gen_vars, self.seeds, self.cells, self.origin, self.name
         )
 
     def generator_context(self) -> VarContext:
@@ -321,7 +347,7 @@ def generate(
     watch: Optional[Callable[[int, tuple[int, ...], Term], bool]] = None,
     name: Optional[str] = None,
     members_only: bool = False,
-) -> Optional[GeneratedSubalgebra | tuple[tuple[tuple[int, ...], ...], ...]]:
+) -> Optional[GeneratedSubalgebra | tuple[tuple, ...]]:
     """The subalgebra of the product of the factors generated by seed rows.
 
     seeds are (sort, row) pairs, named by names. Generation goes in rounds;
@@ -329,26 +355,40 @@ def generate(
     argument combos that touch a member added in the previous round (nullary
     ops in round one), so every cell is computed once and recorded. Members
     beyond budget raise CapExceeded, and so do cells when charge_cells is set.
-    watch sees each new member before it is added; if it returns true,
-    generation stops and None is returned.
+    watch sees each new member, as a tuple row, before it is added; if it
+    returns true, generation stops and None is returned.
+
+    Over a power G^N (every factor the same algebra object, at least two of
+    them) with no watch, where every sort of G has at most 256 elements,
+    every op has arity at most 2 and each binary op has n_a * n_b <= 256, a
+    member is kept as one bytes column and a run's cells are computed by
+    byte translation (_ByteCells); any other input keeps tuple rows, each
+    cell read off the factors' tables. Both kinds of key go through the same
+    round loop, so members, witnesses, cells, origin and CapExceeded are the
+    same either way, and the members of the result are tuple rows either way.
 
     With members_only the result is just the members of each sort, in
     discovery order: no witness terms are built (so none is interned), and
     no cells or origin are recorded. Members and cells are charged as with
-    charge_cells, so the same rows overflow at the same count.
+    charge_cells, so the same rows overflow at the same count. Those members
+    are left as generation keeps them, bytes columns or tuple rows.
     """
     sig = _common_sig(factors)
     nsorts = len(sig.sorts)
     charge_cells = charge_cells or members_only
-    members: list[list[tuple[int, ...]]] = [[] for _ in range(nsorts)]
-    index: list[dict[tuple[int, ...], int]] = [{} for _ in range(nsorts)]
+    members: list[list] = [[] for _ in range(nsorts)]
+    index: list[dict] = [{} for _ in range(nsorts)]
     witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
     origin: list[tuple[int, Op, tuple[int, ...]]] = []
     cells: dict[str, object] = {op.name: None if members_only else [] for op in sig.ops}
     columns = {op.name: [f.nested()[op.name] for f in factors] for op in sig.ops}
+    power = watch is None and len(factors) > 1 and all(f is factors[0] for f in factors)
+    tables = factors[0].byte_tables() if power else None
+    byte = None if tables is None else _ByteCells(tables, len(factors), members)
+    column = tuple if byte is None else bytes  # a member made from its entries
     total = charged = 0
 
-    def add(s: int, key: tuple[int, ...], op: Optional[Op], combo: tuple[int, ...] = (), gen_name: str = "") -> int:
+    def add(s: int, key, op: Optional[Op], combo: tuple[int, ...] = (), gen_name: str = "") -> int:
         """Adds a member made by op from the members at combo, or a seed (op None)."""
         nonlocal total
         wit = None
@@ -376,7 +416,8 @@ def generate(
 
     try:
         seed_pos = []
-        for (s, key), gen_name in zip(seeds, names):
+        for (s, row), gen_name in zip(seeds, names):
+            key = column(row)
             pos = index[s].get(key)
             if pos is None:
                 pos = add(s, key, None, gen_name=gen_name)
@@ -386,11 +427,11 @@ def generate(
         while True:
             cur = [len(m) for m in members]
             for op in sig.ops:
-                cols, idx, arg_sorts = columns[op.name], index[op.result], op.args
+                idx, arg_sorts = index[op.result], op.args
                 if not arg_sorts:
                     if first:
                         charge(1)
-                        key = tuple(cols)
+                        key = column(columns[op.name])
                         pos = idx.get(key)
                         if pos is None:
                             pos = add(op.result, key, op)
@@ -401,11 +442,20 @@ def generate(
                     cells[op.name], [old[s] for s in arg_sorts], [cur[s] for s in arg_sorts], False
                 ):
                     charge(len(span))
-                    leaf = cols
-                    for s, i in zip(arg_sorts, prefix):
-                        leaf = list(map(getitem, leaf, members[s][i]))
-                    for j in span:
-                        key = tuple(map(getitem, leaf, last[j]))
+                    if byte is None:
+                        keys = None
+                        leaf = columns[op.name]
+                        for s, i in zip(arg_sorts, prefix):
+                            leaf = list(map(getitem, leaf, members[s][i]))
+                    else:
+                        keys = byte.run(op, prefix, span)
+                        found = list(map(idx.get, keys))
+                        if None not in found:  # no new member: the whole row at once
+                            if row is not None:
+                                row.extend(found)
+                            continue
+                    for k, j in enumerate(span):
+                        key = tuple(map(getitem, leaf, last[j])) if keys is None else keys[k]
                         pos = idx.get(key)
                         if pos is None:
                             pos = add(op.result, key, op, (*prefix, j))
@@ -421,15 +471,71 @@ def generate(
         return tuple(map(tuple, members))
     return GeneratedSubalgebra(
         sig,
-        tuple(map(tuple, members)),
-        index,
+        tuple(map(tuple, members)) if byte is None else tuple(tuple(map(tuple, ms)) for ms in members),
         tuple(map(tuple, witnesses)),
-        tuple((gen_name, s, key) for (s, key), gen_name in zip(seeds, names)),
+        tuple((gen_name, s, row) for (s, row), gen_name in zip(seeds, names)),
         tuple(seed_pos),
         cells,
         origin,
         name or "sub(" + "x".join(f.name for f in factors) + ")",
     )
+
+
+class _ByteCells:
+    """Cells over a power G^N within the byte bound: a member is one bytes column.
+
+    A run works on the members in its span laid end to end, N bytes each.
+    A unary op is one translate of that string. A binary op reads each cell
+    u, v as the base-256 numeral of (u * n_b + v) at every point, which no
+    carry crosses since u * n_b + v < n_a * n_b <= 256: U, the first
+    argument scaled by n_b and repeated once per cell, is one int per
+    prefix; V, the span's second arguments, one int per span, kept while
+    runs repeat the span; then U + V is written back to bytes and translated
+    through the flat table. Either way one struct unpack cuts the result
+    into N-byte cells.
+    """
+
+    def __init__(self, tables: dict[str, object], n: int, members: list[list]):
+        self.tables, self.n, self.members = tables, n, members
+        self.spans: dict[int, tuple[range, int]] = {}  # sort -> (span, V) of its last run
+        self.cut = 0, struct.Struct("").unpack  # (cell count, splitter) of the last run
+
+    def run(self, op: Op, prefix: tuple[int, ...], span: range) -> tuple[bytes, ...]:
+        """The cells of op at prefix followed by each last-argument position in span."""
+        table, s, n = self.tables[op.name], op.args[-1], self.n
+        if not prefix:
+            out = b"".join(self.members[s][span.start : span.stop]).translate(table)
+        else:
+            times, flat = table
+            hit = self.spans.get(s)
+            if hit is None or hit[0] != span:
+                hit = span, int.from_bytes(b"".join(self.members[s][span.start : span.stop]), "big")
+                self.spans[s] = hit
+            u = int.from_bytes(self.members[op.args[0]][prefix[0]].translate(times) * len(span), "big")
+            out = (u + hit[1]).to_bytes(n * len(span), "big").translate(flat)
+        if self.cut[0] != len(span):
+            self.cut = len(span), struct.Struct(f"{n}s" * len(span)).unpack
+        return self.cut[1](out)
+
+
+def _byte_tables(g: FiniteAlgebra) -> Optional[dict[str, object]]:
+    if max(g.sizes) > 256:
+        return None
+    pad = bytes(256)
+    tables: dict[str, object] = {}
+    for op in g.sig.ops:
+        t = g.nested()[op.name]
+        if not op.args:
+            tables[op.name] = t
+        elif len(op.args) == 1:
+            tables[op.name] = (bytes(t) + pad)[:256]
+        elif len(op.args) == 2 and g.sizes[op.args[0]] * g.sizes[op.args[1]] <= 256:
+            nb = g.sizes[op.args[1]]
+            times = bytes(a * nb for a in range(g.sizes[op.args[0]]))
+            tables[op.name] = ((times + pad)[:256], (bytes(itertools.chain.from_iterable(t)) + pad)[:256])
+        else:
+            return None
+    return tables
 
 
 def _round_runs(cells: Optional[list], olds: Sequence[int], curs: Sequence[int], fresh: bool):

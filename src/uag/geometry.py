@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import eq
+from functools import partial
+from operator import eq, lshift
 from typing import Callable, Iterable, Optional, Sequence
 
 from .config import CapExceeded, check_cap, get_cap
@@ -322,14 +323,23 @@ def _equalizers(gctx: GeoContext, cap: Optional[int] = None) -> list[int]:
     # Each column is packed into one int, point i in digit i of w bits, whose
     # top bit (the guard) no value sets. With every guard of u ^ v set,
     # subtracting 1 from each digit clears exactly the guards of the points
-    # where u and v agree.
-    w = max(gctx.g.sizes).bit_length() + 1
-    digits = [format(v, f"0{w}b") for v in range(max(gctx.g.sizes))]
+    # where u and v agree. Below 128 a digit is a byte, so a column, bytes or
+    # tuple, is packed by one int.from_bytes.
+    top = max(gctx.g.sizes) - 1
+    if top < 128:
+        w, pack = 8, partial(int.from_bytes, byteorder="little")
+    else:
+        w = top.bit_length() + 1
+        shifts = range(0, len(pts) * w, w)
+
+        def pack(u) -> int:
+            return sum(map(lshift, u, shifts))
+
     ones = int(("0" * (w - 1) + "1") * len(pts), 2)
     guards = ones << w - 1
     agree: set[int] = set()
     for ms in members:
-        packed = [int("".join(map(digits.__getitem__, reversed(u))), 2) for u in ms]
+        packed = list(map(pack, ms))
         for i, u in enumerate(packed):
             agree.update([guards & ~((u ^ v | guards) - ones) for v in packed[i + 1 :]])
     # the guard of point i is character (n - 1 - i) * w of the numeral

@@ -72,6 +72,17 @@ class Atom:
         return f"Atom(text={self.text!r}, line={self.line!r}, col={self.col!r})"
 
 
+class EmptyForm(list):
+    """``()``, which has no first item to be located by, so it keeps the
+    line and column of its ``(``."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line, self.col = line, col
+
+
 Node = Union[Atom, list]
 
 # one token: a parenthesis, a run of symbol characters, or a comment start;
@@ -96,8 +107,8 @@ def tokenize(src: str) -> list[Atom]:
 
 
 def parse_nodes(src: str) -> list[Node]:
-    """The top-level forms of ``src``: a list is a parenthesized form, an
-    Atom a symbol.
+    """The top-level forms of ``src``: a list is a parenthesized form (an
+    EmptyForm when empty), an Atom a symbol.
 
     A loop with an explicit stack of open lists, so nesting depth is bounded
     by memory, not by Python's recursion limit. A stray ``)`` is reported
@@ -114,8 +125,8 @@ def parse_nodes(src: str) -> list[Node]:
         elif text == ")":
             if not stack:
                 raise SexprError("unexpected ')'", tok.line, tok.col)
-            enclosing = stack.pop()[0]
-            enclosing.append(items)
+            enclosing, opened = stack.pop()
+            enclosing.append(items or EmptyForm(opened.line, opened.col))
             items = enclosing
         else:
             items.append(tok)
@@ -132,9 +143,8 @@ def _head(node: Node) -> str:
 
 
 def _pos(node: Node) -> tuple[int, int]:
-    while isinstance(node, list):
-        if not node:
-            return (0, 0)
+    """Where node's first symbol starts; an empty form's own ``(``."""
+    while isinstance(node, list) and node:
         node = node[0]
     return (node.line, node.col)
 
@@ -239,7 +249,7 @@ def parse_term(node: Node, sig: Signature) -> Term:
             return app(text)
         return var(text)
     if not node:
-        raise SexprError("empty term")
+        raise SexprError("empty term", *_pos(node))
     name = _atom(node[0], "an operation name")
     if not sig.has_op(name):
         raise SexprError(f"unknown operation {name!r}", node[0].line, node[0].col)

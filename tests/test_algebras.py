@@ -9,23 +9,27 @@ from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
     RING_SIG,
+    chain_semilattice,
     cyclic_group,
     enumerate_homs,
     enumerate_points,
     eval_columns,
+    generate,
     inferred_context,
     is_commutative,
+    mod_ring,
     ops_commute,
     point_count,
     product,
     quotient,
     satisfies_identity,
     subalgebra_generated,
+    symmetric_group_3,
     tuple_to_index,
     unit_algebra,
     index_to_tuple,
 )
-from uag.config import DEFAULT_CAP, get_cap
+from uag.config import DEFAULT_CAP, CapExceeded, get_cap
 from uag.congruences import h_ker
 from uag.terms import Signature, VarContext, app, render, var
 
@@ -210,3 +214,69 @@ def test_the_environment_does_not_set_the_cap(monkeypatch):
     monkeypatch.setenv("UAG_CAP", "5")
     assert get_cap() == DEFAULT_CAP
     assert get_cap(7) == 7
+
+
+def _two_sorted():
+    """Sorts a (3) and b (2) with binary, unary and nullary ops."""
+    sig = Signature(
+        ("a", "b"),
+        [("m", ("a", "a"), "a"), ("f", ("b",), "a"), ("h", ("a",), "b"), ("c", (), "a"), ("d", (), "b")],
+    )
+    tables = {
+        "m": {(i, j): (i * j + 1) % 3 for i in range(3) for j in range(3)},
+        "f": {(0,): 0, (1,): 2},
+        "h": {(0,): 1, (1,): 0, (2,): 1},
+        "c": {(): 2},
+        "d": {(): 0},
+    }
+    g = FiniteAlgebra(sig, (3, 2), tables, name="T")
+    return g, VarContext(sig, [("x", "a"), ("y", "b")])
+
+
+def _cross_cases():
+    def single(g, names, pick):
+        ctx = VarContext(g.sig, [(n, g.sig.sorts[0]) for n in names])
+        return g, ctx, pick(enumerate_points(ctx, g))
+
+    two, two_ctx = _two_sorted()
+    return [
+        (*single(cyclic_group(4), "xy", lambda pts: pts[::3]), bytes),
+        (*single(symmetric_group_3(), "xy", lambda pts: pts[1:17:2]), bytes),
+        (*single(chain_semilattice(3), "xyz", lambda pts: pts), bytes),
+        (*single(mod_ring(3), "xy", lambda pts: pts[:4]), bytes),
+        # equal rows: two seeds name one member
+        (*single(cyclic_group(3), "xy", lambda pts: [p for p in pts if p[0] == p[1]]), bytes),
+        (two, two_ctx, enumerate_points(two_ctx, two)[1::2], bytes),
+        # 17 * 17 > 256: the binary op is past the byte bound
+        (*single(cyclic_group(17), "x", lambda pts: pts), tuple),
+    ]
+
+
+@pytest.mark.parametrize("g, ctx, pts, column", _cross_cases(), ids=lambda v: getattr(v, "name", None))
+def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
+    """G^N with one algebra object keeps bytes columns where the byte
+    bound allows; an equal copy among the factors forces tuple rows. Both
+    give the same members, witnesses, cells, origin, seeds and cap errors."""
+    copy = FiniteAlgebra(g.sig, g.sizes, g.tables, name=g.name)
+    rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(ctx.vars)]
+    power, mixed = [g] * len(pts), [g] + [copy] * (len(pts) - 1)
+    assert {type(m) for ms in generate(power, rows, ctx.names, members_only=True) for m in ms} == {column}
+    assert {type(m) for ms in generate(mixed, rows, ctx.names, members_only=True) for m in ms} == {tuple}
+    a, b = generate(power, rows, ctx.names), generate(mixed, rows, ctx.names)
+    assert a.members == b.members
+    assert {s: sorted(ms) for s, ms in enumerate(a.members)} == oracles.o_row_subalgebra(g, ctx, pts)
+    assert [len(ws) for ws in a.witnesses] == [len(ws) for ws in b.witnesses]
+    assert all(u is v for wa, wb in zip(a.witnesses, b.witnesses) for u, v in zip(wa, wb))
+    assert (a.cells, a.origin, a.seeds, a.gen_vars) == (b.cells, b.origin, b.seeds, b.gen_vars)
+    assert a.index == b.index and a.contains(0, a.members[0][0])
+
+    def outcome(factors, cap, flags):
+        try:
+            out = generate(factors, rows, ctx.names, cap, stage="cross", **flags)
+        except CapExceeded as e:
+            return str(e)
+        return [list(map(tuple, ms)) for ms in (out if flags.get("members_only") else out.members)]
+
+    for cap in (1, 2, 5, 17, 60, 250, 1000):
+        for flags in ({}, {"charge_cells": True}, {"members_only": True}):
+            assert outcome(power, cap, flags) == outcome(mixed, cap, flags), (cap, flags)

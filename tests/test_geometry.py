@@ -251,6 +251,7 @@ def test_equalizer_sweep_frozen_digests():
         (cyclic_group(4), 3, 129, "2cfb0cb59882"),
         (cyclic_group(6), 2, 30, "361c51d39864"),
         (mod_ring(2), 3, 256, "0ecab6d5ddee"),
+        (symmetric_group_3(), 2, 90, "828454ad6203"),
     ):
         masks = _masks(all_closed_point_sets(GeoContext(g, _context(g, n))))
         assert len(masks) == count
@@ -321,6 +322,25 @@ def test_equalizer_pairs_are_charged(monkeypatch):
     assert built == []
     assert _masks(all_closed_point_sets(gctx, cap=10)) == want
     assert built and set(built) == {10}
+
+
+@pytest.mark.parametrize(
+    "g, n", [(cyclic_group(4), 2), (symmetric_group_3(), 1), (cyclic_group(17), 1), (cyclic_group(130), 1)]
+)
+def test_equalizers_match_pointwise_comparison(g, n):
+    """The packed guard trick gives the masks of comparing each pair of
+    term functions point by point: one byte per point below 128, for bytes
+    columns and for Z17's tuple rows, and the generic packing for Z130."""
+    gctx = GeoContext(g, _context(g, n))
+    rows = [(0, tuple(p[i] for p in gctx.points)) for i in range(n)]
+    members = generate([g] * len(gctx.points), rows, gctx.ctx.names, members_only=True)
+    want = {
+        sum(1 << i for i, (a, b) in enumerate(zip(u, v)) if a == b)
+        for ms in members
+        for u, v in itertools.combinations(ms, 2)
+    }
+    got = geometry._equalizers(gctx)
+    assert len(got) == len(want) and set(got) == want
 
 
 def test_equalizer_sweep_with_a_termless_sort():

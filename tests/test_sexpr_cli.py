@@ -540,3 +540,19 @@ def test_cli_trailing_items_in_a_form_exit_2(tmp_path, capsys, text, where):
     code, _ = run_cli("parse", "-f", str(path))
     assert code == 2
     assert capsys.readouterr().err == f"error: {path}:{where}: unexpected item\n"
+
+
+@pytest.mark.parametrize(
+    "text, where, msg",
+    [
+        ("(sort g ())", "1:9", "unexpected item"),
+        ("(sort g)\n(op e () g)\n(pairs T\n  (() e))", "4:4", "empty term"),
+    ],
+)
+def test_cli_error_at_an_empty_list_names_its_paren(tmp_path, capsys, text, where, msg):
+    path = tmp_path / "empty.sx"
+    path.write_text(text)
+    capsys.readouterr()
+    code, _ = run_cli("parse", "-f", str(path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}:{where}: {msg}\n"
