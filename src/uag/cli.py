@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import partial
 from typing import Optional
 
 from .algebras import (
@@ -71,26 +72,35 @@ from .spaces import GeoContext, PointSet
 from .terms import Substitution, VarContext, app, render, var
 
 
+# each library's signature and its stock algebras by name, built when named
+STOCK = {
+    "group": (
+        GROUP_SIG,
+        {
+            **{f"Z{n}": partial(cyclic_group, n) for n in (2, 3, 4, 5, 6)},
+            "V4": klein_four,
+            "S3": symmetric_group_3,
+        },
+    ),
+    "semilattice": (
+        SEMILATTICE_SIG,
+        {"C2": partial(chain_semilattice, 2), "C3": partial(chain_semilattice, 3), "Vee": vee_semilattice},
+    ),
+    "ring": (RING_SIG, {f"R{n}": partial(mod_ring, n) for n in (2, 3, 5)}),
+}
+
+
 def builtin_workspace(kind: str) -> Workspace:
-    ws = Workspace()
-    if kind == "group":
-        sig = GROUP_SIG
-        algs = [cyclic_group(n) for n in (2, 3, 4, 5, 6)] + [klein_four(), symmetric_group_3()]
-    elif kind == "semilattice":
-        sig = SEMILATTICE_SIG
-        algs = [chain_semilattice(2), chain_semilattice(3), vee_semilattice()]
-    elif kind == "ring":
-        sig = RING_SIG
-        algs = [mod_ring(2), mod_ring(3), mod_ring(5)]
-    else:
+    if kind not in STOCK:
         raise SexprError(f"unknown builtin library {kind!r}")
+    sig, builders = STOCK[kind]
+    ws = Workspace()
     ws.sorts = list(sig.sorts)
     ws.op_decls = [
         (op.name, tuple(sig.sorts[i] for i in op.args), sig.sorts[op.result]) for op in sig.ops
     ]
     ws._sig = sig
-    for g in algs:
-        ws.algebras[g.name] = g
+    ws.algebras.update(builders)
     s0 = sig.sorts[0]
     ws.contexts["C1"] = VarContext(sig, [("x", s0)])
     ws.contexts["C2"] = VarContext(sig, [("x", s0), ("y", s0)])
@@ -538,7 +548,7 @@ _TWO_VARIETIES = (
 # options every verb takes, registered ahead of the verb's own
 COMMON = (
     _arg("-f", "--file", action="append", help="workspace file (repeatable)"),
-    _arg("--builtin", choices=["group", "semilattice", "ring"], help="preload a stock library"),
+    _arg("--builtin", choices=list(STOCK), help="preload a stock library"),
     _arg("--format", choices=["text", "json"], default="text"),
     _arg("--cap", type=int, default=None, help="state-count guard"),
     _arg("--seed", type=int, default=0),

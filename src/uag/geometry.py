@@ -663,7 +663,7 @@ def nullstellensatz_check(
     hit = separating_pair(lhs, rhs, cap)
     # the meet of the point kernels, taken pointwise: a probe is in it iff
     # its sides agree at every point, so nothing is generated
-    probes = [*presentation_pairs(lhs), *candidate_pairs(gctx.sig, gctx.ctx, 2, seed=17, count=25)]
+    probes = [*presentation_pairs(lhs), *_probe_pool(gctx.sig, gctx.ctx)]
     meet = [u == v for u, v in eval_pairs(probes, points.points(), gctx.g, gctx.ctx)]
     meet_agrees = lhs.members(probes) == meet
     return NullstellensatzReport(
@@ -674,6 +674,20 @@ def nullstellensatz_check(
         hom_count=len(homs),
         separating=hit,
     )
+
+
+_PROBE_POOLS: dict[tuple, tuple[Pair, ...]] = {}
+
+
+def _probe_pool(sig, ctx) -> tuple[Pair, ...]:
+    """nullstellensatz_check's sample probes, candidate_pairs(sig, ctx, 2,
+    seed=17, count=25), built once per signature shape and context; terms
+    are interned for the life of the process, so a kept pool stays valid."""
+    key = (sig.sorts, sig.ops, ctx.vars)
+    pool = _PROBE_POOLS.get(key)
+    if pool is None:
+        pool = _PROBE_POOLS[key] = tuple(candidate_pairs(sig, ctx, 2, seed=17, count=25))
+    return pool
 
 
 def random_term(rng: random.Random, sig, ctx, depth: int, srt: Optional[int] = None) -> Term:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cache
 from operator import eq
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import check_cap
 from .algebras import (
@@ -276,44 +277,57 @@ def halmos_axiom_violations(
     Substitution schemes are tested only where their side conditions hold;
     substitutions violating the conditions are simply skipped for that pair.
     Returns human-readable descriptions of every violation found.
+
+    Works on the values' masks: within one call each cylinder E(mask, ys)
+    and each substitution's image of a mask is computed once.
     """
+    for a in values:
+        gctx._check(a)
     out: list[str] = []
     names = [n for n, _ in gctx.ctx.vars]
     subsets = []
     for r in range(len(names) + 1):
         subsets.extend(frozenset(c) for c in itertools.combinations(names, r))
+    masks = [a.mask for a in values]
+
+    @cache
+    def E(mask: int, ys: frozenset[str]) -> int:
+        return gctx.cylindrify(PointSet.of_mask(gctx, mask), ys).mask
 
     def note(msg: str) -> None:
         out.append(msg)
 
-    for a in values:
-        if exists_set(a, ()) != a:
-            note(f"E(empty) changed a value set of size {len(a)}")
+    for a in masks:
+        if E(a, frozenset()) != a:
+            note(f"E(empty) changed a value set of size {a.bit_count()}")
         for ys in subsets:
-            ea = exists_set(a, ys)
-            if not a.issubset(ea):
+            ea = E(a, ys)
+            if a & ~ea:
                 note(f"a not below E({sorted(ys)})a")
-            if exists_set(ea, ys) != ea:
+            if E(ea, ys) != ea:
                 note(f"E({sorted(ys)}) not idempotent")
         for y1 in subsets:
             for y2 in subsets:
-                if exists_set(a, y1 | y2) != exists_set(exists_set(a, y2), y1):
+                if E(a, y1 | y2) != E(E(a, y2), y1):
                     note(f"E({sorted(y1 | y2)}) != E({sorted(y1)})E({sorted(y2)})")
-    for a in values:
-        for b in values:
+    for a in masks:
+        for b in masks:
             for ys in subsets:
-                lhs = exists_set(a.intersection(exists_set(b, ys)), ys)
-                rhs = exists_set(a, ys).intersection(exists_set(b, ys))
-                if lhs != rhs:
+                eb = E(b, ys)
+                if E(a & eb, ys) != E(a, ys) & eb:
                     note(f"E({sorted(ys)}) fails the meet scheme")
-    acts = [pull_back(s, gctx) for s in substitutions]
+
+    def image_of(act) -> Callable[[int], int]:
+        return cache(lambda mask: act(PointSet.of_mask(gctx, mask)).mask)
+
+    acts = [image_of(pull_back(s, gctx)) for s in substitutions]
     for s1, act1 in zip(substitutions, acts):
         for s2, act2 in zip(substitutions, acts):
             for ys in subsets:
                 if any(s1(n) is not s2(n) for n in names if n not in ys):
                     continue
-                for a in values:
-                    ea = exists_set(a, ys)
+                for a in masks:
+                    ea = E(a, ys)
                     if act1(ea) != act2(ea):
                         note(f"s1 E({sorted(ys)}) != s2 E({sorted(ys)}) for off-agreeing pair")
     for s, act in zip(substitutions, acts):
@@ -335,10 +349,9 @@ def halmos_axiom_violations(
                     ok = False
             if not ok:
                 continue
-            for a in values:
-                lhs = exists_set(act(a), ys)
-                rhs = act(exists_set(a, pre))
-                if lhs != rhs:
+            pre_key = frozenset(pre)
+            for a in masks:
+                if E(act(a), ys) != act(E(a, pre_key)):
                     note(f"E({sorted(ys)})s != s E({sorted(pre)}) despite side conditions")
     return out
 

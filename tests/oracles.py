@@ -395,3 +395,77 @@ def o_parse_nodes(src: str) -> list:
     while pos < len(tokens):
         out.append(walk())
     return out
+
+
+def o_halmos_axiom_violations(gctx, values, substitutions=()) -> list[str]:
+    """The Halmos axiom check as one loop nest over PointSets, with every
+    cylinder and substitution image recomputed where it is used; the
+    library's check must return the same messages in the same order."""
+    from uag.geometry import pull_back
+    from uag.logic import exists_set
+    from uag.terms import term_vars, var
+
+    out: list[str] = []
+    names = [n for n, _ in gctx.ctx.vars]
+    subsets = []
+    for r in range(len(names) + 1):
+        subsets.extend(frozenset(c) for c in itertools.combinations(names, r))
+
+    def note(msg: str) -> None:
+        out.append(msg)
+
+    for a in values:
+        if exists_set(a, ()) != a:
+            note(f"E(empty) changed a value set of size {len(a)}")
+        for ys in subsets:
+            ea = exists_set(a, ys)
+            if not a.issubset(ea):
+                note(f"a not below E({sorted(ys)})a")
+            if exists_set(ea, ys) != ea:
+                note(f"E({sorted(ys)}) not idempotent")
+        for y1 in subsets:
+            for y2 in subsets:
+                if exists_set(a, y1 | y2) != exists_set(exists_set(a, y2), y1):
+                    note(f"E({sorted(y1 | y2)}) != E({sorted(y1)})E({sorted(y2)})")
+    for a in values:
+        for b in values:
+            for ys in subsets:
+                lhs = exists_set(a.intersection(exists_set(b, ys)), ys)
+                rhs = exists_set(a, ys).intersection(exists_set(b, ys))
+                if lhs != rhs:
+                    note(f"E({sorted(ys)}) fails the meet scheme")
+    acts = [pull_back(s, gctx) for s in substitutions]
+    for s1, act1 in zip(substitutions, acts):
+        for s2, act2 in zip(substitutions, acts):
+            for ys in subsets:
+                if any(s1(n) is not s2(n) for n in names if n not in ys):
+                    continue
+                for a in values:
+                    ea = exists_set(a, ys)
+                    if act1(ea) != act2(ea):
+                        note(f"s1 E({sorted(ys)}) != s2 E({sorted(ys)}) for off-agreeing pair")
+    for s, act in zip(substitutions, acts):
+        for ys in subsets:
+            pre: set[str] = set()
+            ok = True
+            seen_targets: dict[str, str] = {}
+            for n in names:
+                image = s(n)
+                image_vars = term_vars(image)
+                if len(image_vars) == 1 and image is var(image_vars[0]) and image_vars[0] in ys:
+                    if seen_targets.setdefault(image_vars[0], n) != n:
+                        ok = False
+                    pre.add(n)
+            if not ok:
+                continue
+            for n in names:
+                if n not in pre and set(term_vars(s(n))) & ys:
+                    ok = False
+            if not ok:
+                continue
+            for a in values:
+                lhs = exists_set(act(a), ys)
+                rhs = act(exists_set(a, pre))
+                if lhs != rhs:
+                    note(f"E({sorted(ys)})s != s E({sorted(pre)}) despite side conditions")
+    return out

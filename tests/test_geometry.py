@@ -577,6 +577,26 @@ def test_nullstellensatz_hom_count_frozen(z4, z2, gctx2):
     assert rep.hom_count == 2
 
 
+def test_nullstellensatz_probe_pool_built_once(monkeypatch, z4, z2, gctx2):
+    """The sample probes are candidate_pairs(sig, ctx, 2, seed=17, count=25),
+    built on the first call for a signature and context and then reused,
+    also by an equal context that is another object."""
+    built = []
+    pairs = geometry.candidate_pairs
+    monkeypatch.setattr(geometry, "_PROBE_POOLS", {})
+    monkeypatch.setattr(geometry, "candidate_pairs", lambda *args, **kw: built.append(args) or pairs(*args, **kw))
+    first = nullstellensatz_check(kernel_of_point((1, 2), z4, gctx2), GeoContext(z2, gctx2))
+    ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
+    again = nullstellensatz_check(kernel_of_point((1, 2), z4, ctx), GeoContext(z2, ctx))
+    assert first == again
+    assert built == [(GROUP_SIG, gctx2, 2)]
+    pool = geometry._probe_pool(GROUP_SIG, ctx)
+    assert pool == tuple(pairs(GROUP_SIG, gctx2, 2, seed=17, count=25))
+    other = VarContext(GROUP_SIG, [("x", "g"), ("z", "g")])
+    assert geometry._probe_pool(GROUP_SIG, other) == tuple(pairs(GROUP_SIG, other, 2, seed=17, count=25))
+    assert len(built) == 2
+
+
 def test_coordinate_algebra_cap(z4, gctx2):
     gctx = GeoContext(z4, gctx2)
     with pytest.raises(CapExceeded):

@@ -196,6 +196,98 @@ def test_halmos_work_counts(monkeypatch, m_z2, gctx3):
         assert sorted(built) == [(8, 1, 2), (8, 2, 2), (8, 4, 2)]
 
 
+def _halmos_input(gctx):
+    """The shape of a derive-fo Halmos op: Z2 over x, y, z, twelve value
+    sets of sizes 0 to 8, four substitutions."""
+    rng = random.Random(11)
+    by_size = {k: [m for m in range(256) if bin(m).count("1") == k] for k in range(9)}
+    values = [PointSet.of_mask(gctx, rng.choice(by_size[k])) for k in (0, 1, 2, 3, 4, 4, 4, 5, 6, 7, 8, 3)]
+    subs = [
+        Substitution({}),
+        Substitution({"x": Y, "y": X}),
+        Substitution({"x": Y}),
+        Substitution({"x": app("mul", X, Y)}),
+    ]
+    return values, subs
+
+
+def test_halmos_computes_each_cylinder_and_image_once_per_call(monkeypatch, m_z2, gctx3):
+    gctx = GeoContext(m_z2.algebra, gctx3)
+    values, subs = _halmos_input(gctx)
+    cylinders, images = [], []
+    cylindrify, preimage = GeoContext.cylindrify, GeoContext.preimage
+
+    def counted_cylindrify(self, a, ys):
+        ys = frozenset(ys)
+        cylinders.append((a.mask, ys))
+        return cylindrify(self, a, ys)
+
+    def counted_preimage(self, image):
+        act, k = preimage(self, image), len(images)
+        images.append([])
+        return lambda a: images[k].append(a.mask) or act(a)
+
+    monkeypatch.setattr(GeoContext, "cylindrify", counted_cylindrify)
+    monkeypatch.setattr(GeoContext, "preimage", counted_preimage)
+    per_call = []
+    for _ in range(2):
+        cylinders.clear()
+        images.clear()
+        assert halmos_axiom_violations(gctx, values, subs) == []
+        assert len(cylinders) == len(set(cylinders))
+        assert len(images) == len(subs)
+        assert all(len(masks) == len(set(masks)) for masks in images)
+        per_call.append((len(cylinders), [len(masks) for masks in images]))
+    # nothing is kept from one call to the next
+    assert per_call[0] == per_call[1]
+    # a loop that recomputes each cylinder where it is used makes 8,508 here
+    assert per_call[0][0] < 500
+
+
+def test_halmos_matches_oracle_under_broken_primitives(monkeypatch, m_z2, gctx3):
+    """A wrong cylindrification and a wrong substitution action, patched
+    where both the library and the oracle reach them, give the same
+    violations in the same order."""
+    gctx = GeoContext(m_z2.algebra, gctx3)
+    values, subs = _halmos_input(gctx)
+    cylindrify, preimage = GeoContext.cylindrify, GeoContext.preimage
+
+    def broken_cylindrify(self, a, ys):
+        ys = frozenset(ys)
+        mask = cylindrify(self, a, ys).mask
+        # drops point 0 from the cylinder of a set holding it, unless z is quantified
+        return PointSet.of_mask(self, mask & ~1 if a.mask & 1 and "z" not in ys else mask)
+
+    def broken_preimage(self, image):
+        act = preimage(self, image)
+        # toggles point 7 whenever point 0 is in the argument
+        return lambda a: PointSet.of_mask(self, act(a).mask ^ (a.mask & 1) << 7)
+
+    monkeypatch.setattr(GeoContext, "cylindrify", broken_cylindrify)
+    want = oracles.o_halmos_axiom_violations(gctx, values)
+    assert want and halmos_axiom_violations(gctx, values) == want
+    monkeypatch.setattr(GeoContext, "preimage", broken_preimage)
+    want = oracles.o_halmos_axiom_violations(gctx, values, subs)
+    assert halmos_axiom_violations(gctx, values, subs) == want
+    schemes = ("E(empty)", "a not below", "not idempotent", ")E(", "meet", "off-agreeing", "side conditions")
+    for scheme in schemes:
+        assert any(scheme in msg for msg in want), scheme
+    monkeypatch.setattr(GeoContext, "cylindrify", cylindrify)
+    want = oracles.o_halmos_axiom_violations(gctx, values, subs)
+    assert want and halmos_axiom_violations(gctx, values, subs) == want
+
+
+def test_halmos_rejects_a_value_set_over_another_context(m_z2, gctx3):
+    gctx, other = GeoContext(m_z2.algebra, gctx3), GeoContext(m_z2.algebra, gctx3)
+    values = [PointSet.of_mask(gctx, 0b1011), PointSet.of_mask(other, 0b110)]
+    errors = []
+    for check in (oracles.o_halmos_axiom_violations, halmos_axiom_violations):
+        with pytest.raises(ValueError) as e:
+            check(gctx, values)
+        errors.append(str(e.value))
+    assert errors == ["point sets live over different contexts"] * 2
+
+
 def test_large_space_tables_stay_linear():
     """On 2^16 points (Z2 over 16 variables), exists_set and pull_back stay
     within memory linear in the point count; a table of one point mask per

@@ -192,6 +192,32 @@ def test_cli_eval_json(tmp_path):
     assert json.loads(out)["value"] == 1
 
 
+def test_builtin_algebras_are_built_when_named(monkeypatch, tmp_path, capsys):
+    from uag.algebras import FiniteAlgebra
+
+    built = []
+    init = FiniteAlgebra.__init__
+    monkeypatch.setattr(FiniteAlgebra, "__init__", lambda self, *a, **kw: built.append(kw["name"]) or init(self, *a, **kw))
+    code, out = run_cli("eval", "--builtin", "group", "-a", "Z2", "-c", "C2", "--term", "(mul x y)", "--point", "1,1")
+    assert code == 0 and "value: 0" in out
+    assert built == ["Z2"]
+    code, out = run_cli("parse", "--builtin", "group", "--format", "json")
+    assert json.loads(out)["algebras"] == ["S3", "V4", "Z2", "Z3", "Z4", "Z5", "Z6"]
+    assert code == 0 and built == ["Z2"]
+    capsys.readouterr()
+    assert run_cli("eval", "--builtin", "ring", "-a", "Z2", "-c", "C1", "--term", "x", "--point", "0")[0] == 2
+    assert capsys.readouterr().err == "error: unknown algebra 'Z2' (known: R2, R3, R5)\n"
+    # every stock name is the name of the algebra it builds
+    for kind, (_, builders) in cli.STOCK.items():
+        ws = cli.builtin_workspace(kind)
+        assert [ws.algebra(name).name for name in builders] == list(builders)
+    # a workspace file's algebra replaces the stock one of that name
+    path = tmp_path / "z2.sx"
+    path.write_text("(algebra Z2 (carrier g 2) (table mul (0 0 1) (0 1 1) (1 0 1) (1 1 1)) (table inv (0 0) (1 1)) (table e (0)))")
+    code, out = run_cli("eval", "--builtin", "group", "-f", str(path), "-a", "Z2", "-c", "C2", "--term", "(mul x y)", "--point", "1,1")
+    assert code == 0 and "value: 1" in out
+
+
 def test_cli_closure_membership_exit_codes():
     code, _ = run_cli(
         "closure", "--builtin", "group", "-a", "Z4", "-c", "C1",
