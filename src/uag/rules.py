@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import eq, ne, or_
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebras import FiniteAlgebra, enumerate_points, eval_pairs, inferred_context
 from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_closure, normalize_pair
@@ -149,61 +149,110 @@ def circ_universal_member(premises: Sequence[Clause], candidate: Clause, choice_
     its equations (kept as a premise) or one of its negated equations (kept
     as a goal); the candidate's negated side always joins the premises.
 
-    Each choice is decided in a fresh ground closure of its premises;
-    derive_closure runs the same test with one closure per distinct premise
-    set, shared by all candidates of the run.
+    The one-candidate, one-combination case of the engine derive_closure
+    runs, with closures of its own; False when the premises have more than
+    choice_cap choices.
     """
-    choices = _choices(premises, choice_cap)
-    return choices is not None and _derives(candidate, choices, lambda prem: ground_closure(PairSet(prem)))
+    groups, todo = _grouped([candidate], ())
+    return _derived_mask(premises, groups, todo, {}, choice_cap) == todo
 
 
-def _shared_closures() -> Callable[[list[Pair]], GroundCongruence]:
-    """A closure lookup that closes each distinct premise set once.
+class _Group:
+    """Candidates with one negated side, which joins every choice's premises.
 
-    Sharing is sound because ground consequence among registered terms does
-    not depend on which other terms are registered, so goals registered by
-    one candidate change no later answer. Keys are term ids, which stay
-    valid because interned terms are never freed.
+    Bits index the candidates, each positive literal is a pair of indices
+    into the group's distinct terms, and held caches, per closure, the bits
+    whose positive side holds there, read off the terms' find roots.
     """
-    memo: dict[frozenset, GroundCongruence] = {}
 
-    def closure(prem: list[Pair]) -> GroundCongruence:
-        key = frozenset([(id(a), id(b)) for a, b in prem])
-        gc = memo.get(key)
-        if gc is None:
-            gc = memo[key] = ground_closure(PairSet(prem))
-        return gc
+    __slots__ = ("neg", "bits", "terms", "literals", "held")
 
-    return closure
+    def __init__(self, neg: PairSet):
+        self.neg = frozenset(neg)
+        self.bits = 0
+        self.terms: dict[Term, int] = {}
+        self.literals: list[tuple[int, int, int]] = []
+        self.held: dict[GroundCongruence, int] = {}
+
+    def add(self, bit: int, pos: PairSet) -> None:
+        self.bits |= bit
+        for a, b in pos:
+            ia = self.terms.setdefault(a, len(self.terms))
+            ib = self.terms.setdefault(b, len(self.terms))
+            self.literals.append((bit, ia, ib))
+
+    def holding(self, gc: GroundCongruence) -> int:
+        bits = self.held.get(gc)
+        if bits is None:
+            for t in self.terms:
+                gc.register(t)
+            roots = [gc.find(t) for t in self.terms]
+            bits = 0
+            for bit, ia, ib in self.literals:
+                if roots[ia] is roots[ib]:
+                    bits |= bit
+            self.held[gc] = bits
+        return bits
 
 
-def _choices(premises: Sequence[Clause], choice_cap: int) -> Optional[Iterator[tuple[list[Pair], list[Pair]]]]:
-    """Every choice of one literal per premise, split into the equations kept
-    as premises and the negated equations kept as goals; None when there are
-    more than choice_cap choices. Lazy, so a test that fails early builds
-    only the choices it reads."""
+def _grouped(candidates: Sequence[Clause], skip: Iterable[Clause]) -> tuple[list[_Group], int]:
+    """The candidates outside skip, grouped by negated side, with bit i
+    standing for candidates[i]; and the mask of their bits."""
+    skip = set(skip)
+    groups: dict[PairSet, _Group] = {}
+    todo = 0
+    for i, cand in enumerate(candidates):
+        if cand not in skip:
+            if cand.neg not in groups:
+                groups[cand.neg] = _Group(cand.neg)
+            groups[cand.neg].add(1 << i, cand.pos)
+            todo |= 1 << i
+    return list(groups.values()), todo
+
+
+def _derived_mask(
+    premises: Sequence[Clause],
+    groups: Sequence[_Group],
+    mask: int,
+    closures: dict[frozenset, GroundCongruence],
+    choice_cap: int,
+) -> int:
+    """The bits of mask whose candidates the premises derive by composition.
+
+    Every choice of one literal per premise, with the candidate's negated
+    side joining the chosen equations, must ground-derive a positive literal
+    of the candidate or a chosen negated equation (a goal). closures holds
+    the ground closure of each premise set closed so far, and gains those
+    this call closes. Sharing is sound because ground consequence among
+    registered terms does not depend on which other terms are registered.
+    Choices are walked lazily, goals are read only for candidates still
+    failing, and the walk stops once no bit is left; 0 when there are more
+    than choice_cap choices.
+    """
     lists = []
     count = 1
     for u in premises:
         lists.append([(q, True) for q in u.pos] + [(q, False) for q in u.neg])
         count *= len(lists[-1])
         if count > choice_cap:
-            return None
-    return (
-        ([q for q, kept in chosen if kept], [q for q, kept in chosen if not kept])
-        for chosen in itertools.product(*lists)
-    )
-
-
-def _derives(candidate: Clause, choices, closure) -> bool:
-    """Does every choice, with the candidate's negated side joining its
-    premises, ground-derive a positive literal of the candidate or one of its
-    own goals?"""
-    for prem, goals in choices:
-        gc = closure([*candidate.neg, *prem])
-        if not any(gc.contains(q) for q in (*candidate.pos, *goals)):
-            return False
-    return True
+            return 0
+    for chosen in itertools.product(*lists):
+        prem = frozenset([q for q, kept in chosen if kept])
+        goals = [q for q, kept in chosen if not kept]
+        for g in groups:
+            live = mask & g.bits
+            if not live:
+                continue
+            key = prem | g.neg
+            gc = closures.get(key)
+            if gc is None:
+                gc = closures[key] = ground_closure(key)
+            failed = live & ~g.holding(gc)
+            if failed and not any(gc.contains(q) for q in goals):
+                mask &= ~failed
+        if not mask:
+            return 0
+    return mask
 
 
 @dataclass(frozen=True)
@@ -336,9 +385,11 @@ def derive_closure(
     completed run is a fixpoint of the depth-bounded rule system. Falsum
     conclusions are only admitted with quackenbush=True.
 
-    The composition steps (pseudo and universal) share one ground closure per
-    distinct premise set across all candidates and rounds of the run; the
-    answers, and the budget spent, are those of a fresh closure per test.
+    The composition steps (pseudo and universal) decide each premise
+    combination once per step for all candidates, as one bitmask, and close
+    each distinct premise set once per run. The answers, and the budget
+    spent, are those of one test per (candidate, combination) in a fresh
+    closure: each test still spends one unit.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown clause kind {kind!r}")
@@ -376,7 +427,7 @@ def derive_closure(
     else:
         step = _step_quasi
     base = _subterms_of(current)
-    closures = _shared_closures()
+    closures: dict[frozenset, GroundCongruence] = {}
     for _ in range(bounds.iterations):
         rounds += 1
         fresh = step(list(current), sig, ctx, bounds, budget, base, quackenbush, closures)
@@ -461,29 +512,38 @@ def _weakenings(c: Clause, extras: Sequence[Pair], width: int, budget) -> list[C
     return out
 
 
-def _composed(cur, candidates: Sequence[Clause], sizes: Sequence[int], closures, budget: _Budget) -> list[Clause]:
+def _composed(
+    cur,
+    candidates: Sequence[Clause],
+    sizes: Sequence[int],
+    closures: dict[frozenset, GroundCongruence],
+    budget: _Budget,
+) -> list[Clause]:
     """The candidates outside cur that the composition test derives from some
-    premise combination, deciding each choice in the run's shared closures.
+    premise combination of cur.
 
-    Combinations of cur are tried smallest first, each spending one unit of
-    budget; the search stops when the budget runs out.
+    Each candidate tries the combinations smallest first, each test spending
+    one unit of budget, until one derives it or the budget runs out. A
+    combination is decided once, when first reached, for every candidate
+    still to try it: the bitmask of those it derives.
     """
     out: list[Clause] = []
-    seen = set(cur)
-    choices: dict[tuple[int, ...], Optional[list]] = {}
-    for cand in candidates:
-        if cand in seen:
+    groups, todo = _grouped(candidates, cur)
+    derived: dict[tuple[int, ...], int] = {}
+    for i, cand in enumerate(candidates):
+        bit = 1 << i
+        if not todo & bit:
             continue
         for combo in itertools.chain.from_iterable(itertools.combinations(range(len(cur)), k) for k in sizes):
             if not budget.spend():
                 return out
-            if combo not in choices:
-                ch = _choices([cur[i] for i in combo], 10**6)
-                choices[combo] = None if ch is None else list(ch)
-            ch = choices[combo]
-            if ch is not None and _derives(cand, ch, closures):
+            mask = derived.get(combo)
+            if mask is None:
+                mask = derived[combo] = _derived_mask([cur[j] for j in combo], groups, todo, closures, 10**6)
+            if mask & bit:
                 out.append(cand)
                 break
+        todo &= ~bit
     return out
 
 

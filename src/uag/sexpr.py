@@ -43,7 +43,7 @@ from .logic import (
     forall_f,
 )
 from .rules import Clause, identity, pseudo, quasi, universal
-from .terms import Signature, Term, VarContext, app, render, var
+from .terms import DEEP_TERM, Signature, Term, VarContext, app, render, var
 
 
 class SexprError(ValueError):
@@ -246,19 +246,32 @@ class Workspace:
         return table[name]
 
 
-def parse_term(node: Node, sig: Signature) -> Term:
+def parse_term(node: Node, sig: Signature, _depth: int = 0) -> Term:
+    """The term a node spells. Recursive down to DEEP_TERM levels; a deeper
+    subterm is read by a loop with an explicit stack, so nesting is bounded
+    by memory, not by Python's recursion limit."""
     if isinstance(node, Atom):
-        text = node.text
-        if text.lstrip("-").isdigit():
-            raise SexprError("a bare number is not a term", node.line, node.col)
-        if sig.has_op(text):
-            op = sig.op(text)
-            if op.arity != 0:
-                raise SexprError(
-                    f"operation {text!r} takes {op.arity} arguments", node.line, node.col
-                )
-            return app(text)
-        return var(text)
+        return _symbol_term(node, sig)
+    name = _term_op(node, sig)
+    if _depth >= DEEP_TERM:
+        return _parse_deep_term(node, sig)
+    return app(name, *[parse_term(a, sig, _depth + 1) for a in node[1:]])
+
+
+def _symbol_term(node: Atom, sig: Signature) -> Term:
+    text = node.text
+    if text.lstrip("-").isdigit():
+        raise SexprError("a bare number is not a term", node.line, node.col)
+    if sig.has_op(text):
+        op = sig.op(text)
+        if op.arity != 0:
+            raise SexprError(f"operation {text!r} takes {op.arity} arguments", node.line, node.col)
+        return app(text)
+    return var(text)
+
+
+def _term_op(node: list, sig: Signature) -> str:
+    """The operation a compound term node applies, checked against sig."""
     if not node:
         raise SexprError("empty term", *_pos(node))
     name = _atom(node[0], "an operation name")
@@ -271,7 +284,28 @@ def parse_term(node: Node, sig: Signature) -> Term:
             node[0].line,
             node[0].col,
         )
-    return app(name, *[parse_term(a, sig) for a in node[1:]])
+    return name
+
+
+def _parse_deep_term(node: list, sig: Signature) -> Term:
+    """parse_term's loop: each open node with the arguments read so far;
+    nodes are checked in the same order as by the recursion."""
+    stack: list[tuple[list, list[Term]]] = [(node, [])]
+    while True:
+        top, args = stack[-1]
+        if len(args) == len(top) - 1:
+            stack.pop()
+            t = app(top[0].text, *args)
+            if not stack:
+                return t
+            stack[-1][1].append(t)
+            continue
+        child = top[len(args) + 1]
+        if isinstance(child, Atom):
+            args.append(_symbol_term(child, sig))
+        else:
+            _term_op(child, sig)
+            stack.append((child, []))
 
 
 def parse_pair(node: Node, sig: Signature) -> Pair:

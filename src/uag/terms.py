@@ -156,14 +156,45 @@ def app(op: str, *args: Term) -> App:
     return t
 
 
+# depth up to which render and sexpr.parse_term recurse; deeper terms go to
+# a loop with an explicit stack
+DEEP_TERM = 100
+
+
 def render(t: Term) -> str:
-    """Fully parenthesized prefix form; bare symbols for variables and nullary ops."""
+    """Fully parenthesized prefix form; bare symbols for variables and nullary ops.
+
+    Recursive for terms up to DEEP_TERM deep. A deeper term is walked with an
+    explicit stack down to its subterms within that depth, and its parts are
+    joined once, so rendering takes linear time at any depth.
+    """
+    if t.depth > DEEP_TERM:
+        return _render_deep(t)
     if isinstance(t, Var):
         return t.name
     assert isinstance(t, App)
     if not t.args:
         return t.op
     return "(" + " ".join([t.op] + [render(a) for a in t.args]) + ")"
+
+
+def _render_deep(t: App) -> str:
+    parts: list[str] = []
+    stack: list = [t]  # terms still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.depth <= DEEP_TERM:
+            parts.append(render(item))
+        else:
+            parts.append("(")
+            parts.append(item.op)
+            stack.append(")")
+            for a in reversed(item.args):
+                stack.append(a)
+                stack.append(" ")
+    return "".join(parts)
 
 
 def check_same_sort(w: Term, w2: Term, s: int, s2: int, sig: Signature, what: str = "equation") -> None:

@@ -63,6 +63,15 @@ def o_clause_holds(g, ctx, c) -> bool:
     return True
 
 
+def o_render(t: Term) -> str:
+    """Fully parenthesized prefix form, by plain recursion."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.op
+    return "(" + " ".join([t.op] + [o_render(a) for a in t.args]) + ")"
+
+
 def o_term_size(t: Term) -> int:
     if isinstance(t, Var):
         return 1
@@ -152,6 +161,30 @@ def o_circ_member(premises, candidate) -> bool:
         if not any(o_ground_same(prem, a, b) for a, b in goals):
             return False
     return True
+
+
+def o_composed(cur, candidates, sizes, budget, member=o_circ_member):
+    """The budget order of a composition step, one test at a time: each
+    candidate outside cur tries the premise combinations of cur, smallest
+    first, spending one unit of budget per test, until member says one
+    derives it. Returns the derived candidates, the budget left, and whether
+    a test found the budget spent."""
+    out = []
+    for cand in candidates:
+        if cand in cur:
+            continue
+        for k in sizes:
+            for combo in itertools.combinations(range(len(cur)), k):
+                if budget <= 0:
+                    return out, budget, True
+                budget -= 1
+                if member(tuple(cur[i] for i in combo), cand):
+                    out.append(cand)
+                    break
+            else:
+                continue
+            break
+    return out, budget, False
 
 
 def o_homs(a, b):

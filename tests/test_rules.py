@@ -1,5 +1,7 @@
+import functools
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -205,26 +207,70 @@ def _random_pairs(rng, n, depth):
     return out
 
 
-@given(st.integers(0, 2**32))
-def test_shared_closures_match_oracle(seed):
-    """One closure per premise set, shared by every candidate and premise
-    combination, answers as a fresh closure per choice does."""
-    rng = random.Random(seed)
-    pairs = _random_pairs(rng, 5, rng.randint(1, 2))
+def _random_pool(rng, pairs, n):
+    """n premises mixing equations and negated equations over pairs."""
     pool = []
-    for _ in range(3):
+    for _ in range(n):
         pos = rng.sample(pairs, rng.randint(0, 2))
         neg = rng.sample(pairs, rng.randint(0 if pos else 1, 1))
         pool.append(universal(pos, neg))
-    candidates = [universal([q], []) for q in pairs[:3]]
-    candidates += [universal([q], [r]) for q in pairs[:3] for r in pairs[:3] if q != r]
-    closures = rules._shared_closures()
-    for cand in candidates:
-        for prem in itertools.chain(itertools.combinations(pool, 1), itertools.combinations(pool, 2)):
-            want = oracles.o_circ_member(prem, cand)
-            choices = list(rules._choices(prem, 10**6))
-            assert rules._derives(cand, choices, closures) == want, (prem, cand)
-            assert circ_universal_member(prem, cand) == want, (prem, cand)
+    return pool
+
+
+def _random_candidates(rng, pairs):
+    """Negation-free candidates, candidates with a negated side, and one with
+    only a negated side."""
+    qs = pairs[:3]
+    out = [universal([q], []) for q in qs]
+    out += [universal([q], [r]) for q in qs for r in qs if q != r]
+    out.append(universal([], [rng.choice(pairs)]))
+    return out
+
+
+@given(st.integers(0, 2**32))
+def test_composition_engine_matches_oracle(seed):
+    """One bitmask per premise combination, over every candidate and with
+    closures shared across combinations, answers as the oracle's fresh
+    relabeling closure per test does; so does the one-candidate entry."""
+    rng = random.Random(seed)
+    pairs = _random_pairs(rng, 5, rng.randint(1, 2))
+    pool = _random_pool(rng, pairs, 3)
+    candidates = _random_candidates(rng, pairs)
+    groups, todo = rules._grouped(candidates, ())
+    closures = {}
+    for k in (1, 2, 3):
+        for prem in itertools.combinations(pool, k):
+            want = [oracles.o_circ_member(prem, cand) for cand in candidates]
+            mask = rules._derived_mask(prem, groups, todo, closures, 10**6)
+            assert [bool(mask >> i & 1) for i in range(len(candidates))] == want, prem
+            assert [circ_universal_member(prem, cand) for cand in candidates] == want, prem
+    # past choice_cap nothing is derived, not even a candidate the premises
+    # derive: each of these two premises has 2 literals, so 4 choices
+    cand = universal([pairs[0]], [pairs[1]])
+    prem = [cand, universal([pairs[1]], [pairs[2]])]
+    assert oracles.o_circ_member(prem, cand)
+    assert circ_universal_member(prem, cand, choice_cap=4)
+    assert not circ_universal_member(prem, cand, choice_cap=3)
+    assert rules._derived_mask(prem, groups, todo, closures, 3) == 0
+
+
+@given(st.integers(0, 2**32))
+def test_composition_step_keeps_the_budget_order(seed):
+    """At every budget from 0 to past the last test, a composition step
+    derives what the one-test-at-a-time oracle loop derives, leaves the same
+    budget, and runs out at the same point."""
+    rng = random.Random(seed)
+    pairs = _random_pairs(rng, 5, rng.randint(1, 2))
+    cur = _random_pool(rng, pairs, 3)
+    candidates = _random_candidates(rng, pairs) + cur[:1]
+    sizes = rng.choice([(1, 2), (1, 2, 3)])
+    member = functools.lru_cache(maxsize=None)(oracles.o_circ_member)
+    tests = len(candidates) * sum(math.comb(len(cur), k) for k in sizes)
+    closures = {}
+    for n in range(tests + 2):
+        budget = rules._Budget(n)
+        got = rules._composed(cur, candidates, sizes, closures, budget)
+        assert (got, budget.left, budget.exhausted) == oracles.o_composed(cur, candidates, sizes, n, member), n
 
 
 def test_pseudo_run_closes_each_premise_set_once(monkeypatch):

@@ -306,6 +306,21 @@ def test_cli_parse_error_exit(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:2:1: unclosed parenthesis\n"
 
 
+def test_cli_parses_a_pair_5000_levels_deep(tmp_path):
+    """A term nested far past the recursion limit is read, keyed and
+    summarized as a shallow one is."""
+    depth = 5000
+    deep, shallow = tmp_path / "deep.sx", tmp_path / "shallow.sx"
+    text = "(mul " * depth + "x" + " y)" * depth
+    deep.write_text(f"(pairs DEEP ({text} e))\n")
+    shallow.write_text("(pairs DEEP ((mul x y) e))\n")
+    runs = [run_cli("parse", "--builtin", "group", "-f", str(p), "--format", "json") for p in (deep, shallow)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["pairs"] == ["DEEP"]
+    [pair] = load_workspace(deep.read_text(), cli.builtin_workspace("group")).pairs("DEEP")
+    assert [render(t) for t in pair] == ["e", text]
+
+
 def test_cli_ill_sorted_term_exits_2(tmp_path, capsys):
     path = tmp_path / "two.sx"
     path.write_text(

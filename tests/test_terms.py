@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from uag.algebras import GROUP_SIG
+from uag.sexpr import parse_nodes, parse_term
 from uag.terms import (
     IDENTITY,
     Signature,
@@ -126,6 +129,20 @@ def test_deep_term_size_and_depth():
         t = app("inv", t)
     assert term_size(t) == 5001
     assert term_depth(t) == 5001
+
+
+def test_render_matches_the_recursive_form_at_every_depth():
+    """Terms deeper than DEEP_TERM take render's loop; the text, and its
+    parse, stay those of the recursive form, with the deep branch on either
+    side of a binary op."""
+    rng = random.Random(5)
+    t = var("x")
+    while term_depth(t) <= 300:
+        text = render(t)
+        assert text == oracles.o_render(t), term_depth(t)
+        assert parse_term(parse_nodes(text)[0], GROUP_SIG) is t, term_depth(t)
+        shallow = rng.choice([var("y"), app("e"), app("inv", var("x"))])
+        t = rng.choice([app("inv", t), app("mul", t, shallow), app("mul", shallow, t)])
 
 
 def test_subterm_universe_dedup():

@@ -87,6 +87,43 @@ def test_every_parameter_is_read():
     assert {name: params for name, params in found.items() if params} == {}
 
 
+def private_definitions_without_readers(sources: dict[str, str]) -> list[str]:
+    """Module-level _-prefixed functions and classes, as module.name, that no
+    statement of any of the modules but their own definition refers to: by
+    name, as an attribute, or in an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and own.startswith("_"):
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_private_definitions_detector():
+    sources = {
+        "a": "def _used():\n    pass\ndef _self_only():\n    return _self_only()\nclass _K:\n    pass\nx = _used\n",
+        "b": "from a import _K\ndef f():\n    return 1\n",
+    }
+    assert private_definitions_without_readers(sources) == ["a._self_only"]
+
+
+def test_every_private_definition_has_a_reader():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert private_definitions_without_readers(sources) == []
+
+
 def test_every_cmd_function_is_bound_to_exactly_one_verb():
     [sub] = [a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     bound = {verb: p.get_default("fn") for verb, p in sub.choices.items()}
