@@ -40,9 +40,7 @@ class FiniteAlgebra:
         sizes: Sequence[int],
         tables: Mapping[str, Mapping[tuple[int, ...], int]],
         name: str = "G",
-        validate: bool = True,
     ):
-        """validate=False takes tables known to be total and in range as they are."""
         self.sig = sig
         self.sizes = tuple(sizes)
         self.name = name
@@ -53,9 +51,6 @@ class FiniteAlgebra:
             raise ValueError("one carrier size per sort required")
         if any(n < 1 for n in self.sizes):
             raise ValueError("carriers must be nonempty")
-        if not validate:
-            self.tables = dict(tables)
-            return
         checked: dict[str, dict[tuple[int, ...], int]] = {}
         for op in sig.ops:
             try:
@@ -114,6 +109,29 @@ class FiniteAlgebra:
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra({self.name}, sizes={self.sizes})"
+
+
+class _NestedAlgebra(FiniteAlgebra):
+    """A FiniteAlgebra given by total, in-range tables laid out as nested()
+    returns them, with nonempty carriers. tables is built from them on its
+    first read, so a caller that only reads nested() never builds it.
+
+    A subclass because defining __getattr__ slows every attribute read of
+    its class, which FiniteAlgebra's other callers should not pay.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sig: Signature, sizes: Sequence[int], nested: dict, name: str):
+        self.sig, self.sizes, self.name = sig, tuple(sizes), name
+        self._digest, self._nested, self._bytes = None, nested, False
+
+    def __getattr__(self, attr: str):
+        # only reached while a slot is unset, which is how tables starts
+        if attr != "tables":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
+        self.tables = {op.name: _unnest(self._nested[op.name], [self.sizes[s] for s in op.args]) for op in self.sig.ops}
+        return self.tables
 
 
 def _nest(table: Mapping[tuple[int, ...], int], dims: Sequence[int]):
@@ -263,9 +281,7 @@ class GeneratedSubalgebra:
             if 0 in sizes:
                 sort = self.sig.sorts[sizes.index(0)]
                 raise ValueError(f"sort {sort!r} has no term over the generators")
-            tables = {op.name: _unnest(self.cells[op.name], [sizes[s] for s in op.args]) for op in self.sig.ops}
-            self._alg = FiniteAlgebra(self.sig, sizes, tables, name=self.name, validate=False)
-            self._alg._nested = self.cells
+            self._alg = _NestedAlgebra(self.sig, sizes, self.cells, self.name)
         return self._alg
 
     def _renamed(self, members) -> "GeneratedSubalgebra":
@@ -287,7 +303,8 @@ class GeneratedSubalgebra:
 
         Each generated member's image is read off b's table at the images of
         its generating cell; then every cell is checked against b, one table
-        row at a time. None means no such homomorphism exists.
+        row at a time. None means no such homomorphism exists. extend_all
+        decides many assignments at once within b's byte bound.
         """
         imgs: list[list[int]] = [[] for _ in self.members]
         for (s, pos), v in zip(self.seeds, images):
@@ -304,7 +321,7 @@ class GeneratedSubalgebra:
             imgs[s].append(t)
         if self._rows is None:
             self._rows = [
-                (op, list(_cell_rows(self.cells[op.name], len(op.args))) if op.args else None)
+                (op, [(p, itemgetter(*r)) for p, r in _cell_rows(self.cells[op.name], len(op.args))] if op.args else None)
                 for op in self.sig.ops
             ]
         for op, rows in self._rows:
@@ -322,12 +339,68 @@ class GeneratedSubalgebra:
                     return None
         return imgs
 
+    def extend_all(self, points: Sequence[Point], b: FiniteAlgebra) -> Optional[tuple[bytes, list[list[bytes]]]]:
+        """extend at every point of points at once, over byte columns.
+
+        Returns (flags, columns): flags[i] is 1 if extend(points[i], b) is a
+        homomorphism and 0 if it is None, and columns[s][pos] holds member
+        pos's image at every point (read it only where the flag is 1). None
+        when b is past the byte bound (FiniteAlgebra.byte_tables).
+
+        A generator's column is its coordinate across the points, and each
+        generated member's column is one _ByteCells step over its generating
+        cell's columns. Then every op-table row is checked at all points at
+        once: its k cells, computed by one step, against the joined columns
+        of its result members. The XOR of the two is OR-ed into a k*n-byte
+        accumulator, which is folded to n bytes at the end; a point extends
+        iff its byte is 0. Two generators on one seed position are checked
+        the same way.
+        """
+        tables = b.byte_tables()
+        if tables is None:
+            return None
+        n = len(points)
+        cols: list[list[bytes]] = [[] for _ in self.members]
+        byte = _ByteCells(tables, n, cols)
+        wrong: dict[int, int] = {}  # k -> the accumulator of the rows of k cells
+
+        def check(k: int, got: bytes, want: bytes) -> None:
+            wrong[k] = wrong.get(k, 0) | int.from_bytes(got, "big") ^ int.from_bytes(want, "big")
+
+        for i, (s, pos) in enumerate(self.seeds):
+            col = bytes(map(itemgetter(i), points))
+            if pos == len(cols[s]):
+                cols[s].append(col)
+            else:
+                check(1, col, cols[s][pos])
+        for s, op, combo in self.origin:
+            if op.args:
+                cols[s].append(byte.joined(op, combo[:-1], range(combo[-1], combo[-1] + 1)))
+            else:
+                cols[s].append(bytes((tables[op.name],)) * n)
+        for op in self.sig.ops:
+            results, cells = cols[op.result], self.cells[op.name]
+            if not op.args:
+                check(1, bytes((tables[op.name],)) * n, results[cells])
+                continue
+            for prefix, row in _cell_rows(cells, len(op.args)):
+                check(len(row), byte.joined(op, prefix, range(len(row))), b"".join(map(results.__getitem__, row)))
+        fold = 0
+        for k, acc in wrong.items():
+            acc = acc.to_bytes(k * n, "big")
+            for j in range(k):
+                fold |= int.from_bytes(acc[j * n : (j + 1) * n], "big")
+        return fold.to_bytes(n, "big").translate(_ZERO_IS_ONE), cols
+
+
+_ZERO_IS_ONE = bytes((1,)) + bytes(255)  # translate: 0 -> 1, anything else -> 0
+
 
 def _cell_rows(cells, arity: int, prefix: tuple[int, ...] = ()):
-    """(prefix, getter of the row's result positions) for each nonempty cell row."""
+    """(prefix, the row's result positions) for each nonempty cell row."""
     if arity == 1:
         if cells:
-            yield prefix, itemgetter(*cells)
+            yield prefix, cells
         return
     for i, sub in enumerate(cells):
         yield from _cell_rows(sub, arity - 1, (*prefix, i))
@@ -484,6 +557,8 @@ def generate(
 class _ByteCells:
     """Cells over a power G^N within the byte bound: a member is one bytes column.
 
+    The same steps compute hom images at N points at once, a member's
+    image being one bytes column too (GeneratedSubalgebra.extend_all).
     A run works on the members in its span laid end to end, N bytes each.
     A unary op is one translate of that string. A binary op reads each cell
     u, v as the base-256 numeral of (u * n_b + v) at every point, which no
@@ -491,8 +566,8 @@ class _ByteCells:
     argument scaled by n_b and repeated once per cell, is one int per
     prefix; V, the span's second arguments, one int per span, kept while
     runs repeat the span; then U + V is written back to bytes and translated
-    through the flat table. Either way one struct unpack cuts the result
-    into N-byte cells.
+    through the flat table. joined returns that string; run cuts it into
+    N-byte cells with one struct unpack.
     """
 
     def __init__(self, tables: dict[str, object], n: int, members: list[list]):
@@ -502,20 +577,23 @@ class _ByteCells:
 
     def run(self, op: Op, prefix: tuple[int, ...], span: range) -> tuple[bytes, ...]:
         """The cells of op at prefix followed by each last-argument position in span."""
+        out = self.joined(op, prefix, span)
+        if self.cut[0] != len(span):
+            self.cut = len(span), struct.Struct(f"{self.n}s" * len(span)).unpack
+        return self.cut[1](out)
+
+    def joined(self, op: Op, prefix: tuple[int, ...], span: range) -> bytes:
+        """The cells of run, laid end to end."""
         table, s, n = self.tables[op.name], op.args[-1], self.n
         if not prefix:
-            out = b"".join(self.members[s][span.start : span.stop]).translate(table)
-        else:
-            times, flat = table
-            hit = self.spans.get(s)
-            if hit is None or hit[0] != span:
-                hit = span, int.from_bytes(b"".join(self.members[s][span.start : span.stop]), "big")
-                self.spans[s] = hit
-            u = int.from_bytes(self.members[op.args[0]][prefix[0]].translate(times) * len(span), "big")
-            out = (u + hit[1]).to_bytes(n * len(span), "big").translate(flat)
-        if self.cut[0] != len(span):
-            self.cut = len(span), struct.Struct(f"{n}s" * len(span)).unpack
-        return self.cut[1](out)
+            return b"".join(self.members[s][span.start : span.stop]).translate(table)
+        times, flat = table
+        hit = self.spans.get(s)
+        if hit is None or hit[0] != span:
+            hit = span, int.from_bytes(b"".join(self.members[s][span.start : span.stop]), "big")
+            self.spans[s] = hit
+        u = int.from_bytes(self.members[op.args[0]][prefix[0]].translate(times) * len(span), "big")
+        return (u + hit[1]).to_bytes(n * len(span), "big").translate(flat)
 
 
 def _byte_tables(g: FiniteAlgebra) -> Optional[dict[str, object]]:
@@ -605,19 +683,28 @@ def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], Generat
 def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], ...]]:
     """All homomorphisms a -> b as dense per-sort image tuples, sorted.
 
-    Backtracks over images of a greedily chosen generating family; every
-    returned map is verified against all operation tables.
+    Tries every assignment of images to a greedily chosen generating
+    family: all at once (extend_all) within b's byte bound, else one at a
+    time (extend). Every returned map is verified against all operation
+    tables.
     """
     if a.sig is not b.sig and (a.sig.sorts, a.sig.ops) != (b.sig.sorts, b.sig.ops):
         raise ValueError("homomorphisms require a common signature")
     gens, sub = _greedy_generators(a)
     check_cap("hom search", math.prod(b.sizes[s] for s, _ in gens), cap)
     positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
+    candidates = itertools.product(*[range(b.sizes[s]) for s, _ in gens])
     out = []
-    for images in itertools.product(*[range(b.sizes[s]) for s, _ in gens]):
-        imgs = sub.extend(images, b)
-        if imgs is not None:
-            out.append(tuple(tuple(map(img.__getitem__, pos)) for img, pos in zip(imgs, positions)))
+    if b.byte_tables() is None:
+        for images in candidates:
+            imgs = sub.extend(images, b)
+            if imgs is not None:
+                out.append(tuple(tuple(map(img.__getitem__, pos)) for img, pos in zip(imgs, positions)))
+    else:  # in chunks, so the columns stay small however many candidates the cap admits
+        while chunk := list(itertools.islice(candidates, 4096)):
+            ok, cols = sub.extend_all(chunk, b)
+            per_sort = [itertools.compress(zip(*map(col.__getitem__, pos)), ok) for col, pos in zip(cols, positions)]
+            out.extend(zip(*per_sort))
     out.sort()
     return out
 

@@ -122,13 +122,18 @@ def congruence_of(a: PointSet, cap: Optional[int] = None) -> KernelCongruence:
 def variety_of_kernel(k: KernelCongruence, gctx: GeoContext) -> PointSet:
     """All points whose kernel contains the given congruence.
 
-    Decided per point by factoring through the image algebra of k, so no
-    term enumeration is involved.
+    A point p qualifies iff evaluation at p factors through the image
+    algebra of k, so no term enumeration is involved. Within G's byte bound
+    that is decided for every point at once, over byte columns
+    (GeneratedSubalgebra.extend_all); past it, one point at a time.
     """
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
     sub, g = k.image(), gctx.g
-    return PointSet.of_flags(gctx, [sub.extend(p, g) is not None for p in gctx.points])
+    batch = sub.extend_all(gctx.points, g)
+    if batch is None:
+        return PointSet.of_flags(gctx, [sub.extend(p, g) is not None for p in gctx.points])
+    return PointSet.of_flags(gctx, batch[0])
 
 
 def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None) -> KernelCongruence:

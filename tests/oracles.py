@@ -38,6 +38,17 @@ def o_variety(g, ctx, pairs):
     return out
 
 
+def o_variety_of_kernel(k, g, ctx):
+    """V(k): the points where every pair of k's presentation evaluates equal.
+
+    The presentation comes from uag.geometry.presentation_pairs; no hom
+    extension is involved.
+    """
+    from uag.geometry import presentation_pairs
+
+    return o_variety(g, ctx, presentation_pairs(k).pairs)
+
+
 def o_identity_holds(g, ctx, pair) -> bool:
     return len(o_variety(g, ctx, [pair])) == len(o_points(g, ctx))
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from uag import algebras
 from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
@@ -17,6 +18,7 @@ from uag.algebras import (
     generate,
     inferred_context,
     is_commutative,
+    klein_four,
     mod_ring,
     ops_commute,
     point_count,
@@ -31,6 +33,8 @@ from uag.algebras import (
 )
 from uag.config import DEFAULT_CAP, CapExceeded, get_cap
 from uag.congruences import h_ker
+from uag.geometry import closure_variety, coordinate_algebra
+from uag.spaces import GeoContext, PointSet
 from uag.terms import Signature, VarContext, app, render, var
 
 
@@ -280,3 +284,61 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     for cap in (1, 2, 5, 17, 60, 250, 1000):
         for flags in ({}, {"charge_cells": True}, {"members_only": True}):
             assert outcome(power, cap, flags) == outcome(mixed, cap, flags), (cap, flags)
+
+
+def _hom_families():
+    two = _two_sorted()[0]
+    maj_sig = Signature(("s",), [("maj", ("s", "s", "s"), "s")])
+    maj = FiniteAlgebra(maj_sig, (2,), {"maj": {a: int(sum(a) >= 2) for a in itertools.product(range(2), repeat=3)}})
+    groups = [cyclic_group(n) for n in range(2, 7)] + [klein_four(), symmetric_group_3()]
+    rings = [mod_ring(n) for n in (2, 3, 4)]
+    semilattices = [chain_semilattice(2), chain_semilattice(3)]
+    return [
+        *itertools.product(groups, groups),
+        *itertools.product(rings, rings),
+        *itertools.product(semilattices, semilattices),
+        (two, two),
+        (two, quotient(two, [[0, 0, 0], [0, 0]])),
+        # five generators into Z6: 7776 candidates, more than one chunk
+        (product([cyclic_group(2)] * 5), cyclic_group(6)),
+        # past the byte bound: one extend call per candidate
+        (cyclic_group(17), cyclic_group(17)),
+        (cyclic_group(4), cyclic_group(17)),
+        (maj, maj),
+    ]
+
+
+def test_enumerate_homs_batch_matches_one_at_a_time(monkeypatch):
+    """enumerate_homs gives the same sorted list through extend_all as
+    through one extend call per candidate, the route past the byte bound."""
+    families = _hom_families()
+    batch = [enumerate_homs(a, b) for a, b in families]
+    calls = []
+    real = algebras.GeneratedSubalgebra.extend
+    monkeypatch.setattr(algebras.GeneratedSubalgebra, "extend", lambda *args: calls.append(1) or real(*args))
+    assert [enumerate_homs(a, b) for a, b in families[-3:]] == batch[-3:] and len(calls) == 17 + 17 + 4
+    monkeypatch.setattr(FiniteAlgebra, "byte_tables", lambda self: None)
+    assert [enumerate_homs(a, b) for a, b in families] == batch
+    assert len(batch[-4]) == 32  # each generator of Z2^5 goes to 0 or 3 in Z6
+
+
+def test_generated_tables_are_built_on_first_read(monkeypatch, z4):
+    """A generated algebra's tables equal _unnest of its cells and are built
+    only when read, with the same digest as eagerly built tables; A'' on a
+    byte-bound input never builds them."""
+    gctx = GeoContext(z4, VarContext(GROUP_SIG, [("x", "g"), ("y", "g")]))
+    a = PointSet.of_points(gctx, [(0, 1), (1, 3), (2, 2)])
+    calls = []
+    real = algebras._unnest
+    monkeypatch.setattr(algebras, "_unnest", lambda *args: calls.append(1) or real(*args))
+    assert len(closure_variety(a)) == 16 and calls == []
+    ca = coordinate_algebra(a)
+    alg, cells = ca.algebra, ca.generation.cells
+    with pytest.raises(AttributeError):
+        FiniteAlgebra.tables.__get__(alg)  # the slot itself, still unset
+    want = {op.name: real(cells[op.name], [alg.sizes[s] for s in op.args]) for op in alg.sig.ops}
+    assert alg.tables == want and len(calls) == len(alg.sig.ops)
+    assert alg.digest() == FiniteAlgebra(alg.sig, alg.sizes, want).digest() == "bd59e9f2f575"
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        alg.nope
+    assert "__getattr__" not in vars(FiniteAlgebra)  # it would slow every read of every algebra

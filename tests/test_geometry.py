@@ -9,6 +9,8 @@ from uag import geometry, terms
 from uag.algebras import (
     GROUP_SIG,
     RING_SIG,
+    FiniteAlgebra,
+    GeneratedSubalgebra,
     chain_semilattice,
     cyclic_group,
     generate,
@@ -46,7 +48,7 @@ from uag.geometry import (
 )
 from uag.sexpr import load_workspace
 from uag.spaces import GeoContext, PointSet
-from uag.terms import Substitution, VarContext, app, render, var
+from uag.terms import Signature, Substitution, VarContext, app, render, var
 
 X, Y = var("x"), var("y")
 COMM = (app("mul", X, Y), app("mul", Y, X))
@@ -343,18 +345,125 @@ def test_equalizers_match_pointwise_comparison(g, n):
     assert len(got) == len(want) and set(got) == want
 
 
+TERMLESS = """
+(sort a) (sort b) (op c () a) (op h (b) a)
+(algebra G (carrier a 2) (carrier b 2) (table c (0)) (table h (0 1) (1 0)))
+(context C (x a))
+"""
+
+
 def test_equalizer_sweep_with_a_termless_sort():
     """A sort with no term over the context has no equalizers: the sweep
     answers, though no coordinate algebra exists there."""
-    ws = load_workspace(
-        "(sort a) (sort b) (op c () a) (op h (b) a)\n"
-        "(algebra G (carrier a 2) (carrier b 2) (table c (0)) (table h (0 1) (1 0)))\n"
-        "(context C (x a))"
-    )
+    ws = load_workspace(TERMLESS)
     gctx = GeoContext(ws.algebra("G"), ws.context("C"))
     assert _masks(all_closed_point_sets(gctx)) == [0b01, 0b11]
     with pytest.raises(ValueError, match="^sort 'b' has no term over the generators$"):
         coordinate_algebra(gctx.full())
+
+
+def _termless_oracle(k, g, ctx):
+    """V(k) over TERMLESS: the only terms are x and c, so a point q is in
+    V(k) iff x = c holds at q whenever it is in k."""
+    x_is_c = (var("x"), app("c"))
+    return [q for q in oracles.o_points(g, ctx) if not k.contains(x_is_c) or q[0] == g.tables["c"][()]]
+
+
+def _hom_extension_cases():
+    """(g, ctx, oracle, coordinate kernels too, within the byte bound)."""
+
+    def over(g, names, byte=True):
+        return g, VarContext(g.sig, [(n, g.sig.sorts[0]) for n in names]), oracles.o_variety_of_kernel, True, byte
+
+    two_sig = Signature(
+        ("a", "b"),
+        [("m", ("a", "a"), "a"), ("f", ("b",), "a"), ("h", ("a",), "b"), ("c", (), "a"), ("d", (), "b")],
+    )
+    two = FiniteAlgebra(
+        two_sig,
+        (3, 2),
+        {
+            "m": {(i, j): (i * j + 1) % 3 for i in range(3) for j in range(3)},
+            "f": {(0,): 0, (1,): 2},
+            "h": {(0,): 1, (1,): 0, (2,): 1},
+            "c": {(): 2},
+            "d": {(): 0},
+        },
+        name="T",
+    )
+    maj_sig = Signature(("s",), [("maj", ("s", "s", "s"), "s")])
+    maj = FiniteAlgebra(
+        maj_sig, (2,), {"maj": {a: int(sum(a) >= 2) for a in itertools.product(range(2), repeat=3)}}, name="Maj"
+    )
+    termless = load_workspace(TERMLESS)
+    return [
+        *(over(cyclic_group(n), "xy") for n in range(2, 7)),
+        over(klein_four(), "xy"),
+        over(symmetric_group_3(), "xy"),
+        *(over(mod_ring(n), "xy") for n in (2, 3, 4)),
+        over(chain_semilattice(2), "xyz"),
+        (two, VarContext(two_sig, [("x", "a"), ("y", "b"), ("z", "a")]), oracles.o_variety_of_kernel, True, True),
+        # sort b has no term over C: neither a coordinate algebra nor a presentation
+        (termless.algebra("G"), termless.context("C"), _termless_oracle, False, True),
+        # past the byte bound: 17 * 17 > 256, and an op of arity 3
+        over(cyclic_group(17), "x", byte=False),
+        over(maj, "xy", byte=False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, ctx, oracle, coordinate, byte", _hom_extension_cases(), ids=lambda v: getattr(v, "name", None)
+)
+def test_variety_of_kernel_batch_matches_per_point_and_oracle(g, ctx, oracle, coordinate, byte):
+    """For the unit kernel, every point kernel and coordinate kernels of a
+    few small sets (the diagonal among them), variety_of_kernel and per-point
+    extend agree, and so do extend_all's flags and image columns where g is
+    within the byte bound. The oracle, slow on deep witnesses, checks the
+    point kernels of a sample (the first point among them) and images of at
+    most 16 members."""
+    gctx, rng = GeoContext(g, ctx), random.Random(7)
+    pts = gctx.points
+    sample = {pts[0], *rng.sample(pts, min(4, len(pts)))}
+    kernels = [(unit_kernel(ctx, g.sig), True)] + [(kernel_of_point(p, g, ctx), p in sample) for p in pts]
+    if coordinate:
+        sets = [rng.sample(pts, min(n, len(pts))) for n in (1, 2, 3)] + [[p for p in pts if len(set(p)) == 1]]
+        kernels += [(k, k.image().size() <= 16) for k in (congruence_of(PointSet.of_points(gctx, a)) for a in sets)]
+    shared = on_seed = 0
+    for k, check_oracle in kernels:
+        sub = k.image()
+        shared += len(set(sub.seeds)) < len(sub.seeds)
+        on_seed += any(not op.args and (op.result, sub.cells[op.name]) in sub.seeds for op in g.sig.ops)
+        want = [sub.extend(p, g) for p in pts]
+        got = variety_of_kernel(k, gctx).points()
+        assert got == [p for p, w in zip(pts, want) if w is not None]
+        assert not check_oracle or got == oracle(k, g, ctx)
+        batch = sub.extend_all(pts, g)
+        if not byte:
+            assert batch is None
+            continue
+        flags, cols = batch
+        assert list(flags) == [int(w is not None) for w in want]
+        for i, w in enumerate(want):
+            if w is not None:
+                assert [[col[i] for col in cs] for cs in cols] == w
+    # some image has two variables on one seed, and some a constant on a seed
+    assert shared or len({s for _, s in ctx.vars}) == len(ctx)
+    assert on_seed or all(op.args for op in g.sig.ops)
+
+
+def test_variety_of_kernel_makes_no_per_point_extend_call(monkeypatch, z4, gctx2):
+    """Within the byte bound every point is decided at once; past it (Z17)
+    there is one extend call per point."""
+    calls = []
+    real = GeneratedSubalgebra.extend
+    monkeypatch.setattr(GeneratedSubalgebra, "extend", lambda *args: calls.append(1) or real(*args))
+    gctx = GeoContext(z4, gctx2)
+    a = PointSet.of_points(gctx, [(0, 1), (2, 3)])
+    closed = variety_of_kernel(congruence_of(a), gctx)
+    assert closed == closure_variety(a) and a.issubset(closed) and len(closed) == 8
+    assert calls == []
+    z17 = GeoContext(cyclic_group(17), VarContext(GROUP_SIG, [("x", "g")]))
+    assert len(point_closure(z17, (3,))) == 17 and len(calls) == 17
 
 
 def test_point_closure_is_kernel_cone(z4, gctx2):
