@@ -11,7 +11,7 @@ import hashlib
 import itertools
 import math
 import struct
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import CapExceeded, check_cap
@@ -239,7 +239,7 @@ class GeneratedSubalgebra:
     """
 
     __slots__ = (
-        "sig", "members", "_index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg", "_rows"
+        "sig", "members", "_index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg"
     )
 
     def __init__(self, sig, members, witnesses, gen_vars, seeds, cells, origin, name):
@@ -253,7 +253,6 @@ class GeneratedSubalgebra:
         self.origin: list[tuple[int, Op, tuple[int, ...]]] = origin
         self.name = name
         self._alg: Optional[FiniteAlgebra] = None
-        self._rows: Optional[list] = None
 
     @property
     def index(self) -> list[dict]:
@@ -298,93 +297,48 @@ class GeneratedSubalgebra:
         """Generator assignment into as_algebra(), aligned with generator_context()."""
         return tuple(pos for _, pos in self.seeds)
 
-    def extend(self, images: Sequence[int], b: FiniteAlgebra) -> Optional[list[list[int]]]:
-        """Member images of the homomorphism into b sending generator i to images[i].
+    def extend_all(self, points: Sequence[Point], b: FiniteAlgebra) -> tuple[bytes, list[list]]:
+        """The homomorphism into b sending generator i to p[i], at every point p at once.
 
-        Each generated member's image is read off b's table at the images of
-        its generating cell; then every cell is checked against b, one table
-        row at a time. None means no such homomorphism exists. extend_all
-        decides many assignments at once within b's byte bound.
-        """
-        imgs: list[list[int]] = [[] for _ in self.members]
-        for (s, pos), v in zip(self.seeds, images):
-            got = imgs[s]
-            if pos == len(got):
-                got.append(v)
-            elif got[pos] != v:
-                return None
-        tables = b.nested()
-        for s, op, combo in self.origin:
-            t = tables[op.name]
-            for a, i in zip(op.args, combo):
-                t = t[imgs[a][i]]
-            imgs[s].append(t)
-        if self._rows is None:
-            self._rows = [
-                (op, [(p, itemgetter(*r)) for p, r in _cell_rows(self.cells[op.name], len(op.args))] if op.args else None)
-                for op in self.sig.ops
-            ]
-        for op, rows in self._rows:
-            table, results = tables[op.name], imgs[op.result]
-            if not op.args:
-                if table != results[self.cells[op.name]]:
-                    return None
-                continue
-            last = itemgetter(*imgs[op.args[-1]]) if imgs[op.args[-1]] else None
-            for prefix, row in rows:
-                t = table
-                for a, i in zip(op.args, prefix):
-                    t = t[imgs[a][i]]
-                if last(t) != row(results):
-                    return None
-        return imgs
-
-    def extend_all(self, points: Sequence[Point], b: FiniteAlgebra) -> Optional[tuple[bytes, list[list[bytes]]]]:
-        """extend at every point of points at once, over byte columns.
-
-        Returns (flags, columns): flags[i] is 1 if extend(points[i], b) is a
-        homomorphism and 0 if it is None, and columns[s][pos] holds member
-        pos's image at every point (read it only where the flag is 1). None
-        when b is past the byte bound (FiniteAlgebra.byte_tables).
+        Returns (flags, columns): flags[j] is 1 if it exists at points[j] and
+        0 if not, and columns[s][pos] holds member pos's image at every point
+        (read it only where the flag is 1), kept as _cells keeps a member of
+        b to the power of the points: bytes or a tuple.
 
         A generator's column is its coordinate across the points, and each
-        generated member's column is one _ByteCells step over its generating
-        cell's columns. Then every op-table row is checked at all points at
-        once: its k cells, computed by one step, against the joined columns
-        of its result members. The XOR of the two is OR-ed into a k*n-byte
-        accumulator, which is folded to n bytes at the end; a point extends
-        iff its byte is 0. Two generators on one seed position are checked
-        the same way.
+        generated member's column is one step over its generating cell's
+        columns. Then every op-table row is checked at all points at once:
+        its k cells, computed by one step, against its result members'
+        columns. Their difference is OR-ed into a k*n-byte accumulator,
+        folded to n bytes at the end; a point extends iff its byte is 0. Two
+        generators on one seed position are checked the same way.
         """
-        tables = b.byte_tables()
-        if tables is None:
-            return None
         n = len(points)
-        cols: list[list[bytes]] = [[] for _ in self.members]
-        byte = _ByteCells(tables, n, cols)
+        cols: list[list] = [[] for _ in self.members]
+        engine = _cells([b] * n, cols)
         wrong: dict[int, int] = {}  # k -> the accumulator of the rows of k cells
 
-        def check(k: int, got: bytes, want: bytes) -> None:
-            wrong[k] = wrong.get(k, 0) | int.from_bytes(got, "big") ^ int.from_bytes(want, "big")
+        def check(got, want: list) -> None:
+            wrong[len(want)] = wrong.get(len(want), 0) | engine.differ(got, want)
 
         for i, (s, pos) in enumerate(self.seeds):
-            col = bytes(map(itemgetter(i), points))
+            col = engine.column(map(itemgetter(i), points))
             if pos == len(cols[s]):
                 cols[s].append(col)
             else:
-                check(1, col, cols[s][pos])
+                check(col, [cols[s][pos]])
         for s, op, combo in self.origin:
             if op.args:
-                cols[s].append(byte.joined(op, combo[:-1], range(combo[-1], combo[-1] + 1)))
+                cols[s].append(engine.joined(op, combo[:-1], range(combo[-1], combo[-1] + 1)))
             else:
-                cols[s].append(bytes((tables[op.name],)) * n)
+                cols[s].append(engine.constant(op))
         for op in self.sig.ops:
             results, cells = cols[op.result], self.cells[op.name]
             if not op.args:
-                check(1, bytes((tables[op.name],)) * n, results[cells])
+                check(engine.constant(op), [results[cells]])
                 continue
             for prefix, row in _cell_rows(cells, len(op.args)):
-                check(len(row), byte.joined(op, prefix, range(len(row))), b"".join(map(results.__getitem__, row)))
+                check(engine.joined(op, prefix, range(len(row))), list(map(results.__getitem__, row)))
         fold = 0
         for k, acc in wrong.items():
             acc = acc.to_bytes(k * n, "big")
@@ -417,7 +371,7 @@ def generate(
     budget: Optional[int] = None,
     charge_cells: bool = False,
     stage: str = "generation",
-    watch: Optional[Callable[[int, tuple[int, ...], Term], bool]] = None,
+    watch: Optional[Callable[[int, Sequence[int], Term], bool]] = None,
     name: Optional[str] = None,
     members_only: bool = False,
 ) -> Optional[GeneratedSubalgebra | tuple[tuple, ...]]:
@@ -428,17 +382,13 @@ def generate(
     argument combos that touch a member added in the previous round (nullary
     ops in round one), so every cell is computed once and recorded. Members
     beyond budget raise CapExceeded, and so do cells when charge_cells is set.
-    watch sees each new member, as a tuple row, before it is added; if it
-    returns true, generation stops and None is returned.
+    watch sees each new member, as _cells keeps it (entry i is factor i's),
+    before it is added; if it returns true, generation stops and None is
+    returned.
 
-    Over a power G^N (every factor the same algebra object, at least two of
-    them) with no watch, where every sort of G has at most 256 elements,
-    every op has arity at most 2 and each binary op has n_a * n_b <= 256, a
-    member is kept as one bytes column and a run's cells are computed by
-    byte translation (_ByteCells); any other input keeps tuple rows, each
-    cell read off the factors' tables. Both kinds of key go through the same
-    round loop, so members, witnesses, cells, origin and CapExceeded are the
-    same either way, and the members of the result are tuple rows either way.
+    _cells picks how a member is kept while generating, as a bytes column
+    or a tuple row, and computes each run's cells; everything else, the
+    members of the result (tuple rows) among it, is the same either way.
 
     With members_only the result is just the members of each sort, in
     discovery order: no witness terms are built (so none is interned), and
@@ -454,11 +404,7 @@ def generate(
     witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
     origin: list[tuple[int, Op, tuple[int, ...]]] = []
     cells: dict[str, object] = {op.name: None if members_only else [] for op in sig.ops}
-    columns = {op.name: [f.nested()[op.name] for f in factors] for op in sig.ops}
-    power = watch is None and len(factors) > 1 and all(f is factors[0] for f in factors)
-    tables = factors[0].byte_tables() if power else None
-    byte = None if tables is None else _ByteCells(tables, len(factors), members)
-    column = tuple if byte is None else bytes  # a member made from its entries
+    engine = _cells(factors, members)
     total = charged = 0
 
     def add(s: int, key, op: Optional[Op], combo: tuple[int, ...] = (), gen_name: str = "") -> int:
@@ -490,7 +436,7 @@ def generate(
     try:
         seed_pos = []
         for (s, row), gen_name in zip(seeds, names):
-            key = column(row)
+            key = engine.column(row)
             pos = index[s].get(key)
             if pos is None:
                 pos = add(s, key, None, gen_name=gen_name)
@@ -504,31 +450,23 @@ def generate(
                 if not arg_sorts:
                     if first:
                         charge(1)
-                        key = column(columns[op.name])
+                        key = engine.constant(op)
                         pos = idx.get(key)
                         if pos is None:
                             pos = add(op.result, key, op)
                         cells[op.name] = pos
                     continue
-                last = members[arg_sorts[-1]]
                 for prefix, span, row in _round_runs(
                     cells[op.name], [old[s] for s in arg_sorts], [cur[s] for s in arg_sorts], False
                 ):
                     charge(len(span))
-                    if byte is None:
-                        keys = None
-                        leaf = columns[op.name]
-                        for s, i in zip(arg_sorts, prefix):
-                            leaf = list(map(getitem, leaf, members[s][i]))
-                    else:
-                        keys = byte.run(op, prefix, span)
-                        found = list(map(idx.get, keys))
-                        if None not in found:  # no new member: the whole row at once
-                            if row is not None:
-                                row.extend(found)
-                            continue
-                    for k, j in enumerate(span):
-                        key = tuple(map(getitem, leaf, last[j])) if keys is None else keys[k]
+                    keys = engine.run(op, prefix, span)
+                    found = list(map(idx.get, keys))
+                    if None not in found:  # no new member: the whole row at once
+                        if row is not None:
+                            row.extend(found)
+                        continue
+                    for j, key in zip(span, keys):
                         pos = idx.get(key)
                         if pos is None:
                             pos = add(op.result, key, op, (*prefix, j))
@@ -544,7 +482,7 @@ def generate(
         return tuple(map(tuple, members))
     return GeneratedSubalgebra(
         sig,
-        tuple(map(tuple, members)) if byte is None else tuple(tuple(map(tuple, ms)) for ms in members),
+        tuple(tuple(map(tuple, ms)) for ms in members),
         tuple(map(tuple, witnesses)),
         tuple((gen_name, s, row) for (s, row), gen_name in zip(seeds, names)),
         tuple(seed_pos),
@@ -552,6 +490,23 @@ def generate(
         origin,
         name or "sub(" + "x".join(f.name for f in factors) + ")",
     )
+
+
+def _cells(factors: Sequence[FiniteAlgebra], members: list[list]) -> "_ByteCells | _TupleCells":
+    """How members of the product of the factors are kept and stepped.
+
+    A power G^N of one algebra object (N >= 2) within G's byte bound
+    (FiniteAlgebra.byte_tables) keeps each member as one bytes column
+    (_ByteCells); any other product keeps tuple rows (_TupleCells). Either
+    way a member's entry for factor i is member[i]. members is the caller's
+    list of each sort's members, read by position.
+    """
+    g = factors[0]
+    if len(factors) > 1 and factors.count(g) == len(factors):
+        tables = g.byte_tables()
+        if tables is not None:
+            return _ByteCells(tables, len(factors), members)
+    return _TupleCells(factors, members)
 
 
 class _ByteCells:
@@ -575,6 +530,14 @@ class _ByteCells:
         self.spans: dict[int, tuple[range, int]] = {}  # sort -> (span, V) of its last run
         self.cut = 0, struct.Struct("").unpack  # (cell count, splitter) of the last run
 
+    def column(self, entries: Iterable[int]) -> bytes:
+        """A member from its entries."""
+        return bytes(entries)
+
+    def constant(self, op: Op) -> bytes:
+        """The member a nullary op names."""
+        return bytes((self.tables[op.name],)) * self.n
+
     def run(self, op: Op, prefix: tuple[int, ...], span: range) -> tuple[bytes, ...]:
         """The cells of op at prefix followed by each last-argument position in span."""
         out = self.joined(op, prefix, span)
@@ -594,6 +557,43 @@ class _ByteCells:
             self.spans[s] = hit
         u = int.from_bytes(self.members[op.args[0]][prefix[0]].translate(times) * len(span), "big")
         return (u + hit[1]).to_bytes(n * len(span), "big").translate(flat)
+
+    def differ(self, got: bytes, want: list[bytes]) -> int:
+        """An int whose byte is nonzero wherever got, a joined run, differs
+        from the members in want laid end to end."""
+        return int.from_bytes(got, "big") ^ int.from_bytes(b"".join(want), "big")
+
+
+class _TupleCells:
+    """Cells over any product of factors: a member is a tuple row, one entry
+    per factor. Same methods as _ByteCells.
+
+    A run reads its cells off the factors' nested() tables: the prefix picks
+    one table row per factor, and each cell maps those rows over the entries
+    of its last argument.
+    """
+
+    def __init__(self, factors: Sequence[FiniteAlgebra], members: list[list]):
+        self.tables = {op.name: [f.nested()[op.name] for f in factors] for op in factors[0].sig.ops}
+        self.members = members
+
+    def column(self, entries: Iterable[int]) -> tuple[int, ...]:
+        return tuple(entries)
+
+    def constant(self, op: Op) -> tuple[int, ...]:
+        return tuple(self.tables[op.name])
+
+    def run(self, op: Op, prefix: tuple[int, ...], span: range) -> list[tuple[int, ...]]:
+        leaf, members = self.tables[op.name], self.members
+        for a, i in zip(op.args, prefix):
+            leaf = list(map(getitem, leaf, members[a][i]))
+        return [tuple(map(getitem, leaf, row)) for row in members[op.args[-1]][span.start : span.stop]]
+
+    def joined(self, op: Op, prefix: tuple[int, ...], span: range) -> tuple[int, ...]:
+        return tuple(itertools.chain.from_iterable(self.run(op, prefix, span)))
+
+    def differ(self, got: tuple[int, ...], want: list[tuple[int, ...]]) -> int:
+        return int.from_bytes(bytes(map(ne, got, itertools.chain.from_iterable(want))), "big")
 
 
 def _byte_tables(g: FiniteAlgebra) -> Optional[dict[str, object]]:
@@ -684,9 +684,9 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None
     """All homomorphisms a -> b as dense per-sort image tuples, sorted.
 
     Tries every assignment of images to a greedily chosen generating
-    family: all at once (extend_all) within b's byte bound, else one at a
-    time (extend). Every returned map is verified against all operation
-    tables.
+    family, 4096 candidates per extend_all call, so the columns stay small
+    however many candidates the cap admits. Every returned map is verified
+    against all operation tables.
     """
     if a.sig is not b.sig and (a.sig.sorts, a.sig.ops) != (b.sig.sorts, b.sig.ops):
         raise ValueError("homomorphisms require a common signature")
@@ -695,16 +695,10 @@ def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None
     positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
     candidates = itertools.product(*[range(b.sizes[s]) for s, _ in gens])
     out = []
-    if b.byte_tables() is None:
-        for images in candidates:
-            imgs = sub.extend(images, b)
-            if imgs is not None:
-                out.append(tuple(tuple(map(img.__getitem__, pos)) for img, pos in zip(imgs, positions)))
-    else:  # in chunks, so the columns stay small however many candidates the cap admits
-        while chunk := list(itertools.islice(candidates, 4096)):
-            ok, cols = sub.extend_all(chunk, b)
-            per_sort = [itertools.compress(zip(*map(col.__getitem__, pos)), ok) for col, pos in zip(cols, positions)]
-            out.extend(zip(*per_sort))
+    while chunk := list(itertools.islice(candidates, 4096)):
+        ok, cols = sub.extend_all(chunk, b)
+        per_sort = [itertools.compress(zip(*map(col.__getitem__, pos)), ok) for col, pos in zip(cols, positions)]
+        out.extend(zip(*per_sort))
     out.sort()
     return out
 

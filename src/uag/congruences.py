@@ -307,11 +307,13 @@ def kernel_leq(k1: KernelCongruence, k2: KernelCongruence) -> bool:
     """Ker(phi1) included in Ker(phi2), decided by homomorphic factorization.
 
     Builds the image of phi1 and attempts the extension sending each variable
-    row of k1 to the corresponding row of k2; inclusion holds iff it exists.
+    row of k1 to the corresponding row of k2, a one-point extend_all;
+    inclusion holds iff it exists.
     """
     if k1.ctx.vars != k2.ctx.vars:
         raise ValueError("kernel comparison needs a common context")
-    return k1.image().extend(k2.assignment, k2.target) is not None
+    flags, _ = k1.image().extend_all([k2.assignment], k2.target)
+    return flags[0] == 1
 
 
 class FinitePartitionCongruence:

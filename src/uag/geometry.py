@@ -21,6 +21,7 @@ from .algebras import (
     FiniteAlgebra,
     GeneratedSubalgebra,
     Point,
+    _cell_rows,
     enumerate_homs,
     eval_columns,
     eval_pairs,
@@ -123,17 +124,13 @@ def variety_of_kernel(k: KernelCongruence, gctx: GeoContext) -> PointSet:
     """All points whose kernel contains the given congruence.
 
     A point p qualifies iff evaluation at p factors through the image
-    algebra of k, so no term enumeration is involved. Within G's byte bound
-    that is decided for every point at once, over byte columns
-    (GeneratedSubalgebra.extend_all); past it, one point at a time.
+    algebra of k, so no term enumeration is involved. That is decided for
+    every point at once, by one GeneratedSubalgebra.extend_all call.
     """
     if k.ctx.vars != gctx.ctx.vars:
         raise ValueError("kernel and geometry context disagree")
-    sub, g = k.image(), gctx.g
-    batch = sub.extend_all(gctx.points, g)
-    if batch is None:
-        return PointSet.of_flags(gctx, [sub.extend(p, g) is not None for p in gctx.points])
-    return PointSet.of_flags(gctx, batch[0])
+    flags, _ = k.image().extend_all(gctx.points, gctx.g)
+    return PointSet.of_flags(gctx, flags)
 
 
 def closure_pairs(gctx: GeoContext, pairs: Iterable[Pair], cap: Optional[int] = None) -> KernelCongruence:
@@ -243,8 +240,8 @@ def presentation_pairs(k: KernelCongruence) -> PairSet:
 
     For every target H and point v: v satisfies these pairs iff k is
     contained in Ker(v), because the pairs transcribe the image's operation
-    tables through the witness terms. The unit kernel's image presents the
-    unit congruence.
+    tables through the witness terms, cell by cell. The unit kernel's image
+    presents the unit congruence.
     """
     sub = k.image()
     wit = sub.witnesses
@@ -252,12 +249,17 @@ def presentation_pairs(k: KernelCongruence) -> PairSet:
     for (name, s), pos in zip(k.ctx.vars, sub.generator_point()):
         if wit[s][pos] is not var(name):
             pairs.append((var(name), wit[s][pos]))
-    tables = sub.as_algebra().tables
     for op in sub.sig.ops:
-        for combo, val in sorted(tables[op.name].items()):
-            t = app(op.name, *[wit[s][i] for s, i in zip(op.args, combo)])
-            if t is not wit[op.result][val]:
-                pairs.append((t, wit[op.result][val]))
+        cells, want = sub.cells[op.name], wit[op.result]
+        if not op.args:
+            found = [(app(op.name), cells)]
+        else:
+            found = [
+                (app(op.name, *[wit[s][i] for s, i in zip(op.args, (*prefix, j))]), val)
+                for prefix, row in _cell_rows(cells, len(op.args))
+                for j, val in enumerate(row)
+            ]
+        pairs.extend((t, want[val]) for t, val in found if t is not want[val])
     return PairSet(pairs)
 
 
@@ -366,7 +368,7 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     first: dict[tuple[int, int, int], Term] = {}  # (side, sort, element) -> earliest witness
     hit = None
 
-    def collides(s: int, row: tuple[int, int], wit: Term) -> bool:
+    def collides(s: int, row: Sequence[int], wit: Term) -> bool:
         nonlocal hit
         old = first.get((0, s, row[0])) or first.get((1, s, row[1]))
         if old is not None:

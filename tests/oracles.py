@@ -49,6 +49,36 @@ def o_variety_of_kernel(k, g, ctx):
     return o_variety(g, ctx, presentation_pairs(k).pairs)
 
 
+def o_extend(sub, images, b):
+    """Member images of the homomorphism from sub's algebra into b sending
+    generator i to images[i], as one list per sort; None if there is none.
+
+    Each member's image is its witness term evaluated at the images, with a
+    memo keyed by term id so that deep witnesses cost linear time. Then each
+    generator and every cell of sub.cells, indexed combination by
+    combination, is checked against b's tables.
+    """
+    env = {name: v for (name, _, _), v in zip(sub.gen_vars, images)}
+    memo: dict[int, int] = {}
+
+    def ev(t):
+        if id(t) not in memo:
+            memo[id(t)] = env[t.name] if isinstance(t, Var) else b.tables[t.op][tuple(ev(a) for a in t.args)]
+        return memo[id(t)]
+
+    imgs = [[ev(w) for w in ws] for ws in sub.witnesses]
+    if any(imgs[s][pos] != v for (s, pos), v in zip(sub.seeds, images)):
+        return None
+    for op in sub.sig.ops:
+        for combo in itertools.product(*[range(len(imgs[s])) for s in op.args]):
+            val = sub.cells[op.name]
+            for i in combo:
+                val = val[i]
+            if b.tables[op.name][tuple(imgs[s][i] for s, i in zip(op.args, combo))] != imgs[op.result][val]:
+                return None
+    return imgs
+
+
 def o_identity_holds(g, ctx, pair) -> bool:
     return len(o_variety(g, ctx, [pair])) == len(o_points(g, ctx))
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given
@@ -125,9 +127,17 @@ def test_hom_counts_frozen(z4, z2, z3):
 def test_hom_extension_rejects(z4, z2, z3):
     sub = subalgebra_generated(z4, [1])
     # 1 -> 1 into Z3 breaks at 0 = 1*4 -> 1; into Z2 it is the mod-2 surjection
-    assert sub.extend([1], z3) is None
-    ok = sub.extend([1], z2)
+    assert oracles.o_extend(sub, [1], z3) is None
+    ok = oracles.o_extend(sub, [1], z2)
     assert ok is not None and ok[0][sub.index[0][3]] == 1 and ok[0][sub.index[0][2]] == 0
+    # all images at once over byte columns, and one image over a tuple row
+    for b, flags in ((z3, b"\x01\x00\x00"), (z2, b"\x01\x01")):
+        points = [(v,) for v in range(b.sizes[0])]
+        assert sub.extend_all(points, b)[0] == flags
+        for p, flag in zip(points, flags):
+            one, cols = sub.extend_all([p], b)
+            assert one[0] == flag == (oracles.o_extend(sub, p, b) is not None)
+            assert not flag or [[col[0] for col in cs] for cs in cols] == oracles.o_extend(sub, p, b)
 
 
 def test_product_mixed_radix(z2, z3):
@@ -301,7 +311,7 @@ def _hom_families():
         (two, quotient(two, [[0, 0, 0], [0, 0]])),
         # five generators into Z6: 7776 candidates, more than one chunk
         (product([cyclic_group(2)] * 5), cyclic_group(6)),
-        # past the byte bound: one extend call per candidate
+        # past the byte bound: tuple rows either way
         (cyclic_group(17), cyclic_group(17)),
         (cyclic_group(4), cyclic_group(17)),
         (maj, maj),
@@ -309,17 +319,36 @@ def _hom_families():
 
 
 def test_enumerate_homs_batch_matches_one_at_a_time(monkeypatch):
-    """enumerate_homs gives the same sorted list through extend_all as
-    through one extend call per candidate, the route past the byte bound."""
-    families = _hom_families()
+    """enumerate_homs gives the same sorted list over byte columns as over
+    tuple rows (byte_tables patched to None), and both equal o_homs wherever
+    it filters at most 8000 maps. On each family's greedy generators, up to
+    40 sampled candidates get the same flags and image columns over both
+    routes and from o_extend."""
+    families, rng = _hom_families(), random.Random(5)
+    samples = []
+    for a, b in families:
+        gens, sub = algebras._greedy_generators(a)
+        candidates = list(itertools.product(*[range(b.sizes[s]) for s, _ in gens]))
+        points = rng.sample(candidates, min(40, len(candidates)))
+        samples.append((sub, b, points, sub.extend_all(points, b)))
     batch = [enumerate_homs(a, b) for a, b in families]
-    calls = []
-    real = algebras.GeneratedSubalgebra.extend
-    monkeypatch.setattr(algebras.GeneratedSubalgebra, "extend", lambda *args: calls.append(1) or real(*args))
-    assert [enumerate_homs(a, b) for a, b in families[-3:]] == batch[-3:] and len(calls) == 17 + 17 + 4
+    checked = 0
+    for (a, b), got in zip(families, batch):
+        if math.prod(b.sizes[s] ** n for s, n in enumerate(a.sizes)) <= 8000:
+            assert got == sorted(oracles.o_homs(a, b)), (a, b)
+            checked += 1
+    assert checked == 59  # all but the nine largest
     monkeypatch.setattr(FiniteAlgebra, "byte_tables", lambda self: None)
     assert [enumerate_homs(a, b) for a, b in families] == batch
     assert len(batch[-4]) == 32  # each generator of Z2^5 goes to 0 or 3 in Z6
+    for sub, b, points, (flags, cols) in samples:
+        tuple_flags, tuple_cols = sub.extend_all(points, b)
+        want = [oracles.o_extend(sub, p, b) for p in points]
+        assert list(flags) == list(tuple_flags) == [int(w is not None) for w in want]
+        assert [list(map(list, cs)) for cs in cols] == [list(map(list, cs)) for cs in tuple_cols]
+        for i, w in enumerate(want):
+            assert w is None or [[col[i] for col in cs] for cs in cols] == w
+    assert sum(1 in flags for *_, (flags, _) in samples) > len(samples) // 2
 
 
 def test_generated_tables_are_built_on_first_read(monkeypatch, z4):

@@ -362,11 +362,23 @@ def test_equalizer_sweep_with_a_termless_sort():
         coordinate_algebra(gctx.full())
 
 
-def _termless_oracle(k, g, ctx):
-    """V(k) over TERMLESS: the only terms are x and c, so a point q is in
-    V(k) iff x = c holds at q whenever it is in k."""
-    x_is_c = (var("x"), app("c"))
-    return [q for q in oracles.o_points(g, ctx) if not k.contains(x_is_c) or q[0] == g.tables["c"][()]]
+def test_presentation_with_a_termless_sort():
+    """presentation_pairs reads the image's cells, so a sort with no term
+    over the context, which as_algebra() cannot carry, does not stop it."""
+    ws = load_workspace(TERMLESS)
+    g, ctx = ws.algebra("G"), ws.context("C")
+    gctx = GeoContext(g, ctx)
+    assert presentation_pairs(kernel_of_point((0,), g, ctx)) == PairSet([(app("c"), var("x"))])
+    assert presentation_pairs(kernel_of_point((1,), g, ctx)) == PairSet()
+    for p in gctx.points:
+        assert variety_of(gctx, presentation_pairs(kernel_of_point(p, g, ctx))) == point_closure(gctx, p)
+
+
+def _majority() -> FiniteAlgebra:
+    """The ternary majority op on {0, 1}: past the byte bound by its arity."""
+    sig = Signature(("s",), [("maj", ("s", "s", "s"), "s")])
+    maj = {a: int(sum(a) >= 2) for a in itertools.product(range(2), repeat=3)}
+    return FiniteAlgebra(sig, (2,), {"maj": maj}, name="Maj")
 
 
 def _hom_extension_cases():
@@ -391,10 +403,6 @@ def _hom_extension_cases():
         },
         name="T",
     )
-    maj_sig = Signature(("s",), [("maj", ("s", "s", "s"), "s")])
-    maj = FiniteAlgebra(
-        maj_sig, (2,), {"maj": {a: int(sum(a) >= 2) for a in itertools.product(range(2), repeat=3)}}, name="Maj"
-    )
     termless = load_workspace(TERMLESS)
     return [
         *(over(cyclic_group(n), "xy") for n in range(2, 7)),
@@ -403,24 +411,26 @@ def _hom_extension_cases():
         *(over(mod_ring(n), "xy") for n in (2, 3, 4)),
         over(chain_semilattice(2), "xyz"),
         (two, VarContext(two_sig, [("x", "a"), ("y", "b"), ("z", "a")]), oracles.o_variety_of_kernel, True, True),
-        # sort b has no term over C: neither a coordinate algebra nor a presentation
-        (termless.algebra("G"), termless.context("C"), _termless_oracle, False, True),
+        # sort b has no term over C, so there is no coordinate algebra
+        (termless.algebra("G"), termless.context("C"), oracles.o_variety_of_kernel, False, True),
         # past the byte bound: 17 * 17 > 256, and an op of arity 3
         over(cyclic_group(17), "x", byte=False),
-        over(maj, "xy", byte=False),
+        over(_majority(), "xy", byte=False),
     ]
 
 
 @pytest.mark.parametrize(
     "g, ctx, oracle, coordinate, byte", _hom_extension_cases(), ids=lambda v: getattr(v, "name", None)
 )
-def test_variety_of_kernel_batch_matches_per_point_and_oracle(g, ctx, oracle, coordinate, byte):
+def test_variety_of_kernel_batch_matches_per_point_and_oracle(monkeypatch, g, ctx, oracle, coordinate, byte):
     """For the unit kernel, every point kernel and coordinate kernels of a
-    few small sets (the diagonal among them), variety_of_kernel and per-point
-    extend agree, and so do extend_all's flags and image columns where g is
-    within the byte bound. The oracle, slow on deep witnesses, checks the
-    point kernels of a sample (the first point among them) and images of at
-    most 16 members."""
+    few small sets (the diagonal among them), extend_all over byte columns
+    and over tuple rows (byte_tables patched to None) agree with o_extend at
+    every point, on flags and image columns, and variety_of_kernel keeps the
+    points that extend. byte says whether g is within the byte bound. The
+    oracle, slow on deep witnesses, checks the point kernels of a sample
+    (the first point among them) and images of at most 16 members."""
+    assert (g.byte_tables() is not None) == byte
     gctx, rng = GeoContext(g, ctx), random.Random(7)
     pts = gctx.points
     sample = {pts[0], *rng.sample(pts, min(4, len(pts)))}
@@ -433,37 +443,49 @@ def test_variety_of_kernel_batch_matches_per_point_and_oracle(g, ctx, oracle, co
         sub = k.image()
         shared += len(set(sub.seeds)) < len(sub.seeds)
         on_seed += any(not op.args and (op.result, sub.cells[op.name]) in sub.seeds for op in g.sig.ops)
-        want = [sub.extend(p, g) for p in pts]
+        want = [oracles.o_extend(sub, p, g) for p in pts]
         got = variety_of_kernel(k, gctx).points()
         assert got == [p for p, w in zip(pts, want) if w is not None]
         assert not check_oracle or got == oracle(k, g, ctx)
-        batch = sub.extend_all(pts, g)
-        if not byte:
-            assert batch is None
-            continue
-        flags, cols = batch
-        assert list(flags) == [int(w is not None) for w in want]
-        for i, w in enumerate(want):
-            if w is not None:
-                assert [[col[i] for col in cs] for cs in cols] == w
+        routes = [sub.extend_all(pts, g)]
+        with monkeypatch.context() as m:
+            m.setattr(FiniteAlgebra, "byte_tables", lambda self: None)
+            routes.append(sub.extend_all(pts, g))
+        for flags, cols in routes:
+            assert list(flags) == [int(w is not None) for w in want]
+            for i, w in enumerate(want):
+                if w is not None:
+                    assert [[col[i] for col in cs] for cs in cols] == w
     # some image has two variables on one seed, and some a constant on a seed
     assert shared or len({s for _, s in ctx.vars}) == len(ctx)
     assert on_seed or all(op.args for op in g.sig.ops)
 
 
-def test_variety_of_kernel_makes_no_per_point_extend_call(monkeypatch, z4, gctx2):
-    """Within the byte bound every point is decided at once; past it (Z17)
-    there is one extend call per point."""
+def test_variety_of_kernel_makes_one_extend_all_call(monkeypatch, z4, gctx2):
+    """Every point is decided by one extend_all call, within the byte bound
+    (Z4) and past it (Z17)."""
     calls = []
-    real = GeneratedSubalgebra.extend
-    monkeypatch.setattr(GeneratedSubalgebra, "extend", lambda *args: calls.append(1) or real(*args))
+    real = GeneratedSubalgebra.extend_all
+    monkeypatch.setattr(GeneratedSubalgebra, "extend_all", lambda *args: calls.append(1) or real(*args))
     gctx = GeoContext(z4, gctx2)
     a = PointSet.of_points(gctx, [(0, 1), (2, 3)])
     closed = variety_of_kernel(congruence_of(a), gctx)
-    assert closed == closure_variety(a) and a.issubset(closed) and len(closed) == 8
-    assert calls == []
+    assert a.issubset(closed) and len(closed) == 8 and calls == [1]
+    assert closure_variety(a) == closed and calls == [1, 1]
     z17 = GeoContext(cyclic_group(17), VarContext(GROUP_SIG, [("x", "g")]))
-    assert len(point_closure(z17, (3,))) == 17 and len(calls) == 17
+    assert len(point_closure(z17, (3,))) == 17 and calls == [1, 1, 1]
+
+
+@pytest.mark.parametrize("g, names", [(cyclic_group(17), "x"), (_majority(), "xyz")], ids=["Z17", "Maj"])
+def test_kernel_leq_past_the_byte_bound(g, names):
+    """A one-point extend_all over tuple rows: Ker(p) <= Ker(q) iff q is in
+    the closure of p."""
+    assert g.byte_tables() is None
+    ctx = VarContext(g.sig, [(n, g.sig.sorts[0]) for n in names])
+    gctx = GeoContext(g, ctx)
+    for p in gctx.points:
+        pc, kp = point_closure(gctx, p), kernel_of_point(p, g, ctx)
+        assert [kernel_leq(kp, kernel_of_point(q, g, ctx)) for q in gctx.points] == [q in pc for q in gctx.points]
 
 
 def test_point_closure_is_kernel_cone(z4, gctx2):

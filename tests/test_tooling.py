@@ -131,3 +131,37 @@ def test_every_cmd_function_is_bound_to_exactly_one_verb():
     assert list(bound) == list(cli.VERBS)
     assert len(set(bound.values())) == len(bound)
     assert set(bound.values()) == cmds
+
+
+def callers_of(sources: dict[str, str], method: str) -> list[str]:
+    """module.function for each call of method (as f(...) or x.f(...)),
+    naming the innermost enclosing function, or the module alone."""
+    out = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "attr", getattr(f, "id", None)) == method:
+                    out.append(where)
+            visit(child, where)
+
+    for module, source in sources.items():
+        start = len(out)
+        visit(ast.parse(source), "")
+        out[start:] = [f"{module}.{fn}" if fn else module for fn in out[start:]]
+    return out
+
+
+def test_callers_detector():
+    sources = {"a": "def f():\n    x.g()\n    def h():\n        return g(1)\n    return h\ng()\n", "b": "y = x.g\n"}
+    assert callers_of(sources, "g") == ["a.f", "a.h", "a"]
+
+
+def test_byte_tables_has_one_reader():
+    """Whether members are kept as bytes or tuples is decided in one place."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "byte_tables") == ["algebras._cells"]
