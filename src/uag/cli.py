@@ -280,7 +280,6 @@ def cmd_equiv(args) -> int:
         samples=args.samples,
         depth=args.depth,
         cap=args.cap,
-        max_points=args.max_points,
     )
     _out(
         args,
@@ -610,7 +609,6 @@ VERBS = {
             _CONTEXT,
             _arg("--mode", choices=["exact", "sampled"], default="exact"),
             _arg("--samples", type=int, default=40),
-            _arg("--max-points", type=int, default=20),
         ),
     ),
     "derive": (

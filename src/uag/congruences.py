@@ -325,10 +325,7 @@ class FinitePartitionCongruence:
         self.algebra = algebra
         self.block_ids = dense_blocks(algebra, block_ids)
         if validate:
-            self._check_compatible()
-
-    def _check_compatible(self) -> None:
-        class_tables(self.algebra, self.block_ids)
+            class_tables(self.algebra, self.block_ids)
 
     def same(self, sort: int, x: int, y: int) -> bool:
         return self.block_ids[sort][x] == self.block_ids[sort][y]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from operator import eq, lshift
@@ -36,6 +37,7 @@ from .congruences import (
     PairSet,
     generated_kernel,
     ground_closure,
+    h_ker,
     kernel_of_point,
     meet_of_hom_kernels,
     normalize_pair,
@@ -148,6 +150,23 @@ def point_closure(gctx: GeoContext, p: Point) -> PointSet:
     return variety_of_kernel(kernel_of_point(tuple(p), gctx.g, gctx.ctx), gctx)
 
 
+def point_subalgebras(gctx: GeoContext) -> tuple[list[tuple[Point, GeneratedSubalgebra]], list[int]]:
+    """The points grouped by the member sets of the subalgebra of g their
+    coordinates generate, named by the context's variables: each class's
+    first point with its generation (its kernel's image), and each point's class."""
+    sorts = [s for _, s in gctx.ctx.vars]
+    first: dict[tuple, int] = {}
+    classes: list[tuple[Point, GeneratedSubalgebra]] = []
+    of_point = []
+    for p in gctx.points:
+        sub = subalgebra_generated(gctx.g, list(zip(sorts, p)), gen_names=gctx.ctx.names)
+        i = first.setdefault(tuple(frozenset(ms) for ms in sub.members), len(classes))
+        if i == len(classes):
+            classes.append((p, sub))
+        of_point.append(i)
+    return classes, of_point
+
+
 def verbal_variety(
     gctx: GeoContext,
     identities: Sequence[Pair],
@@ -159,18 +178,9 @@ def verbal_variety(
     The identities carry their own variables (ictx, inferred if omitted), so
     this is the point shape of restricting the target to a variety.
     """
-    cache: dict[tuple, bool] = {}
-    flags = []
-    for p in gctx.points:
-        sub = subalgebra_generated(gctx.g, [(s, p[j]) for j, (_, s) in enumerate(gctx.ctx.vars)])
-        key = tuple(frozenset(ms) for ms in sub.members)
-        ok = cache.get(key)
-        if ok is None:
-            alg = sub.as_algebra()
-            ok = all(satisfies_identity(alg, pair, ictx, cap) for pair in identities)
-            cache[key] = ok
-        flags.append(ok)
-    return PointSet.of_flags(gctx, flags)
+    classes, of_point = point_subalgebras(gctx)
+    ok = [all(satisfies_identity(sub.as_algebra(), pair, ictx, cap) for pair in identities) for _, sub in classes]
+    return PointSet.of_flags(gctx, map(ok.__getitem__, of_point))
 
 
 def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
@@ -407,12 +417,12 @@ class Inconclusive:
     notice: str = ""
 
 
-def _verified_not_equiv(k_src, k_dst, pair, eqs, src_name, dst_name, notice=""):
+def _verified_not_equiv(k_src, k_dst, pair, eqs, src_name, dst_name):
     in_src, in_dst = k_src.contains(pair), k_dst.contains(pair)
     if in_src == in_dst:
         raise RuntimeError("separating pair failed re-verification")
     holds, fails = (src_name, dst_name) if in_src else (dst_name, src_name)
-    return NotEquivalent(equations=eqs, pair=pair, holds_in=holds, fails_in=fails, notice=notice)
+    return NotEquivalent(equations=eqs, pair=pair, holds_in=holds, fails_in=fails)
 
 
 def geometric_equiv(
@@ -424,32 +434,34 @@ def geometric_equiv(
     samples: int = 40,
     depth: int = 3,
     cap: Optional[int] = None,
-    max_points: int = 20,
+    max_points: Optional[int] = None,
 ):
     """Do g and h impose the same closure on every equation set over ctx?
 
-    Exact mode sweeps all closed congruences of each side (via the closed
-    point sets) and checks each is closed on the other side; it downgrades to
-    sampling, with a notice, when either point space exceeds max_points.
-    Sampled mode never returns Equivalent, only NotEquivalent or Inconclusive.
+    Exact mode is Plotkin's local test, bounded by the cap alone: they do iff
+    each distinct subalgebra S_p generated by a point p of either side lies in
+    SP of the other algebra, i.e. h_ker(S_p, other) is the identity. The first
+    failing p (g's side first) gives the witness: the presentation of Ker(p)
+    and a pair splitting it from its closure on the other side. Sampled mode
+    never returns Equivalent. max_points is ignored, with a warning, and every
+    notice is ""; both stay for callers of the closed-set sweep this replaced.
     """
+    if max_points is not None:
+        warnings.warn("geometric_equiv ignores max_points", DeprecationWarning, stacklevel=2)
     if (g.sig.sorts, g.sig.ops) != (h.sig.sorts, h.sig.ops):
         raise ValueError("geometric comparison needs a common signature")
     gg = GeoContext(g, ctx, cap)
     gh = GeoContext(h, ctx, cap)
-    notice = ""
-    if mode == "exact" and max(len(gg.points), len(gh.points)) > max_points:
-        mode = "sampled"
-        notice = f"point space exceeds {max_points} points; downgraded to sampled mode"
     if mode == "exact":
         for src, dst in ((gg, gh), (gh, gg)):
-            for closed in all_closed_point_sets(src, cap):
-                k = congruence_of(closed, cap)
-                k2 = congruence_of(variety_of_kernel(k, dst), cap)
-                hit = separating_pair(k, k2, cap)
-                if hit:
+            for p, sub in point_subalgebras(src)[0]:
+                s_p = sub.as_algebra()
+                if h_ker(s_p, dst.g, cap).block_counts() != s_p.sizes:
+                    k = KernelCongruence(src.g, ctx, p, image=sub)
+                    k2 = congruence_of(variety_of_kernel(k, dst), cap)
+                    hit = separating_pair(k, k2, cap)
                     return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
-        return Equivalent(mode="exact", notice=notice)
+        return Equivalent(mode="exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
@@ -471,8 +483,8 @@ def geometric_equiv(
                 hit2 = separating_pair(kg2, kh2, cap)
                 if hit2:
                     kept, hit, kg, kh = trial, hit2, kg2, kh2
-            return _verified_not_equiv(kg, kh, hit, PairSet(kept), g.name, h.name, notice)
-    return Inconclusive(samples=samples, notice=notice)
+            return _verified_not_equiv(kg, kh, hit, PairSet(kept), g.name, h.name)
+    return Inconclusive(samples=samples)
 
 
 @dataclass(frozen=True)

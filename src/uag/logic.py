@@ -27,10 +27,9 @@ from .algebras import (
     index_to_tuple,
     product,
     quotient,
-    subalgebra_generated,
 )
 from .congruences import FinitePartitionCongruence
-from .geometry import pull_back, random_term
+from .geometry import point_subalgebras, pull_back, random_term
 from .spaces import GeoContext, PointSet
 from .terms import (
     Signature,
@@ -568,22 +567,14 @@ def open_variety_check(
     formulas the two must agree at every point.
     """
     direct = fo_variety(m, formulas, gctx)
-    g = m.algebra
-    cache: dict[tuple, tuple] = {}
+    classes, of_point = point_subalgebras(gctx)
+    views = []
+    for _, sub in classes:
+        view = restrict_submodel(m, [list(ms) for ms in sub.members])
+        views.append((view, fo_variety(view.model, formulas, GeoContext(view.model.algebra, gctx.ctx, cap))))
     mismatches = []
-    for p in gctx.points:
-        sub = subalgebra_generated(
-            g, [(s, p[j]) for j, (_, s) in enumerate(gctx.ctx.vars)]
-        )
-        key = tuple(frozenset(ms) for ms in sub.members)
-        hit = cache.get(key)
-        if hit is None:
-            view = restrict_submodel(m, [list(ms) for ms in sub.members])
-            sub_gctx = GeoContext(view.model.algebra, gctx.ctx, cap)
-            value = fo_variety(view.model, formulas, sub_gctx)
-            hit = (view, value)
-            cache[key] = hit
-        view, value = hit
+    for p, i in zip(gctx.points, of_point):
+        view, value = views[i]
         q = view.drop_point(p, gctx.ctx)
         in_sub = q is not None and q in value
         if in_sub != (p in direct):

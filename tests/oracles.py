@@ -543,3 +543,33 @@ def o_halmos_axiom_violations(gctx, values, substitutions=()) -> list[str]:
                 if lhs != rhs:
                     note(f"E({sorted(ys)})s != s E({sorted(pre)}) despite side conditions")
     return out
+
+
+def o_equiv_by_sweep(g, h, ctx, cap=None):
+    """Exact geometric equivalence by the lattice sweep: every closed point
+    set of each side, g first, must cut out a congruence that is closed on
+    the other side. The first one that is not gives the witness: its
+    presentation, and a pair separating it from its closure on the other
+    side. Exponential in the point count; it raises CapExceeded where the
+    closed sets outgrow the cap.
+    """
+    from uag.geometry import (
+        Equivalent,
+        _verified_not_equiv,
+        all_closed_point_sets,
+        congruence_of,
+        presentation_pairs,
+        separating_pair,
+        variety_of_kernel,
+    )
+    from uag.spaces import GeoContext
+
+    gg, gh = GeoContext(g, ctx, cap), GeoContext(h, ctx, cap)
+    for src, dst in ((gg, gh), (gh, gg)):
+        for closed in all_closed_point_sets(src, cap):
+            k = congruence_of(closed, cap)
+            k2 = congruence_of(variety_of_kernel(k, dst), cap)
+            hit = separating_pair(k, k2, cap)
+            if hit:
+                return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
+    return Equivalent(mode="exact")

@@ -3,8 +3,8 @@
 Each argv runs in-process in text and in JSON format; the sha256 of its exit
 code, stdout and stderr must equal the pinned value. The corpus covers every
 verb's success path, negative verdicts, every `derive` kind, every `check`
-suite, both experiments, sampled `equiv` with its minimization loop, the
-over-20-point downgrade notice, and capacity errors. To re-pin after an
+suite, both experiments, sampled `equiv` with its minimization loop, exact
+`equiv` over 25 points, and capacity errors. To re-pin after an
 intended output change, print `digests(dir)` and review the diff.
 """
 
@@ -64,7 +64,7 @@ ARGVS = (
     ("equiv", *W, "-a", "Z2", "-b", "V4", "-c", "C1", "--mode", "sampled", "--samples", "5"),
     ("equiv", *W, "-a", "Z2", "-b", "Z4", "-c", "C2", "--mode", "sampled", "--samples", "6", "--seed", "3"),
     ("equiv", *W, "-a", "Z5", "-b", "Z2", "-c", "C2", "--samples", "4"),
-    ("equiv", *W, "-a", "Z4", "-b", "Z2", "-c", "C2", "--cap", "20"),
+    ("equiv", *W, "-a", "Z4", "-b", "Z2", "-c", "C2", "--cap", "15"),
     ("derive", *W, "--kind", "identity", "--seeds", "comm", *SMALL),
     ("derive", *W, "--kind", "pseudo", "--seeds", "sq", *SMALL),
     ("derive", *W, "--kind", "universal", "--seeds", "mixed", *SMALL),
@@ -156,10 +156,10 @@ GOLDEN: dict[str, str] = {
     'equiv --builtin group -f ws.sx -a Z2 -b V4 -c C1 --mode sampled --samples 5 --format json': '87beb763e68a11b8f007930a79c1e28a270b0bb18ca17ee77cec51b33333c038',
     'equiv --builtin group -f ws.sx -a Z2 -b Z4 -c C2 --mode sampled --samples 6 --seed 3 --format text': '87bbda8744ec90826ef013aee5145bd502b3627ad5b444c7462f77416fb71a29',
     'equiv --builtin group -f ws.sx -a Z2 -b Z4 -c C2 --mode sampled --samples 6 --seed 3 --format json': 'f91f1acf6488955ddf45b80f5a34b5743cdb686c86f243dc12bb3c6c9c7ef6ff',
-    'equiv --builtin group -f ws.sx -a Z5 -b Z2 -c C2 --samples 4 --format text': '50c59626cd7b7efb1406f92cc2c1e2773fee7ce6fb3b08bc276c9b6218172b3b',
-    'equiv --builtin group -f ws.sx -a Z5 -b Z2 -c C2 --samples 4 --format json': '50e6dca8b2cffe0064d2b3a5a87771c8db97e7e2275c643ee68ccca6e85352fb',
-    'equiv --builtin group -f ws.sx -a Z4 -b Z2 -c C2 --cap 20 --format text': '6fab637ef282afffaaa7792776196519d02b3701581de9d67c9e79675e9b8a8d',
-    'equiv --builtin group -f ws.sx -a Z4 -b Z2 -c C2 --cap 20 --format json': '6fab637ef282afffaaa7792776196519d02b3701581de9d67c9e79675e9b8a8d',
+    'equiv --builtin group -f ws.sx -a Z5 -b Z2 -c C2 --samples 4 --format text': 'c5f527865e6e733285ffa2d051cc1c98afd53c9612c7511a1e5e078d00739dcd',
+    'equiv --builtin group -f ws.sx -a Z5 -b Z2 -c C2 --samples 4 --format json': 'b56fb8675b186eea486f0a5aedb8e8c74caaa12e7a688fac29abb67b3bccdcaf',
+    'equiv --builtin group -f ws.sx -a Z4 -b Z2 -c C2 --cap 15 --format text': '58a6d52f67d8ff38e2b28dc28c46343adc8d11c8311a1b17481bc45e6ee71511',
+    'equiv --builtin group -f ws.sx -a Z4 -b Z2 -c C2 --cap 15 --format json': '58a6d52f67d8ff38e2b28dc28c46343adc8d11c8311a1b17481bc45e6ee71511',
     'derive --builtin group -f ws.sx --kind identity --seeds comm -c C2 --iterations 2 --width 1 --depth 2 --budget 500 --format text': 'a296575f1758f294567e4424086089624a1ea350d86ca213fb19f473e9d2f2f5',
     'derive --builtin group -f ws.sx --kind identity --seeds comm -c C2 --iterations 2 --width 1 --depth 2 --budget 500 --format json': '7588d80df886bb7b5fe010ccd60916992fd6c5f6c4e0225b0555a773c8c8f5b5',
     'derive --builtin group -f ws.sx --kind pseudo --seeds sq -c C2 --iterations 2 --width 1 --depth 2 --budget 500 --format text': 'd0b153701d622e1ac1240f0f9cc32d69b27b08845000b1e88318253dbd5611ce',

@@ -657,6 +657,84 @@ def test_geometric_equiv_sampled_witness_splits_the_closures(z2, z4, gctx2):
     assert not oracles.o_closure_member(by_name[v.fails_in], gctx2, eqs, v.pair)
 
 
+def _assert_witness_splits(v, by_name, ctx):
+    eqs = list(v.equations)
+    assert oracles.o_closure_member(by_name[v.holds_in], ctx, eqs, v.pair)
+    assert not oracles.o_closure_member(by_name[v.fails_in], ctx, eqs, v.pair)
+
+
+EQUIV_FAMILIES = {
+    "groups-C1": ([cyclic_group(n) for n in range(2, 7)] + [klein_four()], 1),
+    "groups-C2": ([cyclic_group(n) for n in range(2, 5)] + [klein_four()], 2),
+    "semilattices-C1": ([chain_semilattice(2), chain_semilattice(3), vee_semilattice()], 1),
+    "semilattices-C2": ([chain_semilattice(2), chain_semilattice(3), vee_semilattice()], 2),
+    "rings-C1": ([mod_ring(n) for n in range(2, 5)], 1),
+}
+
+
+@pytest.mark.parametrize("family", list(EQUIV_FAMILIES))
+def test_geometric_equiv_agrees_with_the_sweep(family):
+    """Plotkin's local test gives the sweep's verdict on every ordered pair,
+    and each negative witness splits the two closures, by brute force."""
+    algebras, n = EQUIV_FAMILIES[family]
+    ctx = _context(algebras[0], n)
+    for g, h in itertools.product(algebras, repeat=2):
+        v = geometric_equiv(g, h, ctx)
+        assert type(v) is type(oracles.o_equiv_by_sweep(g, h, ctx)), (g.name, h.name)
+        if isinstance(v, NotEquivalent):
+            _assert_witness_splits(v, {g.name: g, h.name: h}, ctx)
+
+
+def test_geometric_equiv_past_the_sweep(r5, z6, s3, gctx3):
+    """The term functions of R5 in one variable are all 5^5 maps, whose
+    tables pass the default cap, so the sweep raises CapExceeded there; S3
+    over three variables has 216 points."""
+    assert isinstance(geometric_equiv(r5, r5, _context(r5, 1)), Equivalent)
+    v = geometric_equiv(z6, s3, gctx3)
+    assert isinstance(v, NotEquivalent)
+    _assert_witness_splits(v, {"Z6": z6, "S3": s3}, gctx3)
+
+
+def test_geometric_equiv_has_no_point_bound(z2, z4, gctx2):
+    """max_points is accepted, with a DeprecationWarning, and changes nothing."""
+    with pytest.warns(DeprecationWarning, match="max_points"):
+        v = geometric_equiv(z2, z4, gctx2, max_points=1)
+    assert v == geometric_equiv(z2, z4, gctx2)
+    assert isinstance(v, NotEquivalent) and v.notice == ""
+
+
+def test_geometric_equiv_costs_one_generation_per_point(monkeypatch, z2, z4, klein):
+    """No closed-set sweep; one subalgebra per point of each side reached,
+    and one h_ker per distinct subalgebra up to the first that fails."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("all_closed_point_sets called")
+
+    generated, tested = [], []
+    real_generated, real_h_ker = geometry.subalgebra_generated, geometry.h_ker
+    monkeypatch.setattr(geometry, "all_closed_point_sets", no_sweep)
+    monkeypatch.setattr(
+        geometry, "subalgebra_generated", lambda g, *a, **k: generated.append(g) or real_generated(g, *a, **k)
+    )
+    monkeypatch.setattr(geometry, "h_ker", lambda g, *a, **k: tested.append(g) or real_h_ker(g, *a, **k))
+    # the classes of Z4 over C1 are, by first point, {0}, Z4 and {0, 2}; Z2 has {0} and Z2
+    for g, h, n, verdict, reached, tests in (
+        (z2, klein, 2, Equivalent, (z2, klein), None),
+        (z4, z2, 1, NotEquivalent, (z4,), 2),
+        (z2, z4, 1, NotEquivalent, (z2, z4), 4),
+    ):
+        generated.clear(), tested.clear()
+        ctx = _context(g, n)
+        assert isinstance(geometric_equiv(g, h, ctx), verdict)
+        assert generated == [a for a in reached for _ in oracles.o_points(a, ctx)]
+        if tests is None:
+            tests = sum(
+                len({frozenset(oracles.o_row_subalgebra(a, ctx, [p])[0]) for p in oracles.o_points(a, ctx)})
+                for a in reached
+            )
+        assert len(tested) == tests
+
+
 def test_parabola_closure_frozen(r5, rctx2):
     gctx = GeoContext(r5, rctx2)
     parabola = variety_of(gctx, PairSet([(app("mul", Y, Y), X)]))

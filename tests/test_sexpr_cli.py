@@ -496,8 +496,7 @@ VALID_ARGS = {
     "verbal": ["-a", "Z4", "-c", "C2", "-p", "T", "--ictx", "C1"],
     "morphism": ["-a", "Z4", *TWO_VARIETIES, "--subst", "((x x))"],
     "iso": ["-a", "Z4", *TWO_VARIETIES, "--bound", "8"],
-    "equiv": ["-a", "Z2", "-b", "Z4", "-c", "C1", "--mode", "sampled", "--samples", "5",
-              "--max-points", "9"],
+    "equiv": ["-a", "Z2", "-b", "Z4", "-c", "C1", "--mode", "sampled", "--samples", "5"],
     "derive": ["--kind", "pseudo", "--seeds", "a,b", "--width", "1", "--quackenbush", "--depth", "2"],
     "query": ["-a", "Z4", "--clause", "k", "-c", "C1", "--format", "json"],
     "fo-variety": ["--model", "M", "-c", "C2", "--formulas", "q", "--closure-query", "q"],

@@ -165,3 +165,9 @@ def test_byte_tables_has_one_reader():
     """Whether members are kept as bytes or tuples is decided in one place."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert callers_of(sources, "byte_tables") == ["algebras._cells"]
+
+
+def test_points_are_grouped_by_subalgebra_in_one_place():
+    """Only geometry.point_subalgebras dedupes point subalgebras by member sets."""
+    counts = {p.stem: p.read_text(encoding="utf-8").count("frozenset(ms) for ms in") for p in SRC.glob("*.py")}
+    assert {stem: n for stem, n in counts.items() if n} == {"geometry": 1}
