@@ -386,6 +386,15 @@ def generate(
     before it is added; if it returns true, generation stops and None is
     returned.
 
+    With cells charged, a budget and no watch, each round that adds members
+    ends by projecting the cells its members already span, the sum over ops
+    of the product of their argument sorts' member counts (1 for a nullary
+    op), and raises CapExceeded("<stage> tables") with that count once it
+    passes budget. This is sound: such a run charges every cell among its
+    final members exactly once, and members only grow, so the run would
+    pass budget later anyway. Which runs raise is unchanged; they raise
+    sooner, before computing the cells they could not keep.
+
     _cells picks how a member is kept while generating, as a bytes column
     or a tuple row, and computes each run's cells; everything else, the
     members of the result (tuple rows) among it, is the same either way.
@@ -473,8 +482,13 @@ def generate(
                         if row is not None:
                             row.append(pos)
             first = False
-            if [len(m) for m in members] == cur:
+            sizes = [len(m) for m in members]
+            if sizes == cur:
                 break
+            if charge_cells and watch is None and budget is not None:
+                need = sum(math.prod(sizes[a] for a in op.args) for op in sig.ops)
+                if need > budget:
+                    raise CapExceeded(f"{stage} tables", need, budget)
             old = cur
     except _Stop:
         return None

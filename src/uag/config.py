@@ -9,6 +9,8 @@ class CapExceeded(RuntimeError):
     """An enumeration would exceed the configured cap.
 
     Raised instead of stalling; carries the offending count and the cap.
+    For a generation's tables the count may be the cells its members
+    already span, more than it computed before raising.
     """
 
     def __init__(self, what: str, count: int, cap: int):

@@ -9,6 +9,7 @@ index algebra. Slow on purpose; only fed tiny inputs.
 from __future__ import annotations
 
 import itertools
+import math
 
 from uag.terms import App, Term, Var
 
@@ -284,6 +285,14 @@ def o_row_subalgebra(g, ctx, points):
                     rows[op.result].add(val)
                     changed = True
     return {s: sorted(v) for s, v in rows.items()}
+
+
+def o_generation_counts(g, ctx, points) -> tuple[int, int]:
+    """(members, table cells) of the row subalgebra of G^points: a cell is
+    one op applied to one tuple of argument members."""
+    rows = o_row_subalgebra(g, ctx, points)
+    sizes = [len(rows[s]) for s in range(len(g.sig.sorts))]
+    return sum(sizes), sum(math.prod(sizes[s] for s in op.args) for op in g.sig.ops)
 
 
 def o_closure_points(g, ctx, points):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from uag import algebras
+from uag import algebras, geometry
 from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
@@ -34,8 +34,8 @@ from uag.algebras import (
     index_to_tuple,
 )
 from uag.config import DEFAULT_CAP, CapExceeded, get_cap
-from uag.congruences import h_ker
-from uag.geometry import closure_variety, coordinate_algebra
+from uag.congruences import h_ker, kernel_of_point
+from uag.geometry import closure_variety, coordinate_algebra, separating_pair
 from uag.spaces import GeoContext, PointSet
 from uag.terms import Signature, VarContext, app, render, var
 
@@ -266,11 +266,27 @@ def _cross_cases():
     ]
 
 
+CAPS = (1, 2, 5, 17, 60, 250, 1000)
+FLAGS = ({}, {"charge_cells": True}, {"members_only": True})
+
+
+def _cap_outcome(factors, rows, names, cap, flags):
+    """The members of a generation under cap as tuple rows, or its CapExceeded."""
+    try:
+        out = generate(factors, rows, names, cap, stage="cross", **flags)
+    except CapExceeded as e:
+        return e
+    return [list(map(tuple, ms)) for ms in (out if flags.get("members_only") else out.members)]
+
+
 @pytest.mark.parametrize("g, ctx, pts, column", _cross_cases(), ids=lambda v: getattr(v, "name", None))
 def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     """G^N with one algebra object keeps bytes columns where the byte
     bound allows; an equal copy among the factors forces tuple rows. Both
-    give the same members, witnesses, cells, origin, seeds and cap errors."""
+    give the same members, witnesses, cells, origin, seeds and cap errors,
+    and raise iff the whole run has more members than the cap or, with
+    cells charged, more table cells (o_generation_counts); uncharged runs
+    count members only, one past the cap."""
     copy = FiniteAlgebra(g.sig, g.sizes, g.tables, name=g.name)
     rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(ctx.vars)]
     power, mixed = [g] * len(pts), [g] + [copy] * (len(pts) - 1)
@@ -283,17 +299,111 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     assert all(u is v for wa, wb in zip(a.witnesses, b.witnesses) for u, v in zip(wa, wb))
     assert (a.cells, a.origin, a.seeds, a.gen_vars) == (b.cells, b.origin, b.seeds, b.gen_vars)
     assert a.index == b.index and a.contains(0, a.members[0][0])
+    members, cells = oracles.o_generation_counts(g, ctx, pts)
+    for cap in CAPS:
+        for flags in FLAGS:
+            got = _cap_outcome(power, rows, ctx.names, cap, flags)
+            assert str(got) == str(_cap_outcome(mixed, rows, ctx.names, cap, flags)), (cap, flags)
+            over = members > cap or (bool(flags) and cells > cap)
+            assert isinstance(got, CapExceeded) == over, (cap, flags)
+            if not over:
+                assert got == [list(ms) for ms in a.members]
+            elif not flags:
+                assert str(got) == f"cross members: {cap + 1} exceeds cap {cap}"
 
-    def outcome(factors, cap, flags):
-        try:
-            out = generate(factors, rows, ctx.names, cap, stage="cross", **flags)
-        except CapExceeded as e:
-            return str(e)
-        return [list(map(tuple, ms)) for ms in (out if flags.get("members_only") else out.members)]
 
-    for cap in (1, 2, 5, 17, 60, 250, 1000):
-        for flags in ({}, {"charge_cells": True}, {"members_only": True}):
-            assert outcome(power, cap, flags) == outcome(mixed, cap, flags), (cap, flags)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+            st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n),
+            st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2), min_size=1, max_size=3),
+        )
+    ),
+    st.integers(1, 2),
+    st.integers(1, 400),
+    st.sampled_from(FLAGS),
+)
+def test_random_generations_raise_exactly_past_the_cap(algebra, nvars, cap, flags):
+    """The same verdict over random 2-4 element algebras with one unary and
+    one binary op, on 1-3 points of one or two variables."""
+    n, f, m, pts = algebra
+    sig = Signature(("s",), [("f", ("s",), "s"), ("m", ("s", "s"), "s")])
+    tables = {"f": {(i,): f[i] for i in range(n)}, "m": {(i, j): m[i * n + j] for i in range(n) for j in range(n)}}
+    g = FiniteAlgebra(sig, (n,), tables)
+    ctx = VarContext(sig, [(name, "s") for name in "xy"[:nvars]])
+    pts = [tuple(p[:nvars]) for p in pts]
+    members, cells = oracles.o_generation_counts(g, ctx, pts)
+    rows = [(0, tuple(p[i] for p in pts)) for i in range(nvars)]
+    got = _cap_outcome([g] * len(pts), rows, ctx.names, cap, flags)
+    assert isinstance(got, CapExceeded) == (members > cap or (bool(flags) and cells > cap))
+
+
+def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
+    """A watch may stop a run before its members span their cells, so a
+    watched run with cells charged raises iff the members it added or the
+    cells it computed before the stop pass the cap, even where its members
+    already span more cells than the cap; separating_pair, watched and not
+    charged, finds the same pair at every cap its members fit."""
+    computed = [0]
+    for cls in (algebras._ByteCells, algebras._TupleCells):
+        for name, size in (("run", lambda op, prefix, span: len(span)), ("constant", lambda op: 1)):
+
+            def counting(self, *args, real=getattr(cls, name), size=size):
+                computed[0] += size(*args)
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+    spanned_past_the_cap = 0
+    for g, ctx, pts, _ in _cross_cases():
+        rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(ctx.vars)]
+        members, _ = oracles.o_generation_counts(g, ctx, pts)
+        added = [0] * len(g.sig.sorts)
+
+        def stop_halfway(s, key, wit):
+            if sum(added) == members // 2:
+                return True
+            added[s] += 1
+            return False
+
+        computed[0] = 0
+        assert generate([g] * len(pts), rows, ctx.names, watch=stop_halfway) is None
+        bound = max(sum(added), computed[0])
+        spans = sum(math.prod(added[a] for a in op.args) for op in g.sig.ops)
+        for cap in CAPS:
+            added[:] = [0] * len(added)
+            try:
+                stopped = generate([g] * len(pts), rows, ctx.names, cap, charge_cells=True, watch=stop_halfway)
+            except CapExceeded:
+                assert cap < bound, (g.name, cap)
+            else:
+                assert stopped is None and cap >= bound, (g.name, cap)
+                spanned_past_the_cap += spans > cap
+    assert spanned_past_the_cap > 0
+
+    g = symmetric_group_3()
+    ctx = VarContext(g.sig, [("x", "g"), ("y", "g")])
+    real = geometry.generate
+    for p, q in [((0, 1), (1, 0)), ((3, 4), (1, 2)), ((1, 3), (2, 5))]:
+        added = []
+
+        def scan(cap=None, p=p, q=q):
+            return separating_pair(kernel_of_point(p, g, ctx), kernel_of_point(q, g, ctx), cap)
+
+        def counting(*args, watch, **kw):
+            return real(*args, watch=lambda *a: watch(*a) or added.append(1), **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "generate", counting)
+            pair = scan()
+        assert pair is not None
+        for cap in CAPS:
+            if cap >= len(added):
+                assert scan(cap) == pair
+            else:
+                with pytest.raises(CapExceeded, match=f"kernel separation scan members: {cap + 1} exceeds"):
+                    scan(cap)
 
 
 def _hom_families():

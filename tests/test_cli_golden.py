@@ -128,10 +128,10 @@ GOLDEN: dict[str, str] = {
     'closure --builtin group -f ws.sx -a Z4 -c C1 -p T --query (x (inv x)) --format json': '0afd8cdfd047c0f9694ecc361cf53838f17eb2be42b630e5bb6dd3eacb2d8df9',
     'closure --builtin group -f ws.sx -a Z4 -c C1 -p T --query (x e) --format text': '52422962be56a84414b1a4666e9a22a599d19e4554a11dfd53f4aa29415f6974',
     'closure --builtin group -f ws.sx -a Z4 -c C1 -p T --query (x e) --format json': 'f5f143410e2b6dc25881f91cc37e04b093ee8167e8ccf6b8d60efe9392490434',
-    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --format text': '7db6a9f1a44f9a4a4a982f043709c9ab5a348888fffbffde47713e2a9ba6bef4',
-    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --format json': '7db6a9f1a44f9a4a4a982f043709c9ab5a348888fffbffde47713e2a9ba6bef4',
-    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --query (x y) --format text': '7db6a9f1a44f9a4a4a982f043709c9ab5a348888fffbffde47713e2a9ba6bef4',
-    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --query (x y) --format json': '7db6a9f1a44f9a4a4a982f043709c9ab5a348888fffbffde47713e2a9ba6bef4',
+    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --format text': 'b34248e1a5f7f2185b6934223cdfae5d5d8e680598cfe55068db5e463d08f920',
+    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --format json': 'b34248e1a5f7f2185b6934223cdfae5d5d8e680598cfe55068db5e463d08f920',
+    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --query (x y) --format text': 'b34248e1a5f7f2185b6934223cdfae5d5d8e680598cfe55068db5e463d08f920',
+    'closure --builtin group -f ws.sx -a Z4 -c C2 -p E --cap 20 --query (x y) --format json': 'b34248e1a5f7f2185b6934223cdfae5d5d8e680598cfe55068db5e463d08f920',
     'nullsatz --builtin group -f ws.sx --image Z4 --assignment 1,2 --target Z2 -c C2 --format text': '0f645f15e92fa9fa8c0f245689e3a27b496232c08de5ed38c3a48bb217c09f88',
     'nullsatz --builtin group -f ws.sx --image Z4 --assignment 1,2 --target Z2 -c C2 --format json': 'ad77d68d6174c67dead9f34431fd6ab352015de456cea8b1e2ebebafc7cb9e22',
     'nullsatz --builtin group -f ws.sx --image S3 --assignment 1,3 --target Z6 -c C2 --format text': '1c51eda1f2a3add7ee10a4aad56307cb63d30498ecc8ef2ae316d3a748a831bf',

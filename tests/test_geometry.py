@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from uag import geometry, terms
+from uag import algebras, geometry, terms
 from uag.algebras import (
     GROUP_SIG,
     RING_SIG,
@@ -21,7 +21,7 @@ from uag.algebras import (
     symmetric_group_3,
     vee_semilattice,
 )
-from uag.config import CapExceeded
+from uag.config import DEFAULT_CAP, CapExceeded
 from uag.congruences import PairSet, kernel_leq, kernel_of_point, unit_kernel
 from uag.geometry import (
     Equivalent,
@@ -274,7 +274,7 @@ def test_sweep_past_the_cap_keeps_the_walk(monkeypatch):
         errors.append(str(e.value))
     assert len(prefixes[0]) == 31
     assert prefixes[0] == prefixes[1]
-    assert errors == ["coordinate algebra tables: 65667 exceeds cap 65536"] * 2
+    assert errors == ["coordinate algebra tables: 103971 exceeds cap 65536"] * 2
     # a consumer that stops early gets its sets without an error
     assert _masks(itertools.islice(all_closed_point_sets(gctx, cap), 10)) == prefixes[1][:10]
     # the term functions overflow at the same count with or without terms
@@ -287,7 +287,32 @@ def test_sweep_past_the_cap_keeps_the_walk(monkeypatch):
         full.append(str(e.value))
     with pytest.raises(CapExceeded) as e:
         coordinate_algebra(gctx.full(), cap)
-    assert full == [str(e.value)] * 2 == ["coordinate algebra tables: 65931 exceeds cap 65536"] * 2
+    assert full == [str(e.value)] * 2 == ["coordinate algebra tables: 2428811 exceeds cap 65536"] * 2
+
+
+def test_over_cap_generations_stop_before_computing_the_cap(monkeypatch):
+    """S3 over 3 variables: the term functions are about 10**9 members,
+    so the coordinate algebra of the full set and the equalizers raise
+    once their members span more than the cap's worth of cells, having
+    computed under a sixteenth of the cap's cells (30,800, where running
+    up to the cap computes over 10**6), and the sweep still yields its
+    first set."""
+    computed = [0]
+    real = algebras._ByteCells.run
+
+    def counting(self, op, prefix, span):
+        computed[0] += len(span)
+        return real(self, op, prefix, span)
+
+    monkeypatch.setattr(algebras._ByteCells, "run", counting)
+    gctx = GeoContext(symmetric_group_3(), _context(symmetric_group_3(), 3))
+    for run in (lambda: coordinate_algebra(gctx.full()), lambda: geometry._equalizers(gctx)):
+        computed[0] = 0
+        with pytest.raises(CapExceeded) as e:
+            run()
+        assert e.value.what == "coordinate algebra tables" and e.value.cap == DEFAULT_CAP
+        assert 0 < computed[0] < DEFAULT_CAP // 16
+    assert next(all_closed_point_sets(gctx)).points() == [(0, 0, 0)]
 
 
 def test_equalizer_sweep_work_counts(monkeypatch, z4, gctx3):

@@ -451,6 +451,20 @@ def test_cli_closure_query_builds_one_coordinate_algebra(tmp_path, monkeypatch):
     assert built == [8]
 
 
+def test_cli_over_cap_coordinate_algebras_exit_2_at_once(tmp_path, capsys):
+    """Coordinate algebras spanning far more table cells than the default
+    cap stop at the round that passes it: exit 2 with the one error line."""
+    path = tmp_path / "t.sx"
+    for text, argv, count in (
+        ("(pairs T ((mul x x) e))", ("group", "-a", "S3", "-c", "C3", "-p", "T"), 44669173),
+        ("(pairs E)", ("ring", "-a", "R5", "-c", "C2", "-p", "E", "--query", "(x y)"), 25920003),
+    ):
+        path.write_text(text)
+        capsys.readouterr()
+        assert run_cli("closure", "-f", str(path), "--builtin", *argv) == (2, "")
+        assert capsys.readouterr().err == f"error: coordinate algebra tables: {count} exceeds cap 1048576\n"
+
+
 def test_cli_check_single_suite():
     code, out = run_cli("check", "--suite", "halmos", "--format", "json")
     assert code == 0
