@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import shutil
 import sys
 from functools import partial
 from typing import Optional
@@ -667,13 +668,18 @@ def _parser(names: list[str]) -> argparse.ArgumentParser:
     argv for one of them as the full parser does, and every usage line
     lists all verbs: with fewer registered, the full list is passed as
     ``metavar``, which the full parser leaves unset because it would rename
-    the verb in ``invalid choice`` errors."""
-    top = argparse.ArgumentParser(prog="uag", description=__doc__)
+    the verb in ``invalid choice`` errors.
+
+    The terminal is asked for its width once, and every parser's formatter
+    gets the width a default ``HelpFormatter`` would compute; argparse would
+    otherwise ask again for each formatter it makes, one per argument."""
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    top = argparse.ArgumentParser(prog="uag", description=__doc__, formatter_class=fmt)
     metavar = "{" + ",".join(VERBS) + "}" if len(names) < len(VERBS) else None
-    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar, prog="uag")
     for name in names:
         help_text, own = VERBS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
         for flags, kwargs in COMMON + own:
             p.add_argument(*flags, **kwargs)
         # looked up per call, so a rebound cmd_* is the one that runs

@@ -47,17 +47,17 @@ class Clause:
         if self.kind not in KINDS:
             raise ValueError(f"unknown clause kind {self.kind!r}")
         if self.kind == "identity":
-            if self.cons is None or len(self.pos) or len(self.neg) or len(self.ante):
+            if self.cons is None or self.pos.pairs or self.neg.pairs or self.ante.pairs:
                 raise ValueError("an identity is a single equation")
             object.__setattr__(self, "cons", normalize_pair(self.cons))
         elif self.kind == "pseudo":
-            if self.cons is not None or len(self.neg) or len(self.ante) or not len(self.pos):
+            if self.cons is not None or self.neg.pairs or self.ante.pairs or not self.pos.pairs:
                 raise ValueError("a pseudoidentity is a nonempty disjunction of equations")
         elif self.kind == "universal":
-            if self.cons is not None or len(self.ante) or not (len(self.pos) or len(self.neg)):
+            if self.cons is not None or self.ante.pairs or not (self.pos.pairs or self.neg.pairs):
                 raise ValueError("a universal clause needs at least one literal")
         else:
-            if len(self.pos) or len(self.neg):
+            if self.pos.pairs or self.neg.pairs:
                 raise ValueError("a quasi-identity has premises and one conclusion")
             if self.cons is not None:
                 object.__setattr__(self, "cons", normalize_pair(self.cons))
@@ -70,11 +70,9 @@ class Clause:
         return [t for pair in self.pairs() for t in pair]
 
     def key(self):
-        def pk(ps):
-            return tuple((term_key(a), term_key(b)) for a, b in ps)
-
-        ck = ((),) if self.cons is None else (term_key(self.cons[0]), term_key(self.cons[1]))
-        return (self.kind, ck, pk(self.pos), pk(self.neg), pk(self.ante))
+        cons = self.cons
+        ck = ((),) if cons is None else (term_key(cons[0]), term_key(cons[1]))
+        return (self.kind, ck, _side_key(self.pos), _side_key(self.neg), _side_key(self.ante))
 
     def __repr__(self) -> str:
         def fmt(ps, sep):
@@ -90,6 +88,13 @@ class Clause:
             return f"<{fmt(self.pos, ' | ')}{mid}{negs}>"
         head = "false" if self.cons is None else f"{render(self.cons[0])}={render(self.cons[1])}"
         return f"<{fmt(self.ante, ' & ')} -> {head}>"
+
+
+def _side_key(side: PairSet) -> tuple:
+    """Clause.key's part for one side: its pairs' term keys, () when empty."""
+    if not side.pairs:
+        return ()
+    return tuple([(term_key(a), term_key(b)) for a, b in side.pairs])
 
 
 def identity(pair: Pair) -> Clause:

@@ -85,54 +85,44 @@ class EmptyForm(list):
 
 Node = Union[Atom, list]
 
-# one token: a parenthesis, a run of symbol characters, or a comment start;
+# one token per match, told apart by the group that matched: 1 an open
+# paren, 2 a close paren, 3 a run of symbol characters, none a comment start;
 # spaces, tabs and carriage returns between tokens are skipped
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;")
-
-
-def tokenize(src: str) -> list[Atom]:
-    """Parentheses and symbols of ``src`` in order, each at its line and column.
-
-    One compiled regex runs over each line; a ``;`` ends the line. Every
-    character but the newline takes one column.
-    """
-    out: list[Atom] = []
-    for line, text in enumerate(src.split("\n"), 1):
-        for m in _TOKEN.finditer(text):
-            tok = m.group()
-            if tok == ";":
-                break
-            out.append(Atom(tok, line, m.start() + 1))
-    return out
+_TOKEN = re.compile(r"(\()|(\))|;|([^ \t\r\n();]+)")
 
 
 def parse_nodes(src: str) -> list[Node]:
     """The top-level forms of ``src``: a list is a parenthesized form (an
-    EmptyForm when empty), an Atom a symbol.
+    EmptyForm when empty), an Atom a symbol, each at its line and column
+    (both 1-based; every character but the newline takes one column).
 
-    A loop with an explicit stack of open lists, so nesting depth is bounded
-    by memory, not by Python's recursion limit. A stray ``)`` is reported
-    where it stands, an unclosed ``(`` at the innermost one left open.
+    One compiled regex runs over each line and the tree is built as it
+    matches; a ``;`` ends the line. Open lists are kept on an explicit
+    stack, so nesting depth is bounded by memory, not by Python's recursion
+    limit. A stray ``)`` is reported where it stands, an unclosed ``(`` at
+    the innermost one left open.
     """
     out: list[Node] = []
     items = out
-    stack: list[tuple[list, Atom]] = []  # (enclosing list, its open paren)
-    for tok in tokenize(src):
-        text = tok.text
-        if text == "(":
-            stack.append((items, tok))
-            items = []
-        elif text == ")":
-            if not stack:
-                raise SexprError("unexpected ')'", tok.line, tok.col)
-            enclosing, opened = stack.pop()
-            enclosing.append(items or EmptyForm(opened.line, opened.col))
-            items = enclosing
-        else:
-            items.append(tok)
+    stack: list[tuple[list, int, int]] = []  # (enclosing list, line, col of its open paren)
+    for line, text in enumerate(src.split("\n"), 1):
+        for m in _TOKEN.finditer(text):
+            kind = m.lastindex
+            if kind == 3:
+                items.append(Atom(m.group(3), line, m.start() + 1))
+            elif kind == 1:
+                stack.append((items, line, m.start() + 1))
+                items = []
+            elif kind == 2:
+                if not stack:
+                    raise SexprError("unexpected ')'", line, m.start() + 1)
+                enclosing, open_line, open_col = stack.pop()
+                enclosing.append(items or EmptyForm(open_line, open_col))
+                items = enclosing
+            else:
+                break
     if stack:
-        tok = stack[-1][1]
-        raise SexprError("unclosed parenthesis", tok.line, tok.col)
+        raise SexprError("unclosed parenthesis", *stack[-1][1:])
     return out
 
 
@@ -255,34 +245,39 @@ def parse_term(node: Node, sig: Signature, _depth: int = 0) -> Term:
     name = _term_op(node, sig)
     if _depth >= DEEP_TERM:
         return _parse_deep_term(node, sig)
-    return app(name, *[parse_term(a, sig, _depth + 1) for a in node[1:]])
+    return app(
+        name,
+        *[
+            _symbol_term(a, sig) if isinstance(a, Atom) else parse_term(a, sig, _depth + 1)
+            for a in node[1:]
+        ],
+    )
 
 
 def _symbol_term(node: Atom, sig: Signature) -> Term:
     text = node.text
     if text.lstrip("-").isdigit():
         raise SexprError("a bare number is not a term", node.line, node.col)
-    if sig.has_op(text):
-        op = sig.op(text)
-        if op.arity != 0:
-            raise SexprError(f"operation {text!r} takes {op.arity} arguments", node.line, node.col)
-        return app(text)
-    return var(text)
+    arity = sig.arities.get(text)
+    if arity is None:
+        return var(text)
+    if arity:
+        raise SexprError(f"operation {text!r} takes {arity} arguments", node.line, node.col)
+    return app(text)
 
 
 def _term_op(node: list, sig: Signature) -> str:
     """The operation a compound term node applies, checked against sig."""
     if not node:
         raise SexprError("empty term", *_pos(node))
-    name = _atom(node[0], "an operation name")
-    if not sig.has_op(name):
-        raise SexprError(f"unknown operation {name!r}", node[0].line, node[0].col)
-    op = sig.op(name)
-    if len(node) - 1 != op.arity:
+    head = node[0]
+    name = _atom(head, "an operation name")
+    arity = sig.arities.get(name)
+    if arity is None:
+        raise SexprError(f"unknown operation {name!r}", head.line, head.col)
+    if len(node) - 1 != arity:
         raise SexprError(
-            f"operation {name!r} takes {op.arity} arguments, got {len(node) - 1}",
-            node[0].line,
-            node[0].col,
+            f"operation {name!r} takes {arity} arguments, got {len(node) - 1}", head.line, head.col
         )
     return name
 

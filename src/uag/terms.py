@@ -26,7 +26,7 @@ class Op:
 class Signature:
     """Operation alphabet. Sorts live at integer indices in declaration order."""
 
-    __slots__ = ("sorts", "ops", "_by_name")
+    __slots__ = ("sorts", "ops", "_by_name", "arities")
 
     def __init__(self, sorts: Iterable[str], ops: Iterable[tuple]):
         self.sorts: tuple[str, ...] = tuple(sorts)
@@ -45,6 +45,7 @@ class Signature:
         self._by_name = {op.name: op for op in self.ops}
         if len(self._by_name) != len(self.ops):
             raise ValueError("duplicate op names")
+        self.arities: dict[str, int] = {op.name: len(op.args) for op in self.ops}  # by op name
 
     def op(self, name: str) -> Op:
         try:
@@ -149,7 +150,7 @@ def var(name: str) -> Var:
 
 
 def app(op: str, *args: Term) -> App:
-    key = (op, tuple(id(a) for a in args))
+    key = (op, tuple(map(id, args)))
     t = _APPS.get(key)
     if t is None:
         t = _APPS[key] = App(op, tuple(args))

@@ -1,5 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
+import re
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import uag.cli as cli
 import uag.geometry as geometry
+import uag.sexpr as sexpr
 from uag.cli import main
 from uag.logic import And, Eq, Exists, Not, Or, Rel
 from uag.sexpr import (
@@ -21,7 +26,6 @@ from uag.sexpr import (
     parse_term,
     print_formula,
     print_pair,
-    tokenize,
 )
 from uag.terms import app, render, var
 
@@ -49,14 +53,14 @@ WS = """
 
 
 def test_tokenize_positions():
-    toks = tokenize("(a\n  b)")
-    assert [t.text for t in toks] == ["(", "a", "b", ")"]
-    assert (toks[2].line, toks[2].col) == (2, 3)
+    [form] = parse_nodes("(a\n  b ())")
+    assert [(t.text, t.line, t.col) for t in form[:2]] == [("a", 1, 2), ("b", 2, 3)]
+    assert (form[2].line, form[2].col) == (2, 5)
 
 
 def test_tokenize_comments():
-    toks = tokenize("(a ; comment here\n b)")
-    assert [t.text for t in toks] == ["(", "a", "b", ")"]
+    [form] = parse_nodes("(a ; comment (here\n b)")
+    assert [t.text for t in form] == ["a", "b"]
 
 
 def test_parse_unclosed():
@@ -92,6 +96,23 @@ def test_reader_nests_deeper_than_the_recursion_limit():
     for _ in range(depth):
         [node] = node
     assert (node.text, node.line, node.col) == ("x", 1, depth + 1)
+
+
+def test_reader_makes_one_atom_per_symbol(monkeypatch):
+    """Parentheses are structure only: the one Atom made per symbol is the
+    only object the reader makes per token."""
+    made = []
+
+    class Counted(sexpr.Atom):
+        __slots__ = ()
+
+        def __init__(self, text, line, col):
+            made.append((text, line, col))
+            super().__init__(text, line, col)
+
+    monkeypatch.setattr(sexpr, "Atom", Counted)
+    assert [_shape(n) for n in parse_nodes(WS)] == oracles.o_parse_nodes(WS)
+    assert made == [t for t in oracles.o_tokenize(WS) if t[0] not in "()"]
 
 
 def test_load_workspace_full():
@@ -580,33 +601,187 @@ def test_a_call_registers_only_its_verb(monkeypatch, capsys):
     assert registered == list(cli.VERBS) and len(registered) == 15
 
 
-@pytest.mark.parametrize(
-    "text, where",
-    [
-        ("(sort g h)", "1:9"),
-        ("(sort g)\n(op e () g)\n(formula f (eq e e) (eq e e e))", "3:22"),
-    ],
-)
-def test_cli_trailing_items_in_a_form_exit_2(tmp_path, capsys, text, where):
-    path = tmp_path / "extra.sx"
-    path.write_text(text)
+def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
+    asked = []
+    real = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        asked.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    for argv in (["eval", *VALID_ARGS["eval"]], ["eval", "-h"], ["eval", "--bogus"], ["bogus"], ["-h"]):
+        asked.clear()
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert len(asked) == 1, argv
     capsys.readouterr()
-    code, _ = run_cli("parse", "-f", str(path))
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {path}:{where}: unexpected item\n"
 
 
-@pytest.mark.parametrize(
-    "text, where, msg",
-    [
-        ("(sort g ())", "1:9", "unexpected item"),
-        ("(sort g)\n(op e () g)\n(pairs T\n  (() e))", "4:4", "empty term"),
-    ],
-)
-def test_cli_error_at_an_empty_list_names_its_paren(tmp_path, capsys, text, where, msg):
-    path = tmp_path / "empty.sx"
+def _reference_parser(names):
+    """The parser built as argparse does by default: each formatter asks the
+    terminal for its width, and the subparsers derive their prog."""
+    top = argparse.ArgumentParser(prog="uag", description=cli.__doc__)
+    metavar = "{" + ",".join(cli.VERBS) + "}" if len(names) < len(cli.VERBS) else None
+    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name in names:
+        help_text, own = cli.VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in cli.COMMON + own:
+            p.add_argument(*flags, **kwargs)
+    return top
+
+
+@pytest.mark.parametrize("columns", ["60", "150"])
+def test_help_and_errors_read_as_with_argparse_defaults(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv, names in (
+        (["-h"], list(cli.VERBS)),
+        (["eval", "-h"], ["eval"]),
+        (["derive", "-h"], ["derive"]),
+        (["eval", "--bogus"], ["eval"]),
+        (["bogus"], list(cli.VERBS)),
+    ):
+        got = _parsed(main, argv, capsys)
+        want = _parsed(_reference_parser(names).parse_args, argv, capsys)
+        assert got[:3] == want[:3] and got[0] in (0, 2) and got[1] + got[2], argv
+
+
+# one malformed workspace per SexprError raise site in uag.sexpr, and the
+# error line `uag parse -f` prints for it after the path; every character
+# but the newline, a tab too, takes one column
+READER_ERRORS = {
+    "stray-close": ("(sort g))", "1:9: unexpected ')'"),
+    "unclosed": ("(sort g)\n(op e () g", "2:1: unclosed parenthesis"),
+    "top-level-atom": ("x", "1:1: expected a form starting with a symbol"),
+    "top-level-empty": ("()", "1:1: expected a form starting with a symbol"),
+    "list-head": ("(sort g)\n  ((x) y)", "2:5: expected a form starting with a symbol"),
+    "list-for-atom": ("(sort (g))", "1:8: expected a sort name"),
+    "short-form": ("(sort)", "1:2: expected a sort name"),
+    "sort-trailing-item": ("(sort g h)", "1:9: unexpected item"),
+    "formula-trailing-item": ("(sort g)\n(op e () g)\n(formula f (eq e e) (eq e e e))", "3:22: unexpected item"),
+    "empty-list-item": ("(sort g ())", "1:9: unexpected item"),
+    "tab-and-comment": ("(sort g) ; (\n\t(sort g h) ; )", "2:10: unexpected item"),
+    "not-an-integer": ("(sort g) (op e () g) (algebra A (carrier g two))", "1:44: expected an integer carrier size, got 'two'"),
+    "no-sort": ("(pairs T (x x))", "no (sort ...) declared before it was needed"),
+    "unknown-name": (
+        "(sort g) (op e () g) (algebra A (carrier g 1) (table e (0))) (rel-sig (P g)) (model M B)",
+        "unknown algebra 'B' (known: A)",
+    ),
+    "bare-number": ("(sort g) (op e () g) (pairs T (3 e))", "1:32: a bare number is not a term"),
+    "bare-op": ("(sort g) (op f (g) g) (pairs T (f x))", "1:33: operation 'f' takes 1 arguments"),
+    "empty-term": ("(sort g)\n(op e () g)\n(pairs T\n  (() e))", "4:4: empty term"),
+    "unknown-op": ("(sort g) (pairs T ((h x) x))", "1:21: unknown operation 'h'"),
+    "op-arity": ("(sort g) (op f (g) g) (pairs T ((f x x) x))", "1:34: operation 'f' takes 1 arguments, got 2"),
+    "not-a-pair": ("(sort g) (pairs T (x))", "1:20: expected a pair (term term)"),
+    "bare-formula": ("(sort g) (formula q maybe)", "1:21: bare formula atom 'maybe'"),
+    "eq-arity": ("(sort g) (formula q (eq x))", "1:22: (eq term term)"),
+    "rel-arity": ("(sort g) (formula q (rel))", "1:22: (rel name term...)"),
+    "not-arity": ("(sort g) (formula q (not))", "1:22: (not formula)"),
+    "exists-vars": ("(sort g) (formula q (exists x (eq x x)))", "1:22: (exists (vars) formula)"),
+    "formula-head": ("(sort g) (formula q (iff x x))", "1:22: unknown formula head 'iff'"),
+    "carrier": ("(sort g) (algebra A (carrier g))", "1:22: (carrier sort size)"),
+    "table-op": ("(sort g) (algebra A (carrier g 1) (table f (0)))", "1:36: unknown operation 'f'"),
+    "table-row": ("(sort g) (op e () g) (algebra A (carrier g 1) (table e (0 0)))", "1:57: table row for 'e' needs 1 integers"),
+    "algebra-form": ("(sort g) (algebra A (carrier g 1) (size 1))", "1:36: unknown algebra form 'size'"),
+    "no-carrier": ("(sort g) (algebra A)", "algebra 'A' missing (carrier g ...)"),
+    "bare-context": ("(sort a) (sort b) (context C x)", "1:30: bare context variables need a single-sorted signature"),
+    "context-var": ("(sort g) (context C (x))", "1:22: (var sort)"),
+    "model-form": (
+        "(sort g) (op e () g) (algebra A (carrier g 1) (table e (0))) (model M A (fact P))",
+        "1:74: model forms are (rel name rows...)",
+    ),
+    "relation-row": (
+        "(sort g) (op e () g) (algebra A (carrier g 1) (table e (0))) (rel-sig (P g)) (model M A (rel P 0))",
+        "1:96: a relation row is a list of integers",
+    ),
+    "identity-body": ("(sort g) (clause c identity)", "1:11: (clause name identity (t1 t2))"),
+    "universal-form": ("(sort g) (clause c universal (or (x x)))", "1:31: universal clause forms are (pos ...) and (neg ...)"),
+    "cons-form": ("(sort g) (clause c quasi (cons x))", "1:27: (cons t1 t2) or (cons false)"),
+    "quasi-form": ("(sort g) (clause c quasi (if (x x)))", "1:27: quasi clause forms are (ante ...) and (cons ...)"),
+    "quasi-cons": ("(sort g) (clause c quasi (ante (x x)))", "1:11: quasi clause needs a (cons ...) form"),
+    "clause-kind": ("(sort g) (clause c horn (x x))", "1:11: unknown clause kind 'horn'"),
+    "late-sort": ("(sort g) (op e () g) (pairs T (e e)) (sort h)", "sorts must be declared before algebras or terms"),
+    "late-op": ("(sort g) (op e () g) (pairs T (e e)) (op f () g)", "operations must be declared before algebras or terms"),
+    "op-form": ("(sort g) (op e g)", "1:11: (op name (argsorts...) result)"),
+    "rel-sig-form": ("(sort g) (rel-sig P)", "1:19: (rel-sig (name sorts...) ...)"),
+    "late-relation": (
+        "(sort g) (op e () g) (algebra A (carrier g 1) (table e (0))) (rel-sig (P g)) (model M A) (rel-sig (Q g))",
+        "relations must be declared before models or formulas",
+    ),
+    "unknown-form": ("(define x)", "1:2: unknown form 'define'"),
+}
+
+
+@pytest.mark.parametrize("text, want", list(READER_ERRORS.values()), ids=list(READER_ERRORS))
+def test_reader_error_line(tmp_path, capsys, text, want):
+    path = tmp_path / "w.sx"
     path.write_text(text)
     capsys.readouterr()
-    code, _ = run_cli("parse", "-f", str(path))
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {path}:{where}: {msg}\n"
+    assert run_cli("parse", "-f", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"error: {path}:{want}\n"
+
+
+# the inline readers' raise sites, reached through the verbs whose arguments
+# they read; these errors carry no path
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["eval", "-a", "Z2", "-c", "C1", "--term", "x x", "--point", "0"], "expected exactly one term"),
+        (["eval", "-a", "Z2", "-c", "C1", "--term", "(mul x", "--point", "0"], "1:1: unclosed parenthesis"),
+        (["closure", "-a", "Z2", "-c", "C1", "-p", "T", "--query", "x x x"], "expected a pair of terms"),
+        (
+            ["morphism", "-a", "Z2", "--ctx-a", "C1", "--pairs-a", "T", "--ctx-b", "C1", "--pairs-b", "T", "--subst", "(x)"],
+            "1:2: substitution entries are (var term)",
+        ),
+    ],
+)
+def test_inline_reader_error_line(tmp_path, capsys, argv, want):
+    path = tmp_path / "t.sx"
+    path.write_text("(pairs T (x x))")
+    capsys.readouterr()
+    assert run_cli(*argv, "--builtin", "group", "-f", str(path)) == (2, "")
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+# pieces of WS: parentheses, symbols and the whitespace between them
+WS_PIECES = re.findall(r"[()]|[^\s()]+|\s+", WS)
+
+
+@st.composite
+def mutated_ws(draw):
+    """WS with one to three pieces deleted, duplicated, swapped, or with a
+    paren, a comment start or a newline inserted."""
+    pieces = list(WS_PIECES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        how = draw(st.sampled_from(["delete", "duplicate", "swap", "insert"]))
+        if how == "delete":
+            del pieces[i]
+        elif how == "duplicate":
+            pieces.insert(i, pieces[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(pieces) - 1))
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        else:
+            pieces.insert(i, draw(st.sampled_from(["(", ")", ";", "\n"])))
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_ws())
+def test_a_mutated_workspace_parses_or_exits_2(tmp_path_factory, text):
+    """`uag parse -f` on a damaged workspace exits 0, or 2 with exactly one
+    error line; any other exception would escape main as a traceback."""
+    path = tmp_path_factory.getbasetemp() / "mutated.sx"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("parse", "-f", str(path))
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
