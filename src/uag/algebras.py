@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import CapExceeded, check_cap
 from .terms import (
+    DEEP_TERM,
     App,
     Op,
     Signature,
@@ -167,8 +168,15 @@ def eval_columns(
     points. Unknown variables and ops, wrong arities and ill-sorted arguments
     raise ValueError.
     """
-    sig, tables = g.sig, g.nested()
-    memo: dict[int, tuple[int, list[int]]] = {}
+    return _eval_columns(terms, points, g, ctx, {})
+
+
+def _eval_columns(
+    terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext, memo: dict
+) -> list[tuple[int, list[int]]]:
+    """eval_columns with the memo, by term id, given: callers that evaluate
+    several term families over one point list and context share one."""
+    sig, tables, ops = g.sig, g.nested(), g.sig.by_name
 
     def column(t: Term) -> tuple[int, list[int]]:
         hit = memo.get(id(t))
@@ -177,17 +185,22 @@ def eval_columns(
                 i = ctx.position(t.name)
                 hit = ctx.vars[i][1], list(map(itemgetter(i), points))
             else:
-                op = sig.op(t.op)
-                if len(t.args) != op.arity:
-                    raise ValueError(f"op {t.op!r}: expected {op.arity} arguments, got {len(t.args)}")
-                out = [tables[op.name]] * len(points)
-                for want, a in zip(op.args, t.args):
+                op = ops.get(t.op)
+                if op is None:
+                    raise ValueError(f"unknown op {t.op!r}")
+                args, table = t.args, tables[t.op]
+                if len(args) != len(op.args):
+                    raise ValueError(f"op {t.op!r}: expected {len(op.args)} arguments, got {len(args)}")
+                out = None
+                for want, a in zip(op.args, args):
                     got, col = column(a)
                     if got != want:
                         raise ValueError(
                             f"op {t.op!r}: argument of sort {sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
                         )
-                    out = list(map(getitem, out, col))
+                    out = list(map(table.__getitem__, col)) if out is None else list(map(getitem, out, col))
+                if out is None:
+                    out = [table] * len(points)
                 hit = op.result, out
             memo[id(t)] = hit
         return hit
@@ -816,6 +829,9 @@ def inferred_context(sig: Signature, terms: Sequence[Term]) -> VarContext:
 
     def walk(t: Term) -> None:
         if isinstance(t, App):
+            if t.depth > DEEP_TERM:
+                _walk_deep(t, sig, sorts, walk)
+                return
             op = sig.op(t.op)
             if len(t.args) != op.arity:
                 raise ValueError(f"op {t.op!r}: arity mismatch")
@@ -844,6 +860,27 @@ def inferred_context(sig: Signature, terms: Sequence[Term]) -> VarContext:
                 raise ValueError(f"cannot infer sort of bare variable {name!r}; pass a context")
         pairs.append((name, sig.sorts[sorts[name]]))
     return VarContext(sig, pairs)
+
+
+def _walk_deep(t: App, sig: Signature, sorts: dict[str, int], walk: Callable[[Term], None]) -> None:
+    """inferred_context's walk of a term deeper than DEEP_TERM: an explicit
+    stack down to the subterms within that depth, which go to walk, in the
+    order walk's own recursion takes them, so a bad term raises the same error.
+    """
+    stack: list[tuple[Term, int]] = [(t, -1)]
+    while stack:
+        u, s = stack.pop()
+        if isinstance(u, Var):
+            prev = sorts.setdefault(u.name, s)
+            if prev != s:
+                raise ValueError(f"variable {u.name!r} used at two sorts")
+        elif u.depth <= DEEP_TERM:
+            walk(u)
+        else:
+            op = sig.op(u.op)
+            if len(u.args) != op.arity:
+                raise ValueError(f"op {u.op!r}: arity mismatch")
+            stack.extend(reversed(list(zip(u.args, op.args))))
 
 
 def satisfies_identity(

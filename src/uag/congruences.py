@@ -8,7 +8,7 @@ membership is two evaluations). They are never converted implicitly.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .config import get_cap
 from .algebras import (
@@ -83,21 +83,45 @@ class GroundCongruence:
 
     Registering a term adds its whole subterm tree and re-closes, so queries
     against terms outside the original universe stay complete for ground
-    consequence.
+    consequence. copy() shares the use lists with its source; each side
+    copies a shared list before its first change to it.
     """
 
     def __init__(self):
         self._parent: dict[Term, Term] = {}
         self._rank: dict[Term, int] = {}
         self._uses: dict[Term, list[App]] = {}
+        self._owned: set[Term] = set()  # terms whose use list no copy shares
         self._sig_table: dict[tuple, App] = {}
 
+    def copy(self) -> "GroundCongruence":
+        """An independent closure with the same terms and classes."""
+        gc = GroundCongruence.__new__(GroundCongruence)
+        gc._parent = self._parent.copy()
+        gc._rank = self._rank.copy()
+        gc._uses = self._uses.copy()
+        gc._owned = set()
+        self._owned = set()
+        gc._sig_table = self._sig_table.copy()
+        return gc
+
+    def _own_uses(self, r: Term) -> list[App]:
+        """r's use list, copied first if a copy of this closure shares it."""
+        if r in self._owned:
+            return self._uses[r]
+        self._owned.add(r)
+        uses = self._uses[r] = self._uses[r].copy()
+        return uses
+
     def find(self, t: Term) -> Term:
-        root = t
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        while self._parent[t] is not root:
-            self._parent[t], t = root, self._parent[t]
+        parent = self._parent
+        root = parent[t]
+        if parent[root] is root:
+            return root
+        while parent[root] is not root:
+            root = parent[root]
+        while parent[t] is not root:
+            parent[t], t = root, parent[t]
         return root
 
     def register(self, t: Term) -> None:
@@ -109,9 +133,10 @@ class GroundCongruence:
         self._parent[t] = t
         self._rank[t] = 0
         self._uses[t] = []
+        self._owned.add(t)
         if isinstance(t, App):
             for a in t.args:
-                self._uses[self.find(a)].append(t)
+                self._own_uses(self.find(a)).append(t)
             self._insert_signature(t)
 
     def _insert_signature(self, t: App) -> None:
@@ -141,7 +166,7 @@ class GroundCongruence:
             self._parent[ry] = rx
             moved = self._uses[ry]
             self._uses[ry] = []
-            self._uses[rx].extend(moved)
+            self._own_uses(rx).extend(moved)
             for u in moved:
                 key = (u.op, tuple(self.find(c) for c in u.args))
                 other = self._sig_table.get(key)
@@ -150,10 +175,21 @@ class GroundCongruence:
                 elif self.find(other) is not self.find(u):
                     worklist.append((other, u))
 
+    def roots(self, terms: Collection[Term]) -> list[Term]:
+        """The find root of each term, once every term is registered."""
+        parent = self._parent
+        for t in terms:
+            if t not in parent:
+                self.register(t)
+        return [self.find(t) for t in terms]
+
     def contains(self, pair: Pair) -> bool:
         w, w2 = pair
-        self.register(w)
-        self.register(w2)
+        parent = self._parent
+        if w not in parent:
+            self.register(w)
+        if w2 not in parent:
+            self.register(w2)
         return self.find(w) is self.find(w2)
 
     def classes(self) -> list[list[Term]]:

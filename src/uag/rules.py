@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import eq, ne, or_
 from typing import Iterable, Optional, Sequence
 
-from .algebras import FiniteAlgebra, enumerate_points, eval_pairs, inferred_context
+from .algebras import FiniteAlgebra, _eval_columns, enumerate_points, inferred_context
 from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_closure, normalize_pair
 from .terms import (
     Substitution,
@@ -37,6 +37,12 @@ KINDS = ("identity", "pseudo", "universal", "quasi")
 
 @dataclass(frozen=True)
 class Clause:
+    """A clause of one of the four kinds.
+
+    Immutable, so its hash is computed once, at construction, from the
+    fields equality compares, and kept as an attribute outside the fields.
+    """
+
     kind: str
     cons: Optional[Pair] = None
     pos: PairSet = EMPTY_PAIRS
@@ -61,6 +67,10 @@ class Clause:
                 raise ValueError("a quasi-identity has premises and one conclusion")
             if self.cons is not None:
                 object.__setattr__(self, "cons", normalize_pair(self.cons))
+        object.__setattr__(self, "_hash", hash((self.kind, self.cons, self.pos, self.neg, self.ante)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def pairs(self) -> list[Pair]:
         """Every equation of the clause: pos, neg and ante, then cons."""
@@ -122,12 +132,19 @@ def holds_clause(g: FiniteAlgebra, c: Clause, ctx=None, cap: Optional[int] = Non
     """
     if ctx is None:
         ctx = inferred_context(g.sig, c.terms())
+    return _holds_at(g, c, ctx, enumerate_points(ctx, g, cap), {})
+
+
+def _holds_at(g: FiniteAlgebra, c: Clause, ctx, points: list, memo: dict) -> bool:
+    """holds_clause at the given points of ctx, with a column memo that
+    calls over the same algebra, context and points may share."""
     literals = [(q, eq) for q in c.pos] + [(q, ne) for q in (*c.neg, *c.ante)]
     if c.cons is not None:
         literals.append((c.cons, eq))
-    points = enumerate_points(ctx, g, cap)
+    cols = _eval_columns([t for q, _ in literals for t in q], points, g, ctx, memo)
     sat = [False] * len(points)
-    for (_, test), (lhs, rhs) in zip(literals, eval_pairs([q for q, _ in literals], points, g, ctx)):
+    for ((w, w2), test), (s, lhs), (s2, rhs) in zip(literals, cols[::2], cols[1::2]):
+        check_same_sort(w, w2, s, s2, g.sig)
         sat = list(map(or_, sat, map(test, lhs, rhs)))
     return all(sat)
 
@@ -189,9 +206,7 @@ class _Group:
     def holding(self, gc: GroundCongruence) -> int:
         bits = self.held.get(gc)
         if bits is None:
-            for t in self.terms:
-                gc.register(t)
-            roots = [gc.find(t) for t in self.terms]
+            roots = gc.roots(self.terms)
             bits = 0
             for bit, ia, ib in self.literals:
                 if roots[ia] is roots[ib]:
@@ -215,6 +230,9 @@ def _grouped(candidates: Sequence[Clause], skip: Iterable[Clause]) -> tuple[list
     return list(groups.values()), todo
 
 
+_NO_PREMISES: frozenset = frozenset()
+
+
 def _derived_mask(
     premises: Sequence[Clause],
     groups: Sequence[_Group],
@@ -228,11 +246,13 @@ def _derived_mask(
     side joining the chosen equations, must ground-derive a positive literal
     of the candidate or a chosen negated equation (a goal). closures holds
     the ground closure of each premise set closed so far, and gains those
-    this call closes. Sharing is sound because ground consequence among
-    registered terms does not depend on which other terms are registered.
-    Choices are walked lazily, goals are read only for candidates still
-    failing, and the walk stops once no bit is left; 0 when there are more
-    than choice_cap choices.
+    this call closes. Under the empty premise set it keeps a root closure,
+    built once with every group's terms registered; every other premise set
+    is closed in a copy of the root. Sharing is sound because ground
+    consequence among registered terms does not depend on which other terms
+    are registered. Choices are walked lazily, goals are read only for
+    candidates still failing, and the walk stops once no bit is left; 0 when
+    there are more than choice_cap choices.
     """
     lists = []
     count = 1
@@ -241,6 +261,9 @@ def _derived_mask(
         count *= len(lists[-1])
         if count > choice_cap:
             return 0
+    root = closures.get(_NO_PREMISES)
+    if root is None:
+        root = closures[_NO_PREMISES] = ground_closure((), [t for g in groups for t in g.terms])
     for chosen in itertools.product(*lists):
         prem = frozenset([q for q, kept in chosen if kept])
         goals = [q for q, kept in chosen if not kept]
@@ -251,7 +274,9 @@ def _derived_mask(
             key = prem | g.neg
             gc = closures.get(key)
             if gc is None:
-                gc = closures[key] = ground_closure(key)
+                gc = closures[key] = root.copy()
+                for w, w2 in key:
+                    gc.merge(w, w2)
             failed = live & ~g.holding(gc)
             if failed and not any(gc.contains(q) for q in goals):
                 mask &= ~failed
@@ -621,12 +646,22 @@ def soundness_check(
     ctx=None,
     cap: Optional[int] = None,
 ) -> list[tuple[str, Clause]]:
-    """Violations of derived clauses in pool algebras that satisfy the seeds."""
+    """Violations of derived clauses in pool algebras that satisfy the seeds.
+
+    Each derived clause is decided in turn, as holds_clause decides it, but
+    the clauses of one algebra over one context share its point list and one
+    column memo, so a subterm common to several clauses is evaluated once.
+    """
     derived, seeds = list(derived), list(seeds)
     violations = []
     for g in pool:
         if all(holds_clause(g, c, ctx, cap) for c in seeds):
+            shared: dict[tuple, tuple[list, dict]] = {}  # context vars -> points, column memo
             for c in derived:
-                if not holds_clause(g, c, ctx, cap):
+                cctx = inferred_context(g.sig, c.terms()) if ctx is None else ctx
+                hit = shared.get(cctx.vars)
+                if hit is None:
+                    hit = shared[cctx.vars] = enumerate_points(cctx, g, cap), {}
+                if not _holds_at(g, c, cctx, *hit):
                     violations.append((g.name, c))
     return violations

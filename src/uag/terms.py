@@ -26,7 +26,7 @@ class Op:
 class Signature:
     """Operation alphabet. Sorts live at integer indices in declaration order."""
 
-    __slots__ = ("sorts", "ops", "_by_name", "arities")
+    __slots__ = ("sorts", "ops", "by_name", "arities")
 
     def __init__(self, sorts: Iterable[str], ops: Iterable[tuple]):
         self.sorts: tuple[str, ...] = tuple(sorts)
@@ -42,19 +42,19 @@ class Signature:
                     raise ValueError(f"op {name}: undeclared sort {s!r}")
             decls.append(Op(name, tuple(index[s] for s in arg_sorts), index[result_sort]))
         self.ops: tuple[Op, ...] = tuple(decls)
-        self._by_name = {op.name: op for op in self.ops}
-        if len(self._by_name) != len(self.ops):
+        self.by_name: dict[str, Op] = {op.name: op for op in self.ops}
+        if len(self.by_name) != len(self.ops):
             raise ValueError("duplicate op names")
         self.arities: dict[str, int] = {op.name: len(op.args) for op in self.ops}  # by op name
 
     def op(self, name: str) -> Op:
         try:
-            return self._by_name[name]
+            return self.by_name[name]
         except KeyError:
             raise ValueError(f"unknown op {name!r}") from None
 
     def has_op(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self.by_name
 
     def sort_index(self, name: str) -> int:
         try:
@@ -232,9 +232,21 @@ def term_depth(t: Term) -> int:
 
 
 def term_vars(t: Term, acc: Optional[list[str]] = None) -> list[str]:
-    """Variable names in first-occurrence order."""
+    """Variable names in first-occurrence order.
+
+    Recursive for terms up to DEEP_TERM deep; a deeper term is walked with
+    an explicit stack down to its subterms within that depth.
+    """
     out: list[str] = [] if acc is None else acc
-    if isinstance(t, Var):
+    if t.depth > DEEP_TERM:
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u.depth <= DEEP_TERM:
+                term_vars(u, out)
+            else:
+                stack.extend(reversed(u.args))
+    elif isinstance(t, Var):
         if t.name not in out:
             out.append(t.name)
     else:
@@ -300,10 +312,10 @@ def apply_subst(s: Substitution, t: Term, _memo: Optional[dict] = None) -> Term:
     if hit is not None:
         return hit
     if isinstance(t, Var):
-        out = s(t.name)
+        out = s.bindings.get(t.name) or var(t.name)
     else:
         assert isinstance(t, App)
-        out = app(t.op, *(apply_subst(s, a, _memo) for a in t.args))
+        out = app(t.op, *[apply_subst(s, a, _memo) for a in t.args])
     _memo[id(t)] = out
     return out
 

@@ -105,6 +105,21 @@ def o_clause_holds(g, ctx, c) -> bool:
     return True
 
 
+def o_soundness_check(derived, seeds, pool, ctx=None, cap=None):
+    """Violations of derived clauses in pool algebras that satisfy the seeds,
+    one holds_clause call, with its own points and evaluation, per clause."""
+    from uag.rules import holds_clause
+
+    derived, seeds = list(derived), list(seeds)
+    violations = []
+    for g in pool:
+        if all(holds_clause(g, c, ctx, cap) for c in seeds):
+            for c in derived:
+                if not holds_clause(g, c, ctx, cap):
+                    violations.append((g.name, c))
+    return violations
+
+
 def o_render(t: Term) -> str:
     """Fully parenthesized prefix form, by plain recursion."""
     if isinstance(t, Var):

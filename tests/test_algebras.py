@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from uag import algebras, geometry
+from uag import algebras, geometry, terms
 from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
@@ -37,7 +37,7 @@ from uag.config import DEFAULT_CAP, CapExceeded, get_cap
 from uag.congruences import h_ker, kernel_of_point
 from uag.geometry import closure_variety, coordinate_algebra, separating_pair
 from uag.spaces import GeoContext, PointSet
-from uag.terms import Signature, VarContext, app, render, var
+from uag.terms import Signature, VarContext, app, render, term_vars, var
 
 
 def test_eval_frozen_value(z4, gctx2):
@@ -71,6 +71,115 @@ def test_eval_matches_oracle(s3, gctx2, r5, rctx2):
     assert eval_columns([app("f", var("y")), var("y")], points2, g2, ctx2) == [(0, [1, 2] * 3), (1, [0, 1] * 3)]
     with pytest.raises(ValueError):
         eval_columns([app("f", var("x"))], points2, g2, ctx2)
+
+
+EVAL_SIG = Signature(
+    ("a", "b"),
+    [("f", ("b",), "a"), ("m", ("a", "a"), "a"), ("g", ("a", "b"), "b"), ("c", (), "a"), ("t", ("a", "b", "a"), "a")],
+)
+EVAL_ALG = FiniteAlgebra(
+    EVAL_SIG,
+    (3, 2),
+    {
+        "f": {(0,): 1, (1,): 2},
+        "m": {(i, j): (i + 2 * j) % 3 for i in range(3) for j in range(3)},
+        "g": {(i, j): (i * j + i) % 2 for i in range(3) for j in range(2)},
+        "c": {(): 2},
+        "t": {(i, j, k): (i * k + j) % 3 for i in range(3) for j in range(2) for k in range(3)},
+    },
+)
+EVAL_CTX = VarContext(EVAL_SIG, [("x", "a"), ("y", "b")])
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (var("w"), "unknown variable 'w'"),
+        (app("h", var("x")), "unknown op 'h'"),
+        (app("c", var("x")), "op 'c': expected 0 arguments, got 1"),
+        (app("f", var("y"), var("y")), "op 'f': expected 1 arguments, got 2"),
+        (app("m", var("x")), "op 'm': expected 2 arguments, got 1"),
+        (app("f", var("x")), "op 'f': argument of sort 'a', expected 'b'"),
+        (app("m", var("x"), var("y")), "op 'm': argument of sort 'b', expected 'a'"),
+        (app("m", var("y"), app("h", var("x"))), "op 'm': argument of sort 'b', expected 'a'"),
+        (app("m", app("h", var("x")), var("y")), "unknown op 'h'"),
+        (app("g", var("x"), var("x")), "op 'g': argument of sort 'a', expected 'b'"),
+        (app("g", app("f", var("x")), app("h", var("y"))), "op 'f': argument of sort 'a', expected 'b'"),
+        (app("t", var("x"), var("x"), app("h", var("y"))), "op 't': argument of sort 'a', expected 'b'"),
+        (app("t", var("x"), var("y"), var("y")), "op 't': argument of sort 'b', expected 'a'"),
+    ],
+)
+def test_eval_columns_errors_and_their_order(term, message):
+    """Each ill-formed term raises the first error of a left-to-right walk:
+    an argument is checked before the next one is evaluated."""
+    points = enumerate_points(EVAL_CTX, EVAL_ALG)
+    for pts in (points, []):
+        with pytest.raises(ValueError) as e:
+            eval_columns([app("c"), term], pts, EVAL_ALG, EVAL_CTX)
+        assert str(e.value) == message
+
+
+def test_eval_columns_by_arity_matches_oracle():
+    """Nullary, unary, binary and ternary ops, nested across both sorts."""
+    x, y = var("x"), var("y")
+    fy = app("f", y)
+    family = [
+        app("c"),
+        fy,
+        app("m", fy, x),
+        app("g", app("m", x, app("c")), y),
+        app("t", fy, app("g", x, y), app("m", x, x)),
+    ]
+    points = enumerate_points(EVAL_CTX, EVAL_ALG)
+    got = eval_columns(family, points, EVAL_ALG, EVAL_CTX)
+    assert [s for s, _ in got] == [0, 0, 0, 1, 0]
+    for t, (_, col) in zip(family, got):
+        assert col == [oracles.o_eval(t, oracles.o_env(EVAL_CTX, p), EVAL_ALG.tables) for p in points]
+
+
+def _inferred_or_error(family):
+    try:
+        return inferred_context(EVAL_SIG, family).vars, [term_vars(t) for t in family]
+    except ValueError as e:
+        return str(e)
+
+
+def _loose_term(rng, depth):
+    """A term over EVAL_SIG's ops and one unknown op, with any arguments."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([var("x"), var("y"), var("z"), app("c")])
+    name = "h" if rng.random() < 0.03 else rng.choice(["f", "m", "g", "t"])
+    arity = {"f": 1, "m": 2, "g": 2, "t": 3, "h": 1}[name]
+    if rng.random() < 0.03:
+        arity = rng.randint(0, 3)
+    return app(name, *[_loose_term(rng, depth - 1) for _ in range(arity)])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_inferred_context_deep_walk_matches_the_recursion(seed):
+    """With every term past DEEP_TERM, inferred_context and term_vars take
+    their explicit-stack walks, and give the same context, variable order or
+    error as their recursion."""
+    rng = random.Random(seed)
+    families = [[_loose_term(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))] for _ in range(10)]
+    want = [_inferred_or_error(ts) for ts in families]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebras, "DEEP_TERM", 0)
+        m.setattr(terms, "DEEP_TERM", 0)
+        assert [_inferred_or_error(ts) for ts in families] == want
+
+
+def test_inferred_context_and_term_vars_at_depth():
+    t = var("x")
+    for _ in range(5000):
+        t = app("inv", t)
+    assert inferred_context(GROUP_SIG, [t, app("e")]).vars == VarContext(GROUP_SIG, [("x", "g")]).vars
+    assert term_vars(t) == ["x"]
+    chain = var("y")
+    for _ in range(5000):
+        chain = app("m", chain, var("x"))
+    with pytest.raises(ValueError, match="^variable 'y' used at two sorts$"):
+        inferred_context(EVAL_SIG, [app("g", chain, var("y"))])
 
 
 def test_enumerate_points_lexicographic(z3, gctx2):

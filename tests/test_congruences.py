@@ -80,6 +80,49 @@ def test_ground_closure_matches_relabel_oracle(seed):
             assert gc.contains((a, b)) == oracles.o_ground_same(pairs, a, b, terms)
 
 
+def _agrees_with_oracle(gc, pairs):
+    """gc answers every pair of its registered terms as the relabeling
+    closure of pairs over those terms does."""
+    terms = [t for cls in gc.classes() for t in cls]
+    _, label, _ = oracles.o_ground_closure_classes(pairs, terms)
+    return all(gc.contains((a, b)) == (label[id(a)] == label[id(b)]) for a in terms for b in terms)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_cloned_closures_stay_independent(seed):
+    """Two copies of one root closure, each given its own merges and terms,
+    answer as fresh closures of their pairs do, and neither changes the
+    root's classes or its sibling's; merges into the root afterwards leave
+    both copies as they were and closing correctly."""
+    rng = random.Random(seed)
+    terms = [_ground_terms(rng, 3) for _ in range(8)]
+    root_pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(0, 2))]
+    root = ground_closure(root_pairs, extra_terms=terms)
+    root_classes = root.classes()
+    a, b = root.copy(), root.copy()
+    a_pairs = root_pairs + [(rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(1, 3))]
+    b_pairs = root_pairs + [(rng.choice(terms), _ground_terms(rng, 3)) for _ in range(rng.randint(1, 3))]
+    for w, w2 in a_pairs[len(root_pairs):]:
+        a.merge(w, w2)
+    assert root.classes() == root_classes and b.classes() == root_classes
+    for w, w2 in b_pairs[len(root_pairs):]:
+        b.merge(w, w2)
+    a_classes = a.classes()
+    assert _agrees_with_oracle(a, a_pairs) and _agrees_with_oracle(b, b_pairs)
+    assert root.classes() == root_classes and a.classes() == a_classes
+    assert _agrees_with_oracle(root, root_pairs)
+    b_classes = b.classes()
+    late_pairs = [(rng.choice(terms), _ground_terms(rng, 3)) for _ in range(rng.randint(1, 3))]
+    for w, w2 in late_pairs:
+        root.merge(w, w2)
+    assert a.classes() == a_classes and b.classes() == b_classes
+    assert _agrees_with_oracle(root, root_pairs + late_pairs)
+    more_pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(rng.randint(1, 3))]
+    for w, w2 in more_pairs:
+        a.merge(w, w2)
+    assert _agrees_with_oracle(a, a_pairs + more_pairs)
+
+
 def test_kernel_contains(z4, gctx2):
     k = kernel_of_point((1, 2), z4, gctx2)
     x, y = var("x"), var("y")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from uag import rules
-from uag.algebras import GROUP_SIG, cyclic_group, klein_four, symmetric_group_3
+from uag.algebras import GROUP_SIG, FiniteAlgebra, cyclic_group, inferred_context, klein_four, symmetric_group_3
+from uag.config import CapExceeded
+from uag.congruences import GroundCongruence
 from uag.geometry import random_term
 from uag.rules import (
     KINDS,
@@ -28,7 +31,7 @@ from uag.rules import (
     term_universe,
     universal,
 )
-from uag.terms import VarContext, app, var
+from uag.terms import Signature, VarContext, app, var
 
 X, Y, Z = var("x"), var("y"), var("z")
 COMM = (app("mul", X, Y), app("mul", Y, X))
@@ -45,6 +48,19 @@ def test_clause_shape_validation():
     c = quasi([SQ_E], None)
     assert c.cons is None
     assert identity(COMM).kind == "identity"
+
+
+def test_equal_clauses_hash_alike():
+    """A clause's hash, kept from construction, follows its normalized
+    fields, so equal clauses meet in sets and dicts."""
+    t = app("mul", X, Y)
+    pairs = [(identity((t, X)), identity((X, t))), (quasi([SQ_E], (t, X)), quasi([SQ_E], (X, t))),
+             (pseudo([COMM, SQ_E]), pseudo([SQ_E, COMM])), (universal([COMM], [SQ_E]), universal([COMM], [SQ_E]))]
+    for c, d in pairs:
+        assert c == d and hash(c) == hash(d) == hash((c.kind, c.cons, c.pos, c.neg, c.ante))
+        assert len({c, d}) == 1
+    assert identity((t, X)) != quasi([], (t, X))
+    assert [f.name for f in dataclasses.fields(Clause)] == ["kind", "cons", "pos", "neg", "ante"]
 
 
 def test_holds_identity(z3, s3):
@@ -184,6 +200,87 @@ def test_soundness_check_filters_by_seeds():
     assert soundness_check(res.clauses, seeds, pool) == []
 
 
+CTX3 = VarContext(GROUP_SIG, [("x", "g"), ("y", "g"), ("z", "g")])
+
+
+def _random_clause(rng, kind, pairs):
+    if kind == "identity":
+        return identity(rng.choice(pairs))
+    if kind == "pseudo":
+        return pseudo(rng.sample(pairs, rng.randint(1, 2)))
+    if kind == "universal":
+        return universal(rng.sample(pairs, rng.randint(0, 1)), rng.sample(pairs, 1))
+    return quasi(rng.sample(pairs, rng.randint(0, 2)), rng.choice(pairs))
+
+
+@given(st.sampled_from(KINDS), st.integers(0, 2**32))
+def test_soundness_check_matches_the_per_clause_loop(kind, seed):
+    """Sharing points and columns per algebra and context leaves the
+    violations, and their order, those of one holds_clause per clause, with
+    a given context and with each clause's own, over clauses whose variable
+    sets differ."""
+    rng = random.Random(seed)
+    pool = SMALL_GROUPS + [cyclic_group(4)]
+    pairs = []
+    while len(pairs) < 6:
+        w, w2 = (random_term(rng, GROUP_SIG, CTX3, rng.randint(0, 2), 0) for _ in "ab")
+        if w is not w2:
+            pairs.append((w, w2))
+    seeds = [_random_clause(rng, kind, pairs[:3])]
+    if kind == "quasi" and seeds[0].cons is None:
+        seeds = [quasi(seeds[0].ante, pairs[0])]
+    res = derive_closure(kind, seeds, GROUP_SIG, bounds=SaturationBounds(depth=2, width=1, iterations=2, budget=300))
+    # two clauses that fail in Z3, one over x alone and one over x, y and z
+    lift = {"identity": identity, "pseudo": lambda q: pseudo([q]), "universal": lambda q: universal([q], []),
+            "quasi": lambda q: quasi([], q)}[kind]
+    derived = list(res.clauses) + [_random_clause(rng, kind, pairs) for _ in range(6)]
+    derived += [lift((X, app("inv", X))), lift((app("mul", X, Y), Z))]
+    rng.shuffle(derived)
+    assert len({inferred_context(GROUP_SIG, c.terms()).vars for c in derived}) > 1
+    for ctx in (CTX3, None):
+        for checked in ([], seeds):
+            want = oracles.o_soundness_check(derived, checked, pool, ctx)
+            assert soundness_check(derived, checked, pool, ctx) == want
+            assert checked or want
+
+
+TWO_SIG = Signature(("a", "b"), [("f", ("b",), "a"), ("m", ("a", "a"), "a")])
+TWO = FiniteAlgebra(
+    TWO_SIG, (2, 3), {"f": {(0,): 1, (1,): 0, (2,): 1}, "m": {(i, j): (i + j) % 2 for i in range(2) for j in range(2)}}
+)
+
+
+def test_soundness_check_raises_where_the_per_clause_loop_does():
+    """A bad clause after good ones raises the error, and at the clause, of
+    one holds_clause per clause, also when its subterms were evaluated for an
+    earlier clause."""
+    x, y = var("x"), var("y")
+    fy = app("f", y)
+    good = [identity((app("m", x, x), x)), pseudo([(fy, x), (app("m", fy, x), x)])]
+    bad = {
+        "sides": identity((fy, y)),
+        "argument": pseudo([(app("m", x, y), x)]),
+        "op": universal([(fy, x)], [(app("h", x), x)]),
+    }
+    ctx = VarContext(TWO_SIG, [("x", "a"), ("y", "b")])
+    for first, second in itertools.permutations(bad.values(), 2):
+        derived = good + [first] + good + [second]
+        for c in (ctx, None):
+            with pytest.raises(ValueError) as want:
+                oracles.o_soundness_check(derived, [], [TWO], c)
+            with pytest.raises(ValueError) as got:
+                soundness_check(derived, [], [TWO], c)
+            assert str(got.value) == str(want.value)
+    # past the cap at the second algebra, with each clause's context too
+    derived = [identity(COMM), identity((app("mul", X, app("e")), X))]
+    for c in (CTX2, None):
+        with pytest.raises(CapExceeded) as want:
+            oracles.o_soundness_check(derived, [], [cyclic_group(2), cyclic_group(3)], c, cap=4)
+        with pytest.raises(CapExceeded) as got:
+            soundness_check(derived, [], [cyclic_group(2), cyclic_group(3)], c, cap=4)
+        assert str(got.value) == str(want.value)
+
+
 def test_derive_each_kind_sound_small():
     pool = [cyclic_group(2), cyclic_group(4), klein_four(), symmetric_group_3()]
     cases = {
@@ -273,16 +370,52 @@ def test_composition_step_keeps_the_budget_order(seed):
         assert (got, budget.left, budget.exhausted) == oracles.o_composed(cur, candidates, sizes, n, member), n
 
 
+def _count_closures(monkeypatch):
+    """Patch GroundCongruence to record the closures built from scratch and
+    the clones, with the pairs merged into each clone; returns both lists."""
+    built, clones = [], []
+    init, copy, merge = GroundCongruence.__init__, GroundCongruence.copy, GroundCongruence.merge
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    def counting_copy(self):
+        gc = copy(self)
+        clones.append((gc, set()))
+        return gc
+
+    def recording_merge(self, a, b):
+        for gc, merged in clones:
+            if gc is self:
+                merged.add((a, b))
+        merge(self, a, b)
+
+    monkeypatch.setattr(GroundCongruence, "__init__", counting_init)
+    monkeypatch.setattr(GroundCongruence, "copy", counting_copy)
+    monkeypatch.setattr(GroundCongruence, "merge", recording_merge)
+    return built, clones
+
+
 def test_pseudo_run_closes_each_premise_set_once(monkeypatch):
-    """Every ground closure built in one pseudo run is of a new premise set."""
-    closed = []
-    ground_closure = rules.ground_closure
-    monkeypatch.setattr(rules, "ground_closure", lambda pairs, *rest: closed.append(frozenset(pairs)) or ground_closure(pairs, *rest))
+    """Every closure cloned in one pseudo run is of a new premise set."""
+    _, clones = _count_closures(monkeypatch)
     seeds = [pseudo(_random_pairs(random.Random(2), 2, 1))]
     bounds = SaturationBounds(depth=2, width=1, iterations=2, budget=1500)
     res = derive_closure("pseudo", seeds, GROUP_SIG, CTX2, bounds)
+    closed = [frozenset(merged) for _, merged in clones]
     assert res.rounds == 2 and len(closed) > 20
     assert len(closed) == len(set(closed))
+
+
+def test_pseudo_run_builds_one_closure_from_scratch(monkeypatch):
+    """One pseudo run builds its root closure from scratch once and clones
+    it for every premise set."""
+    built, clones = _count_closures(monkeypatch)
+    seeds = [pseudo(_random_pairs(random.Random(2), 2, 1))]
+    bounds = SaturationBounds(depth=2, width=1, iterations=2, budget=1500)
+    derive_closure("pseudo", seeds, GROUP_SIG, CTX2, bounds)
+    assert len(built) == 1 and len(clones) > 20
 
 
 # sha256 of repr((exhausted, rounds, [repr(c) for c in clauses])), computed
