@@ -657,44 +657,64 @@ VERBS = {
 
 def make_parser() -> argparse.ArgumentParser:
     """The full parser: every verb in VERBS, each with COMMON and its own
-    arguments. ``main`` registers only the verb its argv names, when it
-    names one, since building a subparser costs more than many verbs' own
-    work on small inputs."""
-    return _parser(list(VERBS))
+    arguments. ``main`` builds it only for an argv that does not start
+    with a verb or leaves arguments over (see ``_parse_args``)."""
+    return _parser(_formatter())
 
 
-def _parser(names: list[str]) -> argparse.ArgumentParser:
-    """The parser with only the verbs ``names`` registered. It parses an
-    argv for one of them as the full parser does, and every usage line
-    lists all verbs: with fewer registered, the full list is passed as
-    ``metavar``, which the full parser leaves unset because it would rename
-    the verb in ``invalid choice`` errors.
+def _formatter() -> partial:
+    """A formatter class whose instances get the width a default
+    ``HelpFormatter`` would compute. The terminal is asked once; argparse
+    would otherwise ask again for each formatter it makes, one per
+    argument."""
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
-    The terminal is asked for its width once, and every parser's formatter
-    gets the width a default ``HelpFormatter`` would compute; argparse would
-    otherwise ask again for each formatter it makes, one per argument."""
-    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+def _parser(fmt: partial) -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="uag", description=__doc__, formatter_class=fmt)
-    metavar = "{" + ",".join(VERBS) + "}" if len(names) < len(VERBS) else None
-    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar, prog="uag")
-    for name in names:
-        help_text, own = VERBS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=fmt)
-        for flags, kwargs in COMMON + own:
-            p.add_argument(*flags, **kwargs)
-        # looked up per call, so a rebound cmd_* is the one that runs
-        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
+    sub = top.add_subparsers(dest="verb", required=True, prog="uag")
+    for name, (help_text, _) in VERBS.items():
+        _add_arguments(sub.add_parser(name, help=help_text, formatter_class=fmt), name)
     return top
+
+
+def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """p with COMMON and the verb's own arguments added."""
+    for flags, kwargs in COMMON + VERBS[verb][1]:
+        p.add_argument(*flags, **kwargs)
+    return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as by the full parser. When argv starts with a verb, only
+    that verb's parser is built, as ``add_parser`` would build it, and it
+    parses the rest of argv, which the full parser would hand it whole;
+    building every verb's parser costs more than many verbs' own work on
+    small inputs. The full parser is built only when argv does not start
+    with a verb or leaves arguments over, which it reports as
+    unrecognized."""
+    fmt = _formatter()
+    if argv and argv[0] in VERBS:
+        verb = argv[0]
+        p = _add_arguments(argparse.ArgumentParser(prog=f"uag {verb}", formatter_class=fmt), verb)
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            return argparse.Namespace(verb=verb, **vars(args))
+    return _parser(fmt).parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    names = [argv[0]] if argv and argv[0] in VERBS else list(VERBS)
-    args = _parser(names).parse_args(argv)
+    args = _parse_args(argv)
     try:
-        return args.fn(args)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except (CapExceeded, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a term nested past what a verb's recursive walks handle
+        print("error: term nested too deep for this verb (recursion limit)", file=sys.stderr)
         return 2
 
 

@@ -308,12 +308,26 @@ def test_cli_subprocess_deterministic_across_hash_seeds(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_python_dash_m_uag_runs_the_cli():
-    proc = subprocess.run(
-        [sys.executable, "-m", "uag", "parse", "--builtin", "group"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("verb: parse\n")
+def test_python_dash_m_uag_runs_the_cli(monkeypatch, capsys):
+    """A one-shot ``python -m uag`` process exits and prints as an
+    in-process ``main`` call does, on success, a usage error and an input
+    error."""
+    monkeypatch.setenv("COLUMNS", "80")
+    eval_argv = ["eval", "--builtin", "group", "-a", "S3", "-c", "C2", "--term", "(mul x (inv y))", "--point", "1,4"]
+    for argv, want in (
+        (["parse", "--builtin", "group"], 0),
+        ([*eval_argv, "--format", "json"], 0),
+        (["eval", "--builtin", "group", "-a", "Z7", "-c", "C1", "--term", "x", "--point", "0"], 2),
+        (["eval", "--bogus"], 2),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "uag", *argv], capture_output=True, text=True)
+        assert proc.returncode == want and (proc.stdout if want == 0 else proc.stderr), argv
+        capsys.readouterr()
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
@@ -340,6 +354,29 @@ def test_cli_parses_a_pair_5000_levels_deep(tmp_path):
     assert runs[0][0] == 0 and json.loads(runs[0][1])["pairs"] == ["DEEP"]
     [pair] = load_workspace(deep.read_text(), cli.builtin_workspace("group")).pairs("DEEP")
     assert [render(t) for t in pair] == ["e", text]
+
+
+def test_cli_verbs_on_a_pair_5000_levels_deep_exit_2_without_traceback(tmp_path, capsys):
+    """A verb whose walk over a term recurses stops with one error line that
+    names the cause, not a RecursionError traceback; reading the pair still
+    succeeds. The verbs' walks over the term still recurse."""
+    depth = 5000
+    term = "(inv " * depth + "x" + ")" * depth
+    path = tmp_path / "deep.sx"
+    path.write_text(f"(pairs D ({term} x))\n")
+    ws = ("--builtin", "group", "-f", str(path))
+    for argv in (
+        ("variety", *ws, "-a", "Z4", "-c", "C1", "-p", "D"),
+        ("closure", *ws, "-a", "Z4", "-c", "C1", "-p", "D"),
+        ("closure", *ws, "-a", "Z4", "-c", "C1", "-p", "D", "--query", "(x (inv (inv x)))"),
+        ("derive", *ws, "--kind", "identity", "--seed-pairs", "D"),
+        ("eval", "--builtin", "group", "-a", "Z4", "-c", "C1", "--term", term, "--point", "1"),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == (2, ""), argv[0]
+        assert capsys.readouterr().err == "error: term nested too deep for this verb (recursion limit)\n", argv[0]
+    code, out = run_cli("parse", *ws, "--format", "json")
+    assert code == 0 and json.loads(out)["pairs"] == ["D"]
 
 
 def test_cli_ill_sorted_term_exits_2(tmp_path, capsys):
@@ -554,10 +591,10 @@ ARGV_CORPUS = [[], ["-h"], ["bogus"], ["--format", "json", "parse"]] + [
 
 
 def _parsed(parse, argv, capsys):
-    """(exit code, stdout, stderr, namespace without fn) of one parse."""
+    """(exit code, stdout, stderr, namespace) of one parse."""
     capsys.readouterr()
     try:
-        ns = {k: v for k, v in vars(parse(argv)).items() if k != "fn"}
+        ns = vars(parse(argv))
         code = 0
     except SystemExit as e:
         ns, code = None, e.code
@@ -585,20 +622,23 @@ def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, capsys):
 
 
 def test_a_call_registers_only_its_verb(monkeypatch, capsys):
-    registered = []
-    real = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        registered.append(name)
-        return real(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    registered, tops = [], []
+    add_arguments, add_subparsers = cli._add_arguments, argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(cli, "_add_arguments", lambda p, verb: registered.append(verb) or add_arguments(p, verb))
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers", lambda self, **kw: tops.append(self.prog) or add_subparsers(self, **kw)
+    )
     assert run_cli("parse", "--builtin", "group")[0] == 0
-    assert registered == ["parse"]
-    registered.clear()
-    with pytest.raises(SystemExit):
-        main(["bogus"])
-    assert registered == list(cli.VERBS) and len(registered) == 15
+    # the verb's parser alone, with no top-level parser around it
+    assert registered == ["parse"] and tops == []
+    for argv, verbs in ((["parse", "--bogus"], ["parse", *cli.VERBS]), (["bogus"], list(cli.VERBS))):
+        registered.clear()
+        tops.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        # the full parser reports what the verb's parser left over
+        assert registered == verbs and tops == ["uag"], argv
+    assert len(registered) == 15
 
 
 def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
@@ -620,14 +660,12 @@ def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _reference_parser(names):
-    """The parser built as argparse does by default: each formatter asks the
-    terminal for its width, and the subparsers derive their prog."""
+def _reference_parser():
+    """The full parser built as argparse does by default: each formatter
+    asks the terminal for its width, and the subparsers derive their prog."""
     top = argparse.ArgumentParser(prog="uag", description=cli.__doc__)
-    metavar = "{" + ",".join(cli.VERBS) + "}" if len(names) < len(cli.VERBS) else None
-    sub = top.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for name in names:
-        help_text, own = cli.VERBS[name]
+    sub = top.add_subparsers(dest="verb", required=True)
+    for name, (help_text, own) in cli.VERBS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in cli.COMMON + own:
             p.add_argument(*flags, **kwargs)
@@ -637,15 +675,9 @@ def _reference_parser(names):
 @pytest.mark.parametrize("columns", ["60", "150"])
 def test_help_and_errors_read_as_with_argparse_defaults(monkeypatch, capsys, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    for argv, names in (
-        (["-h"], list(cli.VERBS)),
-        (["eval", "-h"], ["eval"]),
-        (["derive", "-h"], ["derive"]),
-        (["eval", "--bogus"], ["eval"]),
-        (["bogus"], list(cli.VERBS)),
-    ):
+    for argv in (["-h"], ["eval", "-h"], ["derive", "-h"], ["eval", "--bogus"], ["bogus"]):
         got = _parsed(main, argv, capsys)
-        want = _parsed(_reference_parser(names).parse_args, argv, capsys)
+        want = _parsed(_reference_parser().parse_args, argv, capsys)
         assert got[:3] == want[:3] and got[0] in (0, 2) and got[1] + got[2], argv
 
 
