@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from operator import eq, lshift
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import CapExceeded, check_cap, get_cap
 from .algebras import (
@@ -150,17 +150,24 @@ def point_closure(gctx: GeoContext, p: Point) -> PointSet:
     return variety_of_kernel(kernel_of_point(tuple(p), gctx.g, gctx.ctx), gctx)
 
 
-def point_subalgebras(gctx: GeoContext) -> tuple[list[tuple[Point, GeneratedSubalgebra]], list[int]]:
-    """The points grouped by the member sets of the subalgebra of g their
-    coordinates generate, named by the context's variables: each class's
-    first point with its generation (its kernel's image), and each point's class."""
+def point_classes(gctx: GeoContext) -> Iterator[tuple[int, Point, GeneratedSubalgebra]]:
+    """Each point in order, with its class and the subalgebra of g its
+    coordinates generate, named by the context's variables. Points share a
+    class when their subalgebras have the same member sets; classes are
+    numbered by first point, and each generation is made only when reached."""
     sorts = [s for _, s in gctx.ctx.vars]
     first: dict[tuple, int] = {}
-    classes: list[tuple[Point, GeneratedSubalgebra]] = []
-    of_point = []
     for p in gctx.points:
         sub = subalgebra_generated(gctx.g, list(zip(sorts, p)), gen_names=gctx.ctx.names)
-        i = first.setdefault(tuple(frozenset(ms) for ms in sub.members), len(classes))
+        yield first.setdefault(tuple(frozenset(ms) for ms in sub.members), len(first)), p, sub
+
+
+def point_subalgebras(gctx: GeoContext) -> tuple[list[tuple[Point, GeneratedSubalgebra]], list[int]]:
+    """point_classes collected: each class's first point with its generation
+    (its kernel's image), and each point's class."""
+    classes: list[tuple[Point, GeneratedSubalgebra]] = []
+    of_point = []
+    for i, p, sub in point_classes(gctx):
         if i == len(classes):
             classes.append((p, sub))
         of_point.append(i)
@@ -417,6 +424,11 @@ class Inconclusive:
     notice: str = ""
 
 
+def _in_sp(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int]) -> bool:
+    """Is a in SP(b), i.e. do the homomorphisms a -> b separate a's elements?"""
+    return h_ker(a, b, cap).block_counts() == a.sizes
+
+
 def _verified_not_equiv(k_src, k_dst, pair, eqs, src_name, dst_name):
     in_src, in_dst = k_src.contains(pair), k_dst.contains(pair)
     if in_src == in_dst:
@@ -440,11 +452,15 @@ def geometric_equiv(
 
     Exact mode is Plotkin's local test, bounded by the cap alone: they do iff
     each distinct subalgebra S_p generated by a point p of either side lies in
-    SP of the other algebra, i.e. h_ker(S_p, other) is the identity. The first
-    failing p (g's side first) gives the witness: the presentation of Ker(p)
-    and a pair splitting it from its closure on the other side. Sampled mode
-    never returns Equivalent. max_points is ignored, with a warning, and every
-    notice is ""; both stay for callers of the closed-set sweep this replaced.
+    SP of the other algebra, i.e. h_ker(S_p, other) is the identity. A side
+    that lies in SP of the other as a whole passes without point work, since
+    then so does every S_p in it. Only a side that fails that test (or whose
+    hom search exceeds the cap) is walked, class by class in point order, up
+    to the first failing p (g's side first). It gives the witness: the
+    presentation of Ker(p) and a pair splitting it from its closure on the
+    other side. Sampled mode never returns Equivalent. max_points is ignored,
+    with a warning, and every notice is ""; both stay for callers of the
+    closed-set sweep this replaced.
     """
     if max_points is not None:
         warnings.warn("geometric_equiv ignores max_points", DeprecationWarning, stacklevel=2)
@@ -454,9 +470,17 @@ def geometric_equiv(
     gh = GeoContext(h, ctx, cap)
     if mode == "exact":
         for src, dst in ((gg, gh), (gh, gg)):
-            for p, sub in point_subalgebras(src)[0]:
-                s_p = sub.as_algebra()
-                if h_ker(s_p, dst.g, cap).block_counts() != s_p.sizes:
+            try:
+                if _in_sp(src.g, dst.g, cap):
+                    continue
+            except CapExceeded:
+                pass
+            tested = 0
+            for i, p, sub in point_classes(src):
+                if i < tested:
+                    continue
+                tested += 1
+                if not _in_sp(sub.as_algebra(), dst.g, cap):
                     k = KernelCongruence(src.g, ctx, p, image=sub)
                     k2 = congruence_of(variety_of_kernel(k, dst), cap)
                     hit = separating_pair(k, k2, cap)

@@ -597,3 +597,35 @@ def o_equiv_by_sweep(g, h, ctx, cap=None):
             if hit:
                 return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
     return Equivalent(mode="exact")
+
+
+def o_equiv_eager(g, h, ctx, cap=None):
+    """Exact geometric equivalence by Plotkin's local test, every point class
+    generated first: each distinct subalgebra S_p of a point of either side,
+    g first, must lie in SP of the other algebra. The first that does not
+    gives the witness: the presentation of Ker(p), and a pair separating it
+    from its closure on the other side. No whole-algebra test is made first,
+    so a sort with no term over the context raises ValueError on any input.
+    """
+    from uag.congruences import KernelCongruence, h_ker
+    from uag.geometry import (
+        Equivalent,
+        _verified_not_equiv,
+        congruence_of,
+        point_subalgebras,
+        presentation_pairs,
+        separating_pair,
+        variety_of_kernel,
+    )
+    from uag.spaces import GeoContext
+
+    gg, gh = GeoContext(g, ctx, cap), GeoContext(h, ctx, cap)
+    for src, dst in ((gg, gh), (gh, gg)):
+        for p, sub in point_subalgebras(src)[0]:
+            s_p = sub.as_algebra()
+            if h_ker(s_p, dst.g, cap).block_counts() != s_p.sizes:
+                k = KernelCongruence(src.g, ctx, p, image=sub)
+                k2 = congruence_of(variety_of_kernel(k, dst), cap)
+                hit = separating_pair(k, k2, cap)
+                return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
+    return Equivalent(mode="exact")

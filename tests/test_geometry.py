@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from uag import algebras, geometry, terms
+from uag import algebras, geometry, reports, terms
 from uag.algebras import (
     GROUP_SIG,
     RING_SIG,
@@ -729,8 +729,9 @@ def test_geometric_equiv_has_no_point_bound(z2, z4, gctx2):
 
 
 def test_geometric_equiv_costs_one_generation_per_point(monkeypatch, z2, z4, klein):
-    """No closed-set sweep; one subalgebra per point of each side reached,
-    and one h_ker per distinct subalgebra up to the first that fails."""
+    """No closed-set sweep. A side in SP of the other as a whole generates
+    no point subalgebra; a side that is not generates one per point up to
+    the first failing class, with one h_ker per class reached."""
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("all_closed_point_sets called")
@@ -742,22 +743,67 @@ def test_geometric_equiv_costs_one_generation_per_point(monkeypatch, z2, z4, kle
         geometry, "subalgebra_generated", lambda g, *a, **k: generated.append(g) or real_generated(g, *a, **k)
     )
     monkeypatch.setattr(geometry, "h_ker", lambda g, *a, **k: tested.append(g) or real_h_ker(g, *a, **k))
-    # the classes of Z4 over C1 are, by first point, {0}, Z4 and {0, 2}; Z2 has {0} and Z2
+    # Z2 and V4 each lie in SP of the other; Z2 lies in SP(Z4), Z4 not in SP(Z2).
+    # Z4's first two points over C1 generate S_(0) = {0}, which passes, and S_(1) = Z4
+    s_0, s_1 = ("sub(Z4)", (1,)), ("sub(Z4)", (4,))
     for g, h, n, verdict, reached, tests in (
-        (z2, klein, 2, Equivalent, (z2, klein), None),
-        (z4, z2, 1, NotEquivalent, (z4,), 2),
-        (z2, z4, 1, NotEquivalent, (z2, z4), 4),
+        (z2, klein, 2, Equivalent, (), [("Z2", (2,)), ("V4", (4,))]),
+        (z4, z2, 1, NotEquivalent, (z4, z4), [("Z4", (4,)), s_0, s_1]),
+        (z2, z4, 1, NotEquivalent, (z4, z4), [("Z2", (2,)), ("Z4", (4,)), s_0, s_1]),
     ):
         generated.clear(), tested.clear()
-        ctx = _context(g, n)
-        assert isinstance(geometric_equiv(g, h, ctx), verdict)
-        assert generated == [a for a in reached for _ in oracles.o_points(a, ctx)]
-        if tests is None:
-            tests = sum(
-                len({frozenset(oracles.o_row_subalgebra(a, ctx, [p])[0]) for p in oracles.o_points(a, ctx)})
-                for a in reached
-            )
-        assert len(tested) == tests
+        assert isinstance(geometric_equiv(g, h, _context(g, n)), verdict)
+        assert generated == list(reached)
+        assert [(a.name, a.sizes) for a in tested] == tests
+
+
+def test_geometric_equiv_under_a_cap_walks_the_points(z4):
+    """The whole-algebra hom search Z2xZ4 -> Z4 tries 16 images of two
+    generators; past cap 10 that side falls back to its point classes, which
+    fit."""
+    z2xz4 = product([cyclic_group(2), z4], name="Z2xZ4")
+    with pytest.raises(CapExceeded, match="hom search: 16 exceeds cap 10"):
+        geometry.h_ker(z2xz4, z4, 10)
+    assert geometric_equiv(z4, z2xz4, _context(z4, 1), cap=10) == Equivalent(mode="exact")
+
+
+def _semilattices():
+    c2 = chain_semilattice(2)
+    return [c2, chain_semilattice(3), vee_semilattice(), product([c2, c2], name="C2xC2")]
+
+
+def _grid_groups():
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    return [cyclic_group(n) for n in range(2, 7)] + [
+        klein_four(),
+        s3,
+        product([z2, cyclic_group(4)], name="Z2xZ4"),
+        product([s3, z2], name="S3xZ2"),
+        product([z2, z2, z2], name="Z2^3"),
+        product([z2, cyclic_group(3)], name="Z2xZ3"),
+    ]
+
+
+# (algebras, variable counts); the eager route takes about 0.6 s for the first
+# eight groups over C3, and several seconds with the larger products
+EAGER_GRID = {
+    "groups": (_grid_groups(), (1, 2)),
+    "groups-C3": (_grid_groups()[:8], (3,)),
+    "semilattices": (_semilattices(), (1, 2, 3)),
+    "rings": ([mod_ring(n) for n in range(2, 6)], (1, 2)),
+}
+
+
+@pytest.mark.parametrize("family", list(EAGER_GRID))
+def test_geometric_equiv_matches_the_eager_route(family):
+    """Testing the whole algebra first and walking classes lazily gives the
+    same JSON bytes as generating every point class first."""
+    algebras, counts = EAGER_GRID[family]
+    for n in counts:
+        ctx = _context(algebras[0], n)
+        for g, h in itertools.product(algebras, repeat=2):
+            got = reports.emit({"verdict": geometric_equiv(g, h, ctx)}, "json")
+            assert got == reports.emit({"verdict": oracles.o_equiv_eager(g, h, ctx)}, "json"), (g.name, h.name, n)
 
 
 def test_parabola_closure_frozen(r5, rctx2):

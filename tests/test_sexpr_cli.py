@@ -15,7 +15,10 @@ import uag.cli as cli
 import uag.geometry as geometry
 import uag.sexpr as sexpr
 from uag.cli import main
+from uag.config import CapExceeded
+from uag.geometry import NotEquivalent
 from uag.logic import And, Eq, Exists, Not, Or, Rel
+from uag.reports import emit
 from uag.sexpr import (
     SexprError,
     load_workspace,
@@ -472,11 +475,15 @@ def test_cli_exact_equiv_answers_with_a_variable_less_sort(tmp_path):
 
 def test_cli_names_a_sort_with_no_term(tmp_path, capsys):
     """Sort b has no term over x alone, so no coordinate algebra or image
-    table exists; every route that needs one says why and exits 2."""
+    table exists; every route that needs one says why and exits 2. G lies in
+    SP(G) as a whole, so equiv of G with itself needs no point subalgebra;
+    G does not lie in SP(H) for the one-element H, so either order reaches
+    G's termless point subalgebras."""
     path = tmp_path / "termless.sx"
     path.write_text(
         "(sort a) (sort b) (op c () a) (op h (b) a)\n"
         "(algebra G (carrier a 2) (carrier b 2) (table c (0)) (table h (0 1) (1 0)))\n"
+        "(algebra H (carrier a 1) (carrier b 1) (table c (0)) (table h (0 0)))\n"
         "(context C (x a)) (pairs T (x c))\n"
     )
     ws = ("-f", str(path), "-c", "C")
@@ -484,11 +491,41 @@ def test_cli_names_a_sort_with_no_term(tmp_path, capsys):
         ("closure", *ws, "-a", "G", "-p", "T"),
         ("closure", *ws, "-a", "G", "-p", "T", "--query", "(x c)"),
         ("nullsatz", *ws, "--image", "G", "--target", "G", "--assignment", "1"),
-        ("equiv", *ws, "-a", "G", "-b", "G", "--mode", "exact"),
+        ("equiv", *ws, "-a", "G", "-b", "H", "--mode", "exact"),
+        ("equiv", *ws, "-a", "H", "-b", "G", "--mode", "exact"),
     ):
         capsys.readouterr()
-        assert run_cli(*argv)[0] == 2, argv
+        assert run_cli(*argv) == (2, ""), argv
         assert capsys.readouterr().err == "error: sort 'b' has no term over the generators\n", argv
+    code, out = run_cli("equiv", *ws, "-a", "G", "-b", "G", "--mode", "exact", "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"] == {"verdict": "equivalent", "mode": "exact", "notice": ""}
+    assert capsys.readouterr().err == ""
+
+
+STOCK_PAIRS = [(lib, a, b) for lib, (_, names) in cli.STOCK.items() for a in names for b in names]
+
+
+@given(st.sampled_from(STOCK_PAIRS), st.integers(1, 2), st.integers(1, 2**12))
+def test_cli_equiv_under_any_cap_answers_as_the_eager_route(pair, n, cap):
+    """`uag equiv` exits 0 or 1 with the eager route's bytes wherever that
+    route answers under the cap, and otherwise 0, 1, or 2 with one error
+    line and no output; never a traceback."""
+    lib, a, b = pair
+    ws = cli.builtin_workspace(lib)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("equiv", "--builtin", lib, "-a", a, "-b", b, "-c", f"C{n}", "--cap", str(cap), "--format", "json")
+    err = err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert code in (0, 1) and err == ""
+    try:
+        want = oracles.o_equiv_eager(ws.algebra(a), ws.algebra(b), ws.context(f"C{n}"), cap)
+    except CapExceeded:
+        return
+    payload = {"verb": "equiv", "left": a, "right": b, "seed": 0, "verdict": want}
+    assert (code, out) == (1 if isinstance(want, NotEquivalent) else 0, emit(payload, "json"))
 
 
 def test_cli_closure_query_builds_one_coordinate_algebra(tmp_path, monkeypatch):
