@@ -16,8 +16,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import CapExceeded, check_cap
 from .terms import (
-    DEEP_TERM,
-    App,
     Op,
     Signature,
     Term,
@@ -25,7 +23,7 @@ from .terms import (
     VarContext,
     app,
     check_same_sort,
-    term_vars,
+    postorder,
     var,
 )
 
@@ -175,37 +173,51 @@ def _eval_columns(
     terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext, memo: dict
 ) -> list[tuple[int, list[int]]]:
     """eval_columns with the memo, by term id, given: callers that evaluate
-    several term families over one point list and context share one."""
+    several term families over one point list and context share one.
+
+    Each term's distinct subterms are evaluated in its postorder. An
+    ill-formed subterm's entry holds its error message in place of a sort.
+    No argument sort equals a message, so a parent passes on the message of
+    its first argument that is ill-formed or of the wrong sort, and a term
+    raises the error a left-to-right recursion from its root meets first.
+    """
     sig, tables, ops = g.sig, g.nested(), g.sig.by_name
-
-    def column(t: Term) -> tuple[int, list[int]]:
-        hit = memo.get(id(t))
-        if hit is None:
-            if isinstance(t, Var):
-                i = ctx.position(t.name)
-                hit = ctx.vars[i][1], list(map(itemgetter(i), points))
+    for t in terms:
+        if id(t) in memo:
+            continue
+        for u in postorder(t):
+            if id(u) in memo:
+                continue
+            if isinstance(u, Var):
+                if ctx.has(u.name):
+                    i = ctx.position(u.name)
+                    hit = ctx.vars[i][1], list(map(itemgetter(i), points))
+                else:
+                    hit = f"unknown variable {u.name!r}", None
             else:
-                op = ops.get(t.op)
+                op, args = ops.get(u.op), u.args
                 if op is None:
-                    raise ValueError(f"unknown op {t.op!r}")
-                args, table = t.args, tables[t.op]
-                if len(args) != len(op.args):
-                    raise ValueError(f"op {t.op!r}: expected {len(op.args)} arguments, got {len(args)}")
-                out = None
-                for want, a in zip(op.args, args):
-                    got, col = column(a)
-                    if got != want:
-                        raise ValueError(
-                            f"op {t.op!r}: argument of sort {sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
-                        )
-                    out = list(map(table.__getitem__, col)) if out is None else list(map(getitem, out, col))
-                if out is None:
-                    out = [table] * len(points)
-                hit = op.result, out
-            memo[id(t)] = hit
-        return hit
-
-    return [column(t) for t in terms]
+                    hit = f"unknown op {u.op!r}", None
+                elif len(args) != len(op.args):
+                    hit = f"op {u.op!r}: expected {len(op.args)} arguments, got {len(args)}", None
+                else:
+                    table, out = tables[u.op], None
+                    for want, a in zip(op.args, args):
+                        got, col = memo[id(a)]
+                        if got != want:
+                            if not isinstance(got, str):
+                                got = f"op {u.op!r}: argument of sort {sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
+                            hit = got, None
+                            break
+                        out = list(map(table.__getitem__, col)) if out is None else list(map(getitem, out, col))
+                    else:
+                        hit = op.result, [table] * len(points) if out is None else out
+            memo[id(u)] = hit
+    cols = [memo[id(t)] for t in terms]
+    for s, _ in cols:
+        if isinstance(s, str):
+            raise ValueError(s)
+    return cols
 
 
 def eval_pairs(
@@ -823,33 +835,30 @@ def inferred_context(sig: Signature, terms: Sequence[Term]) -> VarContext:
     """Minimal context of a term family, sorts inferred from op positions.
 
     A variable never appearing under an op is ambiguous unless the signature
-    is single-sorted.
+    is single-sorted. A variable takes the sort of the first op position it
+    is met at, so which of two faults is raised depends on the order of the
+    whole walk: each term is walked from its root, in the order of a
+    left-to-right recursion, with an explicit stack.
     """
     sorts: dict[str, int] = {}
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            if t.depth > DEEP_TERM:
-                _walk_deep(t, sig, sorts, walk)
-                return
-            op = sig.op(t.op)
-            if len(t.args) != op.arity:
-                raise ValueError(f"op {t.op!r}: arity mismatch")
-            for child, s in zip(t.args, op.args):
-                if isinstance(child, Var):
-                    prev = sorts.setdefault(child.name, s)
-                    if prev != s:
-                        raise ValueError(f"variable {child.name!r} used at two sorts")
-                else:
-                    walk(child)
-
+    order: dict[str, None] = {}  # variables in first-occurrence order
+    seen: set[int] = set()
     for t in terms:
-        walk(t)
-    order: list[str] = []
-    for t in terms:
-        term_vars(t, order)
+        stack: list[tuple[Term, int]] = [(t, -1)]  # each with the sort its position takes; -1 at a root
+        while stack:
+            u, s = stack.pop()
+            if isinstance(u, Var):
+                order[u.name] = None
+                if s >= 0 and sorts.setdefault(u.name, s) != s:
+                    raise ValueError(f"variable {u.name!r} used at two sorts")
+            elif id(u) not in seen:
+                seen.add(id(u))
+                op = sig.op(u.op)
+                if len(u.args) != op.arity:
+                    raise ValueError(f"op {u.op!r}: arity mismatch")
+                stack.extend(reversed(list(zip(u.args, op.args))))
     if not order:
-        order = ["x"]
+        order = {"x": None}
         sorts.setdefault("x", 0)
     pairs = []
     for name in order:
@@ -860,27 +869,6 @@ def inferred_context(sig: Signature, terms: Sequence[Term]) -> VarContext:
                 raise ValueError(f"cannot infer sort of bare variable {name!r}; pass a context")
         pairs.append((name, sig.sorts[sorts[name]]))
     return VarContext(sig, pairs)
-
-
-def _walk_deep(t: App, sig: Signature, sorts: dict[str, int], walk: Callable[[Term], None]) -> None:
-    """inferred_context's walk of a term deeper than DEEP_TERM: an explicit
-    stack down to the subterms within that depth, which go to walk, in the
-    order walk's own recursion takes them, so a bad term raises the same error.
-    """
-    stack: list[tuple[Term, int]] = [(t, -1)]
-    while stack:
-        u, s = stack.pop()
-        if isinstance(u, Var):
-            prev = sorts.setdefault(u.name, s)
-            if prev != s:
-                raise ValueError(f"variable {u.name!r} used at two sorts")
-        elif u.depth <= DEEP_TERM:
-            walk(u)
-        else:
-            op = sig.op(u.op)
-            if len(u.args) != op.arity:
-                raise ValueError(f"op {u.op!r}: arity mismatch")
-            stack.extend(reversed(list(zip(u.args, op.args))))
 
 
 def satisfies_identity(

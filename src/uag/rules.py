@@ -21,6 +21,7 @@ from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_cl
 from .terms import (
     Substitution,
     Term,
+    Var,
     app,
     apply_subst,
     check_same_sort,
@@ -319,10 +320,12 @@ class _Budget:
 
 
 def _pair_universe(terms: Sequence[Term], sig, ctx, limit: int) -> list[Pair]:
-    """Same-sort pairs over a term list, deduplicated, deterministic order."""
+    """Same-sort pairs over a term list, deduplicated, deterministic order.
+    The terms are subterms of checked seeds, so each has its head's sort."""
     by_sort: dict[int, list[Term]] = {}
     for t in sorted(set(terms), key=term_key):
-        by_sort.setdefault(sort_of(t, sig, ctx), []).append(t)
+        s = ctx.sort_of(t.name) if isinstance(t, Var) else sig.op(t.op).result
+        by_sort.setdefault(s, []).append(t)
     out: list[Pair] = []
     seen: set[tuple[int, int]] = set()
     for ts in by_sort.values():

@@ -43,7 +43,7 @@ from .logic import (
     forall_f,
 )
 from .rules import Clause, identity, pseudo, quasi, universal
-from .terms import DEEP_TERM, Signature, Term, VarContext, app, render, var
+from .terms import Signature, Term, VarContext, app, render, var
 
 
 class SexprError(ValueError):
@@ -236,22 +236,29 @@ class Workspace:
         return table[name]
 
 
-def parse_term(node: Node, sig: Signature, _depth: int = 0) -> Term:
-    """The term a node spells. Recursive down to DEEP_TERM levels; a deeper
-    subterm is read by a loop with an explicit stack, so nesting is bounded
-    by memory, not by Python's recursion limit."""
+def parse_term(node: Node, sig: Signature) -> Term:
+    """The term a node spells, read with an explicit stack, so nesting is
+    bounded by memory, not by the recursion limit. Nodes are checked in the
+    order of a left-to-right recursion."""
     if isinstance(node, Atom):
         return _symbol_term(node, sig)
-    name = _term_op(node, sig)
-    if _depth >= DEEP_TERM:
-        return _parse_deep_term(node, sig)
-    return app(
-        name,
-        *[
-            _symbol_term(a, sig) if isinstance(a, Atom) else parse_term(a, sig, _depth + 1)
-            for a in node[1:]
-        ],
-    )
+    _check_term_op(node, sig)
+    stack: list[tuple[list, list[Term]]] = [(node, [])]  # open nodes, each with the arguments read so far
+    while True:
+        top, args = stack[-1]
+        if len(args) == len(top) - 1:
+            stack.pop()
+            t = app(top[0].text, *args)
+            if not stack:
+                return t
+            stack[-1][1].append(t)
+            continue
+        child = top[len(args) + 1]
+        if isinstance(child, Atom):
+            args.append(_symbol_term(child, sig))
+        else:
+            _check_term_op(child, sig)
+            stack.append((child, []))
 
 
 def _symbol_term(node: Atom, sig: Signature) -> Term:
@@ -266,8 +273,8 @@ def _symbol_term(node: Atom, sig: Signature) -> Term:
     return app(text)
 
 
-def _term_op(node: list, sig: Signature) -> str:
-    """The operation a compound term node applies, checked against sig."""
+def _check_term_op(node: list, sig: Signature) -> None:
+    """Check the operation a compound term node applies against sig."""
     if not node:
         raise SexprError("empty term", *_pos(node))
     head = node[0]
@@ -279,28 +286,6 @@ def _term_op(node: list, sig: Signature) -> str:
         raise SexprError(
             f"operation {name!r} takes {arity} arguments, got {len(node) - 1}", head.line, head.col
         )
-    return name
-
-
-def _parse_deep_term(node: list, sig: Signature) -> Term:
-    """parse_term's loop: each open node with the arguments read so far;
-    nodes are checked in the same order as by the recursion."""
-    stack: list[tuple[list, list[Term]]] = [(node, [])]
-    while True:
-        top, args = stack[-1]
-        if len(args) == len(top) - 1:
-            stack.pop()
-            t = app(top[0].text, *args)
-            if not stack:
-                return t
-            stack[-1][1].append(t)
-            continue
-        child = top[len(args) + 1]
-        if isinstance(child, Atom):
-            args.append(_symbol_term(child, sig))
-        else:
-            _term_op(child, sig)
-            stack.append((child, []))
 
 
 def parse_pair(node: Node, sig: Signature) -> Pair:

@@ -109,23 +109,25 @@ class Term:
     size: int  # node count
     depth: int  # see term_depth
     _key: Optional[tuple[int, str]]  # term_key, once asked for
+    _post: Optional[tuple["Term", ...]]  # postorder, once asked for
 
 
 class Var(Term):
-    __slots__ = ("name", "size", "depth", "_key")
+    __slots__ = ("name", "size", "depth", "_key", "_post")
 
     def __init__(self, name: str):
         self.name = name
         self.size = 1
         self.depth = 0
         self._key = None
+        self._post = None
 
     def __repr__(self) -> str:
         return render(self)
 
 
 class App(Term):
-    __slots__ = ("op", "args", "size", "depth", "_key")
+    __slots__ = ("op", "args", "size", "depth", "_key", "_post")
 
     def __init__(self, op: str, args: tuple[Term, ...]):
         self.op = op
@@ -133,6 +135,7 @@ class App(Term):
         self.size = 1 + sum(a.size for a in args)
         self.depth = 1 + max((a.depth for a in args), default=0)
         self._key = None
+        self._post = None
 
     def __repr__(self) -> str:
         return render(self)
@@ -157,37 +160,58 @@ def app(op: str, *args: Term) -> App:
     return t
 
 
-# depth up to which render and sexpr.parse_term recurse; deeper terms go to
-# a loop with an explicit stack
-DEEP_TERM = 100
+def postorder(t: Term) -> tuple[Term, ...]:
+    """The distinct subterms of t, each after its arguments, in the order a
+    left-to-right recursive walk finishes them; t itself comes last.
+
+    Every term walk but congruence registration is a loop over this. It is
+    built with an explicit stack, so any depth is walked, and a subterm
+    shared by several parents is listed once, so a term doubled k times has
+    k + 1 entries. Computed on first request and kept on the interned node,
+    like term_key: only the node asked about keeps its tuple.
+    """
+    post = t._post
+    if post is None:
+        if isinstance(t, Var) or not t.args:
+            post = (t,)
+        else:
+            out: list[Term] = []
+            seen = {id(t)}
+            stack = [(t, iter(t.args))]  # open nodes, each with its arguments still to walk
+            while stack:
+                u, rest = stack[-1]
+                for a in rest:
+                    if id(a) not in seen:
+                        seen.add(id(a))
+                        if isinstance(a, App) and a.args:
+                            stack.append((a, iter(a.args)))
+                            break
+                        out.append(a)
+                else:
+                    stack.pop()
+                    out.append(u)
+            post = tuple(out)
+        t._post = post
+    return post
 
 
 def render(t: Term) -> str:
     """Fully parenthesized prefix form; bare symbols for variables and nullary ops.
 
-    Recursive for terms up to DEEP_TERM deep. A deeper term is walked with an
-    explicit stack down to its subterms within that depth, and its parts are
-    joined once, so rendering takes linear time at any depth.
+    Written token by token from an explicit stack of the terms still to
+    write and the text between them, and joined once, so rendering takes
+    time linear in the output at any depth.
     """
-    if t.depth > DEEP_TERM:
-        return _render_deep(t)
-    if isinstance(t, Var):
-        return t.name
-    assert isinstance(t, App)
-    if not t.args:
-        return t.op
-    return "(" + " ".join([t.op] + [render(a) for a in t.args]) + ")"
-
-
-def _render_deep(t: App) -> str:
     parts: list[str] = []
-    stack: list = [t]  # terms still to write, and the text between them
+    stack: list = [t]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif item.depth <= DEEP_TERM:
-            parts.append(render(item))
+        elif isinstance(item, Var):
+            parts.append(item.name)
+        elif not item.args:
+            parts.append(item.op)
         else:
             parts.append("(")
             parts.append(item.op)
@@ -231,51 +255,43 @@ def term_depth(t: Term) -> int:
     return t.depth
 
 
-def term_vars(t: Term, acc: Optional[list[str]] = None) -> list[str]:
-    """Variable names in first-occurrence order.
-
-    Recursive for terms up to DEEP_TERM deep; a deeper term is walked with
-    an explicit stack down to its subterms within that depth.
-    """
-    out: list[str] = [] if acc is None else acc
-    if t.depth > DEEP_TERM:
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            if u.depth <= DEEP_TERM:
-                term_vars(u, out)
-            else:
-                stack.extend(reversed(u.args))
-    elif isinstance(t, Var):
-        if t.name not in out:
-            out.append(t.name)
-    else:
-        assert isinstance(t, App)
-        for a in t.args:
-            term_vars(a, out)
-    return out
+def term_vars(t: Term) -> list[str]:
+    """Variable names in first-occurrence order: the order of t's postorder."""
+    return [u.name for u in postorder(t) if isinstance(u, Var)]
 
 
 def sort_of(t: Term, sig: Signature, ctx: VarContext) -> int:
-    """Sort index of a well-sorted term; raises ValueError with a diagnostic."""
-    if isinstance(t, Var):
-        if not ctx.has(t.name):
-            raise ValueError(f"unknown variable {t.name!r}")
-        return ctx.sort_of(t.name)
-    assert isinstance(t, App)
-    if not sig.has_op(t.op):
-        raise ValueError(f"unknown op {t.op!r}")
-    op = sig.op(t.op)
-    if len(t.args) != op.arity:
-        raise ValueError(f"op {t.op!r}: expected {op.arity} arguments, got {len(t.args)}")
-    for child, want in zip(t.args, op.args):
-        got = sort_of(child, sig, ctx)
-        if got != want:
-            raise ValueError(
-                f"op {t.op!r}: argument {render(child)} has sort "
-                f"{sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
-            )
-    return op.result
+    """Sort index of a well-sorted term; raises ValueError with a diagnostic.
+
+    Each distinct subterm's sort is found once, in postorder. An ill-formed
+    subterm gets its error message in place of a sort. No argument sort
+    equals a message, so a parent passes on the message of its first
+    argument that is ill-formed or of the wrong sort, and t raises the error
+    a left-to-right recursion from the root meets first.
+    """
+    sorts: dict[int, int | str] = {}
+    for u in postorder(t):
+        if isinstance(u, Var):
+            s = ctx.sort_of(u.name) if ctx.has(u.name) else f"unknown variable {u.name!r}"
+        elif (op := sig.by_name.get(u.op)) is None:
+            s = f"unknown op {u.op!r}"
+        elif len(u.args) != len(op.args):
+            s = f"op {u.op!r}: expected {len(op.args)} arguments, got {len(u.args)}"
+        else:
+            s = op.result
+            for child, want in zip(u.args, op.args):
+                got = sorts[id(child)]
+                if got != want:
+                    s = got if isinstance(got, str) else (
+                        f"op {u.op!r}: argument {render(child)} has sort "
+                        f"{sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
+                    )
+                    break
+        sorts[id(u)] = s
+    s = sorts[id(t)]
+    if isinstance(s, str):
+        raise ValueError(s)
+    return s
 
 
 def well_sorted(t: Term, sig: Signature, ctx: VarContext) -> bool:
@@ -305,19 +321,11 @@ class Substitution:
 IDENTITY = Substitution({})
 
 
-def apply_subst(s: Substitution, t: Term, _memo: Optional[dict] = None) -> Term:
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(t))
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        out = s.bindings.get(t.name) or var(t.name)
-    else:
-        assert isinstance(t, App)
-        out = app(t.op, *[apply_subst(s, a, _memo) for a in t.args])
-    _memo[id(t)] = out
-    return out
+def apply_subst(s: Substitution, t: Term) -> Term:
+    image: dict[int, Term] = {}
+    for u in postorder(t):
+        image[id(u)] = s(u.name) if isinstance(u, Var) else app(u.op, *[image[id(a)] for a in u.args])
+    return image[id(t)]
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -330,22 +338,9 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 
 
 def subterm_universe(terms: Iterable[Term]) -> list[Term]:
-    """All subterms, deduplicated, in first-encounter preorder."""
-    out: list[Term] = []
-    seen: set[int] = set()
-
-    def walk(t: Term) -> None:
-        if id(t) in seen:
-            return
-        seen.add(id(t))
-        out.append(t)
-        if isinstance(t, App):
-            for a in t.args:
-                walk(a)
-
-    for t in terms:
-        walk(t)
-    return out
+    """All subterms, deduplicated, in postorder: each term's postorder in
+    turn, less the subterms an earlier term already listed."""
+    return list(dict.fromkeys(u for t in terms for u in postorder(t)))
 
 
 def constant_name(sig: Signature, sort: int, element: int) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from uag.terms import App, Term, Var
+from uag.terms import App, Term, Var, VarContext, app
 
 
 def o_eval(t: Term, env: dict[str, int], tables) -> int:
@@ -159,6 +159,80 @@ def o_subterms(terms):
     for t in terms:
         walk(t)
     return seen
+
+
+def o_term_vars(t: Term, out=None) -> list[str]:
+    """Variable names in first-occurrence order, by plain recursion."""
+    out = [] if out is None else out
+    if isinstance(t, Var):
+        if t.name not in out:
+            out.append(t.name)
+    else:
+        for a in t.args:
+            o_term_vars(a, out)
+    return out
+
+
+def o_sort_of(t: Term, sig, ctx) -> int:
+    """Sort index, or the ValueError of the first fault a left-to-right
+    recursion meets: each node's op and arity before its arguments, each
+    argument's sort before the next argument."""
+    if isinstance(t, Var):
+        if not ctx.has(t.name):
+            raise ValueError(f"unknown variable {t.name!r}")
+        return ctx.sort_of(t.name)
+    if not sig.has_op(t.op):
+        raise ValueError(f"unknown op {t.op!r}")
+    op = sig.op(t.op)
+    if len(t.args) != op.arity:
+        raise ValueError(f"op {t.op!r}: expected {op.arity} arguments, got {len(t.args)}")
+    for child, want in zip(t.args, op.args):
+        got = o_sort_of(child, sig, ctx)
+        if got != want:
+            raise ValueError(
+                f"op {t.op!r}: argument {o_render(child)} has sort "
+                f"{sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
+            )
+    return op.result
+
+
+def o_inferred_context(sig, terms) -> VarContext:
+    """Each variable takes the sort of the first op position a left-to-right
+    recursion meets it at; bare variables take the one sort, if there is one."""
+    sorts: dict[str, int] = {}
+
+    def walk(t):
+        if isinstance(t, App):
+            op = sig.op(t.op)
+            if len(t.args) != op.arity:
+                raise ValueError(f"op {t.op!r}: arity mismatch")
+            for child, s in zip(t.args, op.args):
+                if isinstance(child, Var):
+                    if sorts.setdefault(child.name, s) != s:
+                        raise ValueError(f"variable {child.name!r} used at two sorts")
+                else:
+                    walk(child)
+
+    for t in terms:
+        walk(t)
+    order: list[str] = []
+    for t in terms:
+        o_term_vars(t, order)
+    if not order:
+        order, sorts = ["x"], {"x": 0}
+    for name in order:
+        if name not in sorts:
+            if len(sig.sorts) != 1:
+                raise ValueError(f"cannot infer sort of bare variable {name!r}; pass a context")
+            sorts[name] = 0
+    return VarContext(sig, [(name, sig.sorts[sorts[name]]) for name in order])
+
+
+def o_apply_subst(s, t: Term) -> Term:
+    """Each variable replaced by its image, by plain recursion."""
+    if isinstance(t, Var):
+        return s.bindings.get(t.name) or t
+    return app(t.op, *[o_apply_subst(s, a) for a in t.args])
 
 
 def o_ground_closure_classes(pairs, extra_terms=()):

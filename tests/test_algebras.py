@@ -1,13 +1,16 @@
+import gc
 import itertools
 import math
 import random
+import re
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from uag import algebras, geometry, terms
+from uag import algebras, geometry
 from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
@@ -37,7 +40,19 @@ from uag.config import DEFAULT_CAP, CapExceeded, get_cap
 from uag.congruences import h_ker, kernel_of_point
 from uag.geometry import closure_variety, coordinate_algebra, separating_pair
 from uag.spaces import GeoContext, PointSet
-from uag.terms import Signature, VarContext, app, render, term_vars, var
+from uag.terms import (
+    App,
+    Signature,
+    Substitution,
+    VarContext,
+    app,
+    apply_subst,
+    render,
+    sort_of,
+    subterm_universe,
+    term_vars,
+    var,
+)
 
 
 def test_eval_frozen_value(z4, gctx2):
@@ -137,36 +152,124 @@ def test_eval_columns_by_arity_matches_oracle():
         assert col == [oracles.o_eval(t, oracles.o_env(EVAL_CTX, p), EVAL_ALG.tables) for p in points]
 
 
-def _inferred_or_error(family):
+def _loose_terms(rng):
+    """One to three terms over EVAL_SIG, up to 50 deep, built bottom-up from
+    a pool of the terms built so far, so subterms are shared. A family draws
+    a fault rate; at rate 0 every term is well-sorted, and otherwise an
+    unknown op h, wrong arities, an unknown variable z and arguments of any
+    sort turn up."""
+    faults = rng.choice([0, 0.02, 0.1])
+    pool = [var("x"), app("c"), var("y"), var("z")]
+    sort = {id(var("x")): 0, id(app("c")): 0, id(var("y")): 1, id(var("z")): None}
+    for _ in range(rng.randint(1, 120)):
+        op = rng.choice(EVAL_SIG.ops)
+        args = []
+        for i, want in enumerate(op.args):
+            fit = [t for t in pool if sort[id(t)] == want]
+            if rng.random() < faults:
+                args.append(rng.choice(pool))
+            elif i == 0 and rng.random() < 0.8:
+                args.append(max(fit, key=lambda t: t.depth))  # so depth grows
+            else:
+                args.append(rng.choice(rng.choice([fit, fit[:3]])))  # often a small term
+        if rng.random() < faults:
+            args = args[: rng.randint(0, len(args))] + [rng.choice(pool)] * rng.randint(0, 1)
+        name = "h" if rng.random() < faults else op.name
+        t = app(name, *args)
+        if t.depth <= 50 and t.size <= 1000:
+            ok = name == op.name and len(args) == op.arity and all(sort[id(a)] == w for a, w in zip(args, op.args))
+            sort[id(t)] = op.result if ok else None
+            pool.append(t)
+    return [rng.choice(pool) for _ in range(rng.randint(0, 1))] + pool[-rng.randint(1, 3) :]
+
+
+def _value_or_error(f, *args):
     try:
-        return inferred_context(EVAL_SIG, family).vars, [term_vars(t) for t in family]
+        return f(*args)
     except ValueError as e:
-        return str(e)
+        return "error: " + str(e)
 
 
-def _loose_term(rng, depth):
-    """A term over EVAL_SIG's ops and one unknown op, with any arguments."""
-    if depth == 0 or rng.random() < 0.25:
-        return rng.choice([var("x"), var("y"), var("z"), app("c")])
-    name = "h" if rng.random() < 0.03 else rng.choice(["f", "m", "g", "t"])
-    arity = {"f": 1, "m": 2, "g": 2, "t": 3, "h": 1}[name]
-    if rng.random() < 0.03:
-        arity = rng.randint(0, 3)
-    return app(name, *[_loose_term(rng, depth - 1) for _ in range(arity)])
-
-
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
-def test_inferred_context_deep_walk_matches_the_recursion(seed):
-    """With every term past DEEP_TERM, inferred_context and term_vars take
-    their explicit-stack walks, and give the same context, variable order or
-    error as their recursion."""
+def test_term_walks_match_their_recursive_oracles(seed):
+    """Each loop over a postorder gives its recursive oracle's value, or the
+    error of the first fault a left-to-right recursion meets."""
     rng = random.Random(seed)
-    families = [[_loose_term(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))] for _ in range(10)]
-    want = [_inferred_or_error(ts) for ts in families]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(algebras, "DEEP_TERM", 0)
-        m.setattr(terms, "DEEP_TERM", 0)
-        assert [_inferred_or_error(ts) for ts in families] == want
+    family = _loose_terms(rng)
+    sub = Substitution({"x": rng.choice(family), "y": app("g", var("x"), var("y"))})
+    for t in family:
+        assert term_vars(t) == oracles.o_term_vars(t)
+        assert apply_subst(sub, t) is oracles.o_apply_subst(sub, t)
+        assert _value_or_error(sort_of, t, EVAL_SIG, EVAL_CTX) == _value_or_error(
+            oracles.o_sort_of, t, EVAL_SIG, EVAL_CTX
+        )
+    assert _value_or_error(lambda: inferred_context(EVAL_SIG, family).vars) == _value_or_error(
+        lambda: oracles.o_inferred_context(EVAL_SIG, family).vars
+    )
+    universe = subterm_universe(family)
+    assert len(universe) == len(oracles.o_subterms(family))
+    assert set(map(id, universe)) == set(map(id, oracles.o_subterms(family)))
+    position = {id(u): i for i, u in enumerate(universe)}
+    assert all(position[id(a)] < position[id(u)] for u in universe if isinstance(u, App) for a in u.args)
+    points = enumerate_points(EVAL_CTX, EVAL_ALG)
+    want = []
+    for t in family:
+        s = _value_or_error(oracles.o_sort_of, t, EVAL_SIG, EVAL_CTX)
+        if isinstance(s, str):
+            # eval_columns names no argument in a sort mismatch
+            want = re.sub(r"argument .* has sort", "argument of sort", s)
+            break
+        want.append((s, [oracles.o_eval(t, oracles.o_env(EVAL_CTX, p), EVAL_ALG.tables) for p in points]))
+    assert _value_or_error(eval_columns, family, points, EVAL_ALG, EVAL_CTX) == want
+
+
+def test_term_walks_on_a_shared_and_a_deep_term(z4, s3):
+    """Each walk visits a shared subterm once, at any depth. x doubled 24
+    times has 25 distinct subterms but 2**25 - 1 occurrences, each of which a
+    walk by occurrence would visit; inv applied 5000 times is past the
+    recursion limit. Values are checked against closed forms."""
+    doubled, chain = var("x"), var("x")
+    for _ in range(24):
+        doubled = app("mul", doubled, doubled)
+    for _ in range(5000):
+        chain = app("inv", chain)
+    ctx = VarContext(GROUP_SIG, [("x", "g")])
+    start = time.perf_counter()
+    for t, distinct in ((doubled, 25), (chain, 5001)):
+        assert sort_of(t, GROUP_SIG, ctx) == 0
+        assert term_vars(t) == ["x"]
+        assert inferred_context(GROUP_SIG, [t]).vars == ctx.vars
+        assert len(subterm_universe([t])) == distinct
+        image = apply_subst(Substitution({"x": app("inv", var("y"))}), t)
+        assert term_vars(image) == ["y"] and len(subterm_universe([image])) == distinct + 1
+    for g in (z4, s3, cyclic_group(5)):
+        points = enumerate_points(ctx, g)
+        squared = [p[0] for p in points]
+        for _ in range(24):
+            squared = [g.apply("mul", (a, a)) for a in squared]
+        # x^(2^24), and inv^(2k) x = x in every group
+        assert eval_columns([doubled, chain], points, g, ctx) == [(0, squared), (0, [p[0] for p in points])]
+    assert time.perf_counter() - start < 5
+
+
+def test_term_walks_leave_no_cyclic_garbage():
+    """The walks build no self-referencing closures, so with the collector
+    off they leave nothing for it to collect."""
+    x, y = var("x"), var("y")
+    fy = app("f", y)
+    family = [app("t", fy, app("g", x, y), app("m", fy, fy)), app("m", x, app("c")), x]
+    points = enumerate_points(EVAL_CTX, EVAL_ALG)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            eval_columns(family, points, EVAL_ALG, EVAL_CTX)
+            inferred_context(EVAL_SIG, family)
+            subterm_universe(family)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_inferred_context_and_term_vars_at_depth():

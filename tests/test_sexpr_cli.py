@@ -359,27 +359,46 @@ def test_cli_parses_a_pair_5000_levels_deep(tmp_path):
     assert [render(t) for t in pair] == ["e", text]
 
 
-def test_cli_verbs_on_a_pair_5000_levels_deep_exit_2_without_traceback(tmp_path, capsys):
-    """A verb whose walk over a term recurses stops with one error line that
-    names the cause, not a RecursionError traceback; reading the pair still
-    succeeds. The verbs' walks over the term still recurse."""
+def test_cli_verbs_answer_on_a_pair_5000_levels_deep(tmp_path, capsys):
+    """Every verb that reads a pair set answers on a pair nested far past the
+    recursion limit, (inv^5000 x, x), which holds at all 4 points of Z4;
+    nullsatz reads the workspace but no pair set. derive --kind pseudo still
+    registers the pair in a congruence closure, whose walk recurses, and
+    stops with one error line, not a traceback."""
     depth = 5000
     term = "(inv " * depth + "x" + ")" * depth
     path = tmp_path / "deep.sx"
     path.write_text(f"(pairs D ({term} x))\n")
-    ws = ("--builtin", "group", "-f", str(path))
-    for argv in (
-        ("variety", *ws, "-a", "Z4", "-c", "C1", "-p", "D"),
-        ("closure", *ws, "-a", "Z4", "-c", "C1", "-p", "D"),
-        ("closure", *ws, "-a", "Z4", "-c", "C1", "-p", "D", "--query", "(x (inv (inv x)))"),
-        ("derive", *ws, "--kind", "identity", "--seed-pairs", "D"),
-        ("eval", "--builtin", "group", "-a", "Z4", "-c", "C1", "--term", term, "--point", "1"),
+    ws = ("--builtin", "group", "-f", str(path), "--format", "json")
+    c1 = ("-a", "Z4", "-c", "C1")
+    pair_sets = ("-a", "Z4", "--ctx-a", "C1", "--ctx-b", "C1", "--pairs-a", "D", "--pairs-b", "D")
+    everywhere = [[0], [1], [2], [3]]
+    quasi = {"kind": "quasi", "ante": [], "cons": ["x", term]}
+    for argv, key, want in (
+        (("variety", *ws, *c1, "-p", "D"), "points", everywhere),
+        (("closure", *ws, *c1, "-p", "D"), "count", 4),
+        (("closure", *ws, *c1, "-p", "D", "--query", "(x (inv (inv x)))"), "member", True),
+        (("eval", *ws, *c1, "--term", term, "--point", "1"), "value", 1),
+        (("verbal", *ws, *c1, "-p", "D"), "points", everywhere),
+        (("morphism", *ws, *pair_sets, "--subst", "((x (mul x x)))"), "report", {
+            "ok": True, "failing_point": None, "image_point": None}),
+        (("iso", *ws, *pair_sets), "found", True),
+        (("nullsatz", *ws, "--image", "Z4", "--assignment", "1", "--target", "Z2", "-c", "C1"), "report", {
+            "agrees": True, "meet_agrees": True, "image_sizes": [4], "quotient_sizes": [2], "hom_count": 2,
+            "separating": None}),
+        (("derive", *ws, "--kind", "quasi", "--seed-pairs", "D"), "result", {
+            "count": 1, "exhausted": False, "rounds": 1, "clauses": [quasi]}),
     ):
-        capsys.readouterr()
-        assert run_cli(*argv) == (2, ""), argv[0]
-        assert capsys.readouterr().err == "error: term nested too deep for this verb (recursion limit)\n", argv[0]
-    code, out = run_cli("parse", *ws, "--format", "json")
-    assert code == 0 and json.loads(out)["pairs"] == ["D"]
+        code, out = run_cli(*argv)
+        assert code == 0, argv[0]
+        assert json.loads(out)[key] == want, argv[0]
+    # pseudo clauses are closed by congruence closure, whose registration
+    # recurses once per level; past the recursion limit it stops cleanly. A
+    # pair 1500 deep is enough, and cheaper to key than one 5000 deep.
+    path.write_text("(pairs D (" + "(inv " * 1500 + "x" + ")" * 1500 + " x))\n")
+    capsys.readouterr()
+    assert run_cli("derive", *ws, "--kind", "pseudo", "--seed-pairs", "D") == (2, "")
+    assert capsys.readouterr().err == "error: term nested too deep for this verb (recursion limit)\n"
 
 
 def test_cli_ill_sorted_term_exits_2(tmp_path, capsys):

@@ -170,3 +170,52 @@ def test_points_are_grouped_by_subalgebra_in_one_place():
     """Only geometry.point_subalgebras dedupes point subalgebras by member sets."""
     counts = {p.stem: p.read_text(encoding="utf-8").count("frozenset(ms) for ms in") for p in SRC.glob("*.py")}
     assert {stem: n for stem, n in counts.items() if n} == {"geometry": 1}
+
+
+def self_callers(sources: dict[str, str]) -> list[str]:
+    """module.function for each function that calls itself: a function or
+    closure by its bare name, a method as self.name. callers_of matches any
+    x.f(...), so it would count sort_of for calling ctx.sort_of."""
+    out = []
+
+    def visit(node, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [n.func for stmt in child.body for n in ast.walk(stmt) if isinstance(n, ast.Call)]
+                own = [f.id for f in calls if isinstance(f, ast.Name)]
+                own += [f.attr for f in calls if isinstance(f, ast.Attribute) and getattr(f.value, "id", "") == "self"]
+                if child.name in own:
+                    out.append(f"{module}.{child.name}")
+            visit(child, module)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return out
+
+
+def test_self_callers_detector():
+    sources = {
+        "a": "def f(n):\n    return f(n - 1)\ndef g():\n    def g2():\n        return g2()\n    return x.g()\n"
+        "class K:\n    def m(self):\n        return self.m()\n    def n(self):\n        return super().n()\n",
+    }
+    assert self_callers(sources) == ["a.f", "a.g2", "a.m"]
+
+
+# functions of the term modules that call themselves, none over a term: op
+# tables one argument position per level, and formulas one connective per level
+NOT_TERM_WALKS = ["algebras._cell_rows", "algebras._round_runs", "sexpr.parse_formula", "sexpr.print_formula"]
+
+# The one term walk left recursive. An explicit stack in register lets the
+# derive-fo benchmark's 5000-deep ground_closure succeed, and that op then
+# costs 6-12 ms a cycle: ops_per_s falls 18-28% in two prototypes.
+RECURSIVE_TERM_WALKS = ["congruences.register"]
+
+
+def test_term_walks_are_loops():
+    """Every term walk of terms, algebras and sexpr is a loop, at any depth:
+    none calls itself, and no depth threshold hands deep terms to a second
+    walk. Congruence registration is the one recursive term walk."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert self_callers({m: sources[m] for m in ("terms", "algebras", "sexpr")}) == NOT_TERM_WALKS
+    assert self_callers({"congruences": sources["congruences"]}) == RECURSIVE_TERM_WALKS
+    assert [m for m, source in sources.items() if "DEEP_TERM" in source] == []
