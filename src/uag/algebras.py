@@ -1,18 +1,21 @@
 """Finite algebras with total operation tables, points, homomorphism search.
 
 Elements are dense integers 0..n-1 per sort. Algebras are immutable after
-validation. A Point is a tuple aligned with a VarContext's variable order;
-evaluating a term at a point is the homomorphic extension W(X) -> G.
+validation, and keep their tables once, as nested rows. A Point is a tuple
+aligned with a VarContext's variable order; evaluating a term at a point is
+the homomorphic extension W(X) -> G.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import struct
 from operator import getitem, itemgetter, ne
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .config import CapExceeded, check_cap
 from .terms import (
@@ -23,6 +26,7 @@ from .terms import (
     VarContext,
     app,
     check_same_sort,
+    constant_name,
     postorder,
     var,
 )
@@ -31,7 +35,10 @@ Point = tuple[int, ...]
 
 
 class FiniteAlgebra:
-    __slots__ = ("sig", "sizes", "tables", "name", "_digest", "_nested", "_bytes")
+    """Total operation tables, given keyed by argument tuples, checked and
+    stored as nested rows in one pass; tables is a read-only view of them."""
+
+    __slots__ = ("sig", "sizes", "name", "_nested", "_tables", "_digest", "_bytes")
 
     def __init__(
         self,
@@ -40,32 +47,30 @@ class FiniteAlgebra:
         tables: Mapping[str, Mapping[tuple[int, ...], int]],
         name: str = "G",
     ):
-        self.sig = sig
-        self.sizes = tuple(sizes)
-        self.name = name
-        self._digest: Optional[str] = None
-        self._nested: Optional[dict] = None
-        self._bytes: Optional[dict] | bool = False  # False until byte_tables() runs
-        if len(self.sizes) != len(sig.sorts):
+        sizes = tuple(sizes)
+        if len(sizes) != len(sig.sorts):
             raise ValueError("one carrier size per sort required")
-        if any(n < 1 for n in self.sizes):
+        if any(n < 1 for n in sizes):
             raise ValueError("carriers must be nonempty")
-        checked: dict[str, dict[tuple[int, ...], int]] = {}
+        nested = {}
         for op in sig.ops:
             try:
                 table = dict(tables[op.name])
             except KeyError:
                 raise ValueError(f"missing table for op {op.name!r}") from None
-            domain = list(itertools.product(*[range(self.sizes[s]) for s in op.args]))
-            if len(table) != len(domain):
-                raise ValueError(f"table for {op.name!r} has {len(table)} rows, expected {len(domain)}")
-            for args in domain:
-                if args not in table:
-                    raise ValueError(f"table for {op.name!r} missing entry {args}")
-                if not 0 <= table[args] < self.sizes[op.result]:
+            dims = [sizes[s] for s in op.args]
+            if len(table) != math.prod(dims):
+                raise ValueError(f"table for {op.name!r} has {len(table)} rows, expected {math.prod(dims)}")
+            flat, n = [], sizes[op.result]
+            for args in itertools.product(*map(range, dims)):
+                v = table.get(args, -1)
+                if not 0 <= v < n:
+                    if args not in table:
+                        raise ValueError(f"table for {op.name!r} missing entry {args}")
                     raise ValueError(f"table for {op.name!r} at {args}: result out of range")
-            checked[op.name] = table
-        self.tables = checked
+                flat.append(v)
+            nested[op.name] = _nested_rows(flat, dims)
+        _fill(self, sig, sizes, nested, name)
 
     def digest(self) -> str:
         if self._digest is None:
@@ -74,7 +79,7 @@ class FiniteAlgebra:
             h.update(repr(self.sizes).encode())
             for op in self.sig.ops:
                 h.update(repr((op.name, op.args, op.result)).encode())
-                h.update(repr(sorted(self.tables[op.name].items())).encode())
+                h.update(repr(list(self.rows(op))).encode())
             self._digest = h.hexdigest()[:12]
         return self._digest
 
@@ -83,12 +88,24 @@ class FiniteAlgebra:
 
         nested()["mul"][a][b] is mul(a, b); a nullary op maps to its value.
         """
-        if self._nested is None:
-            self._nested = {
-                op.name: _nest(self.tables[op.name], [self.sizes[s] for s in op.args])
-                for op in self.sig.ops
-            }
         return self._nested
+
+    @property
+    def tables(self) -> Mapping[str, Mapping[tuple[int, ...], int]]:
+        """Every op's table keyed by argument tuples: a read-only view of the
+        rows, its items in lexicographic order, built on its first read."""
+        if self._tables is None:
+            self._tables = MappingProxyType({op.name: MappingProxyType(dict(self.rows(op))) for op in self.sig.ops})
+        return self._tables
+
+    def rows(self, op: Op) -> Iterator[tuple[tuple[int, ...], int]]:
+        """op's table as (arguments, value) pairs, in lexicographic order."""
+        flat = self._nested[op.name]
+        if not op.args:
+            return iter([((), flat)])
+        for _ in op.args[1:]:
+            flat = itertools.chain.from_iterable(flat)
+        return zip(itertools.product(*[range(self.sizes[s]) for s in op.args]), flat)
 
     def byte_tables(self) -> Optional[dict]:
         """Every op's table for byte-column generation (see _ByteCells).
@@ -103,50 +120,33 @@ class FiniteAlgebra:
             self._bytes = _byte_tables(self)
         return self._bytes
 
-    def apply(self, op_name: str, args: tuple[int, ...]) -> int:
-        return self.tables[op_name][args]
+    def apply(self, op_name: str, args: Sequence[int]) -> int:
+        return functools.reduce(getitem, args, self._nested[op_name])
 
     def __repr__(self) -> str:
         return f"FiniteAlgebra({self.name}, sizes={self.sizes})"
 
 
-class _NestedAlgebra(FiniteAlgebra):
-    """A FiniteAlgebra given by total, in-range tables laid out as nested()
-    returns them, with nonempty carriers. tables is built from them on its
-    first read, so a caller that only reads nested() never builds it.
-
-    A subclass because defining __getattr__ slows every attribute read of
-    its class, which FiniteAlgebra's other callers should not pay.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sig: Signature, sizes: Sequence[int], nested: dict, name: str):
-        self.sig, self.sizes, self.name = sig, tuple(sizes), name
-        self._digest, self._nested, self._bytes = None, nested, False
-
-    def __getattr__(self, attr: str):
-        # only reached while a slot is unset, which is how tables starts
-        if attr != "tables":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
-        self.tables = {op.name: _unnest(self._nested[op.name], [self.sizes[s] for s in op.args]) for op in self.sig.ops}
-        return self.tables
+def _fill(g: FiniteAlgebra, sig: Signature, sizes: tuple[int, ...], nested: dict, name: str) -> FiniteAlgebra:
+    """Sets g's fields; every cache starts empty."""
+    g.sig, g.sizes, g.name, g._nested = sig, sizes, name, nested
+    g._tables = g._digest = None
+    g._bytes = False  # False until byte_tables() runs
+    return g
 
 
-def _nest(table: Mapping[tuple[int, ...], int], dims: Sequence[int]):
-    flat = [table[args] for args in itertools.product(*map(range, dims))]
+def _total(sig: Signature, sizes: Sequence[int], nested: dict, name: str) -> FiniteAlgebra:
+    """The algebra of rows laid out as nested() returns them, unchecked: for
+    callers whose rows are total and in range, over nonempty carriers, by
+    construction."""
+    return _fill(FiniteAlgebra.__new__(FiniteAlgebra), sig, tuple(sizes), nested, name)
+
+
+def _nested_rows(flat: list, dims: Sequence[int]):
+    """A table's values, listed in lexicographic order of their arguments, as nested rows."""
     for n in reversed(dims[1:]):
         flat = [flat[i : i + n] for i in range(0, len(flat), n)]
     return flat if dims else flat[0]
-
-
-def _unnest(nested, dims: Sequence[int]) -> dict[tuple[int, ...], int]:
-    if not dims:
-        return {(): nested}
-    flat = nested
-    for _ in dims[1:]:
-        flat = itertools.chain.from_iterable(flat)
-    return dict(zip(itertools.product(*map(range, dims)), flat))
 
 
 def unit_algebra(sig: Signature, name: str = "unit") -> FiniteAlgebra:
@@ -305,14 +305,16 @@ class GeneratedSubalgebra:
             if 0 in sizes:
                 sort = self.sig.sorts[sizes.index(0)]
                 raise ValueError(f"sort {sort!r} has no term over the generators")
-            self._alg = _NestedAlgebra(self.sig, sizes, self.cells, self.name)
+            self._alg = _total(self.sig, sizes, self.cells, self.name)
         return self._alg
 
     def _renamed(self, members) -> "GeneratedSubalgebra":
         gen_vars = tuple((name, s, members[s][pos]) for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds))
-        return GeneratedSubalgebra(
+        out = GeneratedSubalgebra(
             self.sig, members, self.witnesses, gen_vars, self.seeds, self.cells, self.origin, self.name
         )
+        out._alg = self._alg
+        return out
 
     def generator_context(self) -> VarContext:
         sig = self.sig
@@ -750,17 +752,16 @@ def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Option
     table_cells = sum(math.prod(sizes[s] for s in op.args) for op in sig.ops)
     check_cap("product tables", table_cells, cap)
     factor_sizes = [tuple(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    nested = {}
     for op in sig.ops:
-        table: dict[tuple[int, ...], int] = {}
-        for args in itertools.product(*[range(sizes[s]) for s in op.args]):
+        dims = [sizes[s] for s in op.args]
+        flat = []
+        for args in itertools.product(*map(range, dims)):
             comps = [index_to_tuple(arg, factor_sizes[s]) for arg, s in zip(args, op.args)]
-            result = tuple(
-                g.tables[op.name][tuple(comp[k] for comp in comps)] for k, g in enumerate(gs)
-            )
-            table[args] = tuple_to_index(result, factor_sizes[op.result])
-        tables[op.name] = table
-    return FiniteAlgebra(sig, sizes, tables, name=name or "x".join(g.name for g in gs))
+            result = [g.apply(op.name, [comp[k] for comp in comps]) for k, g in enumerate(gs)]
+            flat.append(tuple_to_index(result, factor_sizes[op.result]))
+        nested[op.name] = _nested_rows(flat, dims)
+    return _total(sig, sizes, nested, name or "x".join(g.name for g in gs))
 
 
 def _common_sig(gs: Sequence[FiniteAlgebra]) -> Signature:
@@ -817,12 +818,14 @@ def dense_blocks(g: FiniteAlgebra, labels) -> tuple[tuple[int, ...], ...]:
 def class_tables(g: FiniteAlgebra, block_of: Sequence[Sequence[int]]) -> dict[str, dict[tuple[int, ...], int]]:
     """Op tables on blocks, given each element's block per sort.
 
-    Raises ValueError unless the partition is a congruence of g.
+    Raises ValueError unless the partition is a congruence of g; the error
+    names the first class, in lexicographic order of g's rows, that an op
+    splits.
     """
     tables: dict[str, dict[tuple[int, ...], int]] = {}
     for op in g.sig.ops:
         table: dict[tuple[int, ...], int] = {}
-        for args, val in g.tables[op.name].items():
+        for args, val in g.rows(op):
             key = tuple(block_of[s][a] for s, a in zip(op.args, args))
             res = block_of[op.result][val]
             if table.setdefault(key, res) != res:
@@ -895,18 +898,10 @@ def ops_commute(g: FiniteAlgebra, name1: str, name2: str) -> bool:
     inconsistent matrix sorts) commute vacuously.
     """
     op1, op2 = g.sig.op(name1), g.sig.op(name2)
-    if op1.arity == 0 and op2.arity == 0:
-        if op1.result != op2.result:
-            return True
-        return g.tables[name1][()] == g.tables[name2][()]
-    if op1.arity == 0 or op2.arity == 0:
-        const, other = (op1, op2) if op1.arity == 0 else (op2, op1)
-        if any(s != const.result for s in other.args) or other.result != const.result:
-            return True
-        c = g.tables[const.name][()]
-        return g.tables[other.name][tuple([c] * other.arity)] == c
     n, m = op1.arity, op2.arity
-    # matrix of m rows by n columns; entry (i,j) must inhabit both arg sorts
+    # matrix of m rows by n columns; entry (i,j) must inhabit both arg sorts.
+    # With a nullary op the matrix is empty, and the law compares the other
+    # op, applied to the constant throughout, with the constant.
     if op1.result != op2.result:
         return True
     if any(s != op1.result for s in op2.args) or any(s != op2.result for s in op1.args):
@@ -914,12 +909,11 @@ def ops_commute(g: FiniteAlgebra, name1: str, name2: str) -> bool:
         return True
     if any(op1.args[j] != op2.args[i] for i in range(m) for j in range(n)):
         return True
-    t1, t2 = g.tables[name1], g.tables[name2]
     cell_sorts = [g.sizes[op1.args[j]] for j in range(n)]
     for rows in itertools.product(*(itertools.product(*[range(k) for k in cell_sorts]) for _ in range(m))):
-        lhs = t2[tuple(t1[row] for row in rows)]
-        cols = tuple(tuple(rows[i][j] for i in range(m)) for j in range(n))
-        rhs = t1[tuple(t2[col] for col in cols)]
+        lhs = g.apply(name2, [g.apply(name1, row) for row in rows])
+        cols = [[rows[i][j] for i in range(m)] for j in range(n)]
+        rhs = g.apply(name1, [g.apply(name2, col) for col in cols])
         if lhs != rhs:
             return False
     return True
@@ -936,15 +930,13 @@ def is_commutative(g: FiniteAlgebra) -> bool:
 
 def extend_with_constants(g: FiniteAlgebra, sig_c: Signature) -> FiniteAlgebra:
     """Interpret a constant-adjoined signature over g's carriers."""
-    from .terms import constant_name
-
-    tables: dict[str, Mapping[tuple[int, ...], int]] = dict(g.tables)
+    nested = dict(g.nested())
     for s in range(len(sig_c.sorts)):
         for e in range(g.sizes[s]):
             cname = constant_name(sig_c, s, e)
             if sig_c.has_op(cname):
-                tables[cname] = {(): e}
-    return FiniteAlgebra(sig_c, g.sizes, tables, name=f"{g.name}+c")
+                nested[cname] = e
+    return _total(sig_c, g.sizes, nested, f"{g.name}+c")
 
 
 # Stock signatures and algebras. Declaration order is part of the contract:

@@ -264,11 +264,12 @@ class KernelCongruence:
 def generated_kernel(sub: GeneratedSubalgebra, ctx: VarContext) -> KernelCongruence:
     """Ker of W(ctx) onto a generation seeded by ctx's variable rows.
 
-    The target is the generated algebra itself, and the generation is the
-    kernel's image; its members stay tuples over the factors, which no
-    reader of image() looks at.
+    The target is the generated algebra itself. The kernel's image is the
+    generation renamed to positions, so its members are elements of the
+    target, as for any other kernel, and its as_algebra() is the target.
     """
-    return KernelCongruence(sub.as_algebra(), ctx, sub.generator_point(), image=sub)
+    image = sub._renamed(tuple(tuple(range(len(ms))) for ms in sub.members))
+    return KernelCongruence(image.as_algebra(), ctx, sub.generator_point(), image=image)
 
 
 def unit_kernel(ctx: VarContext, sig) -> KernelCongruence:

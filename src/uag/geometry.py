@@ -13,8 +13,8 @@ import itertools
 import random
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
-from operator import eq, lshift
+from functools import partial, reduce
+from operator import eq, getitem, lshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import CapExceeded, check_cap, get_cap
@@ -620,14 +620,11 @@ def pointwise_closed(a: PointSet, op_name: str) -> bool:
                 f"coordinatewise {op_name!r} is not defined on this context (variable {name!r})"
             )
     pts = a.points()
-    table = gctx.g.tables[op_name]
+    table = gctx.g.nested()[op_name]
     if op.arity == 0:
-        c = table[()]
-        return tuple([c] * len(gctx.ctx.vars)) in a
+        return tuple([table] * len(gctx.ctx.vars)) in a
     for combo in itertools.product(pts, repeat=op.arity):
-        out = tuple(
-            table[tuple(q[j] for q in combo)] for j in range(len(gctx.ctx.vars))
-        )
+        out = tuple(reduce(getitem, column, table) for column in zip(*combo))
         if out not in a:
             return False
     return True

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cache
-from operator import eq
+from functools import cache, reduce
+from operator import eq, getitem
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import check_cap
@@ -467,7 +467,7 @@ def restrict_submodel(m: Model, members: Sequence[Sequence[int]]) -> SubmodelVie
         table: dict[tuple[int, ...], int] = {}
         for combo in itertools.product(*[range(sizes[s]) for s in op.args]):
             parent_args = tuple(to_parent[s][k] for s, k in zip(op.args, combo))
-            val = g.tables[op.name][parent_args]
+            val = reduce(getitem, parent_args, g.nested()[op.name])
             sub_val = from_parent[op.result].get(val)
             if sub_val is None:
                 raise ValueError(

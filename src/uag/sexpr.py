@@ -2,7 +2,8 @@
 
 A workspace file is a sequence of top-level forms; later forms may refer to
 names introduced by earlier ones. Comments run from a semicolon to the end
-of the line.
+of the line. An algebra gives each carrier, each table and each table row
+once, in any order.
 
     (sort g)
     (op mul (g g) g)
@@ -343,12 +344,16 @@ def _parse_algebra(node: list, ws: Workspace) -> None:
             if len(form) != 3:
                 raise SexprError("(carrier sort size)", *_pos(form))
             s = sig.sort_index(_atom(form[1], "a sort name"))
+            if seen_sizes[s]:
+                raise SexprError(f"repeated (carrier {sig.sorts[s]} ...)", *_pos(form))
             sizes[s] = _int(form[2], "carrier size")
             seen_sizes[s] = True
         elif head == "table":
             opname = _atom_at(form, 1, "an operation name")
             if not sig.has_op(opname):
                 raise SexprError(f"unknown operation {opname!r}", *_pos(form))
+            if opname in tables:
+                raise SexprError(f"repeated (table {opname} ...)", *_pos(form))
             op = sig.op(opname)
             rows: dict[tuple[int, ...], int] = {}
             for row in form[2:]:
@@ -357,8 +362,10 @@ def _parse_algebra(node: list, ws: Workspace) -> None:
                         f"table row for {opname!r} needs {op.arity + 1} integers",
                         *_pos(row),
                     )
-                vals = [_int(x, "a table entry") for x in row]
-                rows[tuple(vals[:-1])] = vals[-1]
+                *args, val = [_int(x, "a table entry") for x in row]
+                if tuple(args) in rows:
+                    raise SexprError(f"repeated table row for {opname!r} at {tuple(args)}", *_pos(row))
+                rows[tuple(args)] = val
             tables[opname] = rows
         else:
             raise SexprError(f"unknown algebra form {head!r}", *_pos(form))

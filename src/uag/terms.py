@@ -367,9 +367,7 @@ def adjoin_constants(sig: Signature, g) -> tuple[Signature, list[tuple[Term, Ter
     sig_c = Signature(sig.sorts, decls)
     pairs: list[tuple[Term, Term]] = []
     for op in sig.ops:
-        table = g.tables[op.name]
-        for args in sorted(table):
-            result = table[args]
+        for args, result in g.rows(op):
             lhs = app(op.name, *(const_term[(s, a)] for s, a in zip(op.args, args)))
             pairs.append((lhs, const_term[(op.result, result)]))
     return sig_c, pairs

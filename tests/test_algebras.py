@@ -1,9 +1,11 @@
+import functools
 import gc
 import itertools
 import math
 import random
 import re
 import time
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from uag.algebras import (
     enumerate_homs,
     enumerate_points,
     eval_columns,
+    extend_with_constants,
     generate,
     inferred_context,
     is_commutative,
@@ -35,16 +38,20 @@ from uag.algebras import (
     tuple_to_index,
     unit_algebra,
     index_to_tuple,
+    vee_semilattice,
 )
 from uag.config import DEFAULT_CAP, CapExceeded, get_cap
 from uag.congruences import h_ker, kernel_of_point
 from uag.geometry import closure_variety, coordinate_algebra, separating_pair
+from uag.logic import Model, RelSignature, restrict_submodel
+from uag.sexpr import load_workspace
 from uag.spaces import GeoContext, PointSet
 from uag.terms import (
     App,
     Signature,
     Substitution,
     VarContext,
+    adjoin_constants,
     app,
     apply_subst,
     render,
@@ -674,22 +681,102 @@ def test_enumerate_homs_batch_matches_one_at_a_time(monkeypatch):
 
 
 def test_generated_tables_are_built_on_first_read(monkeypatch, z4):
-    """A generated algebra's tables equal _unnest of its cells and are built
-    only when read, with the same digest as eagerly built tables; A'' on a
-    byte-bound input never builds them."""
+    """A generated algebra's tables view equals its cells read one cell at a
+    time, is built once and only when read, and is read-only, with the same
+    digest as an algebra built from that view; A'' on a byte-bound input
+    never builds it."""
     gctx = GeoContext(z4, VarContext(GROUP_SIG, [("x", "g"), ("y", "g")]))
     a = PointSet.of_points(gctx, [(0, 1), (1, 3), (2, 2)])
     calls = []
-    real = algebras._unnest
-    monkeypatch.setattr(algebras, "_unnest", lambda *args: calls.append(1) or real(*args))
+    real = FiniteAlgebra.rows
+    monkeypatch.setattr(FiniteAlgebra, "rows", lambda self, op: calls.append(op.name) or real(self, op))
     assert len(closure_variety(a)) == 16 and calls == []
     ca = coordinate_algebra(a)
     alg, cells = ca.algebra, ca.generation.cells
+    assert calls == []
+    want = {
+        op.name: {
+            args: functools.reduce(getitem, args, cells[op.name])
+            for args in itertools.product(range(alg.sizes[0]), repeat=len(op.args))
+        }
+        for op in alg.sig.ops
+    }
+    assert alg.tables == want and alg.tables is alg.tables and calls == [op.name for op in alg.sig.ops]
+    assert [list(t) for t in alg.tables.values()] == [sorted(t) for t in want.values()]
+    with pytest.raises(TypeError):
+        alg.tables["mul"][(0, 0)] = 1
+    with pytest.raises(TypeError):
+        alg.tables["mul"] = {}
     with pytest.raises(AttributeError):
-        FiniteAlgebra.tables.__get__(alg)  # the slot itself, still unset
-    want = {op.name: real(cells[op.name], [alg.sizes[s] for s in op.args]) for op in alg.sig.ops}
-    assert alg.tables == want and len(calls) == len(alg.sig.ops)
-    assert alg.digest() == FiniteAlgebra(alg.sig, alg.sizes, want).digest() == "bd59e9f2f575"
+        alg.tables = want
+    assert alg.digest() == FiniteAlgebra(alg.sig, alg.sizes, alg.tables).digest() == "bd59e9f2f575"
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         alg.nope
     assert "__getattr__" not in vars(FiniteAlgebra)  # it would slow every read of every algebra
+
+
+def stock_algebras() -> list[FiniteAlgebra]:
+    return [
+        *map(cyclic_group, (2, 3, 4, 5, 6)),
+        klein_four(),
+        symmetric_group_3(),
+        chain_semilattice(2),
+        chain_semilattice(3),
+        vee_semilattice(),
+        *map(mod_ring, (2, 3, 5)),
+    ]
+
+
+# check --suite galois seeds its rng from a digest, and eval_formula,
+# morphism_check, variety_iso and FinitePartitionCongruence compare digests
+STOCK_DIGESTS = {
+    "Z2": "70437368ce69",
+    "Z3": "b967e7338450",
+    "Z4": "8cb1406ac406",
+    "Z5": "4a33c18cfa6f",
+    "Z6": "24ca57216b94",
+    "V4": "a9ba76445ab8",
+    "S3": "b7f611151517",
+    "C2": "b44d9e990195",
+    "C3": "cb1a052fe144",
+    "Vee": "fec741ad4d2b",
+    "R2": "8b0471762d7a",
+    "R3": "fa171020600b",
+    "R5": "9a8b542fd487",
+}
+
+
+def test_digests_are_pinned():
+    """Every stock algebra's digest, and a workspace algebra's whose rows are
+    listed in reverse lexicographic order: the digest reads the rows in
+    lexicographic order, so it equals the stock Z3's."""
+    assert {g.name: g.digest() for g in stock_algebras()} == STOCK_DIGESTS
+    ws = load_workspace(
+        "(sort g)(op mul (g g) g)(op inv (g) g)(op e () g)"
+        "(algebra Z3r (carrier g 3) (table e (0)) (table inv (2 1) (1 2) (0 0))"
+        " (table mul (2 2 1) (2 1 0) (2 0 2) (1 2 0) (1 1 2) (1 0 1) (0 2 2) (0 1 1) (0 0 0)))"
+    )
+    assert ws.algebra("Z3r").digest() == "b967e7338450"
+
+
+def test_tables_view_agrees_with_nested_rows(z2, z4, s3, gctx2):
+    """For stock algebras and for algebras built by each constructor, the
+    tables view lists every argument tuple once, in lexicographic order,
+    with the value nested() gives it."""
+    a3 = [0, 3, 4]  # the identity and the two 3-cycles
+    algs = [
+        *stock_algebras(),
+        product([z2, s3]),
+        quotient(z4, [[0, 1, 0, 1]]),
+        extend_with_constants(z4, adjoin_constants(GROUP_SIG, z4)[0]),
+        restrict_submodel(Model(s3, RelSignature(GROUP_SIG)), [a3]).model.algebra,
+        subalgebra_generated(s3, [3]).as_algebra(),
+        coordinate_algebra(PointSet.of_points(GeoContext(z4, gctx2), [(0, 1), (1, 3)])).algebra,
+    ]
+    assert [g.sizes for g in algs[-6:]] == [(12,), (2,), (4,), (3,), (3,), (16,)]
+    for g in algs:
+        assert list(g.tables) == [op.name for op in g.sig.ops]
+        for op in g.sig.ops:
+            table = g.tables[op.name]
+            assert list(table) == list(itertools.product(*[range(g.sizes[s]) for s in op.args]))
+            assert [functools.reduce(getitem, args, g.nested()[op.name]) for args in table] == list(table.values())

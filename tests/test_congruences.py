@@ -274,3 +274,23 @@ def test_h_ker_product_law(z2, z3, z4, klein):
                 lhs = h_ker(g, product([h1, h2]))
                 rhs = h_ker(g, h1).meet(h_ker(g, h2))
                 assert lhs == rhs
+
+
+def test_kernel_images_hold_elements_of_the_target(s3, gctx2):
+    """A point kernel, a coordinate-algebra kernel and a meet of kernels each
+    have an image whose members are elements of the kernel's target, each
+    with a witness that evaluates to it at the kernel's assignment."""
+    gctx = GeoContext(s3, gctx2)
+    kernels = [
+        kernel_of_point((1, 2), s3, gctx2),
+        coordinate_algebra(PointSet.of_points(gctx, [(0, 1), (1, 3), (2, 2)])).kernel(),
+        meet_kernels([kernel_of_point(p, s3, gctx2) for p in [(1, 2), (3, 3), (4, 5)]]),
+    ]
+    for k in kernels:
+        sub = k.image()
+        assert sub.size() > 1
+        for s, members in enumerate(sub.members):
+            for e in members:
+                assert e in range(k.target.sizes[s])
+                [(_, [value])] = eval_columns([sub.witness_of(s, e)], [k.assignment], k.target, k.ctx)
+                assert value == e

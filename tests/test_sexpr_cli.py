@@ -611,6 +611,37 @@ def test_cli_short_workspace_form_exits_2(tmp_path, capsys, text):
     assert err.startswith(f"error: {path}:1:") and err.count("\n") == 1, err
 
 
+REPEAT_HEAD = "(sort g)(op mul (g g) g)(context C2 (x g) (y g))\n"
+
+
+@pytest.mark.parametrize(
+    "algebra, want",
+    [
+        (
+            "(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (0 1 0) (1 0 1) (1 1 0)))",
+            "2:54: repeated table row for 'mul' at (0, 1)",
+        ),
+        (
+            "(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1) (1 1 0)) (table mul (0 0 0) (0 1 1) (1 0 1) (1 1 0)))",
+            "2:71: repeated (table mul ...)",
+        ),
+        (
+            "(algebra A (carrier g 1) (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1) (1 1 0)))",
+            "2:27: repeated (carrier g ...)",
+        ),
+    ],
+)
+def test_cli_repeated_table_rows_and_forms_exit_2(tmp_path, capsys, algebra, want):
+    """A table row, a table form or a carrier form given twice is an error at
+    the repeat, even where both give the same values."""
+    path = tmp_path / "repeat.sx"
+    path.write_text(REPEAT_HEAD + algebra)
+    capsys.readouterr()
+    argv = ["eval", "-f", str(path), "-a", "A", "-c", "C2", "--term", "(mul x y)", "--point", "0,1"]
+    assert run_cli(*argv)[0] == 2
+    assert capsys.readouterr().err == f"error: {path}:{want}\n"
+
+
 TWO_VARIETIES = ["--ctx-a", "C1", "--pairs-a", "T", "--ctx-b", "C1", "--pairs-b", "T"]
 
 # a valid argv for every verb, without the verb; no verb runs in the tests below

@@ -33,6 +33,27 @@ def test_no_unused_imports_in_the_package():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def tables_reads(source: str) -> list[int]:
+    """The line of each read of an attribute named tables, in order."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "tables" and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_tables_reads_detector():
+    src = "def f(g, tables):\n    g.tables = tables\n    return g.tables['mul'], tables\nx = h().tables\n"
+    assert tables_reads(src) == [3, 4]
+
+
+def test_only_algebras_reads_the_tables_view():
+    """An algebra stores its tables once, as nested rows; the tuple-keyed
+    tables view is for readers outside the package."""
+    found = {p.name: tables_reads(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "algebras.py"} == {}
+
+
 # the check batteries and the derive steps are called through a table with
 # one shared signature, so some of them leave a parameter unread
 SHARED_SIGNATURE = ("_battery_", "_step_")
