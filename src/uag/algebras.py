@@ -396,7 +396,6 @@ def generate(
     seeds: Sequence[tuple[int, tuple[int, ...]]],
     names: Sequence[str],
     budget: Optional[int] = None,
-    charge_cells: bool = False,
     stage: str = "generation",
     watch: Optional[Callable[[int, Sequence[int], Term], bool]] = None,
     name: Optional[str] = None,
@@ -407,16 +406,17 @@ def generate(
     seeds are (sort, row) pairs, named by names. Generation goes in rounds;
     each round visits, in lexicographic order of member positions, only the
     argument combos that touch a member added in the previous round (nullary
-    ops in round one), so every cell is computed once and recorded. Members
-    beyond budget raise CapExceeded, and so do cells when charge_cells is set.
-    watch sees each new member, as _cells keeps it (entry i is factor i's),
-    before it is added; if it returns true, generation stops and None is
-    returned.
+    ops in round one), so every cell is computed once and recorded. A budget
+    bounds members and cells alike: the member past it raises
+    CapExceeded("<stage> members"), and a cell computed past it
+    CapExceeded("<stage> tables"). watch sees each new member, as _cells
+    keeps it (entry i is factor i's), before it is added; if it returns
+    true, generation stops and None is returned.
 
-    With cells charged, a budget and no watch, each round that adds members
-    ends by projecting the cells its members already span, the sum over ops
-    of the product of their argument sorts' member counts (1 for a nullary
-    op), and raises CapExceeded("<stage> tables") with that count once it
+    With a budget and no watch, each round that adds members ends by
+    projecting the cells its members already span, the sum over ops of the
+    product of their argument sorts' member counts (1 for a nullary op),
+    and raises CapExceeded("<stage> tables") with that count once it
     passes budget. This is sound: such a run charges every cell among its
     final members exactly once, and members only grow, so the run would
     pass budget later anyway. Which runs raise is unchanged; they raise
@@ -428,13 +428,12 @@ def generate(
 
     With members_only the result is just the members of each sort, in
     discovery order: no witness terms are built (so none is interned), and
-    no cells or origin are recorded. Members and cells are charged as with
-    charge_cells, so the same rows overflow at the same count. Those members
+    no cells or origin are recorded. Members and cells are charged all the
+    same, so the same rows overflow at the same count. Those members
     are left as generation keeps them, bytes columns or tuple rows.
     """
     sig = _common_sig(factors)
     nsorts = len(sig.sorts)
-    charge_cells = charge_cells or members_only
     members: list[list] = [[] for _ in range(nsorts)]
     index: list[dict] = [{} for _ in range(nsorts)]
     witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
@@ -466,7 +465,7 @@ def generate(
     def charge(n: int) -> None:
         nonlocal charged
         charged += n
-        if charge_cells and budget is not None and charged > budget:
+        if budget is not None and charged > budget:
             raise CapExceeded(f"{stage} tables", charged, budget)
 
     try:
@@ -512,7 +511,7 @@ def generate(
             sizes = [len(m) for m in members]
             if sizes == cur:
                 break
-            if charge_cells and watch is None and budget is not None:
+            if watch is None and budget is not None:
                 need = sum(math.prod(sizes[a] for a in op.args) for op in sig.ops)
                 if need > budget:
                     raise CapExceeded(f"{stage} tables", need, budget)

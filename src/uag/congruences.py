@@ -337,7 +337,7 @@ def meet_kernels(
         return first
     rows = [(s, tuple(k.assignment[i] for k in ks)) for i, (_, s) in enumerate(first.ctx.vars)]
     sub = generate(
-        [k.target for k in ks], rows, first.ctx.names, get_cap(cap), charge_cells=True, stage="kernel meet image"
+        [k.target for k in ks], rows, first.ctx.names, get_cap(cap), stage="kernel meet image"
     )
     return generated_kernel(sub, first.ctx)
 

@@ -104,7 +104,6 @@ def coordinate_algebra(a: PointSet, cap: Optional[int] = None) -> CoordinateAlge
         rows,
         gctx.ctx.names,
         get_cap(cap),
-        charge_cells=True,
         stage="coordinate algebra",
         name=f"coord[{len(pts)}@{gctx.g.name}]",
     )
@@ -375,7 +374,8 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     """A pair of terms in exactly one of the two kernels, or None if equal.
 
     Generates the subalgebra of target_a x target_b from the paired variable
-    rows, carrying witness terms; a first-component collision is a pair in
+    rows, carrying witness terms, with its members and cells charged against
+    the cap; a first-component collision is a pair in
     Ker(ka) only, a second-component collision one in Ker(kb) only. None
     means the kernels coincide (the collision-free pairing is a
     homomorphism both ways).

@@ -21,6 +21,7 @@ from .config import check_cap
 from .algebras import (
     FiniteAlgebra,
     Point,
+    dense_blocks,
     eval_columns,
     eval_pairs,
     extend_with_constants,
@@ -28,7 +29,6 @@ from .algebras import (
     product,
     quotient,
 )
-from .congruences import FinitePartitionCongruence
 from .geometry import point_subalgebras, pull_back, random_term
 from .spaces import GeoContext, PointSet
 from .terms import (
@@ -356,64 +356,35 @@ def halmos_axiom_violations(
 
 
 def is_filter(family: Iterable[PointSet], gctx: GeoContext, cap: Optional[int] = None) -> bool:
-    """Nonempty, meet-closed, up-closed, and closed under every universal
-    quantifier; the last condition is the Halmos-side characterization."""
+    """Whether the family, sets of gctx, is a filter of the value algebra:
+    nonempty, meet-closed, up-closed and closed under every universal
+    quantifier.
+
+    Its only filters are {full} and every set: forall over all variables
+    sends every set except the full one to the empty set, which lies below
+    every set.
+    """
     fam = {a.mask for a in family}
     if not fam:
         return False
     n = len(gctx.points)
     check_cap("filter up-closure", 1 << n, cap)
-    names = [nm for nm, _ in gctx.ctx.vars]
-    for a in list(fam):
-        for b in list(fam):
-            if a & b not in fam:
-                return False
-        # a family holding every one-point extension of each member holds
-        # every superset of each member
-        if any(a | 1 << i not in fam for i in range(n)):
-            return False
-        ps = PointSet.of_mask(gctx, a)
-        for r in range(len(names) + 1):
-            for ys in itertools.combinations(names, r):
-                if forall_set(ps, ys).mask not in fam:
-                    return False
-    return True
+    return fam == {gctx.full_mask} or len(fam) == 1 << n
 
 
 def filter_generated(
     gens: Iterable[PointSet], gctx: GeoContext, cap: Optional[int] = None
 ) -> set[PointSet]:
-    """Least filter containing the generators, by fixpoint closure."""
+    """Least filter containing the generators: {full} when every generator
+    is the full set, and otherwise every set, since forall over all
+    variables sends every set except the full one to the empty set, which
+    lies below every set.
+    """
     n = len(gctx.points)
     check_cap("filter generation", 1 << n, cap)
-    names = [nm for nm, _ in gctx.ctx.vars]
-    fam: set[int] = {gctx.full_mask}
-    fam.update(a.mask for a in gens)
-    changed = True
-    while changed:
-        changed = False
-        current = list(fam)
-        for a in current:
-            for b in current:
-                if a & b not in fam:
-                    fam.add(a & b)
-                    changed = True
-        for a in current:
-            ps = PointSet.of_mask(gctx, a)
-            for r in range(len(names) + 1):
-                for ys in itertools.combinations(names, r):
-                    got = forall_set(ps, ys).mask
-                    if got not in fam:
-                        fam.add(got)
-                        changed = True
-            rest = gctx.full_mask & ~a
-            extra = rest
-            while extra:  # every nonempty submask of rest
-                if a | extra not in fam:
-                    fam.add(a | extra)
-                    changed = True
-                extra = (extra - 1) & rest
-    return {PointSet.of_mask(gctx, a) for a in fam}
+    if all(a.mask == gctx.full_mask for a in gens):
+        return {gctx.full()}
+    return {PointSet.of_mask(gctx, a) for a in range(1 << n)}
 
 
 def universal_part(family: Iterable[PointSet], gctx: GeoContext) -> set[PointSet]:
@@ -638,13 +609,13 @@ def los_check(
         [index_to_tuple(e, factor_sizes[s])[alpha0] for e in range(pw.sizes[s])]
         for s in range(nsorts)
     ]
-    part = FinitePartitionCongruence(pw, coord)
-    q_alg = quotient(pw, part, name=f"{pw.name}/U")
+    block_ids = dense_blocks(pw, coord)
+    q_alg = quotient(pw, block_ids, name=f"{pw.name}/U")
     # dense class label -> the shared principal coordinate of its members
     class_coord: list[dict[int, int]] = [{} for _ in range(nsorts)]
     for s in range(nsorts):
         for e in range(pw.sizes[s]):
-            class_coord[s].setdefault(part.block_ids[s][e], coord[s][e])
+            class_coord[s].setdefault(block_ids[s][e], coord[s][e])
     violations: list[tuple[Formula, Point]] = []
     # relations must be saturated: membership may only depend on the class
     q_rels: dict[str, set[tuple[int, ...]]] = {}
@@ -653,7 +624,7 @@ def los_check(
         sorts = m.rel_sig.rels[rel]
         seen: dict[tuple[int, ...], bool] = {}
         for combo in itertools.product(*[range(pw.sizes[s]) for s in sorts]):
-            key = tuple(part.block_ids[s][e] for s, e in zip(sorts, combo))
+            key = tuple(block_ids[s][e] for s, e in zip(sorts, combo))
             inside = combo in rows
             if seen.setdefault(key, inside) != inside:
                 saturated = False
@@ -668,7 +639,7 @@ def los_check(
         top = eval_formula(qm, u, gctx_q)
         base = eval_formula(m, u, gctx_b)
         for p in gctx_p.points:
-            dropped = tuple(part.block_ids[s][e] for (_, s), e in zip(ctx.vars, p))
+            dropped = tuple(block_ids[s][e] for (_, s), e in zip(ctx.vars, p))
             proj = tuple(class_coord[s][c] for (_, s), c in zip(ctx.vars, dropped))
             if (dropped in top) != (proj in base):
                 violations.append((u, p))

@@ -34,6 +34,8 @@ from .terms import (
 )
 
 KINDS = ("identity", "pseudo", "universal", "quasi")
+# past this many choices of one literal per premise, composition derives nothing
+_CHOICE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -160,24 +162,24 @@ def rho_membership(premises: Iterable[Pair], query: Pair, extra_terms: Iterable[
     return gc.contains(query)
 
 
-def circ_pseudo_member(premises: Sequence[Clause], candidate: Clause, choice_cap: int = 10**6) -> bool:
+def circ_pseudo_member(premises: Sequence[Clause], candidate: Clause) -> bool:
     """The composition test: every choice of one disjunct per premise must
     ground-derive some disjunct of the candidate. Pseudoidentities are the
     negation-free universal clauses, so this is circ_universal_member."""
-    return circ_universal_member(premises, candidate, choice_cap)
+    return circ_universal_member(premises, candidate)
 
 
-def circ_universal_member(premises: Sequence[Clause], candidate: Clause, choice_cap: int = 10**6) -> bool:
+def circ_universal_member(premises: Sequence[Clause], candidate: Clause) -> bool:
     """Composition for mixed clauses: each premise contributes either one of
     its equations (kept as a premise) or one of its negated equations (kept
     as a goal); the candidate's negated side always joins the premises.
 
     The one-candidate, one-combination case of the engine derive_closure
     runs, with closures of its own; False when the premises have more than
-    choice_cap choices.
+    _CHOICE_CAP choices.
     """
     groups, todo = _grouped([candidate], ())
-    return _derived_mask(premises, groups, todo, {}, choice_cap) == todo
+    return _derived_mask(premises, groups, todo, {}) == todo
 
 
 class _Group:
@@ -239,7 +241,6 @@ def _derived_mask(
     groups: Sequence[_Group],
     mask: int,
     closures: dict[frozenset, GroundCongruence],
-    choice_cap: int,
 ) -> int:
     """The bits of mask whose candidates the premises derive by composition.
 
@@ -253,14 +254,14 @@ def _derived_mask(
     consequence among registered terms does not depend on which other terms
     are registered. Choices are walked lazily, goals are read only for
     candidates still failing, and the walk stops once no bit is left; 0 when
-    there are more than choice_cap choices.
+    there are more than _CHOICE_CAP choices.
     """
     lists = []
     count = 1
     for u in premises:
         lists.append([(q, True) for q in u.pos] + [(q, False) for q in u.neg])
         count *= len(lists[-1])
-        if count > choice_cap:
+        if count > _CHOICE_CAP:
             return 0
     root = closures.get(_NO_PREMISES)
     if root is None:
@@ -572,7 +573,7 @@ def _composed(
                 return out
             mask = derived.get(combo)
             if mask is None:
-                mask = derived[combo] = _derived_mask([cur[j] for j in combo], groups, todo, closures, 10**6)
+                mask = derived[combo] = _derived_mask([cur[j] for j in combo], groups, todo, closures)
             if mask & bit:
                 out.append(cand)
                 break

@@ -371,8 +371,11 @@ def _parse_algebra(node: list, ws: Workspace) -> None:
             raise SexprError(f"unknown algebra form {head!r}", *_pos(form))
     for s, ok in enumerate(seen_sizes):
         if not ok:
-            raise SexprError(f"algebra {name!r} missing (carrier {sig.sorts[s]} ...)")
-    ws.algebras[name] = FiniteAlgebra(sig, sizes, tables, name=name)
+            raise SexprError(f"algebra {name!r} missing (carrier {sig.sorts[s]} ...)", *_pos(node))
+    try:
+        ws.algebras[name] = FiniteAlgebra(sig, sizes, tables, name=name)
+    except ValueError as e:  # a table or carrier fault, found by the check
+        raise SexprError(f"algebra {name!r}: {e}", *_pos(node)) from e
 
 
 def _parse_context(node: list, ws: Workspace) -> None:

@@ -478,6 +478,66 @@ def o_forall(points_in, ys, ctx, all_points):
     return sorted(out)
 
 
+def o_forall_mask(gctx, mask, ys):
+    """o_forall on the point set with the given mask of gctx, as a mask."""
+    inside = [p for i, p in enumerate(gctx.points) if mask >> i & 1]
+    return sum(1 << gctx.point_index[p] for p in o_forall(inside, ys, gctx.ctx, gctx.points))
+
+
+def o_filter_generated(gens, gctx):
+    """The masks of the least filter holding the generator masks, by
+    fixpoint closure under meets, every universal quantifier and supersets."""
+    names = [nm for nm, _ in gctx.ctx.vars]
+    full = (1 << len(gctx.points)) - 1
+    fam = {full, *gens}
+    changed = True
+    while changed:
+        changed = False
+        current = list(fam)
+        for a in current:
+            for b in current:
+                if a & b not in fam:
+                    fam.add(a & b)
+                    changed = True
+        for a in current:
+            for r in range(len(names) + 1):
+                for ys in itertools.combinations(names, r):
+                    got = o_forall_mask(gctx, a, ys)
+                    if got not in fam:
+                        fam.add(got)
+                        changed = True
+            rest = full & ~a
+            extra = rest
+            while extra:  # every nonempty submask of rest
+                if a | extra not in fam:
+                    fam.add(a | extra)
+                    changed = True
+                extra = (extra - 1) & rest
+    return fam
+
+
+def o_is_filter(masks, gctx) -> bool:
+    """Nonempty, meet-closed, up-closed and closed under every universal
+    quantifier, checked condition by condition on masks."""
+    fam = set(masks)
+    if not fam:
+        return False
+    n = len(gctx.points)
+    names = [nm for nm, _ in gctx.ctx.vars]
+    for a in fam:
+        if any(a & b not in fam for b in fam):
+            return False
+        # a family holding every one-point extension of each member holds
+        # every superset of each member
+        if any(a | 1 << i not in fam for i in range(n)):
+            return False
+        for r in range(len(names) + 1):
+            for ys in itertools.combinations(names, r):
+                if o_forall_mask(gctx, a, ys) not in fam:
+                    return False
+    return True
+
+
 def o_eval_formula(m, f, ctx, all_points):
     """Definitional first-order satisfaction, point by point."""
     from uag.logic import And, Eq, Exists, Not, Or, Rel

@@ -486,7 +486,7 @@ def _cross_cases():
 
 
 CAPS = (1, 2, 5, 17, 60, 250, 1000)
-FLAGS = ({}, {"charge_cells": True}, {"members_only": True})
+FLAGS = ({}, {"members_only": True})
 
 
 def _cap_outcome(factors, rows, names, cap, flags):
@@ -503,9 +503,8 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     """G^N with one algebra object keeps bytes columns where the byte
     bound allows; an equal copy among the factors forces tuple rows. Both
     give the same members, witnesses, cells, origin, seeds and cap errors,
-    and raise iff the whole run has more members than the cap or, with
-    cells charged, more table cells (o_generation_counts); uncharged runs
-    count members only, one past the cap."""
+    and raise iff the whole run has more members or more table cells than
+    the cap (o_generation_counts), with or without members_only."""
     copy = FiniteAlgebra(g.sig, g.sizes, g.tables, name=g.name)
     rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(ctx.vars)]
     power, mixed = [g] * len(pts), [g] + [copy] * (len(pts) - 1)
@@ -523,12 +522,10 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
         for flags in FLAGS:
             got = _cap_outcome(power, rows, ctx.names, cap, flags)
             assert str(got) == str(_cap_outcome(mixed, rows, ctx.names, cap, flags)), (cap, flags)
-            over = members > cap or (bool(flags) and cells > cap)
+            over = members > cap or cells > cap
             assert isinstance(got, CapExceeded) == over, (cap, flags)
             if not over:
                 assert got == [list(ms) for ms in a.members]
-            elif not flags:
-                assert str(got) == f"cross members: {cap + 1} exceeds cap {cap}"
 
 
 @given(
@@ -556,15 +553,16 @@ def test_random_generations_raise_exactly_past_the_cap(algebra, nvars, cap, flag
     members, cells = oracles.o_generation_counts(g, ctx, pts)
     rows = [(0, tuple(p[i] for p in pts)) for i in range(nvars)]
     got = _cap_outcome([g] * len(pts), rows, ctx.names, cap, flags)
-    assert isinstance(got, CapExceeded) == (members > cap or (bool(flags) and cells > cap))
+    assert isinstance(got, CapExceeded) == (members > cap or cells > cap)
 
 
 def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
     """A watch may stop a run before its members span their cells, so a
-    watched run with cells charged raises iff the members it added or the
-    cells it computed before the stop pass the cap, even where its members
-    already span more cells than the cap; separating_pair, watched and not
-    charged, finds the same pair at every cap its members fit."""
+    watched run raises iff the members it added or the cells it computed
+    before the stop pass the cap, even where its members already span more
+    cells than the cap; separating_pair, a watched run, finds the same pair
+    at every cap its members and cells fit, and some scans raise on their
+    cells while their members fit."""
     computed = [0]
     for cls in (algebras._ByteCells, algebras._TupleCells):
         for name, size in (("run", lambda op, prefix, span: len(span)), ("constant", lambda op: 1)):
@@ -593,7 +591,7 @@ def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
         for cap in CAPS:
             added[:] = [0] * len(added)
             try:
-                stopped = generate([g] * len(pts), rows, ctx.names, cap, charge_cells=True, watch=stop_halfway)
+                stopped = generate([g] * len(pts), rows, ctx.names, cap, watch=stop_halfway)
             except CapExceeded:
                 assert cap < bound, (g.name, cap)
             else:
@@ -604,7 +602,9 @@ def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
     g = symmetric_group_3()
     ctx = VarContext(g.sig, [("x", "g"), ("y", "g")])
     real = geometry.generate
-    for p, q in [((0, 1), (1, 0)), ((3, 4), (1, 2)), ((1, 3), (2, 5))]:
+    members_past_the_cap = tables_past_the_cap = 0
+    # the last scan, of one kernel against itself, finds no pair
+    for p, q in [((0, 1), (1, 0)), ((3, 4), (1, 2)), ((1, 3), (2, 5)), ((1, 3), (1, 3))]:
         added = []
 
         def scan(cap=None, p=p, q=q):
@@ -613,16 +613,26 @@ def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
         def counting(*args, watch, **kw):
             return real(*args, watch=lambda *a: watch(*a) or added.append(1), **kw)
 
+        computed[0] = 0
         with monkeypatch.context() as m:
             m.setattr(geometry, "generate", counting)
             pair = scan()
-        assert pair is not None
+        assert (pair is None) == (p == q)
+        bound = max(len(added), computed[0])
         for cap in CAPS:
-            if cap >= len(added):
+            if cap >= bound:
                 assert scan(cap) == pair
             else:
-                with pytest.raises(CapExceeded, match=f"kernel separation scan members: {cap + 1} exceeds"):
+                match = (
+                    rf"kernel separation scan members: {cap + 1} exceeds"
+                    if cap < len(added)
+                    else r"kernel separation scan tables: \d+ exceeds"
+                )
+                with pytest.raises(CapExceeded, match=match):
                     scan(cap)
+                members_past_the_cap += cap < len(added)
+                tables_past_the_cap += cap >= len(added)
+    assert members_past_the_cap > 0 and tables_past_the_cap > 0
 
 
 def _hom_families():

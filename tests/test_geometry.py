@@ -281,7 +281,7 @@ def test_sweep_past_the_cap_keeps_the_walk(monkeypatch):
     # and tables, and so does the coordinate algebra of the full set
     rows = [(0, tuple(p[i] for p in gctx.points)) for i in range(2)]
     full = []
-    for flags in ({"charge_cells": True}, {"members_only": True}):
+    for flags in ({}, {"members_only": True}):
         with pytest.raises(CapExceeded) as e:
             generate([gctx.g] * 9, rows, ("x", "y"), cap, stage="coordinate algebra", **flags)
         full.append(str(e.value))

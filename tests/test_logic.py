@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 import oracles
 from test_congruences import TWO, TWO_CTX
 from uag import geometry, spaces
-from uag.algebras import GROUP_SIG, cyclic_group, subalgebra_generated, symmetric_group_3
+from uag.algebras import (
+    GROUP_SIG,
+    cyclic_group,
+    klein_four,
+    subalgebra_generated,
+    symmetric_group_3,
+    vee_semilattice,
+)
+from uag.config import CapExceeded
 from uag.geometry import act_endo_variety, random_term
 from uag.logic import (
     And,
@@ -356,6 +364,88 @@ def test_filters(m_z2, gctx2):
     assert is_filter(fam2, gctx)
     assert gctx.empty() in fam2
     assert top in universal_part(fam2, gctx)
+
+
+def _filter_spaces(sizes):
+    """GeoContexts over one or two sorts whose point counts lie in sizes."""
+    spaces = []
+    for g in (cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4), vee_semilattice()):
+        for k in (1, 2, 3):
+            spaces.append(GeoContext(g, VarContext(g.sig, [(nm, g.sig.sorts[0]) for nm in "xyz"[:k]])))
+    for decls in ([("y", "b")], [("y", "b"), ("w", "b")], [("x", "a"), ("y", "b")]):
+        spaces.append(GeoContext(TWO, VarContext(TWO.sig, decls)))
+    return [gctx for gctx in spaces if len(gctx.points) in sizes]
+
+
+def _agree_with_the_fixpoint(gctx, gens):
+    got = filter_generated([PointSet.of_mask(gctx, a) for a in gens], gctx)
+    want = oracles.o_filter_generated(gens, gctx)
+    assert {a.mask for a in got} == want, (gctx, gens)
+    assert is_filter(got, gctx)
+    return want
+
+
+def test_filters_match_the_fixpoint_on_small_spaces():
+    """Over at most 4 points, every single generator and every pair of
+    generators gives the fixpoint's filter, and is_filter agrees with the
+    fixpoint's test on every family over at most 3 points and on each
+    filter with one set added or taken away."""
+    spaces = _filter_spaces(range(1, 5))
+    assert {len(gctx.points) for gctx in spaces} == {1, 2, 3, 4}
+    for gctx in spaces:
+        n = len(gctx.points)
+        masks = range(1 << n)
+        filters = set()
+        for gens in itertools.chain([()], itertools.combinations(masks, 1), itertools.combinations(masks, 2)):
+            filters.add(frozenset(_agree_with_the_fixpoint(gctx, gens)))
+        for fam in filters:
+            for a in masks:
+                for other in (fam | {a}, fam - {a}):
+                    got = is_filter([PointSet.of_mask(gctx, b) for b in other], gctx)
+                    assert got == oracles.o_is_filter(other, gctx), (gctx, sorted(other))
+        if n <= 3:
+            for bits in range(1 << (1 << n)):
+                fam = {a for a in masks if bits >> a & 1}
+                got = is_filter([PointSet.of_mask(gctx, a) for a in fam], gctx)
+                assert got == oracles.o_is_filter(fam, gctx), (gctx, sorted(fam))
+
+
+def test_filters_match_the_fixpoint_on_sampled_larger_spaces():
+    """Seeded generator families over 6 to 9 points: the full set alone,
+    then one or two random sets."""
+    rng = random.Random(24)
+    spaces = _filter_spaces(range(6, 10))
+    assert {len(gctx.points) for gctx in spaces} == {6, 8, 9}
+    for gctx in spaces:
+        n = len(gctx.points)
+        assert _agree_with_the_fixpoint(gctx, [gctx.full_mask]) == {gctx.full_mask}
+        for k in (1, 2):
+            _agree_with_the_fixpoint(gctx, [rng.randrange(1 << n) for _ in range(k)])
+        fam = {rng.randrange(1 << n) for _ in range(5)}
+        assert is_filter([PointSet.of_mask(gctx, a) for a in fam], gctx) == oracles.o_is_filter(fam, gctx)
+
+
+@pytest.mark.parametrize("g", [cyclic_group(4), klein_four()], ids=lambda g: g.name)
+def test_filters_over_sixteen_points_answer_at_once(g, gctx2):
+    """Z4 and V4 over 2 variables: 16 points, so 65,536 sets, far under the
+    cap; the fixpoint's meet loop alone would visit 65,536^2 pairs."""
+    gctx = GeoContext(g, gctx2)
+    fam = filter_generated([gctx.full(), PointSet.of_mask(gctx, 1)], gctx)
+    assert len(fam) == 1 << 16 and gctx.empty() in fam
+    assert is_filter(fam, gctx)
+    assert filter_generated([gctx.full()], gctx) == {gctx.full()}
+    assert not is_filter(fam - {gctx.empty()}, gctx)
+
+
+def test_filter_caps_keep_their_order(gctx2):
+    """S3 over 2 variables has 36 points, so 2^36 sets pass the default cap;
+    an empty family is no filter before any cap is checked."""
+    gctx = GeoContext(symmetric_group_3(), gctx2)
+    with pytest.raises(CapExceeded, match="filter generation"):
+        filter_generated([gctx.full()], gctx)
+    with pytest.raises(CapExceeded, match="filter up-closure"):
+        is_filter([gctx.full()], gctx)
+    assert not is_filter([], gctx, cap=1)
 
 
 def test_restrict_submodel_rejects_open_subset(m_z4):

@@ -338,17 +338,20 @@ def test_composition_engine_matches_oracle(seed):
     for k in (1, 2, 3):
         for prem in itertools.combinations(pool, k):
             want = [oracles.o_circ_member(prem, cand) for cand in candidates]
-            mask = rules._derived_mask(prem, groups, todo, closures, 10**6)
+            mask = rules._derived_mask(prem, groups, todo, closures)
             assert [bool(mask >> i & 1) for i in range(len(candidates))] == want, prem
             assert [circ_universal_member(prem, cand) for cand in candidates] == want, prem
-    # past choice_cap nothing is derived, not even a candidate the premises
-    # derive: each of these two premises has 2 literals, so 4 choices
+    # past the choice cap nothing is derived, not even a candidate the
+    # premises derive: each of these two premises has 2 literals, so 4 choices
     cand = universal([pairs[0]], [pairs[1]])
     prem = [cand, universal([pairs[1]], [pairs[2]])]
     assert oracles.o_circ_member(prem, cand)
-    assert circ_universal_member(prem, cand, choice_cap=4)
-    assert not circ_universal_member(prem, cand, choice_cap=3)
-    assert rules._derived_mask(prem, groups, todo, closures, 3) == 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rules, "_CHOICE_CAP", 4)
+        assert circ_universal_member(prem, cand)
+        m.setattr(rules, "_CHOICE_CAP", 3)
+        assert not circ_universal_member(prem, cand)
+        assert rules._derived_mask(prem, groups, todo, closures) == 0
 
 
 @given(st.integers(0, 2**32))

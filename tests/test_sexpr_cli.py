@@ -642,6 +642,30 @@ def test_cli_repeated_table_rows_and_forms_exit_2(tmp_path, capsys, algebra, wan
     assert capsys.readouterr().err == f"error: {path}:{want}\n"
 
 
+@pytest.mark.parametrize(
+    "algebra, want",
+    [
+        ("(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1) (1 1 2)))", "algebra 'A': table for 'mul' at (1, 1): result out of range"),
+        ("(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1)))", "algebra 'A': table for 'mul' has 3 rows, expected 4"),
+        ("(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1) (0 2 0)))", "algebra 'A': table for 'mul' missing entry (1, 1)"),
+        ("(algebra A (carrier g 2))", "algebra 'A': missing table for op 'mul'"),
+        ("(algebra A (carrier g 2) (table mul (0 0 0) (0 1 1) (1 0 1) (1 1 0) (2 0 0)))", "algebra 'A': table for 'mul' has 5 rows, expected 4"),
+        ("(algebra A (carrier g 0) (table mul))", "algebra 'A': carriers must be nonempty"),
+        ("(algebra A (table mul (0 0 0)))", "algebra 'A' missing (carrier g ...)"),
+    ],
+)
+def test_cli_table_faults_name_the_file_and_position(tmp_path, capsys, algebra, want):
+    """A fault the algebra's own check finds (a result out of range, a
+    missing or a surplus row, a missing table, an empty carrier), and a
+    missing carrier, is an error at the (algebra ...) form, named by the
+    algebra."""
+    path = tmp_path / "ws.sx"
+    path.write_text(REPEAT_HEAD + "\n" + algebra)
+    capsys.readouterr()
+    assert run_cli("parse", "-f", str(path))[0] == 2
+    assert capsys.readouterr().err == f"error: {path}:3:2: {want}\n"
+
+
 TWO_VARIETIES = ["--ctx-a", "C1", "--pairs-a", "T", "--ctx-b", "C1", "--pairs-b", "T"]
 
 # a valid argv for every verb, without the verb; no verb runs in the tests below
@@ -805,7 +829,7 @@ READER_ERRORS = {
     "table-op": ("(sort g) (algebra A (carrier g 1) (table f (0)))", "1:36: unknown operation 'f'"),
     "table-row": ("(sort g) (op e () g) (algebra A (carrier g 1) (table e (0 0)))", "1:57: table row for 'e' needs 1 integers"),
     "algebra-form": ("(sort g) (algebra A (carrier g 1) (size 1))", "1:36: unknown algebra form 'size'"),
-    "no-carrier": ("(sort g) (algebra A)", "algebra 'A' missing (carrier g ...)"),
+    "no-carrier": ("(sort g) (algebra A)", "1:11: algebra 'A' missing (carrier g ...)"),
     "bare-context": ("(sort a) (sort b) (context C x)", "1:30: bare context variables need a single-sorted signature"),
     "context-var": ("(sort g) (context C (x))", "1:22: (var sort)"),
     "model-form": (
