@@ -34,6 +34,8 @@ from .algebras import (
 from .config import CapExceeded
 from .congruences import KernelCongruence, PairSet, kernel_of_point
 from .geometry import (
+    Equivalent,
+    Inconclusive,
     NotEquivalent,
     candidate_pairs,
     closure_variety,
@@ -272,16 +274,10 @@ def cmd_equiv(args) -> int:
     g = ws.algebra(args.algebra)
     h = ws.algebra(args.other)
     ctx = ws.context(args.context)
-    verdict = geometric_equiv(
-        g,
-        h,
-        ctx,
-        mode=args.mode,
-        seed=args.seed,
-        samples=args.samples,
-        depth=args.depth,
-        cap=args.cap,
-    )
+    verdict = geometric_equiv(g, h, ctx, cap=args.cap)
+    if args.mode == "sampled" and isinstance(verdict, Equivalent):
+        # sampled mode never claims equivalence; it stays for existing callers
+        verdict = Inconclusive(samples=args.samples)
     _out(
         args,
         {"verb": "equiv", "left": g.name, "right": h.name, "seed": args.seed, "verdict": verdict},
@@ -538,6 +534,7 @@ def _arg(*flags: str, **kwargs) -> tuple:
 _ALGEBRA = _arg("-a", "--algebra", required=True)
 _CONTEXT = _arg("-c", "--context", required=True)
 _PAIRS = _arg("-p", "--pairs", required=True)
+_SEED = _arg("--seed", type=int, default=0)
 _TWO_VARIETIES = (
     _arg("--ctx-a", required=True),
     _arg("--pairs-a", required=True),
@@ -551,8 +548,6 @@ COMMON = (
     _arg("--builtin", choices=list(STOCK), help="preload a stock library"),
     _arg("--format", choices=["text", "json"], default="text"),
     _arg("--cap", type=int, default=None, help="state-count guard"),
-    _arg("--seed", type=int, default=0),
-    _arg("--depth", type=int, default=3),
 )
 
 # verb -> (help, its own arguments); a verb such as fo-variety runs cmd_fo_variety
@@ -608,8 +603,14 @@ VERBS = {
             _ALGEBRA,
             _arg("-b", "--other", required=True),
             _CONTEXT,
-            _arg("--mode", choices=["exact", "sampled"], default="exact"),
-            _arg("--samples", type=int, default=40),
+            _arg(
+                "--mode",
+                choices=["exact", "sampled"],
+                default="exact",
+                help="sampled: the exact test, with equivalent reported as inconclusive",
+            ),
+            _arg("--samples", type=int, default=40, help="echoed in a sampled inconclusive verdict"),
+            _SEED,
         ),
     ),
     "derive": (
@@ -619,6 +620,7 @@ VERBS = {
             _arg("--seeds", help="comma-separated clause names"),
             _arg("--seed-pairs", help="comma-separated pairs names, lifted to clauses"),
             _arg("-c", "--context"),
+            _arg("--depth", type=int, default=3),
             _arg("--width", type=int, default=2),
             _arg("--iterations", type=int, default=6),
             _arg("--budget", type=int, default=20000),
@@ -643,6 +645,7 @@ VERBS = {
         (
             _arg("--suite", choices=["all"] + sorted(_BATTERIES), default="all"),
             _arg("--trials", type=int, default=12),
+            _SEED,
         ),
     ),
     "experiment": (
@@ -650,6 +653,7 @@ VERBS = {
         (
             _arg("--name", choices=["proper-filter-search", "submodel-closure"], required=True),
             _arg("--trials", type=int, default=30),
+            _SEED,
         ),
     ),
 }

@@ -417,6 +417,7 @@ class NotEquivalent:
     notice: str = ""
 
 
+# what `uag equiv --mode sampled` prints in place of Equivalent
 @dataclass(frozen=True)
 class Inconclusive:
     verdict: str = field(default="inconclusive", init=False, repr=False)
@@ -442,73 +443,47 @@ def geometric_equiv(
     h: FiniteAlgebra,
     ctx,
     mode: str = "exact",
-    seed: int = 0,
-    samples: int = 40,
-    depth: int = 3,
     cap: Optional[int] = None,
     max_points: Optional[int] = None,
 ):
     """Do g and h impose the same closure on every equation set over ctx?
 
-    Exact mode is Plotkin's local test, bounded by the cap alone: they do iff
-    each distinct subalgebra S_p generated by a point p of either side lies in
-    SP of the other algebra, i.e. h_ker(S_p, other) is the identity. A side
-    that lies in SP of the other as a whole passes without point work, since
-    then so does every S_p in it. Only a side that fails that test (or whose
-    hom search exceeds the cap) is walked, class by class in point order, up
-    to the first failing p (g's side first). It gives the witness: the
-    presentation of Ker(p) and a pair splitting it from its closure on the
-    other side. Sampled mode never returns Equivalent. max_points is ignored,
-    with a warning, and every notice is ""; both stay for callers of the
-    closed-set sweep this replaced.
+    Plotkin's local test, bounded by the cap alone: they do iff each distinct
+    subalgebra S_p generated by a point p of either side lies in SP of the
+    other algebra, i.e. h_ker(S_p, other) is the identity. A side that lies in
+    SP of the other as a whole passes without point work, since then so does
+    every S_p in it. Only a side that fails that test (or whose hom search
+    exceeds the cap) is walked, class by class in point order, up to the first
+    failing p (g's side first). It gives the witness: the presentation of
+    Ker(p) and a pair splitting it from its closure on the other side. "exact"
+    is the only mode. max_points is ignored, with a warning, and every notice
+    is ""; both stay for callers of the closed-set sweep this replaced.
     """
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
     if max_points is not None:
         warnings.warn("geometric_equiv ignores max_points", DeprecationWarning, stacklevel=2)
     if (g.sig.sorts, g.sig.ops) != (h.sig.sorts, h.sig.ops):
         raise ValueError("geometric comparison needs a common signature")
     gg = GeoContext(g, ctx, cap)
     gh = GeoContext(h, ctx, cap)
-    if mode == "exact":
-        for src, dst in ((gg, gh), (gh, gg)):
-            try:
-                if _in_sp(src.g, dst.g, cap):
-                    continue
-            except CapExceeded:
-                pass
-            tested = 0
-            for i, p, sub in point_classes(src):
-                if i < tested:
-                    continue
-                tested += 1
-                if not _in_sp(sub.as_algebra(), dst.g, cap):
-                    k = KernelCongruence(src.g, ctx, p, image=sub)
-                    k2 = congruence_of(variety_of_kernel(k, dst), cap)
-                    hit = separating_pair(k, k2, cap)
-                    return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
-        return Equivalent(mode="exact")
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    pool = candidate_pairs(g.sig, ctx, depth, seed, count=max(20, samples))
-
-    def closures(eqs):
-        return congruence_of(variety_of(gg, eqs), cap), congruence_of(variety_of(gh, eqs), cap)
-
-    for _ in range(samples):
-        take = rng.randint(0, min(3, len(pool)))
-        eqs = rng.sample(pool, take) if take else []
-        kg, kh = closures(eqs)
-        hit = separating_pair(kg, kh, cap)
-        if hit:
-            kept = list(eqs)
-            for q in list(kept):
-                trial = [x for x in kept if x is not q]
-                kg2, kh2 = closures(trial)
-                hit2 = separating_pair(kg2, kh2, cap)
-                if hit2:
-                    kept, hit, kg, kh = trial, hit2, kg2, kh2
-            return _verified_not_equiv(kg, kh, hit, PairSet(kept), g.name, h.name)
-    return Inconclusive(samples=samples)
+    for src, dst in ((gg, gh), (gh, gg)):
+        try:
+            if _in_sp(src.g, dst.g, cap):
+                continue
+        except CapExceeded:
+            pass
+        tested = 0
+        for i, p, sub in point_classes(src):
+            if i < tested:
+                continue
+            tested += 1
+            if not _in_sp(sub.as_algebra(), dst.g, cap):
+                k = KernelCongruence(src.g, ctx, p, image=sub)
+                k2 = congruence_of(variety_of_kernel(k, dst), cap)
+                hit = separating_pair(k, k2, cap)
+                return _verified_not_equiv(k, k2, hit, presentation_pairs(k), src.g.name, dst.g.name)
+    return Equivalent(mode="exact")
 
 
 @dataclass(frozen=True)

@@ -667,19 +667,9 @@ def test_geometric_equiv_z2_z4(z2, z4, gctx1):
     assert ka.contains(v.pair) != kb.contains(v.pair)
 
 
-def test_geometric_equiv_sampled_never_equivalent(z2, gctx1):
-    v = geometric_equiv(z2, z2, gctx1, mode="sampled", seed=4, samples=10)
-    assert not isinstance(v, NotEquivalent)
-    assert not isinstance(v, Equivalent)
-
-
-def test_geometric_equiv_sampled_witness_splits_the_closures(z2, z4, gctx2):
-    v = geometric_equiv(z2, z4, gctx2, mode="sampled", samples=6, seed=3)
-    assert isinstance(v, NotEquivalent)
-    by_name = {g.name: g for g in (z2, z4)}
-    eqs = list(v.equations)
-    assert oracles.o_closure_member(by_name[v.holds_in], gctx2, eqs, v.pair)
-    assert not oracles.o_closure_member(by_name[v.fails_in], gctx2, eqs, v.pair)
+def test_geometric_equiv_has_one_mode(z2, gctx1):
+    with pytest.raises(ValueError, match="unknown mode 'sampled'"):
+        geometric_equiv(z2, z2, gctx1, mode="sampled")
 
 
 def _assert_witness_splits(v, by_name, ctx):

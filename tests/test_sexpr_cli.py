@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import re
 import shutil
@@ -287,6 +288,34 @@ def test_cli_json_deterministic():
     _, out1 = run_cli(*argv)
     _, out2 = run_cli(*argv)
     assert out1 == out2
+
+
+def test_cli_sampled_equiv_is_the_exact_test():
+    """`--mode sampled` prints exact mode's bytes and exit code, except that an
+    equivalent verdict reads as inconclusive, over every ordered pair of the
+    stock groups in one and two variables."""
+    groups = list(cli.STOCK["group"][1])
+    verdicts = set()
+    for a, b, n in itertools.product(groups, groups, (1, 2)):
+        argv = ("equiv", "--builtin", "group", "-a", a, "-b", b, "-c", f"C{n}", "--format", "json")
+        code, out = run_cli(*argv)
+        sampled = run_cli(*argv, "--mode", "sampled", "--samples", "7")
+        exact = json.loads(out)
+        verdicts.add(exact["verdict"]["verdict"])
+        if exact["verdict"]["verdict"] == "equivalent":
+            exact["verdict"] = {"verdict": "inconclusive", "samples": 7, "notice": ""}
+            assert code == 0 and sampled == (0, emit(exact, "json")), (a, b, n)
+        else:
+            assert sampled == (code, out), (a, b, n)
+    assert verdicts == {"equivalent", "not-equivalent"}
+
+
+def test_cli_sampled_equiv_answers_on_s3_over_three_variables():
+    argv = ("equiv", "--builtin", "group", "-c", "C3", "--mode", "sampled", "--format", "json")
+    code, out = run_cli(*argv, "-a", "S3", "-b", "Z6")
+    assert code == 1 and json.loads(out)["verdict"]["verdict"] == "not-equivalent"
+    code, out = run_cli(*argv, "-a", "S3", "-b", "S3")
+    assert code == 0 and json.loads(out)["verdict"] == {"verdict": "inconclusive", "samples": 40, "notice": ""}
 
 
 def test_cli_subprocess_deterministic_across_hash_seeds(tmp_path):
@@ -730,6 +759,17 @@ def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, capsys):
         assert got == _parsed(cli.make_parser().parse_args, argv, capsys), argv
         codes.add(got[0])
     assert codes == {0, 2}
+
+
+def test_seed_and_depth_belong_to_the_verbs_that_read_them(capsys):
+    """--seed is an option of equiv, check and experiment, --depth of derive;
+    any other verb rejects them as a usage error."""
+    assert len(cli.COMMON) == 4
+    for verb, flag in (("eval", "--depth"), ("variety", "--seed"), ("query", "--seed")):
+        with pytest.raises(SystemExit) as e:
+            main([verb, *VALID_ARGS[verb], flag, "2"])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_a_call_registers_only_its_verb(monkeypatch, capsys):
