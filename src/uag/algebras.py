@@ -38,7 +38,7 @@ class FiniteAlgebra:
     """Total operation tables, given keyed by argument tuples, checked and
     stored as nested rows in one pass; tables is a read-only view of them."""
 
-    __slots__ = ("sig", "sizes", "name", "_nested", "_tables", "_digest", "_bytes")
+    __slots__ = ("sig", "sizes", "name", "_nested", "_tables", "_digest", "_bytes", "_generation")
 
     def __init__(
         self,
@@ -120,6 +120,14 @@ class FiniteAlgebra:
             self._bytes = _byte_tables(self)
         return self._bytes
 
+    def generation(self) -> "GeneratedSubalgebra":
+        """The whole algebra generated from its greedy generating set (see
+        _greedy_generators), members its elements: where enumerate_homs
+        starts. Built on the first call and kept."""
+        if self._generation is None:
+            self._generation = _greedy_generators(self)
+        return self._generation
+
     def apply(self, op_name: str, args: Sequence[int]) -> int:
         return functools.reduce(getitem, args, self._nested[op_name])
 
@@ -130,7 +138,7 @@ class FiniteAlgebra:
 def _fill(g: FiniteAlgebra, sig: Signature, sizes: tuple[int, ...], nested: dict, name: str) -> FiniteAlgebra:
     """Sets g's fields; every cache starts empty."""
     g.sig, g.sizes, g.name, g._nested = sig, sizes, name, nested
-    g._tables = g._digest = None
+    g._tables = g._digest = g._generation = None
     g._bytes = False  # False until byte_tables() runs
     return g
 
@@ -701,7 +709,10 @@ def subalgebra_generated(
     return rows._renamed(tuple(tuple(row[0] for row in ms) for ms in rows.members))
 
 
-def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], GeneratedSubalgebra]:
+def _greedy_generators(g: FiniteAlgebra) -> GeneratedSubalgebra:
+    """g generated from a greedy generating set, its seeds: while some
+    element is not generated, the first one, in sort then element order,
+    joins the set."""
     gens: list[tuple[int, int]] = []
     sub = subalgebra_generated(g, gens)
     total = sum(g.sizes)
@@ -717,23 +728,42 @@ def _greedy_generators(g: FiniteAlgebra) -> tuple[list[tuple[int, int]], Generat
         assert found is not None
         gens.append(found)
         sub = subalgebra_generated(g, gens)
-    return gens, sub
+    return sub
 
 
-def enumerate_homs(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int] = None) -> list[tuple[tuple[int, ...], ...]]:
+def enumerate_homs(
+    a: FiniteAlgebra | GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int] = None
+) -> list[tuple[tuple[int, ...], ...]]:
     """All homomorphisms a -> b as dense per-sort image tuples, sorted.
 
-    Tries every assignment of images to a greedily chosen generating
-    family, 4096 candidates per extend_all call, so the columns stay small
-    however many candidates the cap admits. Every returned map is verified
-    against all operation tables.
+    a is an algebra, or a generation standing for its as_algebra(), whose
+    elements are member positions (a sort with no member raises its
+    ValueError). Tries every assignment of images to a generating family,
+    4096 candidates per extend_all call, so the columns stay small however
+    many candidates the cap admits. The family is a generation's seeds, or
+    an algebra's greedy set, found once per algebra object
+    (FiniteAlgebra.generation); a seed that shares its member with a
+    constant or an earlier seed is not searched. The result does not depend
+    on the family, but the candidates the cap counts do. Every returned map
+    is verified against all operation tables.
     """
     if a.sig is not b.sig and (a.sig.sorts, a.sig.ops) != (b.sig.sorts, b.sig.ops):
         raise ValueError("homomorphisms require a common signature")
-    gens, sub = _greedy_generators(a)
-    check_cap("hom search", math.prod(b.sizes[s] for s, _ in gens), cap)
-    positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
-    candidates = itertools.product(*[range(b.sizes[s]) for s, _ in gens])
+    if isinstance(a, GeneratedSubalgebra):
+        sub, positions = a, [range(n) for n in a.as_algebra().sizes]
+    else:
+        sub = a.generation()
+        positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
+    # a seed on a constant's position, or on an earlier seed's, has one
+    # possible image, so only the other seeds are searched
+    fixed = {(op.result, sub.cells[op.name]): b.nested()[op.name] for op in sub.sig.ops if not op.args}
+    free = list(dict.fromkeys(seed for seed in sub.seeds if seed not in fixed))
+    check_cap("hom search", math.prod(b.sizes[s] for s, _ in free), cap)
+    candidates = itertools.product(*[range(b.sizes[s]) for s, _ in free])
+    if len(free) < len(sub.seeds):
+        slot = {seed: i for i, seed in enumerate([*free, *fixed])}
+        pick, tail = [slot[seed] for seed in sub.seeds], tuple(fixed.values())
+        candidates = (tuple(map((c + tail).__getitem__, pick)) for c in candidates)
     out = []
     while chunk := list(itertools.islice(candidates, 4096)):
         ok, cols = sub.extend_all(chunk, b)

@@ -403,9 +403,17 @@ def unit_partition(g: FiniteAlgebra) -> FinitePartitionCongruence:
     return FinitePartitionCongruence(g, [[0] * n for n in g.sizes], validate=False)
 
 
-def h_ker(g: FiniteAlgebra, h: FiniteAlgebra, cap: Optional[int] = None) -> FinitePartitionCongruence:
-    """Intersection of the kernels of all homomorphisms g -> h."""
-    return meet_of_hom_kernels(g, enumerate_homs(g, h, cap))
+def h_ker(
+    g: FiniteAlgebra | GeneratedSubalgebra, h: FiniteAlgebra, cap: Optional[int] = None
+) -> FinitePartitionCongruence:
+    """Intersection of the kernels of all homomorphisms g -> h.
+
+    g is an algebra, or a generation standing for its as_algebra(), which
+    the partition is then on: the hom search starts from the generation's
+    seeds, with no generator search (see enumerate_homs).
+    """
+    homs = enumerate_homs(g, h, cap)
+    return meet_of_hom_kernels(g.as_algebra() if isinstance(g, GeneratedSubalgebra) else g, homs)
 
 
 def meet_of_hom_kernels(g: FiniteAlgebra, homs) -> FinitePartitionCongruence:

@@ -425,9 +425,11 @@ class Inconclusive:
     notice: str = ""
 
 
-def _in_sp(a: FiniteAlgebra, b: FiniteAlgebra, cap: Optional[int]) -> bool:
-    """Is a in SP(b), i.e. do the homomorphisms a -> b separate a's elements?"""
-    return h_ker(a, b, cap).block_counts() == a.sizes
+def _in_sp(a: FiniteAlgebra | GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int]) -> bool:
+    """Is a (a generation: its as_algebra()) in SP(b), i.e. do the
+    homomorphisms a -> b separate a's elements?"""
+    hk = h_ker(a, b, cap)
+    return hk.block_counts() == hk.algebra.sizes
 
 
 def _verified_not_equiv(k_src, k_dst, pair, eqs, src_name, dst_name):
@@ -454,9 +456,11 @@ def geometric_equiv(
     SP of the other as a whole passes without point work, since then so does
     every S_p in it. Only a side that fails that test (or whose hom search
     exceeds the cap) is walked, class by class in point order, up to the first
-    failing p (g's side first). It gives the witness: the presentation of
-    Ker(p) and a pair splitting it from its closure on the other side. "exact"
-    is the only mode. max_points is ignored, with a warning, and every notice
+    failing p (g's side first). S_p's hom search starts from p's coordinates,
+    so its candidates are the other side's points, already within the cap.
+    The first failing p gives the witness: the presentation of Ker(p) and a
+    pair splitting it from its closure on the other side. "exact" is the
+    only mode. max_points is ignored, with a warning, and every notice
     is ""; both stay for callers of the closed-set sweep this replaced.
     """
     if mode != "exact":
@@ -478,7 +482,7 @@ def geometric_equiv(
             if i < tested:
                 continue
             tested += 1
-            if not _in_sp(sub.as_algebra(), dst.g, cap):
+            if not _in_sp(sub, dst.g, cap):
                 k = KernelCongruence(src.g, ctx, p, image=sub)
                 k2 = congruence_of(variety_of_kernel(k, dst), cap)
                 hit = separating_pair(k, k2, cap)
@@ -660,12 +664,19 @@ def nullstellensatz_check(
     then the coordinate-algebra congruence. Route two never touches points:
     quotient the image algebra W/T by the meet of kernels of all its
     homomorphisms into the target, and read T'' off as a kernel congruence.
-    A third view re-checks route one against the meet of the individual
-    point kernels, decided pointwise on presentation and sample probes.
+    Its hom search starts from the image's generators, the context's
+    variables, so its candidates are gctx's points and its homs those of
+    V(T). A kernel over another context raises ValueError before either
+    route. A third view re-checks route one against the meet of the
+    individual point kernels, decided pointwise: the coordinate algebra
+    holds at the points of V(T) (_holds_at_points), which implies every
+    pair of its kernel's presentation is in both, and 25 sample probes are
+    in both or in neither.
     """
+    points = variety_of_kernel(t_kernel, gctx)
     sub = t_kernel.image()
     a0 = sub.as_algebra()
-    homs = enumerate_homs(a0, gctx.g, cap)
+    homs = enumerate_homs(sub, gctx.g, cap)
     hk = meet_of_hom_kernels(a0, homs)
     q = quotient(a0, hk, name=f"{a0.name}/hker")
     rhs = KernelCongruence(
@@ -673,14 +684,14 @@ def nullstellensatz_check(
         t_kernel.ctx,
         tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point())),
     )
-    points = variety_of_kernel(t_kernel, gctx)
-    lhs = congruence_of(points, cap)
+    coord = coordinate_algebra(points, cap) if len(points) else None
+    lhs = congruence_of(points) if coord is None else coord.kernel()
     hit = separating_pair(lhs, rhs, cap)
     # the meet of the point kernels, taken pointwise: a probe is in it iff
     # its sides agree at every point, so nothing is generated
-    probes = [*presentation_pairs(lhs), *_probe_pool(gctx.sig, gctx.ctx)]
+    probes = _probe_pool(gctx.sig, gctx.ctx)
     meet = [u == v for u, v in eval_pairs(probes, points.points(), gctx.g, gctx.ctx)]
-    meet_agrees = lhs.members(probes) == meet
+    meet_agrees = (coord is None or _holds_at_points(coord)) and lhs.members(probes) == meet
     return NullstellensatzReport(
         agrees=hit is None,
         meet_agrees=meet_agrees,
@@ -689,6 +700,24 @@ def nullstellensatz_check(
         hom_count=len(homs),
         separating=hit,
     )
+
+
+def _holds_at_points(c: CoordinateAlgebra) -> bool:
+    """Does c's generation hold at the points of its set?
+
+    Every witness evaluates to its member's column, and one extend_all over
+    the points extends the generators everywhere, each member going to its
+    own column. So members are their columns under a homomorphism whose
+    tables are c's, which is what c's presentation says: each of its pairs
+    is in c's kernel and holds at every point. That is O(|c| * |A|) work,
+    where the presentation has O(|c|^2) pairs.
+    """
+    gen, g, pts = c.generation, c.gctx.g, c.point_list
+    want = [(s, list(m)) for s, ms in enumerate(gen.members) for m in ms]
+    if eval_columns([w for ws in gen.witnesses for w in ws], pts, g, c.gctx.ctx) != want:
+        return False
+    flags, cols = gen.extend_all(pts, g)
+    return 0 not in flags and all(tuple(col) == m for cs, ms in zip(cols, gen.members) for col, m in zip(cs, ms))
 
 
 _PROBE_POOLS: dict[tuple, tuple[Pair, ...]] = {}

@@ -45,6 +45,7 @@ from uag.geometry import (
     random_term,
     variety_iso,
     variety_of,
+    variety_of_kernel,
     verbal_variety,
 )
 from uag.logic import (
@@ -144,8 +145,10 @@ def test_criterion_2(z2, z3, z4, chain2, gctx2, sctx2):
                 for _ in range(rng.randint(1, 4))
             ]
             t_kernel = meet_kernels([kernel_of_point(p, g, ctx) for p in pts])
-            rep = nullstellensatz_check(t_kernel, GeoContext(g, ctx))
+            gctx = GeoContext(g, ctx)
+            rep = nullstellensatz_check(t_kernel, gctx)
             assert rep.agrees and rep.meet_agrees, (g.name, pts, rep)
+            assert rep.hom_count == len(variety_of_kernel(t_kernel, gctx))
 
 
 def test_criterion_3(z2, z3, chain2, chain3, vee):

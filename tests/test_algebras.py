@@ -343,6 +343,67 @@ def test_hom_counts_frozen(z4, z2, z3):
     assert len(enumerate_homs(z3, z3)) == 3
 
 
+def _homs_three_ways(sub, targets) -> None:
+    """A generation's homs, searched from its seeds, equal its algebra's,
+    searched from the greedy set, and o_homs wherever it filters at most
+    8000 maps; h_ker agrees on both routes."""
+    alg = sub.as_algebra()
+    for b in targets:
+        got = enumerate_homs(sub, b)
+        assert got == enumerate_homs(alg, b), (sub.name, b.name)
+        if math.prod(b.sizes[s] ** n for s, n in enumerate(alg.sizes)) <= 8000:
+            assert got == sorted(oracles.o_homs(alg, b)), (sub.name, b.name)
+        assert h_ker(sub, b) == h_ker(alg, b)
+
+
+def test_hom_search_from_point_subalgebras(z2, z3, z4, klein, s3, gctx2):
+    """Over C2, S_p of every point class of Z4, V4 and S3, into each group."""
+    targets = [z2, z3, z4, klein, s3]
+    for g in (z4, klein, s3):
+        classes, _ = geometry.point_subalgebras(GeoContext(g, gctx2))
+        assert len(classes) > 1
+        for _, sub in classes:
+            _homs_three_ways(sub, targets)
+
+
+def test_hom_search_pins_seeds_on_constants_and_repeats(s3):
+    """Of the seeds e, e and a, only a is searched, so the cap counts |S3|
+    candidates: e has one image, and so has a repeat of a seed."""
+    sub = subalgebra_generated(s3, [0, 0, 1])
+    assert sub.seeds == ((0, 0), (0, 0), (0, 1))
+    assert enumerate_homs(sub, s3, cap=6) == enumerate_homs(sub.as_algebra(), s3)
+    with pytest.raises(CapExceeded, match="hom search: 6 exceeds cap 5"):
+        enumerate_homs(sub, s3, cap=5)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2), st.lists(st.integers(0, 35), min_size=1, max_size=3))
+def test_hom_search_from_kernel_images(which, picks):
+    """The image of the kernel of a random point set's coordinate algebra,
+    over C2, on up to three points."""
+    g = (cyclic_group(4), klein_four(), symmetric_group_3())[which]
+    gctx = GeoContext(g, VarContext(GROUP_SIG, [("x", "g"), ("y", "g")]))
+    a = PointSet(gctx, [i % len(gctx.points) for i in picks])
+    _homs_three_ways(coordinate_algebra(a).kernel().image(), [cyclic_group(2), g])
+
+
+def test_greedy_generators_are_found_once_per_algebra(monkeypatch, s3):
+    """Every cached generating set generates its algebra, and an algebra
+    object searches for it once, however many h_ker calls it serves."""
+    for a in [*(f for family in _hom_families() for f in family), s3]:
+        gen = a.generation()
+        seed = [(s, gen.members[s][pos]) for s, pos in gen.seeds]
+        assert subalgebra_generated(a, seed).size() == sum(a.sizes)
+        assert a.generation() is gen
+    found = []
+    real = algebras._greedy_generators
+    monkeypatch.setattr(algebras, "_greedy_generators", lambda g: found.append(g) or real(g))
+    a = product([cyclic_group(2), cyclic_group(4)])
+    h_ker(a, cyclic_group(4))
+    h_ker(a, cyclic_group(2))
+    assert found == [a]
+
+
 def test_hom_extension_rejects(z4, z2, z3):
     sub = subalgebra_generated(z4, [1])
     # 1 -> 1 into Z3 breaks at 0 = 1*4 -> 1; into Z2 it is the mod-2 surjection
@@ -666,8 +727,8 @@ def test_enumerate_homs_batch_matches_one_at_a_time(monkeypatch):
     families, rng = _hom_families(), random.Random(5)
     samples = []
     for a, b in families:
-        gens, sub = algebras._greedy_generators(a)
-        candidates = list(itertools.product(*[range(b.sizes[s]) for s, _ in gens]))
+        sub = a.generation()
+        candidates = list(itertools.product(*[range(b.sizes[s]) for s, _ in sub.seeds]))
         points = rng.sample(candidates, min(40, len(candidates)))
         samples.append((sub, b, points, sub.extend_all(points, b)))
     batch = [enumerate_homs(a, b) for a, b in families]

@@ -30,6 +30,7 @@ from uag.geometry import (
     act_endo_variety,
     all_closed_point_sets,
     candidate_pairs,
+    closure_pairs,
     closure_variety,
     congruence_of,
     coordinate_algebra,
@@ -721,7 +722,8 @@ def test_geometric_equiv_has_no_point_bound(z2, z4, gctx2):
 def test_geometric_equiv_costs_one_generation_per_point(monkeypatch, z2, z4, klein):
     """No closed-set sweep. A side in SP of the other as a whole generates
     no point subalgebra; a side that is not generates one per point up to
-    the first failing class, with one h_ker per class reached."""
+    the first failing class, with one h_ker per class reached, which is
+    given the class's generation, not its algebra."""
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("all_closed_point_sets called")
@@ -744,7 +746,8 @@ def test_geometric_equiv_costs_one_generation_per_point(monkeypatch, z2, z4, kle
         generated.clear(), tested.clear()
         assert isinstance(geometric_equiv(g, h, _context(g, n)), verdict)
         assert generated == list(reached)
-        assert [(a.name, a.sizes) for a in tested] == tests
+        assert [(a.name, a.as_algebra().sizes if isinstance(a, GeneratedSubalgebra) else a.sizes) for a in tested] == tests
+        assert [isinstance(a, GeneratedSubalgebra) for a in tested] == [name == "sub(Z4)" for name, _ in tests]
 
 
 def test_geometric_equiv_under_a_cap_walks_the_points(z4):
@@ -865,6 +868,77 @@ def test_nullstellensatz_probe_pool_built_once(monkeypatch, z4, z2, gctx2):
     other = VarContext(GROUP_SIG, [("x", "g"), ("z", "g")])
     assert geometry._probe_pool(GROUP_SIG, other) == tuple(pairs(GROUP_SIG, other, 2, seed=17, count=25))
     assert len(built) == 2
+
+
+def test_nullstellensatz_homs_are_the_points_of_the_variety(z2, z3, z4, z6, s3, chain2):
+    """Homs W/T -> G correspond to the points of V(T), on every nullsatz
+    input of the library and CLI tests: (image, assignment, target)."""
+    cases = [
+        (z4, (1, 2), z2),
+        (z2, (1, 0), z4),
+        (z3, (1, 2), z3),
+        (chain2, (0, 1), chain2),
+        (s3, (1, 3), z6),
+        (z4, (1,), z2),
+        (z2, (1,), z4),
+    ]
+    for h, q, g in cases:
+        ctx = _context(h, len(q))
+        t, gctx = kernel_of_point(q, h, ctx), GeoContext(g, ctx)
+        rep = nullstellensatz_check(t, gctx)
+        assert rep.agrees and rep.meet_agrees
+        assert rep.hom_count == len(variety_of_kernel(t, gctx)), (h.name, q, g.name)
+
+
+def _swap_witnesses(gen) -> None:
+    gen.witnesses = (tuple(reversed(gen.witnesses[0])), *gen.witnesses[1:])
+
+
+def _shift_a_cell(gen) -> None:
+    row = gen.cells["mul"][0]
+    row[0] = (row[0] + 1) % len(gen.members[0])
+
+
+@pytest.mark.parametrize("fault", [_swap_witnesses, _shift_a_cell])
+def test_nullstellensatz_meet_view_catches_a_wrong_witness_or_cell(monkeypatch, fault, z4, s3, gctx2):
+    """The meet view checks the coordinate algebra's witnesses and tables at
+    the points of V(T), in place of its presentation: a generation with one
+    fault fails it."""
+    t = kernel_of_point((1, 2), z4, gctx2)
+    gctx = GeoContext(s3, gctx2)
+    assert nullstellensatz_check(t, gctx).meet_agrees
+    built, real = [], geometry.coordinate_algebra
+
+    def faulty(a, cap=None):
+        c = real(a, cap)
+        fault(c.generation)
+        built.append(c)
+        return c
+
+    monkeypatch.setattr(geometry, "coordinate_algebra", faulty)
+    assert not nullstellensatz_check(t, gctx).meet_agrees
+    assert [geometry._holds_at_points(c) for c in built] == [False]
+
+
+def test_nullstellensatz_s3_over_c2_without_equations(s3, gctx2):
+    """T'' of the empty system over S3/C2: the coordinate algebra of all 36
+    points has 972 elements, and the meet view checks them, not the
+    944,787 pairs of its presentation."""
+    gctx = GeoContext(s3, gctx2)
+    rep = nullstellensatz_check(closure_pairs(gctx, []), gctx)
+    assert (rep.agrees, rep.meet_agrees, rep.image_sizes, rep.quotient_sizes, rep.hom_count) == (
+        True, True, (972,), (972,), 36
+    )
+    assert rep.separating is None
+
+
+def test_nullstellensatz_context_mismatch_fails_before_the_hom_search(s3, gctx2):
+    """A kernel over three variables against a context of two raises the
+    context fault, where the hom search of its image, S3 on two greedy
+    generators, would pass cap 10."""
+    t = kernel_of_point((1, 2, 3), s3, _context(s3, 3))
+    with pytest.raises(ValueError, match="kernel and geometry context disagree"):
+        nullstellensatz_check(t, GeoContext(s3, gctx2), cap=10)
 
 
 def test_coordinate_algebra_cap(z4, gctx2):

@@ -187,6 +187,20 @@ def test_byte_tables_has_one_reader():
     assert callers_of(sources, "byte_tables") == ["algebras._cells"]
 
 
+def test_nullstellensatz_check_builds_no_presentation():
+    """Its meet view checks the coordinate algebra's witnesses and tables,
+    which is what the presentation's |Γ|² pairs would say."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert "geometry.nullstellensatz_check" not in callers_of(sources, "presentation_pairs")
+    assert "geometry._holds_at_points" not in callers_of(sources, "presentation_pairs")
+
+
+def test_greedy_generators_are_searched_in_one_place():
+    """An algebra's greedy generating set is found once and kept on it."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "_greedy_generators") == ["algebras.generation"]
+
+
 def test_points_are_grouped_by_subalgebra_in_one_place():
     """Only geometry.point_subalgebras dedupes point subalgebras by member sets."""
     counts = {p.stem: p.read_text(encoding="utf-8").count("frozenset(ms) for ms in") for p in SRC.glob("*.py")}
