@@ -736,16 +736,34 @@ def enumerate_homs(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All homomorphisms a -> b as dense per-sort image tuples, sorted.
 
+    a is an algebra, or a generation standing for its as_algebra(); the
+    search is _hom_search's. The result does not depend on the generating
+    family searched, but the candidates the cap counts do. Every returned
+    map is verified against all operation tables.
+    """
+    positions, extensions = _hom_search(a, b, cap)
+    out = []
+    for ok, cols in extensions:
+        per_sort = [itertools.compress(zip(*map(col.__getitem__, pos)), ok) for col, pos in zip(cols, positions)]
+        out.extend(zip(*per_sort))
+    out.sort()
+    return out
+
+
+def _hom_search(
+    a: FiniteAlgebra | GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int]
+) -> tuple[list, Iterator[tuple[bytes, list[list]]]]:
+    """The hom search of enumerate_homs and congruences.h_ker: (positions,
+    extensions), after the signature and the cap are checked.
+
     a is an algebra, or a generation standing for its as_algebra(), whose
     elements are member positions (a sort with no member raises its
-    ValueError). Tries every assignment of images to a generating family,
-    4096 candidates per extend_all call, so the columns stay small however
-    many candidates the cap admits. The family is a generation's seeds, or
-    an algebra's greedy set, found once per algebra object
-    (FiniteAlgebra.generation); a seed that shares its member with a
-    constant or an earlier seed is not searched. The result does not depend
-    on the family, but the candidates the cap counts do. Every returned map
-    is verified against all operation tables.
+    ValueError). The search starts from a generation: a's own seeds, or an
+    algebra's greedy set, found once per algebra object
+    (FiniteAlgebra.generation). positions[s][e] is element e's member
+    position in it. extensions yields extend_all's (flags, columns) over
+    _hom_candidates, 4096 candidates per call, so the columns stay small
+    however many candidates the cap admits.
     """
     if a.sig is not b.sig and (a.sig.sorts, a.sig.ops) != (b.sig.sorts, b.sig.ops):
         raise ValueError("homomorphisms require a common signature")
@@ -754,8 +772,23 @@ def enumerate_homs(
     else:
         sub = a.generation()
         positions = [[sub.index[s][e] for e in range(n)] for s, n in enumerate(a.sizes)]
-    # a seed on a constant's position, or on an earlier seed's, has one
-    # possible image, so only the other seeds are searched
+    candidates = _hom_candidates(sub, b, cap)
+
+    def extensions():
+        while chunk := list(itertools.islice(candidates, 4096)):
+            yield sub.extend_all(chunk, b)
+
+    return positions, extensions()
+
+
+def _hom_candidates(sub: GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int]) -> Iterator[Point]:
+    """The images of sub's seeds in b that a homomorphism could take, in
+    lexicographic order, once their count is charged against the cap
+    (stage "hom search").
+
+    A seed that shares its member with a constant or an earlier seed has
+    one possible image, so only the other seeds are searched and counted.
+    """
     fixed = {(op.result, sub.cells[op.name]): b.nested()[op.name] for op in sub.sig.ops if not op.args}
     free = list(dict.fromkeys(seed for seed in sub.seeds if seed not in fixed))
     check_cap("hom search", math.prod(b.sizes[s] for s, _ in free), cap)
@@ -764,13 +797,7 @@ def enumerate_homs(
         slot = {seed: i for i, seed in enumerate([*free, *fixed])}
         pick, tail = [slot[seed] for seed in sub.seeds], tuple(fixed.values())
         candidates = (tuple(map((c + tail).__getitem__, pick)) for c in candidates)
-    out = []
-    while chunk := list(itertools.islice(candidates, 4096)):
-        ok, cols = sub.extend_all(chunk, b)
-        per_sort = [itertools.compress(zip(*map(col.__getitem__, pos)), ok) for col, pos in zip(cols, positions)]
-        out.extend(zip(*per_sort))
-    out.sort()
-    return out
+    return candidates
 
 
 def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteAlgebra:
@@ -821,11 +848,12 @@ def quotient(g: FiniteAlgebra, partition, name: Optional[str] = None) -> FiniteA
 
     The partition is given as one sequence of block labels per sort (or any
     object exposing them as .block_ids). Labels are normalized by first
-    occurrence; compatibility is verified while building the class tables.
+    occurrence; compatibility is verified while class_tables builds the
+    class rows, which become the quotient's tables with no second check.
     """
     block_of = dense_blocks(g, getattr(partition, "block_ids", partition))
     counts = [max(blocks) + 1 for blocks in block_of]
-    return FiniteAlgebra(g.sig, counts, class_tables(g, block_of), name=name or f"{g.name}/~")
+    return _total(g.sig, counts, class_tables(g, block_of), name or f"{g.name}/~")
 
 
 def dense_blocks(g: FiniteAlgebra, labels) -> tuple[tuple[int, ...], ...]:
@@ -844,22 +872,44 @@ def dense_blocks(g: FiniteAlgebra, labels) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def class_tables(g: FiniteAlgebra, block_of: Sequence[Sequence[int]]) -> dict[str, dict[tuple[int, ...], int]]:
-    """Op tables on blocks, given each element's block per sort.
+def class_tables(g: FiniteAlgebra, block_of: Sequence[Sequence[int]]) -> dict[str, object]:
+    """Op tables on blocks, as nested rows laid out as nested() lays them
+    out, given each element's block per sort, numbered as dense_blocks
+    numbers them.
 
-    Raises ValueError unless the partition is a congruence of g; the error
-    names the first class, in lexicographic order of g's rows, that an op
-    splits.
+    One pass over g's table rows (every argument but the last fixed), in
+    lexicographic order. The first row to reach a class row is the one
+    whose fixed arguments are their blocks' first elements, and it fills
+    the class row from its entries at the last sort's first elements: each
+    class takes its value from its lexicographically first cell. Every row
+    is then checked against its class row. Raises ValueError unless the
+    partition is a congruence of g; the error names the first class, in
+    lexicographic order of g's rows, that an op splits.
     """
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    firsts = []
+    for blocks in block_of:
+        first = {b: e for e, b in reversed(list(enumerate(blocks)))}
+        firsts.append([first[b] for b in range(len(first))])
+    tables: dict[str, object] = {}
     for op in g.sig.ops:
-        table: dict[tuple[int, ...], int] = {}
-        for args, val in g.rows(op):
-            key = tuple(block_of[s][a] for s, a in zip(op.args, args))
-            res = block_of[op.result][val]
-            if table.setdefault(key, res) != res:
-                raise ValueError(f"partition is not a congruence: op {op.name!r} splits class {key}")
-        tables[op.name] = table
+        table, result = g.nested()[op.name], block_of[op.result]
+        if not op.args:
+            tables[op.name] = result[table]
+            continue
+        *heads, last = op.args
+        keys, lasts, rows = [block_of[s] for s in heads], block_of[last], {}
+        for prefix in itertools.product(*[range(g.sizes[s]) for s in heads]):
+            key = tuple(map(getitem, keys, prefix))
+            got = list(map(result.__getitem__, functools.reduce(getitem, prefix, table)))
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = list(map(got.__getitem__, firsts[last]))
+            want = list(map(row.__getitem__, lasts))
+            if want != got:
+                j = list(map(ne, want, got)).index(True)
+                raise ValueError(f"partition is not a congruence: op {op.name!r} splits class {(*key, lasts[j])}")
+        dims = [len(firsts[s]) for s in heads]
+        tables[op.name] = _nested_rows([rows[key] for key in itertools.product(*map(range, dims))], dims)
     return tables
 
 

@@ -8,6 +8,7 @@ membership is two evaluations). They are never converted implicitly.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Collection, Iterable, Optional, Sequence
 
 from .config import get_cap
@@ -15,9 +16,9 @@ from .algebras import (
     FiniteAlgebra,
     GeneratedSubalgebra,
     Point,
+    _hom_search,
     class_tables,
     dense_blocks,
-    enumerate_homs,
     eval_pairs,
     generate,
     subalgebra_generated,
@@ -410,22 +411,29 @@ def h_ker(
 
     g is an algebra, or a generation standing for its as_algebra(), which
     the partition is then on: the hom search starts from the generation's
-    seeds, with no generator search (see enumerate_homs).
-    """
-    homs = enumerate_homs(g, h, cap)
-    return meet_of_hom_kernels(g.as_algebra() if isinstance(g, GeneratedSubalgebra) else g, homs)
-
-
-def meet_of_hom_kernels(g: FiniteAlgebra, homs) -> FinitePartitionCongruence:
-    """Intersection of the kernels of the given homomorphisms out of g.
-
-    homs are dense per-sort image tuples, as enumerate_homs returns them.
-    With no homomorphisms at all the intersection is empty, hence the unit
+    seeds, with no generator search (see algebras._hom_search). Each call of
+    extend_all over a chunk of candidates labels the elements by their
+    images under the homs it finds (_hom_kernel_labels), and the partition
+    so far is met with those labels, so no list of homs is kept. With no
+    homomorphisms at all the intersection is empty, hence the unit
     partition (everything congruent).
     """
-    if not homs:
-        return unit_partition(g)
-    blocks = []
-    for s in range(len(g.sig.sorts)):
-        blocks.append([tuple(hm[s][e] for hm in homs) for e in range(g.sizes[s])])
-    return FinitePartitionCongruence(g, blocks, validate=False)
+    positions, extensions = _hom_search(g, h, cap)
+    alg = g.as_algebra() if isinstance(g, GeneratedSubalgebra) else g
+    blocks = [[0] * n for n in alg.sizes]
+    for flags, cols in extensions:
+        labels = _hom_kernel_labels(flags, cols, positions)
+        blocks = dense_blocks(alg, [list(zip(old, new)) for old, new in zip(blocks, labels)])
+    return FinitePartitionCongruence(alg, blocks, validate=False)
+
+
+def _hom_kernel_labels(flags: bytes, cols: list[list], positions: Sequence[Sequence[int]]) -> list[list[tuple]]:
+    """Each element's images under the homomorphisms one extend_all found.
+
+    flags and cols are extend_all's result, and positions[s][e] is element
+    e's member position. An element's label is its member's column at the
+    flagged points, so two elements share one iff every homomorphism found
+    identifies them: the labels are the blocks of the meet of those
+    kernels, one block per sort when no flag is set.
+    """
+    return [[tuple(compress(col[p], flags)) for p in pos] for col, pos in zip(cols, positions)]

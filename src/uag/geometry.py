@@ -23,6 +23,7 @@ from .algebras import (
     GeneratedSubalgebra,
     Point,
     _cell_rows,
+    _hom_candidates,
     enumerate_homs,
     eval_columns,
     eval_pairs,
@@ -32,14 +33,15 @@ from .algebras import (
     subalgebra_generated,
 )
 from .congruences import (
+    FinitePartitionCongruence,
     KernelCongruence,
     Pair,
     PairSet,
+    _hom_kernel_labels,
     generated_kernel,
     ground_closure,
     h_ker,
     kernel_of_point,
-    meet_of_hom_kernels,
     normalize_pair,
     unit_kernel,
 )
@@ -661,23 +663,31 @@ def nullstellensatz_check(
     """Compare T'' computed through points with the radical-free normal form.
 
     Route one evaluates the closure geometrically: variety of the kernel,
-    then the coordinate-algebra congruence. Route two never touches points:
-    quotient the image algebra W/T by the meet of kernels of all its
-    homomorphisms into the target, and read T'' off as a kernel congruence.
-    Its hom search starts from the image's generators, the context's
-    variables, so its candidates are gctx's points and its homs those of
-    V(T). A kernel over another context raises ValueError before either
-    route. A third view re-checks route one against the meet of the
-    individual point kernels, decided pointwise: the coordinate algebra
-    holds at the points of V(T) (_holds_at_points), which implies every
-    pair of its kernel's presentation is in both, and 25 sample probes are
-    in both or in neither.
+    then the coordinate-algebra congruence. Route two quotients the image
+    algebra W/T by the meet of the kernels of all its homomorphisms into
+    the target, and reads T'' off as a kernel congruence. Both come from
+    one extend_all of the image's generators, the context's variables, over
+    gctx's points: a point extends iff it lies in V(T), and the
+    homomorphisms W/T -> G are those extensions, so each member's column at
+    V(T) labels its block of the meet (_hom_kernel_labels; the unit
+    partition when V(T) is empty). Before that extension the cap is charged
+    what the hom search from the image's seeds would count
+    (algebras._hom_candidates). A kernel over another context raises
+    ValueError before either route. A third view re-checks route one
+    against the meet of the individual point kernels, decided pointwise:
+    the coordinate algebra holds at the points of V(T) (_holds_at_points),
+    which implies every pair of its kernel's presentation is in both, and
+    25 sample probes are in both or in neither.
     """
-    points = variety_of_kernel(t_kernel, gctx)
+    if t_kernel.ctx.vars != gctx.ctx.vars:
+        raise ValueError("kernel and geometry context disagree")
     sub = t_kernel.image()
     a0 = sub.as_algebra()
-    homs = enumerate_homs(sub, gctx.g, cap)
-    hk = meet_of_hom_kernels(a0, homs)
+    _hom_candidates(sub, gctx.g, cap)  # charged only: the candidates are among gctx's points
+    flags, cols = sub.extend_all(gctx.points, gctx.g)
+    points = PointSet.of_flags(gctx, flags)
+    labels = _hom_kernel_labels(flags, cols, [range(n) for n in a0.sizes])
+    hk = FinitePartitionCongruence(a0, labels, validate=False)
     q = quotient(a0, hk, name=f"{a0.name}/hker")
     rhs = KernelCongruence(
         q,
@@ -697,7 +707,7 @@ def nullstellensatz_check(
         meet_agrees=meet_agrees,
         image_sizes=a0.sizes,
         quotient_sizes=q.sizes,
-        hom_count=len(homs),
+        hom_count=len(points),
         separating=hit,
     )
 

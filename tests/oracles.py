@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from uag.algebras import FiniteAlgebra, dense_blocks
 from uag.terms import App, Term, Var, VarContext, app
 
 
@@ -354,6 +355,24 @@ def o_h_ker_blocks(g, h):
             groups.setdefault(key[x], []).append(x)
         blocks.append(sorted(groups.values()))
     return blocks
+
+
+def o_quotient(g, partition, name=None):
+    """g by a partition, through tuple-keyed class tables: each class's value
+    is set by the first of g's rows, in lexicographic order, to reach it, and
+    the first row to disagree raises; FiniteAlgebra then checks and nests
+    the tables."""
+    block_of = dense_blocks(g, getattr(partition, "block_ids", partition))
+    tables = {}
+    for op in g.sig.ops:
+        table = tables[op.name] = {}
+        for args, val in g.tables[op.name].items():
+            key = tuple(block_of[s][a] for s, a in zip(op.args, args))
+            res = block_of[op.result][val]
+            if table.setdefault(key, res) != res:
+                raise ValueError(f"partition is not a congruence: op {op.name!r} splits class {key}")
+    counts = [max(blocks) + 1 for blocks in block_of]
+    return FiniteAlgebra(g.sig, counts, tables, name=name or f"{g.name}/~")
 
 
 def o_row_subalgebra(g, ctx, points):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from uag.algebras import GROUP_SIG, FiniteAlgebra, cyclic_group, enumerate_points, eval_columns, product, quotient
+from uag.algebras import (
+    GROUP_SIG,
+    FiniteAlgebra,
+    GeneratedSubalgebra,
+    cyclic_group,
+    enumerate_homs,
+    enumerate_points,
+    eval_columns,
+    product,
+    quotient,
+    subalgebra_generated,
+)
 from uag.congruences import (
     FinitePartitionCongruence,
     KernelCongruence,
@@ -294,3 +306,127 @@ def test_kernel_images_hold_elements_of_the_target(s3, gctx2):
                 assert e in range(k.target.sizes[s])
                 [(_, [value])] = eval_columns([sub.witness_of(s, e)], [k.assignment], k.target, k.ctx)
                 assert value == e
+
+
+def _random_algebra(rng, sig, name, largest=3):
+    sizes = [rng.randint(1, largest) for _ in sig.sorts]
+    tables = {}
+    for op in sig.ops:
+        cells = itertools.product(*[range(sizes[s]) for s in op.args])
+        tables[op.name] = {args: rng.randrange(sizes[op.result]) for args in cells}
+    return FiniteAlgebra(sig, sizes, tables, name=name)
+
+
+def _random_signature(rng, arities):
+    sorts = ("a", "b")[: rng.randint(1, 2)]
+    return Signature(sorts, [(f"o{k}", tuple(rng.choices(sorts, k=k)), rng.choice(sorts)) for k in arities])
+
+
+def _sorted_blocks(p):
+    out = []
+    for ids in p.block_ids:
+        groups: dict[int, list[int]] = {}
+        for e, b in enumerate(ids):
+            groups.setdefault(b, []).append(e)
+        out.append(sorted(groups.values()))
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_hom_search_matches_the_oracles_on_random_small_algebras(seed):
+    """Over 1-2 sorts, one unary and one binary op, carriers of 1-3 elements:
+    h_ker gives the partition of o_h_ker_blocks and enumerate_homs returns
+    sorted(o_homs), from an algebra and from a random generation of it."""
+    rng = random.Random(seed)
+    sig = _random_signature(rng, (1, 2))
+    g, h = _random_algebra(rng, sig, "G"), _random_algebra(rng, sig, "H")
+    picks = rng.choices(range(len(sig.sorts)), k=rng.randint(1, 3))
+    sub = subalgebra_generated(g, [(s, rng.randrange(g.sizes[s])) for s in picks])
+    for a in (g, sub):
+        if isinstance(a, GeneratedSubalgebra) and 0 in map(len, a.members):
+            for search in (enumerate_homs, h_ker):
+                with pytest.raises(ValueError, match="has no term over the generators"):
+                    search(a, h)
+            continue
+        alg = a.as_algebra() if isinstance(a, GeneratedSubalgebra) else a
+        assert enumerate_homs(a, h) == sorted(oracles.o_homs(alg, h))
+        assert _sorted_blocks(h_ker(a, h)) == oracles.o_h_ker_blocks(alg, h)
+
+
+def _generated_congruence(g, pairs):
+    """Block labels of the congruence generated by pairs (sort, x, y), by a
+    relabeling fixpoint over every row and argument position."""
+    label = [list(range(n)) for n in g.sizes]
+
+    def merge(s, x, y):
+        old, new = label[s][y], label[s][x]
+        label[s] = [new if b == old else b for b in label[s]]
+        return old != new
+
+    for s, x, y in pairs:
+        merge(s, x, y)
+    changed = True
+    while changed:
+        changed = False
+        for op in g.sig.ops:
+            for args, val in g.tables[op.name].items():
+                for i, s in enumerate(op.args):
+                    for other in range(g.sizes[s]):
+                        if label[s][other] == label[s][args[i]]:
+                            moved = g.apply(op.name, (*args[:i], other, *args[i + 1 :]))
+                            changed |= merge(op.result, val, moved)
+    return label
+
+
+def _same_quotient_or_error(g, labels):
+    """quotient and FinitePartitionCongruence take the row route as
+    o_quotient takes the dict route: same tables, digest and name, or the
+    same ValueError message."""
+    try:
+        want = oracles.o_quotient(g, labels)
+    except ValueError as e:
+        for build in (quotient, FinitePartitionCongruence):
+            with pytest.raises(ValueError) as got:
+                build(g, labels)
+            assert str(got.value) == str(e)
+        return False
+    got = quotient(g, labels)
+    assert (got.sizes, got.tables, got.digest(), got.name) == (want.sizes, want.tables, want.digest(), want.name)
+    assert got.nested() == want.nested()
+    FinitePartitionCongruence(g, labels)
+    return True
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_quotient_rows_match_the_dict_route(seed):
+    """On random algebras of 1-2 sorts with ops of arity 0-3, and on a fixed
+    two-sorted one: generated congruences, h_ker blocks and random labels."""
+    rng = random.Random(seed)
+    sig = _random_signature(rng, (0, 1, 2, 3))
+    g, h = _random_algebra(rng, sig, "G", largest=4), _random_algebra(rng, sig, "H")
+    for a in (g, TWO):
+        pairs = []
+        for _ in range(rng.randint(0, 2)):
+            s = rng.randrange(len(a.sizes))
+            pairs.append((s, rng.randrange(a.sizes[s]), rng.randrange(a.sizes[s])))
+        assert _same_quotient_or_error(a, _generated_congruence(a, pairs))
+        assert _same_quotient_or_error(a, h_ker(a, h if a is g else TWO).block_ids)
+        _same_quotient_or_error(a, [[rng.randrange(3) for _ in range(n)] for n in a.sizes])
+
+
+def test_quotient_names_the_first_split_class_as_the_dict_route_does():
+    """Z4 by {0, 1} {2, 3}: mul first splits class (0, 0), at row (0, 1).
+    t(a, b, c) = a·b + c mod 3 by {0, 1} {2} first splits class (0, 0, 0) at
+    row (1, 1, 1), off the class's first row (0, 0, 0); by {0, 2} {1} it
+    first splits (1, 1, 0) at row (1, 1, 2), within the first row's run."""
+    z4 = cyclic_group(4)
+    with pytest.raises(ValueError, match=r"^partition is not a congruence: op 'mul' splits class \(0, 0\)$"):
+        quotient(z4, [[0, 0, 1, 1]])
+    assert not _same_quotient_or_error(z4, [[0, 0, 1, 1]])
+    sig = Signature(("a",), [("t", ("a", "a", "a"), "a")])
+    rows = {(a, b, c): (a * b + c) % 3 for a, b, c in itertools.product(range(3), repeat=3)}
+    g = FiniteAlgebra(sig, (3,), {"t": rows})
+    for labels, key in (([[0, 0, 1]], r"\(0, 0, 0\)"), ([[0, 1, 0]], r"\(1, 1, 0\)")):
+        with pytest.raises(ValueError, match=rf"^partition is not a congruence: op 't' splits class {key}$"):
+            quotient(g, labels)
+        assert not _same_quotient_or_error(g, labels)

@@ -941,6 +941,45 @@ def test_nullstellensatz_context_mismatch_fails_before_the_hom_search(s3, gctx2)
         nullstellensatz_check(t, GeoContext(s3, gctx2), cap=10)
 
 
+def test_nullstellensatz_charges_the_hom_search_of_its_image(s3, gctx2):
+    """Ker at (e, a) has the image {e, a}, whose seed x is e's member, so
+    only y is searched: the cap is charged |S3| = 6 where both variables
+    would count 36, and a cap of 20 passes."""
+    t, gctx = kernel_of_point((0, 1), s3, gctx2), GeoContext(s3, gctx2)
+    rep = nullstellensatz_check(t, gctx)
+    assert nullstellensatz_check(t, gctx, cap=20) == rep
+    assert (rep.agrees, rep.meet_agrees, rep.image_sizes, rep.hom_count) == (True, True, (2,), 4)
+    with pytest.raises(CapExceeded, match=r"^hom search: 6 exceeds cap 5$"):
+        nullstellensatz_check(t, gctx, cap=5)
+
+
+def test_nullstellensatz_extends_the_image_over_the_points_once(monkeypatch, z4, s3, gctx2):
+    """One extend_all of T's image over the context's points gives V(T),
+    hom_count and the blocks of the hom kernels' meet; the only other one is
+    _holds_at_points' over V(T). Neither enumerate_homs nor
+    variety_of_kernel runs."""
+    calls, real = [], algebras.GeneratedSubalgebra.extend_all
+
+    def counted(self, points, b):
+        calls.append((self, list(points), b))
+        return real(self, points, b)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("not called by nullstellensatz_check")
+
+    monkeypatch.setattr(algebras.GeneratedSubalgebra, "extend_all", counted)
+    for module, name in ((algebras, "enumerate_homs"), (geometry, "enumerate_homs"), (geometry, "variety_of_kernel")):
+        monkeypatch.setattr(module, name, forbidden)
+    t, gctx = kernel_of_point((1, 2), z4, gctx2), GeoContext(s3, gctx2)
+    rep = nullstellensatz_check(t, gctx)
+    variety = oracles.o_variety_of_kernel(t, s3, gctx2)
+    assert rep.agrees and rep.meet_agrees and rep.hom_count == len(variety) > 1
+    assert [(sub is t.image(), points, b) for sub, points, b in calls] == [
+        (True, list(gctx.points), s3),
+        (False, variety, s3),
+    ]
+
+
 def test_coordinate_algebra_cap(z4, gctx2):
     gctx = GeoContext(z4, gctx2)
     with pytest.raises(CapExceeded):

@@ -201,6 +201,18 @@ def test_greedy_generators_are_searched_in_one_place():
     assert callers_of(sources, "_greedy_generators") == ["algebras.generation"]
 
 
+def test_hom_kernel_labels_are_built_in_one_place():
+    """h_ker and nullstellensatz_check read the meet of the hom kernels off
+    extend_all's columns, in one function, and keep no list of homs: only
+    variety_iso's bijection search lists them. The candidates are counted
+    against the cap in one place too."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "_hom_kernel_labels") == ["congruences.h_ker", "geometry.nullstellensatz_check"]
+    assert callers_of(sources, "enumerate_homs") == ["geometry._bijective_homs"]
+    assert callers_of(sources, "_hom_search") == ["algebras.enumerate_homs", "congruences.h_ker"]
+    assert callers_of(sources, "_hom_candidates") == ["algebras._hom_search", "geometry.nullstellensatz_check"]
+
+
 def test_points_are_grouped_by_subalgebra_in_one_place():
     """Only geometry.point_subalgebras dedupes point subalgebras by member sets."""
     counts = {p.stem: p.read_text(encoding="utf-8").count("frozenset(ms) for ms in") for p in SRC.glob("*.py")}
