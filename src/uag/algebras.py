@@ -801,23 +801,24 @@ def _hom_candidates(sub: GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[in
 
 
 def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteAlgebra:
+    """The product of the factors, its elements numbered as tuple_to_index
+    numbers their rows: the generation seeded by every row of each sort, in
+    lexicographic order, which adds no member.
+
+    The product's table cells are checked against cap first
+    (CapExceeded("product tables")), then its elements, the seeds
+    (CapExceeded("product members")): a sort that is no op's argument has
+    elements but no table cells.
+    """
     if not gs:
         raise ValueError("product of an empty family is the unit algebra; build it explicitly")
     sig = _common_sig(gs)
-    sizes = tuple(math.prod(g.sizes[s] for g in gs) for s in range(len(sig.sorts)))
-    table_cells = sum(math.prod(sizes[s] for s in op.args) for op in sig.ops)
-    check_cap("product tables", table_cells, cap)
-    factor_sizes = [tuple(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
-    nested = {}
-    for op in sig.ops:
-        dims = [sizes[s] for s in op.args]
-        flat = []
-        for args in itertools.product(*map(range, dims)):
-            comps = [index_to_tuple(arg, factor_sizes[s]) for arg, s in zip(args, op.args)]
-            result = [g.apply(op.name, [comp[k] for comp in comps]) for k, g in enumerate(gs)]
-            flat.append(tuple_to_index(result, factor_sizes[op.result]))
-        nested[op.name] = _nested_rows(flat, dims)
-    return _total(sig, sizes, nested, name or "x".join(g.name for g in gs))
+    sizes = [math.prod(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
+    check_cap("product tables", sum(math.prod(sizes[s] for s in op.args) for op in sig.ops), cap)
+    check_cap("product members", sum(sizes), cap)
+    seeds = [(s, row) for s in range(len(sig.sorts)) for row in itertools.product(*[range(g.sizes[s]) for g in gs])]
+    names = [f"e{i}" for i in range(len(seeds))]
+    return generate(gs, seeds, names, name=name or "x".join(g.name for g in gs)).as_algebra()
 
 
 def _common_sig(gs: Sequence[FiniteAlgebra]) -> Signature:

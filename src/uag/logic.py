@@ -11,15 +11,17 @@ substitution lemmas below exercise.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from operator import eq, getitem
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import check_cap
 from .algebras import (
     FiniteAlgebra,
+    GeneratedSubalgebra,
     Point,
     dense_blocks,
     eval_columns,
@@ -28,6 +30,7 @@ from .algebras import (
     index_to_tuple,
     product,
     quotient,
+    subalgebra_generated,
 )
 from .geometry import point_subalgebras, pull_back, random_term
 from .spaces import GeoContext, PointSet
@@ -399,7 +402,12 @@ def universal_part(family: Iterable[PointSet], gctx: GeoContext) -> set[PointSet
 
 
 class SubmodelView:
-    """A submodel on an op-closed subset, with maps to and from the parent."""
+    """A submodel on an op-closed subset, with maps to and from the parent.
+
+    Its algebra is a generation of the parent's (GeneratedSubalgebra), its
+    elements the generation's member positions: to_parent[s] lists sort s's
+    members, and from_parent[s] is their index.
+    """
 
     __slots__ = ("model", "to_parent", "from_parent")
 
@@ -424,40 +432,38 @@ class SubmodelView:
 def restrict_submodel(m: Model, members: Sequence[Sequence[int]]) -> SubmodelView:
     """Restrict the model to an op-closed subset of each carrier.
 
-    Raises if the subset is not closed under some operation. Relations keep
-    exactly the rows whose entries all survive.
+    members holds one set of elements per sort, each in range, or ValueError
+    is raised. The subset, in increasing order, seeds a generation of the
+    model's algebra, so each element's position is its rank in its sort. The
+    subset is closed iff the generation adds no member; otherwise its first
+    added member names the op and arguments of the ValueError, the first
+    cell, in op declaration order and then lexicographic order, that leaves
+    the subset. Relations keep exactly the rows whose entries all survive.
     """
     g = m.algebra
-    to_parent = tuple(tuple(sorted(set(ms))) for ms in members)
-    from_parent = tuple(
-        {e: i for i, e in enumerate(ms)} for ms in to_parent
-    )
-    sizes = tuple(len(ms) for ms in to_parent)
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    for op in g.sig.ops:
-        table: dict[tuple[int, ...], int] = {}
-        for combo in itertools.product(*[range(sizes[s]) for s in op.args]):
-            parent_args = tuple(to_parent[s][k] for s, k in zip(op.args, combo))
-            val = reduce(getitem, parent_args, g.nested()[op.name])
-            sub_val = from_parent[op.result].get(val)
-            if sub_val is None:
-                raise ValueError(
-                    f"subset is not closed under {op.name!r} at {parent_args}"
-                )
-            table[combo] = sub_val
-        tables[op.name] = table
-    sub_alg = FiniteAlgebra(g.sig, sizes, tables, name=f"sub({m.name})")
+    if len(members) != len(g.sig.sorts):
+        raise ValueError("one member set per sort required")
+    sub = subalgebra_generated(g, [(s, e) for s, ms in enumerate(members) for e in sorted(set(ms))])
+    if sub.origin:
+        _, op, combo = sub.origin[0]
+        args = tuple(sub.members[s][k] for s, k in zip(op.args, combo))
+        raise ValueError(f"subset is not closed under {op.name!r} at {args}")
+    sub.name = f"sub({m.name})"  # before as_algebra() reads it
+    return _submodel_view(m, sub)
+
+
+def _submodel_view(m: Model, sub: GeneratedSubalgebra) -> SubmodelView:
+    """The submodel of m on a generation of its algebra: the generation's
+    as_algebra(), with m's relations mapped through its index."""
+    if not all(sub.members):
+        raise ValueError("carriers must be nonempty")
     rels: dict[str, set[tuple[int, ...]]] = {}
     for rel, rows in m.relations.items():
-        sorts = m.rel_sig.rels[rel]
-        kept = set()
-        for row in rows:
-            mapped = tuple(from_parent[s].get(e) for s, e in zip(sorts, row))
-            if None not in mapped:
-                kept.add(mapped)
-        rels[rel] = kept
-    sub_model = Model(sub_alg, m.rel_sig, rels, name=f"sub({m.name})")
-    return SubmodelView(sub_model, to_parent, from_parent)
+        cols = [sub.index[s] for s in m.rel_sig.rels[rel]]
+        mapped = (tuple(map(dict.get, cols, row)) for row in rows)
+        rels[rel] = {row for row in mapped if None not in row}
+    sub_model = Model(sub.as_algebra(), m.rel_sig, rels, name=f"sub({m.name})")
+    return SubmodelView(sub_model, sub.members, tuple(sub.index))
 
 
 @dataclass(frozen=True)
@@ -534,14 +540,16 @@ def open_variety_check(
     """Open formulas see only the generated submodel of each point.
 
     Route one evaluates membership in the whole model; route two re-evaluates
-    inside the submodel generated by the point's coordinates. For open
-    formulas the two must agree at every point.
+    inside the submodel generated by the point's coordinates: the submodel
+    on its class's generation from point_subalgebras, numbered as that
+    generation numbers its members. For open formulas the two must agree at
+    every point.
     """
     direct = fo_variety(m, formulas, gctx)
     classes, of_point = point_subalgebras(gctx)
     views = []
     for _, sub in classes:
-        view = restrict_submodel(m, [list(ms) for ms in sub.members])
+        view = _submodel_view(m, sub)
         views.append((view, fo_variety(view.model, formulas, GeoContext(view.model.algebra, gctx.ctx, cap))))
     mismatches = []
     for p, i in zip(gctx.points, of_point):
@@ -559,27 +567,30 @@ def open_variety_check(
 
 def ultrapower_model(m: Model, n: int, alpha0: int, cap: Optional[int] = None) -> Model:
     """The n-fold power with relations read through the principal index."""
+    return _principal_power(m, n, alpha0, cap)[0]
+
+
+def _principal_power(
+    m: Model, n: int, alpha0: int, cap: Optional[int]
+) -> tuple[Model, list[list[int]]]:
+    """ultrapower_model's model, with the table of principal coordinates:
+    entry e of sort s is the power's element e's entry at alpha0."""
     if not 0 <= alpha0 < n:
         raise ValueError("principal index out of range")
     g = m.algebra
     pw = product([g] * n, name=f"{g.name}^{n}", cap=cap)
-    factor_sizes = [tuple(g.sizes[s] for _ in range(n)) for s in range(len(g.sig.sorts))]
+    coord = [[index_to_tuple(e, (k,) * n)[alpha0] for e in range(pw.sizes[s])] for s, k in enumerate(g.sizes)]
     rels: dict[str, set[tuple[int, ...]]] = {}
     for rel, rows in m.relations.items():
         sorts = m.rel_sig.rels[rel]
-        count = 1
-        for s in sorts:
-            count *= pw.sizes[s]
-        check_cap("ultrapower relation rows", count, cap)
-        kept = set()
-        for combo in itertools.product(*[range(pw.sizes[s]) for s in sorts]):
-            proj = tuple(
-                index_to_tuple(e, factor_sizes[s])[alpha0] for s, e in zip(sorts, combo)
-            )
-            if proj in rows:
-                kept.add(combo)
-        rels[rel] = kept
-    return Model(pw, m.rel_sig, rels, name=f"{m.name}^{n}@{alpha0}")
+        check_cap("ultrapower relation rows", math.prod(pw.sizes[s] for s in sorts), cap)
+        cols = [coord[s] for s in sorts]
+        rels[rel] = {
+            combo
+            for combo in itertools.product(*[range(pw.sizes[s]) for s in sorts])
+            if tuple(map(getitem, cols, combo)) in rows
+        }
+    return Model(pw, m.rel_sig, rels, name=f"{m.name}^{n}@{alpha0}"), coord
 
 
 def los_check(
@@ -599,23 +610,10 @@ def los_check(
     violating (formula, power point) pairs; an empty list is the expected
     outcome.
     """
-    pm = ultrapower_model(m, n, alpha0, cap)
+    pm, coord = _principal_power(m, n, alpha0, cap)
     pw = pm.algebra
-    nsorts = len(pw.sig.sorts)
-    factor_sizes = [
-        tuple(m.algebra.sizes[s] for _ in range(n)) for s in range(nsorts)
-    ]
-    coord = [
-        [index_to_tuple(e, factor_sizes[s])[alpha0] for e in range(pw.sizes[s])]
-        for s in range(nsorts)
-    ]
     block_ids = dense_blocks(pw, coord)
     q_alg = quotient(pw, block_ids, name=f"{pw.name}/U")
-    # dense class label -> the shared principal coordinate of its members
-    class_coord: list[dict[int, int]] = [{} for _ in range(nsorts)]
-    for s in range(nsorts):
-        for e in range(pw.sizes[s]):
-            class_coord[s].setdefault(block_ids[s][e], coord[s][e])
     violations: list[tuple[Formula, Point]] = []
     # relations must be saturated: membership may only depend on the class
     q_rels: dict[str, set[tuple[int, ...]]] = {}
@@ -640,7 +638,7 @@ def los_check(
         base = eval_formula(m, u, gctx_b)
         for p in gctx_p.points:
             dropped = tuple(block_ids[s][e] for (_, s), e in zip(ctx.vars, p))
-            proj = tuple(class_coord[s][c] for (_, s), c in zip(ctx.vars, dropped))
+            proj = tuple(coord[s][e] for (_, s), e in zip(ctx.vars, p))
             if (dropped in top) != (proj in base):
                 violations.append((u, p))
     return violations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from uag.algebras import FiniteAlgebra, dense_blocks
+from uag.algebras import FiniteAlgebra, dense_blocks, index_to_tuple, tuple_to_index
 from uag.terms import App, Term, Var, VarContext, app
 
 
@@ -373,6 +373,54 @@ def o_quotient(g, partition, name=None):
                 raise ValueError(f"partition is not a congruence: op {op.name!r} splits class {key}")
     counts = [max(blocks) + 1 for blocks in block_of]
     return FiniteAlgebra(g.sig, counts, tables, name=name or f"{g.name}/~")
+
+
+def o_product(gs, name=None):
+    """The product of the factors, cell by cell: each argument's number is
+    turned into its row of factor elements (index_to_tuple), every factor
+    applies the op, and the row of results is numbered back
+    (tuple_to_index); FiniteAlgebra then checks and nests the tables."""
+    sig = gs[0].sig
+    factor_sizes = [tuple(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
+    sizes = [math.prod(fs) for fs in factor_sizes]
+    tables = {}
+    for op in sig.ops:
+        table = tables[op.name] = {}
+        for args in itertools.product(*[range(sizes[s]) for s in op.args]):
+            comps = [index_to_tuple(arg, factor_sizes[s]) for arg, s in zip(args, op.args)]
+            result = [g.tables[op.name][tuple(comp[k] for comp in comps)] for k, g in enumerate(gs)]
+            table[args] = tuple_to_index(result, factor_sizes[op.result])
+    return FiniteAlgebra(sig, sizes, tables, name=name or "x".join(g.name for g in gs))
+
+
+def o_restrict_submodel(m, members):
+    """(model, to_parent, from_parent) of the submodel on an
+    op-closed subset, numbered in increasing order, cell by cell: the first
+    cell, in op declaration order and then lexicographic order, whose value
+    leaves the subset raises; FiniteAlgebra then checks and nests the
+    tables."""
+    from uag.logic import Model
+
+    g = m.algebra
+    to_parent = tuple(tuple(sorted(set(ms))) for ms in members)
+    from_parent = tuple({e: i for i, e in enumerate(ms)} for ms in to_parent)
+    sizes = tuple(len(ms) for ms in to_parent)
+    tables = {}
+    for op in g.sig.ops:
+        table = tables[op.name] = {}
+        for combo in itertools.product(*[range(sizes[s]) for s in op.args]):
+            parent_args = tuple(to_parent[s][k] for s, k in zip(op.args, combo))
+            sub_val = from_parent[op.result].get(g.tables[op.name][parent_args])
+            if sub_val is None:
+                raise ValueError(f"subset is not closed under {op.name!r} at {parent_args}")
+            table[combo] = sub_val
+    alg = FiniteAlgebra(g.sig, sizes, tables, name=f"sub({m.name})")
+    rels = {}
+    for rel, rows in m.relations.items():
+        sorts = m.rel_sig.rels[rel]
+        mapped = [tuple(from_parent[s].get(e) for s, e in zip(sorts, row)) for row in rows]
+        rels[rel] = {row for row in mapped if None not in row}
+    return Model(alg, m.rel_sig, rels, name=f"sub({m.name})"), to_parent, from_parent
 
 
 def o_row_subalgebra(g, ctx, points):

@@ -432,6 +432,57 @@ def test_product_mixed_radix(z2, z3):
     assert p.apply("mul", (x, y)) == want
 
 
+# nullary, unary, binary and ternary ops over one and two sorts; the
+# signature without a ternary op keeps small powers within the byte bound
+RANDOM_SIGS = [
+    Signature(("a",), [("c", (), "a"), ("f", ("a",), "a"), ("m", ("a", "a"), "a")]),
+    Signature(("a",), [("c", (), "a"), ("m", ("a", "a"), "a"), ("t", ("a", "a", "a"), "a")]),
+    Signature(("a", "b"), [("c", (), "b"), ("f", ("a",), "b"), ("m", ("b", "a"), "a"), ("t", ("a", "b", "a"), "b")]),
+]
+
+
+def random_algebra(rng: random.Random, sig: Signature, name: str) -> FiniteAlgebra:
+    sizes = [rng.randint(1, 3) for _ in sig.sorts]
+    tables = {
+        op.name: {args: rng.randrange(sizes[op.result]) for args in itertools.product(*[range(sizes[s]) for s in op.args])}
+        for op in sig.ops
+    }
+    return FiniteAlgebra(sig, sizes, tables, name=name)
+
+
+def test_product_matches_the_cell_by_cell_oracle():
+    """product is a generation; its tables, digest and name are those of the
+    cell-by-cell product, on powers of one object and on distinct factors."""
+    rng = random.Random(28)
+    kinds = set()
+    for trial in range(300):
+        sig = rng.choice(RANDOM_SIGS)
+        pool = [random_algebra(rng, sig, f"A{trial}_{i}") for i in range(2)]
+        gs = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        sizes = [math.prod(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
+        if sum(math.prod(sizes[s] for s in op.args) for op in sig.ops) > 3000:
+            continue
+        name = rng.choice([None, "P"])
+        got, want = product(gs, name=name), oracles.o_product(gs, name=name)
+        assert (got.sizes, got.nested(), got.digest(), got.name) == (want.sizes, want.nested(), want.digest(), want.name)
+        kinds.add((len(sig.sorts), len(gs), len(set(map(id, gs)))))
+    assert {(1, 3, 1), (1, 3, 2), (2, 2, 1), (2, 2, 2)} <= kinds
+
+
+def test_product_caps_its_cells_then_its_elements(z4):
+    """Every element of a product seeds its generation, so the cap bounds
+    the elements as well as the table cells: a sort that is no op's
+    argument has elements but no cells."""
+    with pytest.raises(CapExceeded, match=re.escape("product tables: 273 exceeds cap 272")):
+        product([z4, z4], cap=272)
+    assert product([z4, z4], cap=273).sizes == (16,)
+    sig = Signature(("a", "b"), [("f", ("a",), "a")])
+    g = FiniteAlgebra(sig, (2, 30), {"f": {(0,): 1, (1,): 0}})
+    with pytest.raises(CapExceeded, match=re.escape("product members: 904 exceeds cap 100")):
+        product([g, g], cap=100)
+    assert product([g, g], cap=904).sizes == (4, 900)
+
+
 def test_quotient_rejects_non_congruence(z4):
     # labels per element: {0,1} and {2,3} are not mul-compatible in Z4
     with pytest.raises(ValueError, match="not a congruence"):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -11,8 +12,10 @@ from test_congruences import TWO, TWO_CTX
 from uag import geometry, spaces
 from uag.algebras import (
     GROUP_SIG,
+    chain_semilattice,
     cyclic_group,
     klein_four,
+    mod_ring,
     subalgebra_generated,
     symmetric_group_3,
     vee_semilattice,
@@ -461,6 +464,87 @@ def test_restrict_submodel_relations(m_z4):
     assert view.model.relations["P"] == set()
 
 
+@pytest.mark.parametrize(
+    "g, members, message",
+    [
+        (chain_semilattice(3), [(2, -1)], "seed element -1 out of range for sort 0"),
+        (cyclic_group(4), [(0, 7)], "seed element 7 out of range for sort 0"),
+        (cyclic_group(4), [], "one member set per sort required"),
+    ],
+)
+def test_restrict_submodel_checks_its_input(g, members, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        restrict_submodel(Model(g, RelSignature(g.sig)), members)
+
+
+def _random_model(rng, g, name):
+    rel_sig = RelSignature(g.sig, [("P", (g.sig.sorts[0],)), ("R", (g.sig.sorts[0], g.sig.sorts[-1]))])
+    rows = {
+        rel: [tuple(rng.randrange(g.sizes[s]) for s in sorts) for _ in range(rng.randint(0, 4))]
+        for rel, sorts in rel_sig.rels.items()
+    }
+    return Model(g, rel_sig, rows, name=name)
+
+
+def _outcome(restrict, m, members):
+    """(algebra tables, digest and name, model name, relations, to_parent,
+    from_parent) of a restriction, or its error text."""
+    try:
+        model, to_parent, from_parent = restrict(m, members)
+    except ValueError as e:
+        return str(e)
+    alg = model.algebra
+    return alg.nested(), alg.digest(), alg.name, model.name, model.relations, to_parent, from_parent
+
+
+def _restrict(m, members):
+    view = restrict_submodel(m, members)
+    return view.model, view.to_parent, view.from_parent
+
+
+def test_restrict_submodel_matches_the_cell_by_cell_oracle():
+    rng = random.Random(28)
+    algebras = [symmetric_group_3(), cyclic_group(4), klein_four(), chain_semilattice(3), mod_ring(3), TWO]
+    closed = errors = 0
+    for trial in range(400):
+        g = algebras[trial % len(algebras)]
+        m = _random_model(rng, g, f"M{trial}")
+        members = [[rng.randrange(n) for _ in range(rng.randint(0, n + 1))] for n in g.sizes]
+        want = _outcome(oracles.o_restrict_submodel, m, members)
+        assert _outcome(_restrict, m, members) == want, (g.name, members)
+        closed += not isinstance(want, str)
+        errors += isinstance(want, str) and want.startswith("subset is not closed")
+    assert closed > 50 and errors > 50
+
+
+def _o_open_variety_mismatches(m, formulas, gctx):
+    """open_variety_check's mismatches, each point's submodel restricted by
+    the cell-by-cell oracle, in increasing order."""
+    direct = fo_variety(m, formulas, gctx)
+    sorts = [s for _, s in gctx.ctx.vars]
+    out = []
+    for p in gctx.points:
+        members = subalgebra_generated(m.algebra, list(zip(sorts, p))).members
+        model, _, from_parent = oracles.o_restrict_submodel(m, members)
+        value = fo_variety(model, formulas, GeoContext(model.algebra, gctx.ctx))
+        if (tuple(from_parent[s][e] for s, e in zip(sorts, p)) in value) != (p in direct):
+            out.append(p)
+    return tuple(out)
+
+
+def test_open_variety_check_matches_the_cell_by_cell_oracle(gctx2):
+    rng = random.Random(28)
+    nonempty = 0
+    for trial in range(60):
+        m = _random_model(rng, [cyclic_group(4), symmetric_group_3()][trial % 2], f"M{trial}")
+        gctx = GeoContext(m.algebra, gctx2)
+        formulas = [random_formula(rng, GROUP_SIG, gctx2, rel_sig=m.rel_sig, depth=2) for _ in range(rng.randint(1, 3))]
+        rep = open_variety_check(m, formulas, gctx)
+        assert rep.mismatches == _o_open_variety_mismatches(m, formulas, gctx), formulas
+        nonempty += bool(rep.mismatches)
+    assert nonempty >= 4
+
+
 def test_fundamental_counterexample_frozen(m_z2, gctx2):
     u = exists_f(["y"], Not(Eq(X, Y)))
     rep = fundamental_check(m_z2, [(0,)], u, gctx2)
@@ -497,9 +581,13 @@ def test_open_variety_check(m_z4, gctx2):
     assert rep.all_open and rep.agrees and not rep.mismatches
 
 
-def test_ultrapower_los(m_z2, gctx2):
+def test_ultrapower_los(m_z2, m_z4, gctx2):
     up = ultrapower_model(m_z2, 3, alpha0=1)
     assert up.algebra.sizes == (8,)
+    # the elements whose middle coordinate is 1
+    assert up.relations["P"] == {(2,), (3,), (6,), (7,)}
+    up4 = ultrapower_model(m_z4, 2, alpha0=0)
+    assert up4.relations["R"] == {(a, b) for a in range(16) for b in range(16) if (a // 4, b // 4) in {(0, 0), (1, 2)}}
     formulas = [
         Rel("P", (X,)),
         exists_f(["y"], Eq(X, app("mul", Y, Y))),

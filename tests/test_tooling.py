@@ -266,3 +266,32 @@ def test_term_walks_are_loops():
     assert self_callers({m: sources[m] for m in ("terms", "algebras", "sexpr")}) == NOT_TERM_WALKS
     assert self_callers({"congruences": sources["congruences"]}) == RECURSIVE_TERM_WALKS
     assert [m for m, source in sources.items() if "DEEP_TERM" in source] == []
+
+
+def test_only_outside_tables_are_checked():
+    """Every table built in the package is total and in range by
+    construction; FiniteAlgebra checks only tables from outside it: the
+    stock builders, the unit algebra and a workspace's algebras."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "FiniteAlgebra") == [
+        "algebras.unit_algebra",
+        "algebras.cyclic_group",
+        "algebras.klein_four",
+        "algebras.symmetric_group_3",
+        "algebras.chain_semilattice",
+        "algebras.vee_semilattice",
+        "algebras.mod_ring",
+        "sexpr._parse_algebra",
+    ]
+
+
+def test_products_and_submodels_are_generations():
+    """product reads its tables off a generation, so algebras numbers no
+    product rows itself; a submodel's relations are mapped in one function,
+    the one that builds a SubmodelView."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    algebras = {"algebras": sources["algebras"]}
+    assert callers_of(algebras, "index_to_tuple") == callers_of(algebras, "tuple_to_index") == []
+    assert callers_of(sources, "SubmodelView") == ["logic._submodel_view"]
+    assert callers_of(sources, "_submodel_view") == ["logic.restrict_submodel", "logic.open_variety_check"]
+    assert callers_of(sources, "restrict_submodel") == ["logic.fundamental_check"]
