@@ -36,7 +36,11 @@ Point = tuple[int, ...]
 
 class FiniteAlgebra:
     """Total operation tables, given keyed by argument tuples, checked and
-    stored as nested rows in one pass; tables is a read-only view of them."""
+    stored as nested rows in one pass; tables is a read-only view of them.
+
+    The constructor is for tables from outside the package. Rows the package
+    builds, the stock algebras' among them, are total and in range by
+    construction and go to _total unchecked."""
 
     __slots__ = ("sig", "sizes", "name", "_nested", "_tables", "_digest", "_bytes", "_generation")
 
@@ -158,9 +162,7 @@ def _nested_rows(flat: list, dims: Sequence[int]):
 
 
 def unit_algebra(sig: Signature, name: str = "unit") -> FiniteAlgebra:
-    sizes = (1,) * len(sig.sorts)
-    tables = {op.name: {tuple([0] * op.arity): 0} for op in sig.ops}
-    return FiniteAlgebra(sig, sizes, tables, name=name)
+    return _total(sig, (1,) * len(sig.sorts), {op.name: _nested_rows([0], [1] * op.arity) for op in sig.ops}, name)
 
 
 def eval_columns(
@@ -1044,59 +1046,40 @@ RING_SIG = Signature(
 def cyclic_group(n: int) -> FiniteAlgebra:
     if n < 1:
         raise ValueError("order must be positive")
-    tables = {
-        "mul": {(i, j): (i + j) % n for i in range(n) for j in range(n)},
-        "inv": {(i,): (-i) % n for i in range(n)},
-        "e": {(): 0},
-    }
-    return FiniteAlgebra(GROUP_SIG, (n,), tables, name=f"Z{n}")
+    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return _total(GROUP_SIG, (n,), {"mul": mul, "inv": [-i % n for i in range(n)], "e": 0}, f"Z{n}")
 
 
 def klein_four() -> FiniteAlgebra:
     # xor on two bits
-    tables = {
-        "mul": {(i, j): i ^ j for i in range(4) for j in range(4)},
-        "inv": {(i,): i for i in range(4)},
-        "e": {(): 0},
-    }
-    return FiniteAlgebra(GROUP_SIG, (4,), tables, name="V4")
+    mul = [[i ^ j for j in range(4)] for i in range(4)]
+    return _total(GROUP_SIG, (4,), {"mul": mul, "inv": list(range(4)), "e": 0}, "V4")
 
 
 def symmetric_group_3() -> FiniteAlgebra:
     perms = sorted(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     # mul(a, b) applies b first: (a*b)(x) = a(b(x))
-    mul = {}
-    for i, a in enumerate(perms):
-        for j, b in enumerate(perms):
-            mul[(i, j)] = index[tuple(a[b[x]] for x in range(3))]
-    inv = {}
-    for i, a in enumerate(perms):
-        back = [0, 0, 0]
-        for x in range(3):
-            back[a[x]] = x
-        inv[(i,)] = index[tuple(back)]
-    tables = {"mul": mul, "inv": inv, "e": {(): index[(0, 1, 2)]}}
-    return FiniteAlgebra(GROUP_SIG, (6,), tables, name="S3")
+    mul = [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
+    inv = [index[tuple(sorted(range(3), key=a.__getitem__))] for a in perms]
+    return _total(GROUP_SIG, (6,), {"mul": mul, "inv": inv, "e": index[(0, 1, 2)]}, "S3")
 
 
 def chain_semilattice(n: int) -> FiniteAlgebra:
-    tables = {"meet": {(i, j): min(i, j) for i in range(n) for j in range(n)}}
-    return FiniteAlgebra(SEMILATTICE_SIG, (n,), tables, name=f"C{n}")
+    if n < 1:
+        raise ValueError("carriers must be nonempty")
+    return _total(SEMILATTICE_SIG, (n,), {"meet": [[min(i, j) for j in range(n)] for i in range(n)]}, f"C{n}")
 
 
 def vee_semilattice() -> FiniteAlgebra:
     """Three elements: 0 below the incomparable 1 and 2."""
-    meet = {(i, j): (i if i == j else 0) for i in range(3) for j in range(3)}
-    return FiniteAlgebra(SEMILATTICE_SIG, (3,), {"meet": meet}, name="Vee")
+    meet = [[i if i == j else 0 for j in range(3)] for i in range(3)]
+    return _total(SEMILATTICE_SIG, (3,), {"meet": meet}, "Vee")
 
 
 def mod_ring(n: int) -> FiniteAlgebra:
-    tables = {
-        "add": {(i, j): (i + j) % n for i in range(n) for j in range(n)},
-        "mul": {(i, j): (i * j) % n for i in range(n) for j in range(n)},
-        "zero": {(): 0},
-        "one": {(): 1 % n},
-        "two": {(): 2 % n},
-    }
-    return FiniteAlgebra(RING_SIG, (n,), tables, name=f"R{n}")
+    if n < 1:
+        raise ValueError("order must be positive")
+    add = [[(i + j) % n for j in range(n)] for i in range(n)]
+    mul = [[i * j % n for j in range(n)] for i in range(n)]
+    return _total(RING_SIG, (n,), {"add": add, "mul": mul, "zero": 0, "one": 1 % n, "two": 2 % n}, f"R{n}")

@@ -75,7 +75,7 @@ from .spaces import GeoContext, PointSet
 from .terms import Substitution, VarContext, app, render, var
 
 
-# each library's signature and its stock algebras by name, built when named
+# each library's signature and the builders of its stock algebras, by name
 STOCK = {
     "group": (
         GROUP_SIG,
@@ -103,7 +103,7 @@ def builtin_workspace(kind: str) -> Workspace:
         (op.name, tuple(sig.sorts[i] for i in op.args), sig.sorts[op.result]) for op in sig.ops
     ]
     ws._sig = sig
-    ws.algebras.update(builders)
+    ws.algebras = {name: build() for name, build in builders.items()}
     s0 = sig.sorts[0]
     ws.contexts["C1"] = VarContext(sig, [("x", s0)])
     ws.contexts["C2"] = VarContext(sig, [("x", s0), ("y", s0)])

@@ -614,22 +614,15 @@ def los_check(
     pw = pm.algebra
     block_ids = dense_blocks(pw, coord)
     q_alg = quotient(pw, block_ids, name=f"{pw.name}/U")
-    violations: list[tuple[Formula, Point]] = []
-    # relations must be saturated: membership may only depend on the class
+    # each relation of the power is read through the principal coordinate,
+    # which the block ids renumber, so it is a union of classes: its rows map
+    # onto the quotient's
     q_rels: dict[str, set[tuple[int, ...]]] = {}
-    saturated = True
     for rel, rows in pm.relations.items():
-        sorts = m.rel_sig.rels[rel]
-        seen: dict[tuple[int, ...], bool] = {}
-        for combo in itertools.product(*[range(pw.sizes[s]) for s in sorts]):
-            key = tuple(block_ids[s][e] for s, e in zip(sorts, combo))
-            inside = combo in rows
-            if seen.setdefault(key, inside) != inside:
-                saturated = False
-        q_rels[rel] = {k for k, v in seen.items() if v}
-    if not saturated:
-        return [(u, ()) for u in formulas]
+        cols = [block_ids[s] for s in m.rel_sig.rels[rel]]
+        q_rels[rel] = {tuple(map(getitem, cols, row)) for row in rows}
     qm = Model(q_alg, m.rel_sig, q_rels, name=f"{pm.name}/U")
+    violations: list[tuple[Formula, Point]] = []
     gctx_p = GeoContext(pw, ctx, cap)
     gctx_q = GeoContext(q_alg, ctx, cap)
     gctx_b = GeoContext(m.algebra, ctx, cap)

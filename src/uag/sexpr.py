@@ -172,17 +172,6 @@ def _int(node: Node, what: str) -> int:
         raise SexprError(f"expected an integer {what}, got {text!r}", node.line, node.col)
 
 
-class Algebras(dict):
-    """Algebras by name. An entry may also be a zero-argument builder; it is
-    built when first looked up, and the algebra takes its place."""
-
-    def __getitem__(self, name: str) -> FiniteAlgebra:
-        g = super().__getitem__(name)
-        if not isinstance(g, FiniteAlgebra):
-            g = self[name] = g()
-        return g
-
-
 class Workspace:
     """Named definitions accumulated from workspace files."""
 
@@ -190,7 +179,7 @@ class Workspace:
         self.sorts: list[str] = []
         self.op_decls: list[tuple[str, tuple[str, ...], str]] = []
         self._sig: Optional[Signature] = None
-        self.algebras = Algebras()
+        self.algebras: dict[str, FiniteAlgebra] = {}
         self.contexts: dict[str, VarContext] = {}
         self.pairsets: dict[str, PairSet] = {}
         self.formulas: dict[str, Formula] = {}

@@ -17,6 +17,7 @@ from uag.algebras import (
     FiniteAlgebra,
     GROUP_SIG,
     RING_SIG,
+    SEMILATTICE_SIG,
     chain_semilattice,
     cyclic_group,
     enumerate_homs,
@@ -902,3 +903,71 @@ def test_tables_view_agrees_with_nested_rows(z2, z4, s3, gctx2):
             table = g.tables[op.name]
             assert list(table) == list(itertools.product(*[range(g.sizes[s]) for s in op.args]))
             assert [functools.reduce(getitem, args, g.nested()[op.name]) for args in table] == list(table.values())
+
+
+def every_stock_algebra() -> list[FiniteAlgebra]:
+    """Z1-Z8, V4, S3, Vee, C1-C4, R1-R6 and the unit algebra of each stock
+    signature."""
+    return [
+        *map(cyclic_group, range(1, 9)),
+        klein_four(),
+        symmetric_group_3(),
+        vee_semilattice(),
+        *map(chain_semilattice, range(1, 5)),
+        *map(mod_ring, range(1, 7)),
+        *(unit_algebra(sig) for sig in (GROUP_SIG, SEMILATTICE_SIG, RING_SIG)),
+    ]
+
+
+def test_stock_algebras_equal_their_checked_rebuild():
+    """The stock builders lay out their rows unchecked. Each stock algebra
+    passes the check of an outside table, and its rebuild from the tables
+    view equals it in every layout; S3's mul composes permutations, its
+    right factor applied first, and its inv inverts them."""
+    algs = every_stock_algebra()
+    assert len(algs) == 24
+    for g in algs:
+        h = FiniteAlgebra(g.sig, g.sizes, g.tables, name=g.name)
+        assert (h.nested(), h.digest(), h.byte_tables()) == (g.nested(), g.digest(), g.byte_tables()), g.name
+    s3, perms = symmetric_group_3(), sorted(itertools.permutations(range(3)))
+    for (i, a), (j, b) in itertools.product(enumerate(perms), repeat=2):
+        assert perms[s3.apply("mul", (i, j))] == tuple(a[b[x]] for x in range(3))
+    for i, a in enumerate(perms):
+        assert perms[s3.apply("mul", (i, s3.apply("inv", (i,))))] == perms[s3.nested()["e"]] == (0, 1, 2)
+    for build, n, message in (
+        (cyclic_group, 0, "order must be positive"),
+        (mod_ring, 0, "order must be positive"),
+        (mod_ring, -1, "order must be positive"),
+        (chain_semilattice, 0, "carriers must be nonempty"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(n)
+
+
+def _z2_tables(**changes) -> dict:
+    """Z2's tables keyed by argument tuples, each op's entries updated by
+    changes[op], an op mapped to None dropped."""
+    tables = {name: dict(table) for name, table in cyclic_group(2).tables.items()}
+    for name, change in changes.items():
+        if change is None:
+            del tables[name]
+        else:
+            tables[name].update(change)
+    return tables
+
+
+@pytest.mark.parametrize(
+    "sizes, tables, message",
+    [
+        ((2, 2), _z2_tables(), "one carrier size per sort required"),
+        ((2,), _z2_tables(inv=None), "missing table for op 'inv'"),
+        ((2,), {**_z2_tables(), "mul": {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 0}}, "table for 'mul' missing entry (1, 1)"),
+        ((2,), _z2_tables(mul={(1, 1): 2}), "table for 'mul' at (1, 1): result out of range"),
+    ],
+)
+def test_finite_algebra_checks_outside_tables(sizes, tables, message):
+    """A table from outside the package is checked once, as it enters: the
+    carrier count, then each op's table in declaration order, then its
+    entries in lexicographic order."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteAlgebra(GROUP_SIG, sizes, tables, name="A")

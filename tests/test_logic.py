@@ -596,6 +596,34 @@ def test_ultrapower_los(m_z2, m_z4, gctx2):
     assert los_check(m_z2, 3, 1, formulas, gctx2) == []
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_los_holds_on_random_models_with_relations(seed):
+    """Łoś's theorem for principal ultrapowers: on a random Z2, Z3, V4 or S3
+    model with a unary and a binary relation, every formula, each with a
+    relation atom, holds at a power point iff it holds at the projected
+    point, at every principal coordinate of the 2nd or 3rd power (S3's
+    2nd)."""
+    rng = random.Random(seed)
+    g = [cyclic_group(2), cyclic_group(3), klein_four(), symmetric_group_3()][seed % 4]
+    k = g.sizes[0]
+    rel_sig = RelSignature(GROUP_SIG, [("P", ("g",)), ("R", ("g", "g"))])
+    rows = {
+        "P": [row for row in itertools.product(range(k), repeat=1) if rng.random() < 0.5],
+        "R": [row for row in itertools.product(range(k), repeat=2) if rng.random() < 0.4],
+    }
+    m = Model(g, rel_sig, rows)
+    ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
+    formulas = [
+        Rel("P", (app("mul", X, Y),)),
+        Or((Not(Rel("R", (X, app("inv", Y)))), Eq(X, Y))),
+        exists_f(["y"], And((Rel("R", (X, Y)), Rel("P", (Y,))))),
+        *(random_formula(rng, GROUP_SIG, ctx, rel_sig, 2) for _ in range(2)),
+    ]
+    n = 2 if g.name == "S3" else 2 + seed // 4
+    for alpha0 in range(n):
+        assert los_check(m, n, alpha0, formulas, ctx) == [], (alpha0, rows)
+
+
 def test_substitution_theorem(m_z2, gctx2):
     gctx = GeoContext(m_z2.algebra, gctx2)
     rng = random.Random(12)

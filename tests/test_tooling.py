@@ -270,19 +270,11 @@ def test_term_walks_are_loops():
 
 def test_only_outside_tables_are_checked():
     """Every table built in the package is total and in range by
-    construction; FiniteAlgebra checks only tables from outside it: the
-    stock builders, the unit algebra and a workspace's algebras."""
+    construction, the stock algebras' rows among them; FiniteAlgebra checks
+    only tables from outside it: a workspace's algebras."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert callers_of(sources, "FiniteAlgebra") == [
-        "algebras.unit_algebra",
-        "algebras.cyclic_group",
-        "algebras.klein_four",
-        "algebras.symmetric_group_3",
-        "algebras.chain_semilattice",
-        "algebras.vee_semilattice",
-        "algebras.mod_ring",
-        "sexpr._parse_algebra",
-    ]
+    assert callers_of(sources, "FiniteAlgebra") == ["sexpr._parse_algebra"]
+    assert "class Algebras" not in sources["sexpr"]
 
 
 def test_products_and_submodels_are_generations():
