@@ -262,26 +262,24 @@ def enumerate_points(ctx: VarContext, g: FiniteAlgebra, cap: Optional[int] = Non
 class GeneratedSubalgebra:
     """The subalgebra of a product of factor algebras generated by seed rows.
 
-    Built by generate(). Members of each sort are kept in discovery order,
-    each with a witness term over the generator variables: breadth-first
-    shortest, ties broken by op declaration order then argument order. A
+    Built by generate(). Members of each sort are kept in discovery order. A
     member is a row with one entry per factor, except in subalgebras of a
     single algebra (subalgebra_generated), whose members are its elements.
     cells holds every op's table over member positions as nested lists (the
     result position itself for a nullary op); origin lists each generated
     member's sort, op and generating cell, in discovery order. index, each
-    sort's member -> position map, is built on its first read.
+    sort's member -> position map, and witnesses are built on first read.
     """
 
     __slots__ = (
-        "sig", "members", "_index", "witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg"
+        "sig", "members", "_index", "_witnesses", "gen_vars", "seeds", "cells", "origin", "name", "_alg"
     )
 
-    def __init__(self, sig, members, witnesses, gen_vars, seeds, cells, origin, name):
+    def __init__(self, sig, members, gen_vars, seeds, cells, origin, name):
         self.sig: Signature = sig
         self.members: tuple[tuple, ...] = members
         self._index: Optional[list[dict]] = None
-        self.witnesses: tuple[tuple[Term, ...], ...] = witnesses
+        self._witnesses: Optional[tuple[tuple[Term, ...], ...]] = None
         self.gen_vars: tuple[tuple[str, int, object], ...] = gen_vars
         self.seeds: tuple[tuple[int, int], ...] = seeds
         self.cells: dict[str, object] = cells
@@ -300,6 +298,23 @@ class GeneratedSubalgebra:
 
     def size(self) -> int:
         return sum(len(m) for m in self.members)
+
+    @property
+    def witnesses(self) -> tuple[tuple[Term, ...], ...]:
+        """Each member's witness term over the generator variables, aligned
+        with members: breadth-first shortest, ties broken by op declaration
+        order then argument order. Read off in extend_all's walk, and interned,
+        on the first read: a seed that opens a position is its variable, and
+        each origin entry applies its op to its cell's witnesses."""
+        if self._witnesses is None:
+            wit: list[list[Term]] = [[] for _ in self.members]
+            for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds):
+                if pos == len(wit[s]):
+                    wit[s].append(var(name))
+            for s, op, combo in self.origin:
+                wit[s].append(app(op.name, *map(getitem, map(wit.__getitem__, op.args), combo)))
+            self._witnesses = tuple(map(tuple, wit))
+        return self._witnesses
 
     def witness_of(self, sort: int, element) -> Term:
         return self.witnesses[sort][self.index[sort][element]]
@@ -320,10 +335,8 @@ class GeneratedSubalgebra:
 
     def _renamed(self, members) -> "GeneratedSubalgebra":
         gen_vars = tuple((name, s, members[s][pos]) for (name, _, _), (s, pos) in zip(self.gen_vars, self.seeds))
-        out = GeneratedSubalgebra(
-            self.sig, members, self.witnesses, gen_vars, self.seeds, self.cells, self.origin, self.name
-        )
-        out._alg = self._alg
+        out = GeneratedSubalgebra(self.sig, members, gen_vars, self.seeds, self.cells, self.origin, self.name)
+        out._alg, out._witnesses = self._alg, self._witnesses
         return out
 
     def generator_context(self) -> VarContext:
@@ -407,10 +420,9 @@ def generate(
     names: Sequence[str],
     budget: Optional[int] = None,
     stage: str = "generation",
-    watch: Optional[Callable[[int, Sequence[int], Term], bool]] = None,
+    watch: Optional[Callable[[int, Sequence[int]], bool]] = None,
     name: Optional[str] = None,
-    members_only: bool = False,
-) -> Optional[GeneratedSubalgebra | tuple[tuple, ...]]:
+) -> GeneratedSubalgebra:
     """The subalgebra of the product of the factors generated by seed rows.
 
     seeds are (sort, row) pairs, named by names. Generation goes in rounds;
@@ -419,9 +431,13 @@ def generate(
     ops in round one), so every cell is computed once and recorded. A budget
     bounds members and cells alike: the member past it raises
     CapExceeded("<stage> members"), and a cell computed past it
-    CapExceeded("<stage> tables"). watch sees each new member, as _cells
-    keeps it (entry i is factor i's), before it is added; if it returns
-    true, generation stops and None is returned.
+    CapExceeded("<stage> tables"). No term is built: witnesses are read off
+    the result's seeds and origin when asked for.
+
+    watch sees each new member, as _cells keeps it (entry i is factor i's),
+    before it is added. If it returns true, that member is recorded, with its
+    origin entry or its seed position but not charged, and the generation
+    so far is returned: its cells are incomplete.
 
     With a budget and no watch, each round that adds members ends by
     projecting the cells its members already span, the sum over ops of the
@@ -435,38 +451,28 @@ def generate(
     _cells picks how a member is kept while generating, as a bytes column
     or a tuple row, and computes each run's cells; everything else, the
     members of the result (tuple rows) among it, is the same either way.
-
-    With members_only the result is just the members of each sort, in
-    discovery order: no witness terms are built (so none is interned), and
-    no cells or origin are recorded. Members and cells are charged all the
-    same, so the same rows overflow at the same count. Those members
-    are left as generation keeps them, bytes columns or tuple rows.
     """
     sig = _common_sig(factors)
     nsorts = len(sig.sorts)
     members: list[list] = [[] for _ in range(nsorts)]
     index: list[dict] = [{} for _ in range(nsorts)]
-    witnesses: list[list[Term]] = [[] for _ in range(nsorts)]
     origin: list[tuple[int, Op, tuple[int, ...]]] = []
-    cells: dict[str, object] = {op.name: None if members_only else [] for op in sig.ops}
+    cells: dict[str, object] = {op.name: [] for op in sig.ops}
+    seed_pos: list[tuple[int, int]] = []
     engine = _cells(factors, members)
     total = charged = 0
 
-    def add(s: int, key, op: Optional[Op], combo: tuple[int, ...] = (), gen_name: str = "") -> int:
+    def add(s: int, key, op: Optional[Op], combo: tuple[int, ...] = ()) -> int:
         """Adds a member made by op from the members at combo, or a seed (op None)."""
         nonlocal total
-        wit = None
-        if not members_only:
-            wit = var(gen_name) if op is None else app(op.name, *[witnesses[a][i] for a, i in zip(op.args, combo)])
-        if watch is not None and watch(s, key, wit):
-            raise _Stop
         pos = len(members[s])
+        stop = watch is not None and watch(s, key)
         index[s][key] = pos
         members[s].append(key)
-        if not members_only:
-            witnesses[s].append(wit)
-            if op is not None:
-                origin.append((s, op, combo))
+        if op is not None:
+            origin.append((s, op, combo))
+        if stop:
+            raise _Stop
         total += 1
         if budget is not None and total > budget:
             raise CapExceeded(f"{stage} members", total, budget)
@@ -479,13 +485,12 @@ def generate(
             raise CapExceeded(f"{stage} tables", charged, budget)
 
     try:
-        seed_pos = []
-        for (s, row), gen_name in zip(seeds, names):
+        for s, row in seeds:
             key = engine.column(row)
             pos = index[s].get(key)
+            seed_pos.append((s, len(members[s]) if pos is None else pos))
             if pos is None:
-                pos = add(s, key, None, gen_name=gen_name)
-            seed_pos.append((s, pos))
+                add(s, key, None)
         old = [0] * nsorts
         first = True
         while True:
@@ -497,9 +502,7 @@ def generate(
                         charge(1)
                         key = engine.constant(op)
                         pos = idx.get(key)
-                        if pos is None:
-                            pos = add(op.result, key, op)
-                        cells[op.name] = pos
+                        cells[op.name] = add(op.result, key, op) if pos is None else pos
                     continue
                 for prefix, span, row in _round_runs(
                     cells[op.name], [old[s] for s in arg_sorts], [cur[s] for s in arg_sorts], False
@@ -508,15 +511,11 @@ def generate(
                     keys = engine.run(op, prefix, span)
                     found = list(map(idx.get, keys))
                     if None not in found:  # no new member: the whole row at once
-                        if row is not None:
-                            row.extend(found)
+                        row.extend(found)
                         continue
                     for j, key in zip(span, keys):
                         pos = idx.get(key)
-                        if pos is None:
-                            pos = add(op.result, key, op, (*prefix, j))
-                        if row is not None:
-                            row.append(pos)
+                        row.append(add(op.result, key, op, (*prefix, j)) if pos is None else pos)
             first = False
             sizes = [len(m) for m in members]
             if sizes == cur:
@@ -527,13 +526,10 @@ def generate(
                     raise CapExceeded(f"{stage} tables", need, budget)
             old = cur
     except _Stop:
-        return None
-    if members_only:
-        return tuple(map(tuple, members))
+        pass
     return GeneratedSubalgebra(
         sig,
         tuple(tuple(map(tuple, ms)) for ms in members),
-        tuple(map(tuple, witnesses)),
         tuple((gen_name, s, row) for (s, row), gen_name in zip(seeds, names)),
         tuple(seed_pos),
         cells,
@@ -666,21 +662,19 @@ def _byte_tables(g: FiniteAlgebra) -> Optional[dict[str, object]]:
     return tables
 
 
-def _round_runs(cells: Optional[list], olds: Sequence[int], curs: Sequence[int], fresh: bool):
+def _round_runs(cells: list, olds: Sequence[int], curs: Sequence[int], fresh: bool):
     """(prefix, last-index range, cell row) runs of one round, lexicographically.
 
     Covers the index tuples below curs with some index at or above olds (any,
     once fresh); the row is where their cells go, created when first reached.
-    With cells None, nothing is created and every row is None.
     """
     if len(curs) == 1:
         yield (), range(0 if fresh else olds[0], curs[0]), cells
         return
     for i in range(curs[0]):
-        if cells is not None and i == len(cells):
+        if i == len(cells):
             cells.append([])
-        sub = None if cells is None else cells[i]
-        for prefix, span, row in _round_runs(sub, olds[1:], curs[1:], fresh or i >= olds[0]):
+        for prefix, span, row in _round_runs(cells[i], olds[1:], curs[1:], fresh or i >= olds[0]):
             yield (i, *prefix), span, row
 
 

@@ -24,6 +24,7 @@ from .algebras import (
     Point,
     _cell_rows,
     _hom_candidates,
+    dense_blocks,
     enumerate_homs,
     eval_columns,
     eval_pairs,
@@ -33,7 +34,6 @@ from .algebras import (
     subalgebra_generated,
 )
 from .congruences import (
-    FinitePartitionCongruence,
     KernelCongruence,
     Pair,
     PairSet,
@@ -72,7 +72,7 @@ class CoordinateAlgebra:
     element keeps a witness term that evaluates to it at each point of A.
     """
 
-    __slots__ = ("gctx", "point_list", "generation", "algebra", "row_index", "witnesses", "vectors")
+    __slots__ = ("gctx", "point_list", "generation", "algebra", "row_index", "vectors")
 
     def __init__(self, gctx: GeoContext, point_list: list[Point], generation: GeneratedSubalgebra):
         self.gctx = gctx
@@ -80,8 +80,11 @@ class CoordinateAlgebra:
         self.generation = generation
         self.algebra = generation.as_algebra()
         self.row_index = generation.generator_point()
-        self.witnesses = generation.witnesses
         self.vectors = generation.members
+
+    @property
+    def witnesses(self) -> tuple[tuple[Term, ...], ...]:
+        return self.generation.witnesses
 
     def kernel(self) -> KernelCongruence:
         return generated_kernel(self.generation, self.gctx.ctx)
@@ -335,21 +338,21 @@ def all_closed_point_sets(gctx: GeoContext, cap: Optional[int] = None):
 def _equalizers(gctx: GeoContext, cap: Optional[int] = None) -> list[int]:
     """The distinct masks of V(u = v) for term functions u, v on the whole space.
 
-    The term functions are the members of the coordinate algebra of
-    gctx.full(), generated as value columns alone (generate's members_only)
-    and charged like coordinate_algebra, so they raise the same CapExceeded;
-    the pairs compared are charged too. There are at most
+    The term functions are the members of the generation coordinate_algebra
+    makes for gctx.full(), charged the same, so they raise the same
+    CapExceeded; the pairs compared are charged too. A sort with no term
+    has no members here, where coordinate_algebra raises. There are at most
     min(pairs, 2^points) masks of one bit per point.
     """
     pts, cap = gctx.points, get_cap(cap)
     rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(gctx.ctx.vars)]
-    members = generate([gctx.g] * len(pts), rows, gctx.ctx.names, cap, stage="coordinate algebra", members_only=True)
+    members = generate([gctx.g] * len(pts), rows, gctx.ctx.names, cap, stage="coordinate algebra").members
     check_cap("equalizer pairs", sum(len(ms) * (len(ms) - 1) // 2 for ms in members), cap)
     # Each column is packed into one int, point i in digit i of w bits, whose
     # top bit (the guard) no value sets. With every guard of u ^ v set,
     # subtracting 1 from each digit clears exactly the guards of the points
-    # where u and v agree. Below 128 a digit is a byte, so a column, bytes or
-    # tuple, is packed by one int.from_bytes.
+    # where u and v agree. Below 128 a digit is a byte, so a column is packed
+    # by one int.from_bytes.
     top = max(gctx.g.sizes) - 1
     if top < 128:
         w, pack = 8, partial(int.from_bytes, byteorder="little")
@@ -376,29 +379,30 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     """A pair of terms in exactly one of the two kernels, or None if equal.
 
     Generates the subalgebra of target_a x target_b from the paired variable
-    rows, carrying witness terms, with its members and cells charged against
-    the cap; a first-component collision is a pair in
-    Ker(ka) only, a second-component collision one in Ker(kb) only. None
-    means the kernels coincide (the collision-free pairing is a
-    homomorphism both ways).
+    rows, with its members and cells charged against the cap, and stops at
+    the first member that collides with an earlier one in one component: a
+    first-component collision is a pair in Ker(ka) only, a second-component
+    collision one in Ker(kb) only. The pair is the two members' witnesses,
+    read off the stopped generation. None means the kernels coincide (the
+    collision-free pairing is a homomorphism both ways).
     """
     if ka.ctx.vars != kb.ctx.vars:
         raise ValueError("kernels live over different contexts")
-    first: dict[tuple[int, int, int], Term] = {}  # (side, sort, element) -> earliest witness
+    first: dict[tuple[int, int, int], tuple] = {}  # (side, sort, element) -> earliest member
     hit = None
 
-    def collides(s: int, row: Sequence[int], wit: Term) -> bool:
+    def collides(s: int, row: Sequence[int]) -> bool:
         nonlocal hit
         old = first.get((0, s, row[0])) or first.get((1, s, row[1]))
         if old is not None:
-            hit = normalize_pair((old, wit))
+            hit = (s, old), (s, tuple(row))
             return True
-        first[(0, s, row[0])] = first[(1, s, row[1])] = wit
+        first[(0, s, row[0])] = first[(1, s, row[1])] = tuple(row)
         return False
 
     rows = [(s, (u, v)) for (_, s), u, v in zip(ka.ctx.vars, ka.assignment, kb.assignment)]
-    generate((ka.target, kb.target), rows, ka.ctx.names, get_cap(cap), stage="kernel separation scan", watch=collides)
-    return hit
+    gen = generate((ka.target, kb.target), rows, ka.ctx.names, get_cap(cap), "kernel separation scan", watch=collides)
+    return None if hit is None else normalize_pair(tuple(gen.witness_of(s, member) for s, member in hit))
 
 
 # each verdict's first field is its JSON tag, set by the class
@@ -687,12 +691,10 @@ def nullstellensatz_check(
     flags, cols = sub.extend_all(gctx.points, gctx.g)
     points = PointSet.of_flags(gctx, flags)
     labels = _hom_kernel_labels(flags, cols, [range(n) for n in a0.sizes])
-    hk = FinitePartitionCongruence(a0, labels, validate=False)
-    q = quotient(a0, hk, name=f"{a0.name}/hker")
+    blocks = dense_blocks(a0, labels)
+    q = quotient(a0, blocks, name=f"{a0.name}/hker")
     rhs = KernelCongruence(
-        q,
-        t_kernel.ctx,
-        tuple(hk.block_ids[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point())),
+        q, t_kernel.ctx, tuple(blocks[s][e] for (_, s), e in zip(t_kernel.ctx.vars, sub.generator_point()))
     )
     coord = coordinate_algebra(points, cap) if len(points) else None
     lhs = congruence_of(points) if coord is None else coord.kernel()

@@ -599,16 +599,15 @@ def _cross_cases():
 
 
 CAPS = (1, 2, 5, 17, 60, 250, 1000)
-FLAGS = ({}, {"members_only": True})
 
 
-def _cap_outcome(factors, rows, names, cap, flags):
+def _cap_outcome(factors, rows, names, cap):
     """The members of a generation under cap as tuple rows, or its CapExceeded."""
     try:
-        out = generate(factors, rows, names, cap, stage="cross", **flags)
+        out = generate(factors, rows, names, cap, stage="cross")
     except CapExceeded as e:
         return e
-    return [list(map(tuple, ms)) for ms in (out if flags.get("members_only") else out.members)]
+    return [list(ms) for ms in out.members]
 
 
 @pytest.mark.parametrize("g, ctx, pts, column", _cross_cases(), ids=lambda v: getattr(v, "name", None))
@@ -617,12 +616,13 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     bound allows; an equal copy among the factors forces tuple rows. Both
     give the same members, witnesses, cells, origin, seeds and cap errors,
     and raise iff the whole run has more members or more table cells than
-    the cap (o_generation_counts), with or without members_only."""
+    the cap (o_generation_counts)."""
     copy = FiniteAlgebra(g.sig, g.sizes, g.tables, name=g.name)
     rows = [(s, tuple(p[i] for p in pts)) for i, (_, s) in enumerate(ctx.vars)]
     power, mixed = [g] * len(pts), [g] + [copy] * (len(pts) - 1)
-    assert {type(m) for ms in generate(power, rows, ctx.names, members_only=True) for m in ms} == {column}
-    assert {type(m) for ms in generate(mixed, rows, ctx.names, members_only=True) for m in ms} == {tuple}
+    engines = {bytes: algebras._ByteCells, tuple: algebras._TupleCells}
+    assert type(algebras._cells(power, [[]])) is engines[column]
+    assert type(algebras._cells(mixed, [[]])) is algebras._TupleCells
     a, b = generate(power, rows, ctx.names), generate(mixed, rows, ctx.names)
     assert a.members == b.members
     assert {s: sorted(ms) for s, ms in enumerate(a.members)} == oracles.o_row_subalgebra(g, ctx, pts)
@@ -632,13 +632,12 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     assert a.index == b.index and a.contains(0, a.members[0][0])
     members, cells = oracles.o_generation_counts(g, ctx, pts)
     for cap in CAPS:
-        for flags in FLAGS:
-            got = _cap_outcome(power, rows, ctx.names, cap, flags)
-            assert str(got) == str(_cap_outcome(mixed, rows, ctx.names, cap, flags)), (cap, flags)
-            over = members > cap or cells > cap
-            assert isinstance(got, CapExceeded) == over, (cap, flags)
-            if not over:
-                assert got == [list(ms) for ms in a.members]
+        got = _cap_outcome(power, rows, ctx.names, cap)
+        assert str(got) == str(_cap_outcome(mixed, rows, ctx.names, cap)), cap
+        over = members > cap or cells > cap
+        assert isinstance(got, CapExceeded) == over, cap
+        if not over:
+            assert got == [list(ms) for ms in a.members]
 
 
 @given(
@@ -652,9 +651,8 @@ def test_byte_and_tuple_kernels_give_the_same_generation(g, ctx, pts, column):
     ),
     st.integers(1, 2),
     st.integers(1, 400),
-    st.sampled_from(FLAGS),
 )
-def test_random_generations_raise_exactly_past_the_cap(algebra, nvars, cap, flags):
+def test_random_generations_raise_exactly_past_the_cap(algebra, nvars, cap):
     """The same verdict over random 2-4 element algebras with one unary and
     one binary op, on 1-3 points of one or two variables."""
     n, f, m, pts = algebra
@@ -665,7 +663,7 @@ def test_random_generations_raise_exactly_past_the_cap(algebra, nvars, cap, flag
     pts = [tuple(p[:nvars]) for p in pts]
     members, cells = oracles.o_generation_counts(g, ctx, pts)
     rows = [(0, tuple(p[i] for p in pts)) for i in range(nvars)]
-    got = _cap_outcome([g] * len(pts), rows, ctx.names, cap, flags)
+    got = _cap_outcome([g] * len(pts), rows, ctx.names, cap)
     assert isinstance(got, CapExceeded) == (members > cap or cells > cap)
 
 
@@ -691,14 +689,15 @@ def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
         members, _ = oracles.o_generation_counts(g, ctx, pts)
         added = [0] * len(g.sig.sorts)
 
-        def stop_halfway(s, key, wit):
+        def stop_halfway(s, key):
             if sum(added) == members // 2:
                 return True
             added[s] += 1
             return False
 
         computed[0] = 0
-        assert generate([g] * len(pts), rows, ctx.names, watch=stop_halfway) is None
+        # the stopping member is recorded, uncharged
+        assert generate([g] * len(pts), rows, ctx.names, watch=stop_halfway).size() == sum(added) + 1
         bound = max(sum(added), computed[0])
         spans = sum(math.prod(added[a] for a in op.args) for op in g.sig.ops)
         for cap in CAPS:
@@ -708,7 +707,7 @@ def test_a_watched_generation_is_bounded_by_what_it_computed(monkeypatch):
             except CapExceeded:
                 assert cap < bound, (g.name, cap)
             else:
-                assert stopped is None and cap >= bound, (g.name, cap)
+                assert stopped.size() == sum(added) + 1 and cap >= bound, (g.name, cap)
                 spanned_past_the_cap += spans > cap
     assert spanned_past_the_cap > 0
 

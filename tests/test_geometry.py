@@ -22,7 +22,7 @@ from uag.algebras import (
     vee_semilattice,
 )
 from uag.config import DEFAULT_CAP, CapExceeded
-from uag.congruences import PairSet, kernel_leq, kernel_of_point, unit_kernel
+from uag.congruences import PairSet, h_ker, kernel_leq, kernel_of_point, unit_kernel
 from uag.geometry import (
     Equivalent,
     NotEquivalent,
@@ -278,13 +278,16 @@ def test_sweep_past_the_cap_keeps_the_walk(monkeypatch):
     assert errors == ["coordinate algebra tables: 103971 exceeds cap 65536"] * 2
     # a consumer that stops early gets its sets without an error
     assert _masks(itertools.islice(all_closed_point_sets(gctx, cap), 10)) == prefixes[1][:10]
-    # the term functions overflow at the same count with or without terms
-    # and tables, and so does the coordinate algebra of the full set
+    # the term functions overflow at the same count, alone and as the
+    # equalizers' generation, and so does the coordinate algebra of the full set
     rows = [(0, tuple(p[i] for p in gctx.points)) for i in range(2)]
     full = []
-    for flags in ({}, {"members_only": True}):
+    for members in (
+        lambda: generate([gctx.g] * 9, rows, ("x", "y"), cap, stage="coordinate algebra").members,
+        lambda: geometry._equalizers(gctx, cap),
+    ):
         with pytest.raises(CapExceeded) as e:
-            generate([gctx.g] * 9, rows, ("x", "y"), cap, stage="coordinate algebra", **flags)
+            members()
         full.append(str(e.value))
     with pytest.raises(CapExceeded) as e:
         coordinate_algebra(gctx.full(), cap)
@@ -361,7 +364,7 @@ def test_equalizers_match_pointwise_comparison(g, n):
     columns and for Z17's tuple rows, and the generic packing for Z130."""
     gctx = GeoContext(g, _context(g, n))
     rows = [(0, tuple(p[i] for p in gctx.points)) for i in range(n)]
-    members = generate([g] * len(gctx.points), rows, gctx.ctx.names, members_only=True)
+    members = generate([g] * len(gctx.points), rows, gctx.ctx.names).members
     want = {
         sum(1 << i for i, (a, b) in enumerate(zip(u, v)) if a == b)
         for ms in members
@@ -651,6 +654,70 @@ def test_separating_pair_detects_difference(z2, z4, gctx1):
     assert k2.contains(hit) != k4.contains(hit)
 
 
+def _separation_outcome(ka, kb, cap=None) -> str:
+    try:
+        pair = separating_pair(ka, kb, cap)
+    except CapExceeded as e:
+        return str(e)
+    return "None" if pair is None else f"{render(pair[0])} = {render(pair[1])}"
+
+
+def test_separating_pair_results_are_pinned(s3, z2, z4, z6, klein, gctx1, gctx2):
+    """7,720 scans pinned by digest: every ordered pair of point kernels of
+    five groups over one and two variables, and each point kernel over C2
+    of Z4, S3 and Z6 against its closure over Z2, Z6 and S3 at four caps.
+    Each result is the rendered pair, None, or the CapExceeded message."""
+    out = []
+    for g in (s3, z4, klein, z6, product([z2, z4])):
+        for ctx in (gctx1, gctx2):
+            ks = [kernel_of_point(p, g, ctx) for p in GeoContext(g, ctx).points]
+            out += [_separation_outcome(ka, kb) for ka in ks for kb in ks]
+    for h, g in ((z4, z2), (s3, z6), (z6, s3)):
+        gctx = GeoContext(g, gctx2)
+        for p in GeoContext(h, gctx2).points:
+            k = kernel_of_point(p, h, gctx2)
+            closed = congruence_of(variety_of_kernel(k, gctx))
+            out += [_separation_outcome(k, closed, cap) for cap in (None, 3, 10, 40)]
+    assert len(out) == 7720
+    assert sum("exceeds cap" in o for o in out) == 121
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "a5e0cf9d681511b4612c06f56c75d682e96abd4e97861b602f8573001d86138b"
+
+
+def test_generations_intern_no_terms_until_witnesses_are_read(s3, z2, z4, z6):
+    """Generating builds no term: a subalgebra, a hom search, the point walk
+    of geometric_equiv and two closures leave the process-global intern table
+    as it was. Reading a generation's witnesses interns them, and each one
+    evaluates to its member at the generator rows. The generator names are
+    used by no other test, so every witness over them is new."""
+    names = ("intern_u", "intern_v")
+    ctx1, ctx2 = (VarContext(s3.sig, [(n, "g") for n in names[:k]]) for k in (1, 2))
+    before = len(terms._APPS)
+    sub = subalgebra_generated(s3, [1, 3], gen_names=names)
+    assert len(terms._APPS) == before
+    s3z2 = product([s3, z2])
+    h_ker(s3z2, s3)
+    assert len(terms._APPS) == before
+    # S3 is not in SP(Z6), so its side is walked point by point
+    assert isinstance(geometric_equiv(s3, z6, ctx1), Equivalent)
+    assert len(terms._APPS) == before
+    gctx = GeoContext(z4, ctx2)
+    a = PointSet(gctx, [1, 6, 11])
+    closure_variety(a)
+    point_closure(gctx, (1, 2))
+    ca = coordinate_algebra(a)
+    assert len(terms._APPS) == before
+    greedy = s3z2.generation()
+    for gen, g, ctx, pts in (
+        (sub, s3, ctx2, [(1, 3)]),
+        (greedy, s3z2, greedy.generator_context(), [tuple(e for _, _, e in greedy.gen_vars)]),
+        (ca.generation, z4, ctx2, ca.point_list),
+    ):
+        want = [(s, list(m) if isinstance(m, tuple) else [m]) for s, ms in enumerate(gen.members) for m in ms]
+        assert algebras.eval_columns([w for ws in gen.witnesses for w in ws], pts, g, ctx) == want
+    assert len(terms._APPS) > before
+
+
 def test_geometric_equiv_self(z4, gctx1):
     v = geometric_equiv(z4, z4, gctx1)
     assert isinstance(v, Equivalent)
@@ -891,7 +958,7 @@ def test_nullstellensatz_homs_are_the_points_of_the_variety(z2, z3, z4, z6, s3, 
 
 
 def _swap_witnesses(gen) -> None:
-    gen.witnesses = (tuple(reversed(gen.witnesses[0])), *gen.witnesses[1:])
+    gen._witnesses = (tuple(reversed(gen.witnesses[0])), *gen.witnesses[1:])
 
 
 def _shift_a_cell(gen) -> None:

@@ -985,23 +985,50 @@ WS_VERBS = [
 
 
 @settings(max_examples=120, deadline=None)
-@given(mutated_ws(inserts=("(", ")", ";", "\n", "2", "-1", "7")))
-def test_every_workspace_verb_on_a_mutated_workspace_exits_0_1_or_2(tmp_path_factory, text):
+@given(mutated_ws(inserts=("(", ")", ";", "\n", "2", "-1", "7")), st.sampled_from((2, 5, 16, 256)))
+def test_every_workspace_verb_on_a_mutated_workspace_exits_0_1_or_2(tmp_path_factory, text, cap):
     """Each verb that reads a workspace, run on a damaged WS, exits 0 or 1,
     or 2 with exactly one error line; nothing escapes main. Inserted table
-    entries reach the algebra's own checks."""
+    entries reach the algebra's own checks, and the smaller caps reach the
+    point and coordinate algebra caps (see the next test)."""
     path = tmp_path_factory.getbasetemp() / "mutated-verbs.sx"
     path.write_text(text)
     for argv in WS_VERBS:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code, _ = run_cli(*argv, "-f", str(path), "--cap", "256")
+            code, _ = run_cli(*argv, "-f", str(path), "--cap", str(cap))
         err = err.getvalue()
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         else:
             assert "error:" not in err, (argv, err)
+
+
+# what each WS_VERBS call prints at a cap a verb of WS reaches: at cap 2
+# every verb that enumerates C2's 4 points, at cap 5 the verbs that build
+# a coordinate algebra over the 2 points of V(T) or of a kernel
+WS_CAP_ERRORS = {
+    2: (
+        {"variety", "closure", "nullsatz", "point-closure", "verbal", "morphism", "iso", "equiv", "query", "fo-variety"},
+        "error: point enumeration: 4 exceeds cap 2\n",
+    ),
+    5: ({"closure", "nullsatz", "iso"}, "error: coordinate algebra tables: 6 exceeds cap 5\n"),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(WS_CAP_ERRORS))
+def test_workspace_verbs_exit_2_at_the_caps_they_reach(tmp_path, cap):
+    """On WS itself, the verbs a cap stops exit 2 with its one error line,
+    and the others answer; a CapExceeded that escaped main would fail here."""
+    path = tmp_path / "ws.sx"
+    path.write_text(WS)
+    verbs, line = WS_CAP_ERRORS[cap]
+    for argv in WS_VERBS:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli(*argv, "-f", str(path), "--cap", str(cap))
+        assert (code, err.getvalue()) == ((2, line) if argv[0] in verbs else (0, "")), argv
 
 
 def test_argv_the_verb_parser_leaves_goes_to_the_full_parser(capsys):

@@ -1,7 +1,10 @@
 import ast
+import inspect
 from pathlib import Path
+from typing import Optional
 
 import uag.cli as cli
+from uag import algebras
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uag"
 
@@ -153,9 +156,10 @@ def test_every_cmd_function_is_bound_to_exactly_one_verb():
     assert set(bound.values()) == cmds
 
 
-def callers_of(sources: dict[str, str], method: str) -> list[str]:
-    """module.function for each call of method (as f(...) or x.f(...)),
-    naming the innermost enclosing function, or the module alone."""
+def callers_of(sources: dict[str, str], method: Optional[str], keyword: Optional[str] = None) -> list[str]:
+    """module.function for each call of method (as f(...) or x.f(...); any
+    callee if method is None) that passes keyword= if one is given, naming
+    the innermost enclosing function, or the module alone."""
     out = []
 
     def visit(node, where: str) -> None:
@@ -165,7 +169,8 @@ def callers_of(sources: dict[str, str], method: str) -> list[str]:
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "attr", getattr(f, "id", None)) == method:
+                named = method is None or getattr(f, "attr", getattr(f, "id", None)) == method
+                if named and (keyword is None or keyword in [k.arg for k in child.keywords]):
                     out.append(where)
             visit(child, where)
 
@@ -177,8 +182,9 @@ def callers_of(sources: dict[str, str], method: str) -> list[str]:
 
 
 def test_callers_detector():
-    sources = {"a": "def f():\n    x.g()\n    def h():\n        return g(1)\n    return h\ng()\n", "b": "y = x.g\n"}
+    sources = {"a": "def f():\n    x.g()\n    def h():\n        return g(1, k=2)\n    return h\ng()\n", "b": "y = x.g\n"}
     assert callers_of(sources, "g") == ["a.f", "a.h", "a"]
+    assert callers_of(sources, None, keyword="k") == callers_of(sources, "g", keyword="k") == ["a.h"]
 
 
 def test_byte_tables_has_one_reader():
@@ -287,3 +293,15 @@ def test_products_and_submodels_are_generations():
     assert callers_of(sources, "SubmodelView") == ["logic._submodel_view"]
     assert callers_of(sources, "_submodel_view") == ["logic.restrict_submodel", "logic.open_variety_check"]
     assert callers_of(sources, "restrict_submodel") == ["logic.fundamental_check"]
+
+
+def test_witnesses_are_read_off_a_generation():
+    """generate builds no terms and has one result type: a generation's
+    witness terms are read off its seeds and origin, in one place, when
+    asked for. Only separating_pair stops a generation with a watch."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    algebras_source = {"algebras": sources["algebras"]}
+    assert set(callers_of(algebras_source, "app")) == set(callers_of(algebras_source, "var")) == {"algebras.witnesses"}
+    params = inspect.signature(algebras.generate).parameters
+    assert "members_only" not in params and len(params) == 7
+    assert callers_of(sources, None, keyword="watch") == ["geometry.separating_pair"]
