@@ -171,27 +171,34 @@ def eval_columns(
     """Each term's sort and its value at every point, one (sort, column) per term.
 
     This is the one term evaluator: a single assignment is a one-point list.
-    Each distinct subterm's column is computed once, by table lookups over
-    whole columns, and its sort is checked on the way, with or without
-    points. Unknown variables and ops, wrong arities and ill-sorted arguments
-    raise ValueError.
+    Each distinct subterm's column is computed once, by one step of the
+    column engine (_cells), and its sort is checked on the way, with or
+    without points; the columns are returned as lists. Unknown variables
+    and ops, wrong arities and ill-sorted arguments raise ValueError.
     """
-    return _eval_columns(terms, points, g, ctx, {})
+    return [(s, list(col)) for s, col in _eval_columns(terms, points, g, ctx, {})]
 
 
 def _eval_columns(
     terms: Sequence[Term], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext, memo: dict
-) -> list[tuple[int, list[int]]]:
-    """eval_columns with the memo, by term id, given: callers that evaluate
-    several term families over one point list and context share one.
+) -> list[tuple[int, bytes | tuple[int, ...]]]:
+    """eval_columns with the memo, by term id, given, and each column kept as
+    the engine keeps a member of g to the power of the points: bytes within
+    g's byte bound at two points or more, a tuple otherwise, empty at none.
+    Callers that evaluate several term families over one point list and
+    context share one memo.
 
-    Each term's distinct subterms are evaluated in its postorder. An
-    ill-formed subterm's entry holds its error message in place of a sort.
-    No argument sort equals a message, so a parent passes on the message of
-    its first argument that is ill-formed or of the wrong sort, and a term
-    raises the error a left-to-right recursion from its root meets first.
+    Each term's distinct subterms are evaluated in its postorder, each one
+    in the step extend_all takes for a generated member: a variable is a
+    column of the points' coordinates, and an op one engine apply over its
+    arguments' columns (the engine's members list is unused). An ill-formed
+    subterm's entry holds its error message in place of a sort. No argument
+    sort equals a message, so a parent passes on the message of its first
+    argument that is ill-formed or of the wrong sort, and a term raises the
+    error a left-to-right recursion from its root meets first.
     """
-    sig, tables, ops = g.sig, g.nested(), g.sig.by_name
+    sig, ops = g.sig, g.sig.by_name
+    engine = _cells([g] * len(points), []) if points else None
     for t in terms:
         if id(t) in memo:
             continue
@@ -201,7 +208,7 @@ def _eval_columns(
             if isinstance(u, Var):
                 if ctx.has(u.name):
                     i = ctx.position(u.name)
-                    hit = ctx.vars[i][1], list(map(itemgetter(i), points))
+                    hit = ctx.vars[i][1], () if engine is None else engine.column(map(itemgetter(i), points))
                 else:
                     hit = f"unknown variable {u.name!r}", None
             else:
@@ -211,7 +218,7 @@ def _eval_columns(
                 elif len(args) != len(op.args):
                     hit = f"op {u.op!r}: expected {len(op.args)} arguments, got {len(args)}", None
                 else:
-                    table, out = tables[u.op], None
+                    arg_cols = []
                     for want, a in zip(op.args, args):
                         got, col = memo[id(a)]
                         if got != want:
@@ -219,9 +226,9 @@ def _eval_columns(
                                 got = f"op {u.op!r}: argument of sort {sig.sorts[got]!r}, expected {sig.sorts[want]!r}"
                             hit = got, None
                             break
-                        out = list(map(table.__getitem__, col)) if out is None else list(map(getitem, out, col))
+                        arg_cols.append(col)
                     else:
-                        hit = op.result, [table] * len(points) if out is None else out
+                        hit = op.result, () if engine is None else engine.apply(op, arg_cols)
             memo[id(u)] = hit
     cols = [memo[id(t)] for t in terms]
     for s, _ in cols:
@@ -232,18 +239,38 @@ def _eval_columns(
 
 def eval_pairs(
     pairs: Iterable[tuple[Term, Term]], points: Sequence[Point], g: FiniteAlgebra, ctx: VarContext
-) -> list[tuple[list[int], list[int]]]:
-    """Both sides' columns for each equation, from one eval_columns call.
+) -> list[tuple[bytes | tuple[int, ...], bytes | tuple[int, ...]]]:
+    """Both sides' columns for each equation, from one _eval_columns call,
+    kept as the engine keeps them: compare them whole, or read where they
+    agree with agree_mask.
 
     Raises ValueError when an equation's sides have different sorts.
     """
     pairs = list(pairs)
-    cols = eval_columns([t for pair in pairs for t in pair], points, g, ctx)
+    cols = _eval_columns([t for pair in pairs for t in pair], points, g, ctx, {})
     out = []
     for (w, w2), (s, lhs), (s2, rhs) in zip(pairs, cols[::2], cols[1::2]):
         check_same_sort(w, w2, s, s2, g.sig)
         out.append((lhs, rhs))
     return out
+
+
+_ZERO_IS_DIGIT_ONE = b"1" + b"0" * 255  # translate: 0 -> "1", anything else -> "0"
+
+
+def agree_mask(lhs: bytes | tuple[int, ...], rhs: bytes | tuple[int, ...]) -> int:
+    """The points where two columns of _eval_columns agree, as a mask: bit i
+    is set iff lhs[i] == rhs[i].
+
+    Byte columns are compared by one XOR of the ints they spell, read
+    back least significant byte first, so the binary digits come out in
+    the mask's order; tuple columns one entry at a time.
+    """
+    if isinstance(lhs, bytes):
+        digits = (int.from_bytes(lhs, "little") ^ int.from_bytes(rhs, "little")).to_bytes(len(lhs), "big")
+    else:
+        digits = bytes(map(ne, reversed(lhs), reversed(rhs)))
+    return int(digits.translate(_ZERO_IS_DIGIT_ONE), 2) if digits else 0
 
 
 def point_count(ctx: VarContext, g: FiniteAlgebra) -> int:
@@ -378,10 +405,7 @@ class GeneratedSubalgebra:
             else:
                 check(col, [cols[s][pos]])
         for s, op, combo in self.origin:
-            if op.args:
-                cols[s].append(engine.joined(op, combo[:-1], range(combo[-1], combo[-1] + 1)))
-            else:
-                cols[s].append(engine.constant(op))
+            cols[s].append(engine.apply(op, list(map(getitem, map(cols.__getitem__, op.args), combo))))
         for op in self.sig.ops:
             results, cells = cols[op.result], self.cells[op.name]
             if not op.args:
@@ -558,8 +582,10 @@ def _cells(factors: Sequence[FiniteAlgebra], members: list[list]) -> "_ByteCells
 class _ByteCells:
     """Cells over a power G^N within the byte bound: a member is one bytes column.
 
-    The same steps compute hom images at N points at once, a member's
-    image being one bytes column too (GeneratedSubalgebra.extend_all).
+    The same steps compute hom images and term values at N points at once,
+    a member's image or a term's value being one bytes column too
+    (GeneratedSubalgebra.extend_all, _eval_columns); apply takes such a
+    step on one column per argument, a run of one cell.
     A run works on the members in its span laid end to end, N bytes each.
     A unary op is one translate of that string. A binary op reads each cell
     u, v as the base-256 numeral of (u * n_b + v) at every point, which no
@@ -583,6 +609,18 @@ class _ByteCells:
     def constant(self, op: Op) -> bytes:
         """The member a nullary op names."""
         return bytes((self.tables[op.name],)) * self.n
+
+    def apply(self, op: Op, args: Sequence[bytes]) -> bytes:
+        """op at one member of each argument sort, given as their columns:
+        the constant, one translate, or one big-int add and one translate."""
+        if not args:
+            return self.constant(op)
+        table = self.tables[op.name]
+        if len(args) == 1:
+            return args[0].translate(table)
+        times, flat = table
+        u = int.from_bytes(args[0].translate(times), "big")
+        return (u + int.from_bytes(args[1], "big")).to_bytes(self.n, "big").translate(flat)
 
     def run(self, op: Op, prefix: tuple[int, ...], span: range) -> tuple[bytes, ...]:
         """The cells of op at prefix followed by each last-argument position in span."""
@@ -628,6 +666,14 @@ class _TupleCells:
 
     def constant(self, op: Op) -> tuple[int, ...]:
         return tuple(self.tables[op.name])
+
+    def apply(self, op: Op, args: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+        """op at one member of each argument sort: each argument's entries
+        pick the next table row per factor."""
+        leaf = self.tables[op.name]
+        for col in args:
+            leaf = list(map(getitem, leaf, col))
+        return tuple(leaf)
 
     def run(self, op: Op, prefix: tuple[int, ...], span: range) -> list[tuple[int, ...]]:
         leaf, members = self.tables[op.name], self.members

@@ -14,7 +14,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from operator import eq, getitem, lshift
+from operator import getitem, lshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import CapExceeded, check_cap, get_cap
@@ -24,6 +24,7 @@ from .algebras import (
     Point,
     _cell_rows,
     _hom_candidates,
+    agree_mask,
     dense_blocks,
     enumerate_homs,
     eval_columns,
@@ -58,11 +59,12 @@ from .terms import (
 )
 
 def variety_of(gctx: GeoContext, pairs: Iterable[Pair]) -> PointSet:
-    """All points at which every equation holds."""
-    out = gctx.full()
+    """All points at which every equation holds: the meet of each
+    equation's agree_mask over one evaluation."""
+    mask = gctx.full_mask
     for lhs, rhs in eval_pairs(pairs, gctx.points, gctx.g, gctx.ctx):
-        out = out.intersection(PointSet.of_flags(gctx, map(eq, lhs, rhs)))
-    return out
+        mask &= agree_mask(lhs, rhs)
+    return PointSet.of_mask(gctx, mask)
 
 
 class CoordinateAlgebra:

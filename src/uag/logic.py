@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
-from operator import eq, getitem
+from operator import getitem
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .config import check_cap
@@ -23,9 +23,9 @@ from .algebras import (
     FiniteAlgebra,
     GeneratedSubalgebra,
     Point,
+    _eval_columns,
+    agree_mask,
     dense_blocks,
-    eval_columns,
-    eval_pairs,
     extend_with_constants,
     index_to_tuple,
     product,
@@ -33,7 +33,7 @@ from .algebras import (
     subalgebra_generated,
 )
 from .geometry import point_subalgebras, pull_back, random_term
-from .spaces import GeoContext, PointSet
+from .spaces import GeoContext, PointSet, flag_mask
 from .terms import (
     Signature,
     Substitution,
@@ -42,6 +42,7 @@ from .terms import (
     adjoin_constants,
     app,
     apply_subst,
+    check_same_sort,
     constant_name,
     term_vars,
     var,
@@ -156,7 +157,11 @@ class RelSignature:
 
 
 class Model:
-    """A finite algebra together with interpreted relations."""
+    """A finite algebra together with interpreted relations.
+
+    The constructor checks every row, for models from outside the package.
+    Relations the package builds are declared, of the right arity and in
+    range by construction and go to _built_model unchecked."""
 
     __slots__ = ("algebra", "rel_sig", "relations", "name")
 
@@ -191,38 +196,61 @@ class Model:
         return f"Model({self.name})"
 
 
+def _built_model(
+    algebra: FiniteAlgebra, rel_sig: RelSignature, relations: dict[str, frozenset[tuple[int, ...]]], name: str
+) -> Model:
+    """The model of relations laid out as Model keeps them, unchecked: for
+    callers whose relations hold every declared relation, and only rows of
+    its arity within the algebra's carriers, by construction."""
+    m = Model.__new__(Model)
+    m.algebra, m.rel_sig, m.relations, m.name = algebra, rel_sig, relations, name
+    return m
+
+
 def eval_formula(m: Model, f: Formula, gctx: GeoContext) -> PointSet:
-    """The value of the formula: every point at which it holds."""
-    if m.algebra.digest() != gctx.g.digest():
-        raise ValueError("model and geometry context use different algebras")
+    """The value of the formula: every point at which it holds.
+
+    This is fo_variety of the formula alone. Its atoms are evaluated left
+    to right over one column memo, so the first ill-formed atom raises;
+    sub-values are masks, and one PointSet is built at the end.
+    """
+    return fo_variety(m, [f], gctx)
+
+
+def _value_mask(m: Model, f: Formula, gctx: GeoContext, memo: dict) -> int:
+    """The formula's value as a mask of gctx's points, its atoms' columns
+    evaluated with the given memo: an equation's points are where its
+    sides agree, the connectives are &, | and the complement within the
+    full mask, and a quantifier is GeoContext.cylinder_mask."""
     ctx, g = gctx.ctx, gctx.g
     if isinstance(f, Eq):
-        [(lhs, rhs)] = eval_pairs([(f.lhs, f.rhs)], gctx.points, g, ctx)
-        return PointSet.of_flags(gctx, map(eq, lhs, rhs))
+        (s, lhs), (s2, rhs) = _eval_columns([f.lhs, f.rhs], gctx.points, g, ctx, memo)
+        check_same_sort(f.lhs, f.rhs, s, s2, g.sig)
+        return agree_mask(lhs, rhs)
     if isinstance(f, Rel):
         sorts = m.rel_sig.arity(f.name)
         rows = m.relations[f.name]
-        cols = eval_columns(f.args, gctx.points, g, ctx)
+        cols = _eval_columns(f.args, gctx.points, g, ctx, memo)
         if tuple(s for s, _ in cols) != sorts:
             got = " ".join(g.sig.sorts[s] for s, _ in cols)
             want = " ".join(g.sig.sorts[s] for s in sorts)
             raise ValueError(f"relation {f.name!r} takes ({want}), applied to terms of sorts ({got})")
         args = zip(*(col for _, col in cols)) if cols else [()] * len(gctx.points)
-        return PointSet.of_flags(gctx, map(rows.__contains__, args))
+        return flag_mask(bytes(map(rows.__contains__, args)))
     if isinstance(f, And):
-        out = gctx.full()
+        mask = gctx.full_mask
         for item in f.items:
-            out = out.intersection(eval_formula(m, item, gctx))
-        return out
+            mask &= _value_mask(m, item, gctx, memo)
+        return mask
     if isinstance(f, Or):
-        out = gctx.empty()
+        mask = 0
         for item in f.items:
-            out = out.union(eval_formula(m, item, gctx))
-        return out
+            mask |= _value_mask(m, item, gctx, memo)
+        return mask
     if isinstance(f, Not):
-        return eval_formula(m, f.body, gctx).complement()
+        return gctx.full_mask ^ _value_mask(m, f.body, gctx, memo)
     assert isinstance(f, Exists)
-    return exists_set(eval_formula(m, f.body, gctx), f.ys)
+    return gctx.cylinder_mask(_value_mask(m, f.body, gctx, memo), f.ys)
 
 
 def exists_set(a: PointSet, ys: Iterable[str]) -> PointSet:
@@ -457,12 +485,12 @@ def _submodel_view(m: Model, sub: GeneratedSubalgebra) -> SubmodelView:
     as_algebra(), with m's relations mapped through its index."""
     if not all(sub.members):
         raise ValueError("carriers must be nonempty")
-    rels: dict[str, set[tuple[int, ...]]] = {}
+    rels: dict[str, frozenset[tuple[int, ...]]] = {}
     for rel, rows in m.relations.items():
         cols = [sub.index[s] for s in m.rel_sig.rels[rel]]
         mapped = (tuple(map(dict.get, cols, row)) for row in rows)
-        rels[rel] = {row for row in mapped if None not in row}
-    sub_model = Model(sub.as_algebra(), m.rel_sig, rels, name=f"sub({m.name})")
+        rels[rel] = frozenset(row for row in mapped if None not in row)
+    sub_model = _built_model(sub.as_algebra(), m.rel_sig, rels, f"sub({m.name})")
     return SubmodelView(sub_model, sub.members, tuple(sub.index))
 
 
@@ -513,11 +541,17 @@ def fundamental_check(
 
 
 def fo_variety(m: Model, formulas: Iterable[Formula], gctx: GeoContext) -> PointSet:
-    """Points satisfying every formula; the empty set of formulas cuts nothing."""
-    out = gctx.full()
+    """Points satisfying every formula; the empty set of formulas cuts nothing.
+
+    The formulas are evaluated in turn, all over one column memo, and their
+    values are met as masks.
+    """
+    mask, memo = gctx.full_mask, {}
     for u in formulas:
-        out = out.intersection(eval_formula(m, u, gctx))
-    return out
+        if m.algebra.digest() != gctx.g.digest():
+            raise ValueError("model and geometry context use different algebras")
+        mask &= _value_mask(m, u, gctx, memo)
+    return PointSet.of_mask(gctx, mask)
 
 
 def fo_closure_member(
@@ -580,17 +614,17 @@ def _principal_power(
     g = m.algebra
     pw = product([g] * n, name=f"{g.name}^{n}", cap=cap)
     coord = [[index_to_tuple(e, (k,) * n)[alpha0] for e in range(pw.sizes[s])] for s, k in enumerate(g.sizes)]
-    rels: dict[str, set[tuple[int, ...]]] = {}
+    rels: dict[str, frozenset[tuple[int, ...]]] = {}
     for rel, rows in m.relations.items():
         sorts = m.rel_sig.rels[rel]
         check_cap("ultrapower relation rows", math.prod(pw.sizes[s] for s in sorts), cap)
         cols = [coord[s] for s in sorts]
-        rels[rel] = {
+        rels[rel] = frozenset(
             combo
             for combo in itertools.product(*[range(pw.sizes[s]) for s in sorts])
             if tuple(map(getitem, cols, combo)) in rows
-        }
-    return Model(pw, m.rel_sig, rels, name=f"{m.name}^{n}@{alpha0}"), coord
+        )
+    return _built_model(pw, m.rel_sig, rels, f"{m.name}^{n}@{alpha0}"), coord
 
 
 def los_check(
@@ -617,11 +651,11 @@ def los_check(
     # each relation of the power is read through the principal coordinate,
     # which the block ids renumber, so it is a union of classes: its rows map
     # onto the quotient's
-    q_rels: dict[str, set[tuple[int, ...]]] = {}
+    q_rels: dict[str, frozenset[tuple[int, ...]]] = {}
     for rel, rows in pm.relations.items():
         cols = [block_ids[s] for s in m.rel_sig.rels[rel]]
-        q_rels[rel] = {tuple(map(getitem, cols, row)) for row in rows}
-    qm = Model(q_alg, m.rel_sig, q_rels, name=f"{pm.name}/U")
+        q_rels[rel] = frozenset(tuple(map(getitem, cols, row)) for row in rows)
+    qm = _built_model(q_alg, m.rel_sig, q_rels, f"{pm.name}/U")
     violations: list[tuple[Formula, Point]] = []
     gctx_p = GeoContext(pw, ctx, cap)
     gctx_q = GeoContext(q_alg, ctx, cap)
@@ -653,7 +687,7 @@ def substitution_theorem_check(
     g = gctx.g
     sig_c, _ = adjoin_constants(g.sig, g)
     g_ext = extend_with_constants(g, sig_c)
-    m_ext = Model(g_ext, RelSignature(sig_c, _rel_decls(m)), m.relations, name=f"{m.name}+c")
+    m_ext = _built_model(g_ext, RelSignature(sig_c, _rel_decls(m)), m.relations, f"{m.name}+c")
     gctx_ext = GeoContext(g_ext, gctx.ctx, cap)
     value = eval_formula(m, u, gctx)
     full = len(gctx_ext.points)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import eq, ne, or_
 from typing import Iterable, Optional, Sequence
 
-from .algebras import FiniteAlgebra, _eval_columns, enumerate_points, inferred_context
+from .algebras import FiniteAlgebra, _eval_columns, agree_mask, enumerate_points, inferred_context
 from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_closure, normalize_pair
 from .terms import (
     Substitution,
@@ -140,16 +139,22 @@ def holds_clause(g: FiniteAlgebra, c: Clause, ctx=None, cap: Optional[int] = Non
 
 def _holds_at(g: FiniteAlgebra, c: Clause, ctx, points: list, memo: dict) -> bool:
     """holds_clause at the given points of ctx, with a column memo that
-    calls over the same algebra, context and points may share."""
-    literals = [(q, eq) for q in c.pos] + [(q, ne) for q in (*c.neg, *c.ante)]
+    calls over the same algebra, context and points may share.
+
+    Each literal's points are a mask: where its sides agree (agree_mask),
+    or the complement for a negated equation; the clause holds iff their
+    union is every point."""
+    literals = [(q, True) for q in c.pos] + [(q, False) for q in (*c.neg, *c.ante)]
     if c.cons is not None:
-        literals.append((c.cons, eq))
+        literals.append((c.cons, True))
     cols = _eval_columns([t for q, _ in literals for t in q], points, g, ctx, memo)
-    sat = [False] * len(points)
-    for ((w, w2), test), (s, lhs), (s2, rhs) in zip(literals, cols[::2], cols[1::2]):
+    full = (1 << len(points)) - 1
+    sat = 0
+    for ((w, w2), positive), (s, lhs), (s2, rhs) in zip(literals, cols[::2], cols[1::2]):
         check_same_sort(w, w2, s, s2, g.sig)
-        sat = list(map(or_, sat, map(test, lhs, rhs)))
-    return all(sat)
+        agree = agree_mask(lhs, rhs)
+        sat |= agree if positive else full ^ agree
+    return sat == full
 
 
 def rho_membership(premises: Iterable[Pair], query: Pair, extra_terms: Iterable[Term] = ()) -> bool:
@@ -507,6 +512,11 @@ def _equality_steps(eqs: Sequence[Pair], sig, ctx, budget: _Budget, keep) -> boo
 def _step_identity(cur, sig, ctx, bounds, budget, base, _qk, _closures) -> list[Clause]:
     pairs = [c.cons for c in cur]
     out: list[Clause] = []
+    # a pair of cur, or one met again, would make a clause equal to one
+    # derive_closure holds, which it drops: only a new pair's first
+    # occurrence is built. Interned terms are equal iff identical, so a pair
+    # up to the order identity() normalizes away is its ids, smaller first.
+    seen = {(id(w), id(w2)) if id(w) < id(w2) else (id(w2), id(w)) for w, w2 in pairs}
 
     def keep(w, w2):
         # reflexive consequences are left implicit; storing w=w clauses would
@@ -515,7 +525,10 @@ def _step_identity(cur, sig, ctx, bounds, budget, base, _qk, _closures) -> list[
             return
         if max(term_depth(w), term_depth(w2)) > bounds.depth:
             return
-        out.append(identity((w, w2)))
+        key = (id(w), id(w2)) if id(w) < id(w2) else (id(w2), id(w))
+        if key not in seen:
+            seen.add(key)
+            out.append(identity((w, w2)))
 
     if not _equality_steps(pairs, sig, ctx, budget, keep):
         return out

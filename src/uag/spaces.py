@@ -17,6 +17,11 @@ def at_bits(items: Sequence, mask: int) -> Iterator:
     return compress(items, bin(mask).encode()[:1:-1].translate(_FLAG))
 
 
+def flag_mask(flags: bytes) -> int:
+    """The mask with bit i set iff flags[i] is 1; flags holds one 0 or 1 per point."""
+    return int(flags[::-1].translate(_DIGIT), 2) if flags else 0
+
+
 def _low_mask(n: int, stride: int, size: int) -> int:
     """Mask of the points i < n with i // stride % size == 0."""
     low, period = (1 << stride) - 1, stride * size
@@ -48,14 +53,16 @@ class GeoContext:
         return self.g.sig
 
     def cylindrify(self, a: "PointSet", ys: Iterable[str]) -> "PointSet":
-        """The points that agree off ys with some point of a.
-
-        On the mask, one variable at a time: fold the slabs of the
-        variable's values onto the slab where it is 0, then copy that slab
-        back to every value.
-        """
+        """The points that agree off ys with some point of a (cylinder_mask)."""
         self._check(a)
-        mask = a.mask
+        return PointSet.of_mask(self, self.cylinder_mask(a.mask, ys))
+
+    def cylinder_mask(self, mask: int, ys: Iterable[str]) -> int:
+        """cylindrify on a mask of this context's points.
+
+        One variable at a time: fold the slabs of the variable's values onto
+        the slab where it is 0, then copy that slab back to every value.
+        """
         for y in ys:
             shifts, low = self._cylinder(y)
             folded = mask & low
@@ -64,7 +71,7 @@ class GeoContext:
             mask = folded
             for t in shifts:
                 mask |= folded << t
-        return PointSet.of_mask(self, mask)
+        return mask
 
     def _cylinder(self, y: str) -> tuple[range, int]:
         """(shifts, low) for variable y. Canonical point i has the value
@@ -158,7 +165,7 @@ class PointSet:
         b = bytes(flags)
         if len(b) != len(gctx.points):
             raise ValueError(f"{len(b)} flags for {len(gctx.points)} points")
-        return cls.of_mask(gctx, int(b[::-1].translate(_DIGIT), 2) if b else 0)
+        return cls.of_mask(gctx, flag_mask(b))
 
     @classmethod
     def of_points(cls, gctx: GeoContext, points: Iterable[Point]) -> "PointSet":

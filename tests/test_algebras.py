@@ -96,6 +96,43 @@ def test_eval_matches_oracle(s3, gctx2, r5, rctx2):
         eval_columns([app("f", var("x"))], points2, g2, ctx2)
 
 
+GROUP_CTX3 = VarContext(GROUP_SIG, [("x", "g"), ("y", "g"), ("z", "g")])
+
+
+@pytest.mark.parametrize(
+    "build, count, kind",
+    [
+        (symmetric_group_3, None, bytes),  # all 216 points, within the byte bound
+        (lambda: cyclic_group(17), 60, tuple),  # mul has 289 cells: past the byte bound
+        (lambda: product([symmetric_group_3()] * 2), 60, tuple),  # mul has 1296 cells
+        (symmetric_group_3, 1, tuple),
+        (symmetric_group_3, 0, tuple),
+    ],
+)
+def test_eval_columns_match_the_oracle_on_both_column_kinds(build, count, kind):
+    """Random terms over three variables evaluate as the recursive oracle
+    does, whichever way the engine keeps their columns: bytes for S3 at
+    many points, tuples past the byte bound and at one point, empty tuples
+    at none. eval_columns hands them out as lists either way."""
+    g = build()
+    rng = random.Random(31)
+    points = enumerate_points(GROUP_CTX3, g)
+    if count is not None:
+        points = rng.sample(points, count)
+    terms = [geometry.random_term(rng, GROUP_SIG, GROUP_CTX3, rng.randint(0, 4)) for _ in range(40)]
+    terms += [app("e"), app("mul", app("e"), var("z"))]
+    got = eval_columns(terms, points, g, GROUP_CTX3)
+    envs = [oracles.o_env(GROUP_CTX3, p) for p in points]
+    assert got == [(0, [oracles.o_eval(t, env, g.tables) for env in envs]) for t in terms]
+    engine_cols = algebras._eval_columns(terms, points, g, GROUP_CTX3, {})
+    assert {type(col) for _, col in engine_cols} == {kind}
+    assert [(s, list(col)) for s, col in engine_cols] == got
+    # both sides of a pair agree exactly where the oracle says they do
+    for (lhs, rhs), u, w in zip(algebras.eval_pairs(zip(terms, terms[1:]), points, g, GROUP_CTX3), terms, terms[1:]):
+        flags = [oracles.o_eval(u, env, g.tables) == oracles.o_eval(w, env, g.tables) for env in envs]
+        assert algebras.agree_mask(lhs, rhs) == sum(1 << i for i, ok in enumerate(flags) if ok)
+
+
 EVAL_SIG = Signature(
     ("a", "b"),
     [("f", ("b",), "a"), ("m", ("a", "a"), "a"), ("g", ("a", "b"), "b"), ("c", (), "a"), ("t", ("a", "b", "a"), "a")],

@@ -16,6 +16,7 @@ from uag.algebras import (
     cyclic_group,
     klein_four,
     mod_ring,
+    product,
     subalgebra_generated,
     symmetric_group_3,
     vee_semilattice,
@@ -94,6 +95,30 @@ def test_model_validation(m_z4):
         Model(z4, rel_sig, {"R": [(0,)]})
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"R": [(0, 1), (0,)]}, "relation 'R' row has wrong arity: (0,)"),
+        ({"P": [(1, 2)]}, "relation 'P' row has wrong arity: (1, 2)"),
+        ({"P": [(4,)]}, "relation 'P' row out of range: (4,)"),
+        ({"R": [(0, -1)]}, "relation 'R' row out of range: (0, -1)"),
+    ],
+)
+def test_model_checks_rows_from_outside(m_z4, rows, message):
+    with pytest.raises(ValueError) as e:
+        Model(m_z4.algebra, m_z4.rel_sig, rows)
+    assert str(e.value) == message
+
+
+def test_models_the_package_builds_pass_the_outside_check(m_z4):
+    """Submodels and principal powers are built unchecked; Model accepts
+    each as it is, with every declared relation."""
+    for m in (restrict_submodel(m_z4, [(0, 2)]).model, ultrapower_model(m_z4, 2, 1)):
+        checked = Model(m.algebra, m.rel_sig, m.relations, m.name)
+        assert set(m.relations) == set(m.rel_sig.rels)
+        assert checked.relations == m.relations and all(type(rows) is frozenset for rows in m.relations.values())
+
+
 def test_nullary_relation_is_full_or_empty(gctx2):
     z3 = cyclic_group(3)
     rel_sig = RelSignature(GROUP_SIG, [("T", ()), ("F", ())])
@@ -111,6 +136,51 @@ def test_eval_formula_matches_oracle(m_z4, gctx2):
         got = eval_formula(m_z4, f, gctx)
         want = oracles.o_eval_formula(m_z4, f, gctx2, gctx.points)
         assert got.points() == want, f
+
+
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        (symmetric_group_3, "xyz"),  # 216 points: byte columns
+        (lambda: cyclic_group(17), "xy"),  # past the byte bound: tuple columns
+        (lambda: product([symmetric_group_3()] * 2), "x"),  # past the byte bound
+        (lambda: cyclic_group(1), "xyz"),  # one point: tuple columns
+    ],
+)
+def test_formula_values_match_the_oracle_on_both_column_kinds(build, names):
+    """eval_formula and fo_variety give the definitional oracle's points
+    whichever way the engine keeps the atoms' columns. A context always has
+    a point, so no formula is evaluated at none (eval_columns is tested at
+    zero points)."""
+    g = build()
+    rng = random.Random(17)
+    m = _random_model(rng, g, f"M{g.name}")
+    ctx = VarContext(GROUP_SIG, [(n, "g") for n in names])
+    gctx = GeoContext(g, ctx)
+    formulas = [random_formula(rng, GROUP_SIG, ctx, rel_sig=m.rel_sig, depth=2) for _ in range(12)]
+    want = [set(oracles.o_eval_formula(m, f, ctx, gctx.points)) for f in formulas]
+    for f, points in zip(formulas, want):
+        assert set(eval_formula(m, f, gctx).points()) == points, f
+    for k in (0, 1, 3):
+        meet = set.intersection(set(gctx.points), *want[k : k + 3])
+        assert set(fo_variety(m, formulas[k : k + 3], gctx).points()) == meet
+
+
+def test_a_conjunction_raises_its_first_faulty_atoms_error(m_z4, gctx2):
+    """Atoms are evaluated left to right, over one memo: the first faulty
+    atom's error is raised, whatever the other one's fault."""
+    gctx = GeoContext(m_z4.algebra, gctx2)
+    unknown_rel, unknown_op = Rel("Q", (X,)), Eq(app("h", X), Y)
+    for f, message in (
+        (And((unknown_rel, unknown_op)), "unknown relation 'Q'"),
+        (And((unknown_op, unknown_rel)), "unknown op 'h'"),
+        (Or((Not(unknown_rel), exists_f(["y"], unknown_op))), "unknown relation 'Q'"),
+        (Or((exists_f(["y"], unknown_op), Not(unknown_rel))), "unknown op 'h'"),
+    ):
+        for fn in (eval_formula, lambda m, f, gctx: fo_variety(m, [Eq(X, X), f], gctx)):
+            with pytest.raises(ValueError) as e:
+                fn(m_z4, f, gctx)
+            assert str(e.value) == message
 
 
 def test_quantifier_sets_match_oracle(m_z4, gctx2):

@@ -283,6 +283,36 @@ def test_only_outside_tables_are_checked():
     assert "class Algebras" not in sources["sexpr"]
 
 
+def test_only_outside_models_are_checked():
+    """Relations the package builds are declared, of the right arity and in
+    range by construction, and go to _built_model; Model checks only the
+    rows of a workspace's models and of the CLI's relationless ones."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "Model") == ["cli._battery_fundamental", "cli._experiment_submodels", "sexpr._parse_model"]
+    assert callers_of(sources, "_built_model") == [
+        "logic._submodel_view",
+        "logic._principal_power",
+        "logic.los_check",
+        "logic.substitution_theorem_check",
+    ]
+
+
+def test_terms_evaluate_on_the_column_engine():
+    """_eval_columns is the one term evaluator, and it steps its columns
+    through _cells, as generation and hom extension do. Everything else
+    reaches it through eval_columns, eval_pairs or a shared memo, and reads
+    where two columns agree with agree_mask."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert callers_of(sources, "_cells") == ["algebras._eval_columns", "algebras.extend_all", "algebras.generate"]
+    assert sorted(set(callers_of(sources, "_eval_columns"))) == [
+        "algebras.eval_columns",
+        "algebras.eval_pairs",
+        "logic._value_mask",
+        "rules._holds_at",
+    ]
+    assert callers_of(sources, "agree_mask") == ["geometry.variety_of", "logic._value_mask", "rules._holds_at"]
+
+
 def test_products_and_submodels_are_generations():
     """product reads its tables off a generation, so algebras numbers no
     product rows itself; a submodel's relations are mapped in one function,
