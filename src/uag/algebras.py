@@ -186,7 +186,8 @@ def _eval_columns(
     the engine keeps a member of g to the power of the points: bytes within
     g's byte bound at two points or more, a tuple otherwise, empty at none.
     Callers that evaluate several term families over one point list and
-    context share one memo.
+    context share one memo; it also keeps, under the key None, the engine
+    for that point list, built on the first call.
 
     Each term's distinct subterms are evaluated in its postorder, each one
     in the step extend_all takes for a generated member: a variable is a
@@ -198,7 +199,9 @@ def _eval_columns(
     error a left-to-right recursion from its root meets first.
     """
     sig, ops = g.sig, g.sig.by_name
-    engine = _cells([g] * len(points), []) if points else None
+    engine = memo.get(None)
+    if engine is None and points:
+        engine = memo[None] = _cells([g] * len(points), [])
     for t in terms:
         if id(t) in memo:
             continue

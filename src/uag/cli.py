@@ -424,7 +424,7 @@ def _battery_fundamental(seed: int, trials: int, cap: Optional[int], failures: l
     ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
     for trial in range(trials):
         seeds = [(0, rng.randrange(g.sizes[0])) for _ in range(rng.randint(1, 2))]
-        members = list(subalgebra_generated(g, seeds).members)
+        sub = subalgebra_generated(g, seeds)
         u = None
         for _ in range(20):
             cand = random_formula(rng, GROUP_SIG, ctx, rel_sig=None, depth=2)
@@ -433,7 +433,7 @@ def _battery_fundamental(seed: int, trials: int, cap: Optional[int], failures: l
                 break
         if u is None:
             continue
-        rep = fundamental_check(m, members, u, ctx, cap)
+        rep = fundamental_check(m, sub, u, ctx, cap)
         if rep.open_formula and rep.relation != "equal":
             failures.append(f"fundamental equality broke on trial {trial}: {rep.relation}")
 
@@ -506,9 +506,9 @@ def _experiment_submodels(args) -> dict:
     counts: dict[str, dict[str, int]] = {}
     for _ in range(args.trials):
         seeds = [(0, rng.randrange(g.sizes[0])) for _ in range(rng.randint(1, 2))]
-        members = list(subalgebra_generated(g, seeds).members)
+        sub = subalgebra_generated(g, seeds)
         u = random_formula(rng, GROUP_SIG, ctx, rel_sig=None, depth=2)
-        rep = fundamental_check(m, members, u, ctx, args.cap)
+        rep = fundamental_check(m, sub, u, ctx, args.cap)
         klass = "open" if rep.open_formula else ("positive" if rep.positive_formula else "other")
         counts.setdefault(klass, {})
         counts[klass][rep.relation] = counts[klass].get(rep.relation, 0) + 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import getitem, lshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -50,6 +49,8 @@ from .spaces import GeoContext, PointSet
 from .terms import (
     Substitution,
     Term,
+    Value,
+    _set,
     adjoin_constants,
     app,
     apply_subst,
@@ -236,11 +237,13 @@ def act_endo_variety(s: Substitution, a: PointSet) -> PointSet:
     return pull_back(s, a.gctx)(a)
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
-    ok: bool
-    failing_point: Optional[Point] = None
-    image_point: Optional[Point] = None
+class MorphismCheck(Value):
+    __slots__ = _fields = ("ok", "failing_point", "image_point")
+
+    def __init__(self, ok: bool, failing_point: Optional[Point] = None, image_point: Optional[Point] = None):
+        _set(self, "ok", ok)
+        _set(self, "failing_point", failing_point)
+        _set(self, "image_point", image_point)
 
 
 def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
@@ -407,30 +410,39 @@ def separating_pair(ka: KernelCongruence, kb: KernelCongruence, cap: Optional[in
     return None if hit is None else normalize_pair(tuple(gen.witness_of(s, member) for s, member in hit))
 
 
-# each verdict's first field is its JSON tag, set by the class
-@dataclass(frozen=True)
-class Equivalent:
-    verdict: str = field(default="equivalent", init=False, repr=False)
-    mode: str
-    notice: str = ""
+# each verdict's first field is its JSON tag, a class constant
+class Equivalent(Value):
+    _fields = ("verdict", "mode", "notice")
+    __slots__ = _fields[1:]
+    verdict = "equivalent"
+
+    def __init__(self, mode: str, notice: str = ""):
+        _set(self, "mode", mode)
+        _set(self, "notice", notice)
 
 
-@dataclass(frozen=True)
-class NotEquivalent:
-    verdict: str = field(default="not-equivalent", init=False, repr=False)
-    equations: PairSet
-    pair: Pair
-    holds_in: str
-    fails_in: str
-    notice: str = ""
+class NotEquivalent(Value):
+    _fields = ("verdict", "equations", "pair", "holds_in", "fails_in", "notice")
+    __slots__ = _fields[1:]
+    verdict = "not-equivalent"
+
+    def __init__(self, equations: PairSet, pair: Pair, holds_in: str, fails_in: str, notice: str = ""):
+        _set(self, "equations", equations)
+        _set(self, "pair", pair)
+        _set(self, "holds_in", holds_in)
+        _set(self, "fails_in", fails_in)
+        _set(self, "notice", notice)
 
 
 # what `uag equiv --mode sampled` prints in place of Equivalent
-@dataclass(frozen=True)
-class Inconclusive:
-    verdict: str = field(default="inconclusive", init=False, repr=False)
-    samples: int
-    notice: str = ""
+class Inconclusive(Value):
+    _fields = ("verdict", "samples", "notice")
+    __slots__ = _fields[1:]
+    verdict = "inconclusive"
+
+    def __init__(self, samples: int, notice: str = ""):
+        _set(self, "samples", samples)
+        _set(self, "notice", notice)
 
 
 def _in_sp(a: FiniteAlgebra | GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int]) -> bool:
@@ -498,10 +510,12 @@ def geometric_equiv(
     return Equivalent(mode="exact")
 
 
-@dataclass(frozen=True)
-class VarietyIso:
-    forward: Substitution
-    backward: Substitution
+class VarietyIso(Value):
+    __slots__ = _fields = ("forward", "backward")
+
+    def __init__(self, forward: Substitution, backward: Substitution):
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
 
 
 def _bijective_homs(x: FiniteAlgebra, y: FiniteAlgebra, cap: Optional[int] = None):
@@ -617,10 +631,12 @@ def pointwise_closed(a: PointSet, op_name: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FaithfulVerdict:
-    status: str
-    witness: Optional[Pair] = None
+class FaithfulVerdict(Value):
+    __slots__ = _fields = ("status", "witness")
+
+    def __init__(self, status: str, witness: Optional[Pair] = None):
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
 
 def faithful_solvable(
@@ -653,14 +669,24 @@ def faithful_solvable(
     return FaithfulVerdict("unknown")
 
 
-@dataclass(frozen=True)
-class NullstellensatzReport:
-    agrees: bool
-    meet_agrees: bool
-    image_sizes: tuple[int, ...]
-    quotient_sizes: tuple[int, ...]
-    hom_count: int
-    separating: Optional[Pair] = None
+class NullstellensatzReport(Value):
+    __slots__ = _fields = ("agrees", "meet_agrees", "image_sizes", "quotient_sizes", "hom_count", "separating")
+
+    def __init__(
+        self,
+        agrees: bool,
+        meet_agrees: bool,
+        image_sizes: tuple[int, ...],
+        quotient_sizes: tuple[int, ...],
+        hom_count: int,
+        separating: Optional[Pair] = None,
+    ):
+        _set(self, "agrees", agrees)
+        _set(self, "meet_agrees", meet_agrees)
+        _set(self, "image_sizes", image_sizes)
+        _set(self, "quotient_sizes", quotient_sizes)
+        _set(self, "hom_count", hom_count)
+        _set(self, "separating", separating)
 
 
 def nullstellensatz_check(

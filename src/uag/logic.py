@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import cache
 from operator import getitem
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -38,7 +37,9 @@ from .terms import (
     Signature,
     Substitution,
     Term,
+    Value,
     VarContext,
+    _set,
     adjoin_constants,
     app,
     apply_subst,
@@ -48,41 +49,54 @@ from .terms import (
     var,
 )
 
-class Formula:
+
+class Formula(Value):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Rel(Formula):
-    name: str
-    args: tuple[Term, ...]
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Term, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    items: tuple[Formula, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[Formula, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    items: tuple[Formula, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[Formula, ...]):
+        _set(self, "items", items)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    ys: tuple[str, ...]
-    body: Formula
+    __slots__ = _fields = ("ys", "body")
+
+    def __init__(self, ys: tuple[str, ...], body: Formula):
+        _set(self, "ys", ys)
+        _set(self, "body", body)
 
 
 def exists_f(ys: Iterable[str], body: Formula) -> Exists:
@@ -494,28 +508,36 @@ def _submodel_view(m: Model, sub: GeneratedSubalgebra) -> SubmodelView:
     return SubmodelView(sub_model, sub.members, tuple(sub.index))
 
 
-@dataclass(frozen=True)
-class FundamentalReport:
-    relation: str
-    open_formula: bool
-    positive_formula: bool
-    sub_value: int
-    restricted_value: int
+class FundamentalReport(Value):
+    __slots__ = _fields = ("relation", "open_formula", "positive_formula", "sub_value", "restricted_value")
+
+    def __init__(self, relation: str, open_formula: bool, positive_formula: bool, sub_value: int, restricted_value: int):
+        _set(self, "relation", relation)
+        _set(self, "open_formula", open_formula)
+        _set(self, "positive_formula", positive_formula)
+        _set(self, "sub_value", sub_value)
+        _set(self, "restricted_value", restricted_value)
 
 
 def fundamental_check(
     m: Model,
-    members: Sequence[Sequence[int]],
+    members: Sequence[Sequence[int]] | GeneratedSubalgebra,
     u: Formula,
     ctx: VarContext,
     cap: Optional[int] = None,
 ) -> FundamentalReport:
     """Compare the submodel value of u with the restriction of its value.
 
+    The submodel is on members: a generation of m's algebra, which is
+    closed by construction and goes straight to _submodel_view, or one
+    member set per sort from outside, which restrict_submodel checks.
     relation is one of "equal", "sub-below", "sub-above", "incomparable";
     open formulas must come out equal, positive ones at least "sub-below".
     """
-    view = restrict_submodel(m, members)
+    if isinstance(members, GeneratedSubalgebra):
+        view = _submodel_view(m, members)
+    else:
+        view = restrict_submodel(m, members)
     gctx_g = GeoContext(m.algebra, ctx, cap)
     gctx_h = GeoContext(view.model.algebra, ctx, cap)
     val_g = eval_formula(m, u, gctx_g)
@@ -543,8 +565,9 @@ def fundamental_check(
 def fo_variety(m: Model, formulas: Iterable[Formula], gctx: GeoContext) -> PointSet:
     """Points satisfying every formula; the empty set of formulas cuts nothing.
 
-    The formulas are evaluated in turn, all over one column memo, and their
-    values are met as masks.
+    The formulas are evaluated in turn, all over one column memo, which
+    keeps one column engine for gctx's points, and their values are met as
+    masks.
     """
     mask, memo = gctx.full_mask, {}
     for u in formulas:
@@ -561,11 +584,13 @@ def fo_closure_member(
     return fo_variety(m, formulas, gctx).issubset(eval_formula(m, u, gctx))
 
 
-@dataclass(frozen=True)
-class OpenVarietyReport:
-    agrees: bool
-    all_open: bool
-    mismatches: tuple[Point, ...]
+class OpenVarietyReport(Value):
+    __slots__ = _fields = ("agrees", "all_open", "mismatches")
+
+    def __init__(self, agrees: bool, all_open: bool, mismatches: tuple[Point, ...]):
+        _set(self, "agrees", agrees)
+        _set(self, "all_open", all_open)
+        _set(self, "mismatches", mismatches)
 
 
 def open_variety_check(

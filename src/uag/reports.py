@@ -8,19 +8,18 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .congruences import PairSet
 from .rules import Clause, DeriveResult
 from .spaces import PointSet
-from .terms import Substitution, Term, render
+from .terms import Substitution, Term, Value, render
 
 
 def to_jsonable(obj: Any) -> Any:
-    """Plain JSON data for a result; a result dataclass becomes its fields in
-    declaration order, and only Clause and DeriveResult, whose JSON is not
-    their field list, are spelled out."""
+    """Plain JSON data for a result; a result Value (terms.Value) becomes its
+    fields in declaration order, and only Clause and DeriveResult, whose JSON
+    is not their field list, are spelled out."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Term):
@@ -51,8 +50,8 @@ def to_jsonable(obj: Any) -> Any:
             "rounds": obj.rounds,
             "clauses": [to_jsonable(c) for c in obj.clauses],
         }
-    if is_dataclass(obj):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Value):
+        return {f: to_jsonable(getattr(obj, f)) for f in obj._fields}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -12,7 +12,6 @@ when a budget, not a fixpoint, stopped the run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .algebras import FiniteAlgebra, _eval_columns, agree_mask, enumerate_points, inferred_context
@@ -20,7 +19,9 @@ from .congruences import EMPTY_PAIRS, GroundCongruence, Pair, PairSet, ground_cl
 from .terms import (
     Substitution,
     Term,
+    Value,
     Var,
+    _set,
     app,
     apply_subst,
     check_same_sort,
@@ -37,39 +38,47 @@ KINDS = ("identity", "pseudo", "universal", "quasi")
 _CHOICE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Value):
     """A clause of one of the four kinds.
 
     Immutable, so its hash is computed once, at construction, from the
-    fields equality compares, and kept as an attribute outside the fields.
+    fields equality compares, and kept in a slot outside the fields.
     """
 
-    kind: str
-    cons: Optional[Pair] = None
-    pos: PairSet = EMPTY_PAIRS
-    neg: PairSet = EMPTY_PAIRS
-    ante: PairSet = EMPTY_PAIRS
+    _fields = ("kind", "cons", "pos", "neg", "ante")
+    __slots__ = (*_fields, "_hash")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown clause kind {self.kind!r}")
-        if self.kind == "identity":
-            if self.cons is None or self.pos.pairs or self.neg.pairs or self.ante.pairs:
+    def __init__(
+        self,
+        kind: str,
+        cons: Optional[Pair] = None,
+        pos: PairSet = EMPTY_PAIRS,
+        neg: PairSet = EMPTY_PAIRS,
+        ante: PairSet = EMPTY_PAIRS,
+    ):
+        if kind not in KINDS:
+            raise ValueError(f"unknown clause kind {kind!r}")
+        if kind == "identity":
+            if cons is None or pos.pairs or neg.pairs or ante.pairs:
                 raise ValueError("an identity is a single equation")
-            object.__setattr__(self, "cons", normalize_pair(self.cons))
-        elif self.kind == "pseudo":
-            if self.cons is not None or self.neg.pairs or self.ante.pairs or not self.pos.pairs:
+            cons = normalize_pair(cons)
+        elif kind == "pseudo":
+            if cons is not None or neg.pairs or ante.pairs or not pos.pairs:
                 raise ValueError("a pseudoidentity is a nonempty disjunction of equations")
-        elif self.kind == "universal":
-            if self.cons is not None or self.ante.pairs or not (self.pos.pairs or self.neg.pairs):
+        elif kind == "universal":
+            if cons is not None or ante.pairs or not (pos.pairs or neg.pairs):
                 raise ValueError("a universal clause needs at least one literal")
         else:
-            if self.pos.pairs or self.neg.pairs:
+            if pos.pairs or neg.pairs:
                 raise ValueError("a quasi-identity has premises and one conclusion")
-            if self.cons is not None:
-                object.__setattr__(self, "cons", normalize_pair(self.cons))
-        object.__setattr__(self, "_hash", hash((self.kind, self.cons, self.pos, self.neg, self.ante)))
+            if cons is not None:
+                cons = normalize_pair(cons)
+        _set(self, "kind", kind)
+        _set(self, "cons", cons)
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "ante", ante)
+        _set(self, "_hash", hash((kind, cons, pos, neg, ante)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -292,19 +301,23 @@ def _derived_mask(
     return mask
 
 
-@dataclass(frozen=True)
-class SaturationBounds:
-    depth: int = 2
-    width: int = 2
-    iterations: int = 6
-    budget: int = 20000
+class SaturationBounds(Value):
+    __slots__ = _fields = ("depth", "width", "iterations", "budget")
+
+    def __init__(self, depth: int = 2, width: int = 2, iterations: int = 6, budget: int = 20000):
+        _set(self, "depth", depth)
+        _set(self, "width", width)
+        _set(self, "iterations", iterations)
+        _set(self, "budget", budget)
 
 
-@dataclass(frozen=True)
-class DeriveResult:
-    clauses: tuple[Clause, ...]
-    exhausted: bool
-    rounds: int
+class DeriveResult(Value):
+    __slots__ = _fields = ("clauses", "exhausted", "rounds")
+
+    def __init__(self, clauses: tuple[Clause, ...], exhausted: bool, rounds: int):
+        _set(self, "clauses", clauses)
+        _set(self, "exhausted", exhausted)
+        _set(self, "rounds", rounds)
 
     def __contains__(self, c: Clause) -> bool:
         return c in set(self.clauses)

@@ -8,19 +8,65 @@ well-sortedness is a separate check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional
+
+_set = object.__setattr__  # how a value's __init__ sets its fields
 
 
-@dataclass(frozen=True)
-class Op:
-    name: str
-    args: tuple[int, ...]  # argument sorts, as indices
-    result: int  # result sort index
+class Value:
+    """Base of the package's immutable value classes.
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
+    A subclass lists its fields in _fields, in declaration order, keeps
+    them in __slots__, and sets them in its own __init__ through _set,
+    since assignment raises AttributeError. Two values are equal iff they
+    are of one class with equal field tuples; a value hashes as its field
+    tuple, and its repr is Name(field=value, ...). A field kept as a class
+    constant, not a slot (a verdict class's verdict), is compared, hashed
+    and listed by reports.to_jsonable like the others, but is not an
+    __init__ argument and is left out of the repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _values: Callable[["Value"], tuple]  # the field tuple: an attrgetter, whose one field is put in a tuple
+    _shown: tuple[str, ...]  # the fields the repr shows: those kept in slots
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            get = attrgetter(*cls._fields)
+            cls._values = get if len(cls._fields) > 1 else staticmethod(lambda v: (get(v),))
+            cls._shown = tuple(f for f in cls._fields if f in cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__name__}({inner})"
+
+    def __setattr__(self, name: str, _value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Op(Value):
+    _fields = ("name", "args", "result")
+    __slots__ = (*_fields, "arity")
+
+    def __init__(self, name: str, args: tuple[int, ...], result: int):
+        _set(self, "name", name)
+        _set(self, "args", args)  # argument sorts, as indices
+        _set(self, "result", result)  # result sort index
+        _set(self, "arity", len(args))
 
 
 class Signature:

@@ -636,6 +636,22 @@ def test_fundamental_open_formulas_equal(m_z4, gctx2):
         assert rep.relation == "equal", u
 
 
+def test_fundamental_check_takes_a_generation_as_it_is(m_z4, gctx2):
+    """A generation the package built goes to the submodel view as it is,
+    its members numbered in discovery order; the report is the one its
+    member sets, checked and renumbered by rank, give."""
+    s3 = symmetric_group_3()
+    rel_sig = RelSignature(GROUP_SIG, [("P", ("g",)), ("R", ("g", "g"))])
+    m_s3 = Model(s3, rel_sig, {"P": [(1,), (4,)], "R": [(0, 1), (2, 3), (5, 5)]})
+    rng = random.Random(8)
+    for m in (m_z4, m_s3):
+        g = m.algebra
+        for _ in range(30):
+            sub = subalgebra_generated(g, [rng.randrange(g.sizes[0]) for _ in range(rng.randint(1, 2))])
+            u = random_formula(rng, GROUP_SIG, gctx2, rel_sig=m.rel_sig, depth=2)
+            assert fundamental_check(m, sub, u, gctx2) == fundamental_check(m, list(sub.members), u, gctx2), u
+
+
 def test_fo_variety_and_member(m_z4, gctx1, gctx2):
     gctx = GeoContext(m_z4.algebra, gctx1)
     v = fo_variety(m_z4, [Rel("P", (X,))], gctx)

@@ -6,9 +6,23 @@ from hypothesis import strategies as st
 
 import oracles
 from uag.algebras import GROUP_SIG
+from uag.congruences import EMPTY_PAIRS, PairSet, normalize_pair
+from uag.geometry import (
+    Equivalent,
+    FaithfulVerdict,
+    Inconclusive,
+    MorphismCheck,
+    NotEquivalent,
+    NullstellensatzReport,
+    VarietyIso,
+)
+from uag.logic import And, Eq, Exists, FundamentalReport, Not, OpenVarietyReport, Or, Rel
+from uag.reports import to_jsonable
+from uag.rules import Clause, DeriveResult, SaturationBounds, identity
 from uag.sexpr import parse_nodes, parse_term
 from uag.terms import (
     IDENTITY,
+    Op,
     Signature,
     Substitution,
     VarContext,
@@ -160,3 +174,108 @@ def test_adjoin_constants(z4):
     with pytest.raises(ValueError):
         bad_sig = Signature(("g",), [("c0", (), "g")])
         adjoin_constants(bad_sig, z4)
+
+
+_X, _Y = var("x"), var("y")
+_EQ = Eq(_X, _Y)
+# each value class: its fields in declaration order, its __init__ arguments
+# in order with sample values, and the defaults of those that have one
+VALUE_CLASSES = [
+    (Op, ("name", "args", "result"), [("name", "mul"), ("args", (0, 0)), ("result", 0)], {}),
+    (Eq, ("lhs", "rhs"), [("lhs", _X), ("rhs", _Y)], {}),
+    (Rel, ("name", "args"), [("name", "P"), ("args", (_X,))], {}),
+    (And, ("items",), [("items", (_EQ,))], {}),
+    (Or, ("items",), [("items", (_EQ,))], {}),
+    (Not, ("body",), [("body", _EQ)], {}),
+    (Exists, ("ys", "body"), [("ys", ("y",)), ("body", _EQ)], {}),
+    (
+        FundamentalReport,
+        ("relation", "open_formula", "positive_formula", "sub_value", "restricted_value"),
+        [("relation", "equal"), ("open_formula", True), ("positive_formula", False), ("sub_value", 3), ("restricted_value", 3)],
+        {},
+    ),
+    (
+        OpenVarietyReport,
+        ("agrees", "all_open", "mismatches"),
+        [("agrees", False), ("all_open", True), ("mismatches", ((0, 1),))],
+        {},
+    ),
+    (
+        Clause,
+        ("kind", "cons", "pos", "neg", "ante"),
+        [("kind", "quasi"), ("cons", normalize_pair((_X, _Y))), ("pos", EMPTY_PAIRS), ("neg", EMPTY_PAIRS),
+         ("ante", PairSet([(app("e"), _X)]))],
+        {"cons": None, "pos": EMPTY_PAIRS, "neg": EMPTY_PAIRS, "ante": EMPTY_PAIRS},
+    ),
+    (
+        SaturationBounds,
+        ("depth", "width", "iterations", "budget"),
+        [("depth", 3), ("width", 1), ("iterations", 4), ("budget", 99)],
+        {"depth": 2, "width": 2, "iterations": 6, "budget": 20000},
+    ),
+    (
+        DeriveResult,
+        ("clauses", "exhausted", "rounds"),
+        [("clauses", (identity((_X, _X)),)), ("exhausted", False), ("rounds", 2)],
+        {},
+    ),
+    (
+        MorphismCheck,
+        ("ok", "failing_point", "image_point"),
+        [("ok", False), ("failing_point", (0,)), ("image_point", (1,))],
+        {"failing_point": None, "image_point": None},
+    ),
+    (Equivalent, ("verdict", "mode", "notice"), [("mode", "exact"), ("notice", "n")], {"notice": ""}),
+    (
+        NotEquivalent,
+        ("verdict", "equations", "pair", "holds_in", "fails_in", "notice"),
+        [("equations", PairSet([(_X, _Y)])), ("pair", (_X, _Y)), ("holds_in", "A"), ("fails_in", "B"), ("notice", "n")],
+        {"notice": ""},
+    ),
+    (Inconclusive, ("verdict", "samples", "notice"), [("samples", 40), ("notice", "n")], {"notice": ""}),
+    (VarietyIso, ("forward", "backward"), [("forward", IDENTITY), ("backward", Substitution({"x": _Y}))], {}),
+    (FaithfulVerdict, ("status", "witness"), [("status", "unknown"), ("witness", (_X, _Y))], {"witness": None}),
+    (
+        NullstellensatzReport,
+        ("agrees", "meet_agrees", "image_sizes", "quotient_sizes", "hom_count", "separating"),
+        [("agrees", True), ("meet_agrees", True), ("image_sizes", (4,)), ("quotient_sizes", (4,)), ("hom_count", 2),
+         ("separating", (_X, _Y))],
+        {"separating": None},
+    ),
+]
+VERDICTS = {Equivalent: "equivalent", NotEquivalent: "not-equivalent", Inconclusive: "inconclusive"}
+
+
+@pytest.mark.parametrize("cls, fields, args, defaults", VALUE_CLASSES, ids=[c.__name__ for c, *_ in VALUE_CLASSES])
+def test_value_classes_are_frozen_records(cls, fields, args, defaults):
+    """Every value class builds by position and by keyword with the same
+    defaults, is equal to and hashes as its field tuple within its class,
+    refuses assignment, keeps no __dict__, and shows and lists its fields
+    in declaration order (a verdict's tag first in JSON, not in the repr)."""
+    v = cls(*[a for _, a in args])
+    assert v == cls(**dict(args)) and v is not cls(**dict(args))
+    assert all(getattr(v, name) == a for name, a in args)
+    bare = cls(**{name: a for name, a in args if name not in defaults})
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+    values = tuple(getattr(v, f) for f in fields)
+    assert hash(v) == hash(values) and hash(v) == hash(cls(*[a for _, a in args]))
+    assert v != values and not hasattr(v, "__dict__")
+    for name in (fields[-1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+    with pytest.raises(AttributeError):
+        delattr(v, fields[-1])
+    if cls in VERDICTS:
+        assert v.verdict == VERDICTS[cls] and fields[0] == "verdict"
+    if cls in (Clause, DeriveResult):
+        assert cls._fields == fields  # their JSON is spelled out, not their field list
+    else:
+        assert list(to_jsonable(v)) == list(fields)
+        assert repr(v) == f"{cls.__name__}({', '.join(f'{name}={a!r}' for name, a in args)})"
+
+
+def test_values_of_different_classes_differ():
+    assert And(()) == And(()) and And(()) != Or(()) and hash(And(())) == hash(Or(()))
+    assert len({And(()), Or(()), Not(_EQ), Not(_EQ)}) == 3
+    assert Equivalent("exact") != Inconclusive("exact")
+    assert Eq(_X, _Y) != Eq(_Y, _X) and Rel("P", (_X,)) != Rel("Q", (_X,))

@@ -1,5 +1,8 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -34,6 +37,39 @@ def test_no_unused_imports_in_the_package():
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """The line of each import statement that loads the named module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_imports_of_detector():
+    src = "import os, dataclasses\nfrom dataclasses import field\nfrom .dataclasses import x\nimport dataclassesx\n"
+    assert imports_of(src, "dataclasses") == [1, 2]
+
+
+def test_a_fresh_cli_process_loads_no_dataclasses():
+    """The value classes are slotted terms.Value classes, so no module
+    imports dataclasses, and a fresh `import uag.cli` loads neither it nor
+    the inspect module it pulls in."""
+    found = {p.name: imports_of(p.read_text(encoding="utf-8"), "dataclasses") for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    probe = "import sys, uag.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def tables_reads(source: str) -> list[int]:
@@ -321,7 +357,11 @@ def test_products_and_submodels_are_generations():
     algebras = {"algebras": sources["algebras"]}
     assert callers_of(algebras, "index_to_tuple") == callers_of(algebras, "tuple_to_index") == []
     assert callers_of(sources, "SubmodelView") == ["logic._submodel_view"]
-    assert callers_of(sources, "_submodel_view") == ["logic.restrict_submodel", "logic.open_variety_check"]
+    assert callers_of(sources, "_submodel_view") == [
+        "logic.restrict_submodel",
+        "logic.fundamental_check",
+        "logic.open_variety_check",
+    ]
     assert callers_of(sources, "restrict_submodel") == ["logic.fundamental_check"]
 
 
