@@ -52,12 +52,10 @@ from .geometry import (
 from .logic import (
     Model,
     RelSignature,
-    filter_generated,
     fo_closure_member,
     fo_variety,
     fundamental_check,
     halmos_axiom_violations,
-    is_filter,
     is_open,
     random_formula,
 )
@@ -467,66 +465,6 @@ def cmd_check(args) -> int:
     return 0 if not failures else 1
 
 
-def _experiment_filters(args) -> dict:
-    g = cyclic_group(2)
-    ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
-    gctx = GeoContext(g, ctx, args.cap)
-    n = len(gctx.points)
-    rows = []
-    seen = set()
-    for mask in range(1 << n):
-        gen = PointSet.of_mask(gctx, mask)
-        fam = filter_generated([gen], gctx, args.cap)
-        key = frozenset(ps.mask for ps in fam)
-        fresh = key not in seen
-        seen.add(key)
-        rows.append(
-            {
-                "generator": [list(p) for p in gen.points()],
-                "filter_size": len(fam),
-                "proper": gctx.empty() not in fam,
-                "is_filter": is_filter(fam, gctx, args.cap),
-                "new": fresh,
-            }
-        )
-    return {
-        "space": f"{g.name}^{n}",
-        "distinct_filters": len(seen),
-        "proper_count": sum(1 for r in rows if r["proper"]),
-        "rows": rows,
-    }
-
-
-def _experiment_submodels(args) -> dict:
-    rng = random.Random(args.seed)
-    g = symmetric_group_3()
-    rel_sig = RelSignature(GROUP_SIG, [])
-    m = Model(g, rel_sig, {})
-    ctx = VarContext(GROUP_SIG, [("x", "g"), ("y", "g")])
-    counts: dict[str, dict[str, int]] = {}
-    for _ in range(args.trials):
-        seeds = [(0, rng.randrange(g.sizes[0])) for _ in range(rng.randint(1, 2))]
-        sub = subalgebra_generated(g, seeds)
-        u = random_formula(rng, GROUP_SIG, ctx, rel_sig=None, depth=2)
-        rep = fundamental_check(m, sub, u, ctx, args.cap)
-        klass = "open" if rep.open_formula else ("positive" if rep.positive_formula else "other")
-        counts.setdefault(klass, {})
-        counts[klass][rep.relation] = counts[klass].get(rep.relation, 0) + 1
-    shaped = {k: dict(sorted(v.items())) for k, v in sorted(counts.items())}
-    return {"model": g.name, "trials": args.trials, "relations": shaped}
-
-
-def cmd_experiment(args) -> int:
-    if args.name == "proper-filter-search":
-        result = _experiment_filters(args)
-    elif args.name == "submodel-closure":
-        result = _experiment_submodels(args)
-    else:
-        raise SexprError(f"unknown experiment {args.name!r}")
-    _out(args, {"verb": "experiment", "name": args.name, "seed": args.seed, "result": result})
-    return 0
-
-
 def _arg(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
@@ -645,14 +583,6 @@ VERBS = {
         (
             _arg("--suite", choices=["all"] + sorted(_BATTERIES), default="all"),
             _arg("--trials", type=int, default=12),
-            _SEED,
-        ),
-    ),
-    "experiment": (
-        "exploratory sweeps",
-        (
-            _arg("--name", choices=["proper-filter-search", "submodel-closure"], required=True),
-            _arg("--trials", type=int, default=30),
             _SEED,
         ),
     ),

@@ -3,10 +3,9 @@
 Each argv runs in-process in text and in JSON format; the sha256 of its exit
 code, stdout and stderr must equal the pinned value. The corpus covers every
 verb's success path, negative verdicts, every `derive` kind, every `check`
-suite, both experiments, sampled `equiv` (the exact test, with an equivalent
-pair reported as inconclusive), exact `equiv` over 25 points, and capacity
-errors. To re-pin after an intended output change, print `digests(dir)` and
-review the diff.
+suite, sampled `equiv` (the exact test, with an equivalent pair reported as
+inconclusive), exact `equiv` over 25 points, and capacity errors. To re-pin
+after an intended output change, print `digests(dir)` and review the diff.
 """
 
 from __future__ import annotations
@@ -80,8 +79,6 @@ ARGVS = (
     ("check", "--suite", "fundamental", "--trials", "3"),
     ("check", "--suite", "halmos", "--trials", "1"),
     ("check", "--cap", "6"),
-    ("experiment", "--name", "proper-filter-search"),
-    ("experiment", "--name", "submodel-closure", "--trials", "5"),
 )
 
 # result classes no verb emits
@@ -189,10 +186,6 @@ GOLDEN: dict[str, str] = {
     'check --suite halmos --trials 1 --format json': '00d4ed65c38f82e4295721f71d7c8f9bf2da0c0118d4cf0d39daf638a59f2ce4',
     'check --cap 6 --format text': 'f01067aa65113af31933adde5f3984c7328ddfe5079cec8a16e141f1ceb94702',
     'check --cap 6 --format json': 'f01067aa65113af31933adde5f3984c7328ddfe5079cec8a16e141f1ceb94702',
-    'experiment --name proper-filter-search --format text': 'e17b087b22d79050b00451b4e764cadb08368c2bb249a279a20d39dcf51fa4dd',
-    'experiment --name proper-filter-search --format json': 'd9c3b882f63e2285131f90f5312d640d4376ef62e33eca62368d3888548b5096',
-    'experiment --name submodel-closure --trials 5 --format text': 'd2abb6871b2f05d83893984547a1d16cee12cf52ef9ccb1555d7ad73983984bb',
-    'experiment --name submodel-closure --trials 5 --format json': '47a109880e5309efaf37828fee4e2a4323f6463a3601f512ce5f4c89b646a548',
     'emit FaithfulVerdict': '519622792f0a9efb874baaf70ee5b9c936c2828f37271590ce9edaa083f5292e',
     'emit FundamentalReport': 'd53dde1a8737afb384b185170071a63dcf044b4499f774104fc053049ddf8a7f',
     'emit OpenVarietyReport': '660f76a8828133efe0a9f07a8383bda1aa59631f6846e667f5e5a9e0525f398c',

@@ -636,13 +636,16 @@ def test_fundamental_open_formulas_equal(m_z4, gctx2):
         assert rep.relation == "equal", u
 
 
-def test_fundamental_check_takes_a_generation_as_it_is(m_z4, gctx2):
+@pytest.fixture(scope="module")
+def m_s3():
+    rel_sig = RelSignature(GROUP_SIG, [("P", ("g",)), ("R", ("g", "g"))])
+    return Model(symmetric_group_3(), rel_sig, {"P": [(1,), (4,)], "R": [(0, 1), (2, 3), (5, 5)]})
+
+
+def test_fundamental_check_takes_a_generation_as_it_is(m_z4, m_s3, gctx2):
     """A generation the package built goes to the submodel view as it is,
     its members numbered in discovery order; the report is the one its
     member sets, checked and renumbered by rank, give."""
-    s3 = symmetric_group_3()
-    rel_sig = RelSignature(GROUP_SIG, [("P", ("g",)), ("R", ("g", "g"))])
-    m_s3 = Model(s3, rel_sig, {"P": [(1,), (4,)], "R": [(0, 1), (2, 3), (5, 5)]})
     rng = random.Random(8)
     for m in (m_z4, m_s3):
         g = m.algebra
@@ -650,6 +653,29 @@ def test_fundamental_check_takes_a_generation_as_it_is(m_z4, gctx2):
             sub = subalgebra_generated(g, [rng.randrange(g.sizes[0]) for _ in range(rng.randint(1, 2))])
             u = random_formula(rng, GROUP_SIG, gctx2, rel_sig=m.rel_sig, depth=2)
             assert fundamental_check(m, sub, u, gctx2) == fundamental_check(m, list(sub.members), u, gctx2), u
+
+
+def test_positive_formulas_are_at_least_sub_below_on_generated_submodels(m_z4, m_s3, gctx2):
+    """A positive formula true at a point of a submodel is true there in the
+    model, so its submodel value lies inside the restriction of its value:
+    the relation is "equal" or "sub-below", never "sub-above" or
+    "incomparable". Checked on random generated submodels of S3 with no
+    relations and of the relation-bearing Z4 and S3 models."""
+    s3 = Model(symmetric_group_3(), RelSignature(GROUP_SIG, []), {})
+    rng = random.Random(0)
+    seen = set()
+    for m in (s3, m_z4, m_s3):
+        g = m.algebra
+        for _ in range(200):
+            sub = subalgebra_generated(g, [rng.randrange(g.sizes[0]) for _ in range(rng.randint(1, 2))])
+            u = random_formula(rng, GROUP_SIG, gctx2, rel_sig=m.rel_sig, depth=2)
+            while not is_positive(u):
+                u = random_formula(rng, GROUP_SIG, gctx2, rel_sig=m.rel_sig, depth=2)
+            rep = fundamental_check(m, sub, u, gctx2)
+            assert rep.positive_formula and rep.relation in ("equal", "sub-below"), (m.name, sub.members, u)
+            seen.add(rep.relation)
+    # relations and quantifiers make some submodel values strictly smaller
+    assert seen == {"equal", "sub-below"}
 
 
 def test_fo_variety_and_member(m_z4, gctx1, gctx2):

@@ -337,7 +337,7 @@ def test_cli_subprocess_deterministic_across_hash_seeds(tmp_path):
 def test_python_dash_m_uag_runs_the_cli(monkeypatch, capsys):
     """A one-shot ``python -m uag`` process exits and prints as an
     in-process ``main`` call does, on success, a usage error and an input
-    error."""
+    error, and never with a traceback."""
     monkeypatch.setenv("COLUMNS", "80")
     eval_argv = ["eval", "--builtin", "group", "-a", "S3", "-c", "C2", "--term", "(mul x (inv y))", "--point", "1,4"]
     for argv, want in (
@@ -345,9 +345,11 @@ def test_python_dash_m_uag_runs_the_cli(monkeypatch, capsys):
         ([*eval_argv, "--format", "json"], 0),
         (["eval", "--builtin", "group", "-a", "Z7", "-c", "C1", "--term", "x", "--point", "0"], 2),
         (["eval", "--bogus"], 2),
+        (["experiment", "--name", "submodel-closure"], 2),
     ):
         proc = subprocess.run([sys.executable, "-m", "uag", *argv], capture_output=True, text=True)
         assert proc.returncode == want and (proc.stdout if want == 0 else proc.stderr), argv
+        assert "Traceback" not in proc.stderr, argv
         capsys.readouterr()
         try:
             code = main(list(argv))
@@ -707,7 +709,6 @@ VALID_ARGS = {
     "query": ["-a", "Z4", "--clause", "k", "-c", "C1", "--format", "json"],
     "fo-variety": ["--model", "M", "-c", "C2", "--formulas", "q", "--closure-query", "q"],
     "check": ["--suite", "halmos", "--trials", "3", "--seed", "4"],
-    "experiment": ["--name", "submodel-closure", "--trials", "2"],
 }
 
 ARGV_CORPUS = [[], ["-h"], ["bogus"], ["--format", "json", "parse"]] + [
@@ -756,7 +757,7 @@ def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, capsys):
 
 
 def test_seed_and_depth_belong_to_the_verbs_that_read_them(capsys):
-    """--seed is an option of equiv, check and experiment, --depth of derive;
+    """--seed is an option of equiv and check, --depth of derive;
     any other verb rejects them as a usage error."""
     assert len(cli.COMMON) == 4
     for verb, flag in (("eval", "--depth"), ("variety", "--seed"), ("query", "--seed")):
@@ -783,7 +784,7 @@ def test_a_call_registers_only_its_verb(monkeypatch, capsys):
             main(argv)
         # the full parser reports what the verb's parser left over
         assert registered == verbs and tops == ["uag"], argv
-    assert len(registered) == 15
+    assert len(registered) == 14
 
 
 def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
@@ -1039,6 +1040,7 @@ def test_argv_the_verb_parser_leaves_goes_to_the_full_parser(capsys):
         ([], 2, "the following arguments are required: verb"),
         (["-h"], 0, "usage: uag"),
         (["bogus"], 2, "invalid choice: 'bogus'"),
+        (["experiment", "--name", "submodel-closure"], 2, "invalid choice: 'experiment'"),
         (["eval", *VALID_ARGS["eval"], "--bogus"], 2, "unrecognized arguments: --bogus"),
     ):
         with pytest.raises(SystemExit) as e:

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from typing import Optional
 import uag.cli as cli
 from uag import algebras
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uag"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uag"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -187,9 +189,29 @@ def test_every_cmd_function_is_bound_to_exactly_one_verb():
     # main runs the cmd_* named after the verb, with "-" read as "_"
     bound = {verb: "cmd_" + verb.replace("-", "_") for verb in cli.VERBS}
     cmds = {name for name, fn in vars(cli).items() if name.startswith("cmd_") and callable(fn)}
-    assert len(bound) == 15
+    assert len(bound) == 14
     assert len(set(bound.values())) == len(bound)
     assert set(bound.values()) == cmds
+
+
+def readme_verbs(text: str) -> list[str]:
+    """The verbs a README's `Verbs:` list names, in order: the first word of
+    each backquoted span that opens a bullet, such as `morphism`, `iso`."""
+    section = text.split("\nVerbs:\n\n", 1)[1].split("\n\n", 1)[0]
+    verbs = []
+    for item in re.split(r"^- ", section, flags=re.M)[1:]:
+        head = re.match(r"`[^`]*`(?:, `[^`]*`)*", item)
+        verbs += [span.split()[0] for span in re.findall(r"`([^`]*)`", head.group())] if head else []
+    return verbs
+
+
+def test_readme_verbs_detector():
+    text = "x\n\nVerbs:\n\n- `a --b C` d `e`\n- `f`, `g-h` i\n  `j`\n- `k\n  [--l]` m\n\n- `n`\n"
+    assert readme_verbs(text) == ["a", "f", "g-h", "k"]
+
+
+def test_readme_lists_every_verb():
+    assert readme_verbs((ROOT / "README.md").read_text(encoding="utf-8")) == list(cli.VERBS)
 
 
 def callers_of(sources: dict[str, str], method: Optional[str], keyword: Optional[str] = None) -> list[str]:
@@ -324,7 +346,7 @@ def test_only_outside_models_are_checked():
     range by construction, and go to _built_model; Model checks only the
     rows of a workspace's models and of the CLI's relationless ones."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert callers_of(sources, "Model") == ["cli._battery_fundamental", "cli._experiment_submodels", "sexpr._parse_model"]
+    assert callers_of(sources, "Model") == ["cli._battery_fundamental", "sexpr._parse_model"]
     assert callers_of(sources, "_built_model") == [
         "logic._submodel_view",
         "logic._principal_power",
