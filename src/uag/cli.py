@@ -122,13 +122,13 @@ def build_ws(args) -> Workspace:
 
 
 def parse_point(text: str, ctx: VarContext, g: FiniteAlgebra):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
-    if len(parts) != len(ctx):
-        raise SexprError(f"point needs {len(ctx)} values, got {len(parts)}")
+    """The point a text names: comma-separated integers, spaces allowed."""
     try:
-        vals = tuple(int(p) for p in parts)
+        vals = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SexprError(f"point values must be integers: {text!r}")
+        raise SexprError(f"point values must be integers: {text!r}") from None
+    if len(vals) != len(ctx):
+        raise SexprError(f"point needs {len(ctx)} values, got {len(vals)}")
     for v, (name, s) in zip(vals, ctx.vars):
         if not 0 <= v < g.sizes[s]:
             raise SexprError(f"value {v} for {name} out of range for {g.name}")
@@ -469,6 +469,13 @@ def _arg(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer that is not negative."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"not a count (an integer of at least 0): {text!r}")
+    return int(text)
+
+
 _ALGEBRA = _arg("-a", "--algebra", required=True)
 _CONTEXT = _arg("-c", "--context", required=True)
 _PAIRS = _arg("-p", "--pairs", required=True)
@@ -533,7 +540,7 @@ VERBS = {
     ),
     "iso": (
         "search for a variety isomorphism",
-        (_ALGEBRA, *_TWO_VARIETIES, _arg("--bound", type=int, default=64)),
+        (_ALGEBRA, *_TWO_VARIETIES, _arg("--bound", type=_count, default=64)),
     ),
     "equiv": (
         "geometric equivalence of two algebras",
@@ -547,7 +554,7 @@ VERBS = {
                 default="exact",
                 help="sampled: the exact test, with equivalent reported as inconclusive",
             ),
-            _arg("--samples", type=int, default=40, help="echoed in a sampled inconclusive verdict"),
+            _arg("--samples", type=_count, default=40, help="echoed in a sampled inconclusive verdict"),
             _SEED,
         ),
     ),
@@ -558,10 +565,10 @@ VERBS = {
             _arg("--seeds", help="comma-separated clause names"),
             _arg("--seed-pairs", help="comma-separated pairs names, lifted to clauses"),
             _arg("-c", "--context"),
-            _arg("--depth", type=int, default=3),
-            _arg("--width", type=int, default=2),
-            _arg("--iterations", type=int, default=6),
-            _arg("--budget", type=int, default=20000),
+            _arg("--depth", type=_count, default=3),
+            _arg("--width", type=_count, default=2),
+            _arg("--iterations", type=_count, default=6),
+            _arg("--budget", type=_count, default=20000),
             _arg("--quackenbush", action="store_true"),
         ),
     ),
@@ -582,7 +589,7 @@ VERBS = {
         "run internal consistency batteries",
         (
             _arg("--suite", choices=["all"] + sorted(_BATTERIES), default="all"),
-            _arg("--trials", type=int, default=12),
+            _arg("--trials", type=_count, default=12),
             _SEED,
         ),
     ),

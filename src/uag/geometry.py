@@ -50,7 +50,6 @@ from .terms import (
     Substitution,
     Term,
     Value,
-    _set,
     adjoin_constants,
     app,
     apply_subst,
@@ -239,11 +238,7 @@ def act_endo_variety(s: Substitution, a: PointSet) -> PointSet:
 
 class MorphismCheck(Value):
     __slots__ = _fields = ("ok", "failing_point", "image_point")
-
-    def __init__(self, ok: bool, failing_point: Optional[Point] = None, image_point: Optional[Point] = None):
-        _set(self, "ok", ok)
-        _set(self, "failing_point", failing_point)
-        _set(self, "image_point", image_point)
+    _defaults = {"failing_point": None, "image_point": None}
 
 
 def morphism_check(s: Substitution, a: PointSet, b: PointSet) -> MorphismCheck:
@@ -415,23 +410,14 @@ class Equivalent(Value):
     _fields = ("verdict", "mode", "notice")
     __slots__ = _fields[1:]
     verdict = "equivalent"
-
-    def __init__(self, mode: str, notice: str = ""):
-        _set(self, "mode", mode)
-        _set(self, "notice", notice)
+    _defaults = {"notice": ""}
 
 
 class NotEquivalent(Value):
     _fields = ("verdict", "equations", "pair", "holds_in", "fails_in", "notice")
     __slots__ = _fields[1:]
     verdict = "not-equivalent"
-
-    def __init__(self, equations: PairSet, pair: Pair, holds_in: str, fails_in: str, notice: str = ""):
-        _set(self, "equations", equations)
-        _set(self, "pair", pair)
-        _set(self, "holds_in", holds_in)
-        _set(self, "fails_in", fails_in)
-        _set(self, "notice", notice)
+    _defaults = {"notice": ""}
 
 
 # what `uag equiv --mode sampled` prints in place of Equivalent
@@ -439,10 +425,7 @@ class Inconclusive(Value):
     _fields = ("verdict", "samples", "notice")
     __slots__ = _fields[1:]
     verdict = "inconclusive"
-
-    def __init__(self, samples: int, notice: str = ""):
-        _set(self, "samples", samples)
-        _set(self, "notice", notice)
+    _defaults = {"notice": ""}
 
 
 def _in_sp(a: FiniteAlgebra | GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[int]) -> bool:
@@ -512,10 +495,6 @@ def geometric_equiv(
 
 class VarietyIso(Value):
     __slots__ = _fields = ("forward", "backward")
-
-    def __init__(self, forward: Substitution, backward: Substitution):
-        _set(self, "forward", forward)
-        _set(self, "backward", backward)
 
 
 def _bijective_homs(x: FiniteAlgebra, y: FiniteAlgebra, cap: Optional[int] = None):
@@ -633,10 +612,7 @@ def pointwise_closed(a: PointSet, op_name: str) -> bool:
 
 class FaithfulVerdict(Value):
     __slots__ = _fields = ("status", "witness")
-
-    def __init__(self, status: str, witness: Optional[Pair] = None):
-        _set(self, "status", status)
-        _set(self, "witness", witness)
+    _defaults = {"witness": None}
 
 
 def faithful_solvable(
@@ -671,22 +647,7 @@ def faithful_solvable(
 
 class NullstellensatzReport(Value):
     __slots__ = _fields = ("agrees", "meet_agrees", "image_sizes", "quotient_sizes", "hom_count", "separating")
-
-    def __init__(
-        self,
-        agrees: bool,
-        meet_agrees: bool,
-        image_sizes: tuple[int, ...],
-        quotient_sizes: tuple[int, ...],
-        hom_count: int,
-        separating: Optional[Pair] = None,
-    ):
-        _set(self, "agrees", agrees)
-        _set(self, "meet_agrees", meet_agrees)
-        _set(self, "image_sizes", image_sizes)
-        _set(self, "quotient_sizes", quotient_sizes)
-        _set(self, "hom_count", hom_count)
-        _set(self, "separating", separating)
+    _defaults = {"separating": None}
 
 
 def nullstellensatz_check(

@@ -36,10 +36,8 @@ from .spaces import GeoContext, PointSet, flag_mask
 from .terms import (
     Signature,
     Substitution,
-    Term,
     Value,
     VarContext,
-    _set,
     adjoin_constants,
     app,
     apply_subst,
@@ -57,46 +55,25 @@ class Formula(Value):
 class Eq(Formula):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __init__(self, lhs: Term, rhs: Term):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-
 
 class Rel(Formula):
     __slots__ = _fields = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[Term, ...]):
-        _set(self, "name", name)
-        _set(self, "args", args)
 
 
 class And(Formula):
     __slots__ = _fields = ("items",)
 
-    def __init__(self, items: tuple[Formula, ...]):
-        _set(self, "items", items)
-
 
 class Or(Formula):
     __slots__ = _fields = ("items",)
-
-    def __init__(self, items: tuple[Formula, ...]):
-        _set(self, "items", items)
 
 
 class Not(Formula):
     __slots__ = _fields = ("body",)
 
-    def __init__(self, body: Formula):
-        _set(self, "body", body)
-
 
 class Exists(Formula):
     __slots__ = _fields = ("ys", "body")
-
-    def __init__(self, ys: tuple[str, ...], body: Formula):
-        _set(self, "ys", ys)
-        _set(self, "body", body)
 
 
 def exists_f(ys: Iterable[str], body: Formula) -> Exists:
@@ -511,13 +488,6 @@ def _submodel_view(m: Model, sub: GeneratedSubalgebra) -> SubmodelView:
 class FundamentalReport(Value):
     __slots__ = _fields = ("relation", "open_formula", "positive_formula", "sub_value", "restricted_value")
 
-    def __init__(self, relation: str, open_formula: bool, positive_formula: bool, sub_value: int, restricted_value: int):
-        _set(self, "relation", relation)
-        _set(self, "open_formula", open_formula)
-        _set(self, "positive_formula", positive_formula)
-        _set(self, "sub_value", sub_value)
-        _set(self, "restricted_value", restricted_value)
-
 
 def fundamental_check(
     m: Model,
@@ -586,11 +556,6 @@ def fo_closure_member(
 
 class OpenVarietyReport(Value):
     __slots__ = _fields = ("agrees", "all_open", "mismatches")
-
-    def __init__(self, agrees: bool, all_open: bool, mismatches: tuple[Point, ...]):
-        _set(self, "agrees", agrees)
-        _set(self, "all_open", all_open)
-        _set(self, "mismatches", mismatches)
 
 
 def open_variety_check(

@@ -303,21 +303,11 @@ def _derived_mask(
 
 class SaturationBounds(Value):
     __slots__ = _fields = ("depth", "width", "iterations", "budget")
-
-    def __init__(self, depth: int = 2, width: int = 2, iterations: int = 6, budget: int = 20000):
-        _set(self, "depth", depth)
-        _set(self, "width", width)
-        _set(self, "iterations", iterations)
-        _set(self, "budget", budget)
+    _defaults = {"depth": 2, "width": 2, "iterations": 6, "budget": 20000}
 
 
 class DeriveResult(Value):
     __slots__ = _fields = ("clauses", "exhausted", "rounds")
-
-    def __init__(self, clauses: tuple[Clause, ...], exhausted: bool, rounds: int):
-        _set(self, "clauses", clauses)
-        _set(self, "exhausted", exhausted)
-        _set(self, "rounds", rounds)
 
     def __contains__(self, c: Clause) -> bool:
         return c in set(self.clauses)

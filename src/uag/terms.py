@@ -11,15 +11,17 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional
 
-_set = object.__setattr__  # how a value's __init__ sets its fields
+_set = object.__setattr__  # how Value.__init__, and Op's and Clause's own, set fields
 
 
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in _fields, in declaration order, keeps
-    them in __slots__, and sets them in its own __init__ through _set,
-    since assignment raises AttributeError. Two values are equal iff they
+    A subclass lists its fields in _fields, in declaration order, and keeps
+    them in __slots__; assignment raises AttributeError. One constructor
+    takes the slot fields in order, by position or by keyword, and fills
+    those left out from _defaults; only Op and Clause, which derive or
+    check fields, write their own __init__. Two values are equal iff they
     are of one class with equal field tuples; a value hashes as its field
     tuple, and its repr is Name(field=value, ...). A field kept as a class
     constant, not a slot (a verdict class's verdict), is compared, hashed
@@ -30,7 +32,8 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...]
     _values: Callable[["Value"], tuple]  # the field tuple: an attrgetter, whose one field is put in a tuple
-    _shown: tuple[str, ...]  # the fields the repr shows: those kept in slots
+    _shown: tuple[str, ...]  # the __init__ arguments and the fields the repr shows: those kept in slots
+    _defaults: dict = {}  # an argument's value when a call leaves it out
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -38,6 +41,35 @@ class Value:
             get = attrgetter(*cls._fields)
             cls._values = get if len(cls._fields) > 1 else staticmethod(lambda v: (get(v),))
             cls._shown = tuple(f for f in cls._fields if f in cls.__slots__)
+        extra = sorted(cls._defaults.keys() - set(getattr(cls, "_shown", ())))
+        if extra:
+            raise TypeError(f"{cls.__name__}: defaults for what are not fields: {extra}")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._shown):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._shown, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """A call's arguments in field order, or the TypeError a function would raise."""
+        names = cls._shown
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names[len(args):]:
+                why = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{cls.__name__}() got {why} argument {name!r}")
+        bound = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                bound.append(kwargs[name])
+            elif name in cls._defaults:
+                bound.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        return bound
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

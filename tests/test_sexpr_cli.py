@@ -209,12 +209,13 @@ def run_cli(*argv):
 
 
 def test_cli_eval_json(tmp_path):
-    code, out = run_cli(
-        "eval", "--builtin", "group", "-a", "Z4", "-c", "C2",
-        "--term", "(inv (mul x y))", "--point", "1,2", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["value"] == 1
+    for point in ("1,2", " 1, 2 "):  # spaces around an entry are allowed
+        code, out = run_cli(
+            "eval", "--builtin", "group", "-a", "Z4", "-c", "C2",
+            "--term", "(inv (mul x y))", "--point", point, "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["point"] == [1, 2] and json.loads(out)["value"] == 1
 
 
 def test_builtin_algebras_are_built_when_named(tmp_path, capsys):
@@ -356,6 +357,47 @@ def test_python_dash_m_uag_runs_the_cli(monkeypatch, capsys):
         except SystemExit as e:
             code = e.code
         assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+_Z6 = ["--builtin", "group", "-a", "Z6"]
+_DERIVE = ["derive", "--kind", "identity", "--seeds", "a"]
+BAD_COUNTS_AND_POINTS = [
+    (["check", "--trials", "-1"], "argument --trials: not a count"),
+    ([*_DERIVE, "--budget", "-5"], "argument --budget: not a count"),
+    ([*_DERIVE, "--iterations", "-1"], "argument --iterations: not a count"),
+    ([*_DERIVE, "--depth", "-1"], "argument --depth: not a count"),
+    ([*_DERIVE, "--width", "-3"], "argument --width: not a count"),
+    (["equiv", *_Z6, "-b", "Z2", "-c", "C1", "--samples", "-1"], "argument --samples: not a count"),
+    (["iso", *_Z6, "--ctx-a", "C1", "--pairs-a", "T", "--ctx-b", "C1", "--pairs-b", "T", "--bound", "-1"],
+     "argument --bound: not a count"),
+    (["eval", *_Z6, "-c", "C1", "--term", "x", "--point", "1 1"], "error: point values must be integers: '1 1'"),
+    (["eval", *_Z6, "-c", "C2", "--term", "x", "--point", "1,,1"], "error: point values must be integers: '1,,1'"),
+    (["eval", *_Z6, "-c", "C2", "--term", "x", "--point", ",1,1"], "error: point values must be integers: ',1,1'"),
+    (["eval", *_Z6, "-c", "C2", "--term", "x", "--point", "1,1,"], "error: point values must be integers: '1,1,'"),
+    (["nullsatz", "--builtin", "group", "--image", "Z2", "--assignment", "1,,0", "--target", "Z2", "-c", "C2"],
+     "error: point values must be integers: '1,,0'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_COUNTS_AND_POINTS, ids=[" ".join(a) for a, _ in BAD_COUNTS_AND_POINTS])
+def test_negative_counts_and_malformed_points_are_usage_errors(argv, message, monkeypatch, capsys):
+    """A negative count option, or a point with an empty or non-integer
+    entry, exits 2 with one usage or error line and no traceback, from
+    ``main`` and from ``python -m uag`` alike."""
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "uag", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    if message.startswith("argument"):
+        assert proc.stderr.startswith(f"usage: uag {argv[0]} ")
+    else:
+        assert proc.stderr == message + "\n"
+    capsys.readouterr()
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    assert (code, *capsys.readouterr()) == (2, "", proc.stderr)
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):

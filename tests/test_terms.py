@@ -25,6 +25,7 @@ from uag.terms import (
     Op,
     Signature,
     Substitution,
+    Value,
     VarContext,
     adjoin_constants,
     app,
@@ -272,6 +273,32 @@ def test_value_classes_are_frozen_records(cls, fields, args, defaults):
     else:
         assert list(to_jsonable(v)) == list(fields)
         assert repr(v) == f"{cls.__name__}({', '.join(f'{name}={a!r}' for name, a in args)})"
+
+
+@pytest.mark.parametrize("cls, fields, args, defaults", VALUE_CLASSES, ids=[c.__name__ for c, *_ in VALUE_CLASSES])
+def test_value_classes_refuse_a_bad_call(cls, fields, args, defaults):
+    """Too many arguments, an unknown keyword, a field given both by
+    position and by keyword, and a missing required argument each raise
+    TypeError, as they would from a function with the class's signature."""
+    values = [a for _, a in args]
+    first, value = args[0]
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: value})
+    required = [name for name, _ in args if name not in defaults]
+    if required:
+        with pytest.raises(TypeError):
+            cls(**{name: a for name, a in args if name != required[0]})
+
+
+def test_a_default_must_name_a_field():
+    with pytest.raises(TypeError, match=r"Bad: defaults for what are not fields: \['depth'\]"):
+        class Bad(Value):
+            __slots__ = _fields = ("size",)
+            _defaults = {"depth": 0}
 
 
 def test_values_of_different_classes_differ():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -72,6 +73,44 @@ def test_a_fresh_cli_process_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def classes_with_own_init(base: type, package: str) -> list[str]:
+    """The subclasses of base, at any depth and defined in package, that
+    write their own __init__, as module.name."""
+    found, todo = [], list(base.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.split(".")[0] == package and "__init__" in cls.__dict__:
+            found.append(f"{cls.__module__}.{cls.__name__}")
+    return sorted(found)
+
+
+def test_classes_with_own_init_detector():
+    class Base:
+        pass
+
+    class Plain(Base):
+        pass
+
+    class Own(Plain):
+        def __init__(self):
+            pass
+
+    assert classes_with_own_init(Base, __name__.split(".")[0]) == [f"{__name__}.Own"]
+    assert classes_with_own_init(Base, "uag") == []
+
+
+def test_only_op_and_clause_write_their_own_init():
+    """Every other value class is built by terms.Value's one constructor,
+    from its slot fields and _defaults."""
+    for p in sorted(SRC.glob("*.py")):
+        if p.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"uag.{p.stem}")
+    from uag.terms import Value
+
+    assert classes_with_own_init(Value, "uag") == ["uag.rules.Clause", "uag.terms.Op"]
 
 
 def tables_reads(source: str) -> list[int]:
