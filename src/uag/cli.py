@@ -122,11 +122,12 @@ def build_ws(args) -> Workspace:
 
 
 def parse_point(text: str, ctx: VarContext, g: FiniteAlgebra):
-    """The point a text names: comma-separated integers, spaces allowed."""
-    try:
-        vals = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise SexprError(f"point values must be integers: {text!r}") from None
+    """The point a text names: comma-separated integers, each decimal digits
+    with an optional leading ``-``; spaces are allowed around an entry."""
+    entries = [p.strip() for p in text.split(",")]
+    if not all(p.removeprefix("-").isdecimal() for p in entries):
+        raise SexprError(f"point values must be integers: {text!r}")
+    vals = tuple(map(int, entries))
     if len(vals) != len(ctx):
         raise SexprError(f"point needs {len(ctx)} values, got {len(vals)}")
     for v, (name, s) in zip(vals, ctx.vars):

@@ -44,7 +44,7 @@ from .logic import (
     forall_f,
 )
 from .rules import Clause, identity, pseudo, quasi, universal
-from .terms import Signature, Term, VarContext, app, render, var
+from .terms import Signature, Substitution, Term, VarContext, app, render, var
 
 
 class SexprError(ValueError):
@@ -53,24 +53,21 @@ class SexprError(ValueError):
         super().__init__(f"{line}:{col}: {msg}" if line else msg)
 
 
-class Atom:
-    """A symbol with the line and column (both 1-based) where it starts."""
+class Atom(str):
+    """A symbol: a ``str`` of its text that also keeps the line and column
+    (both 1-based) where it starts. It equals and hashes as its text."""
 
-    __slots__ = ("text", "line", "col")
+    __slots__ = ("line", "col")
 
-    def __init__(self, text: str, line: int, col: int):
-        self.text, self.line, self.col = text, line, col
+    def __new__(cls, text: str, *_position):
+        return str.__new__(cls, text)
 
-    def __eq__(self, other):
-        if other.__class__ is not Atom:
-            return NotImplemented
-        return (self.text, self.line, self.col) == (other.text, other.line, other.col)
+    def __init__(self, _text: str, line: int, col: int):
+        self.line, self.col = line, col
 
-    def __hash__(self):
-        return hash((self.text, self.line, self.col))
-
-    def __repr__(self):
-        return f"Atom(text={self.text!r}, line={self.line!r}, col={self.col!r})"
+    @property
+    def text(self) -> str:
+        return str(self)
 
 
 class EmptyForm(list):
@@ -84,7 +81,7 @@ class EmptyForm(list):
         self.line, self.col = line, col
 
 
-Node = Union[Atom, list]
+Node = Union[str, list]
 
 # one token per match, told apart by the group that matched: 1 an open
 # paren, 2 a close paren, 3 a run of symbol characters, none a comment start;
@@ -127,23 +124,65 @@ def parse_nodes(src: str) -> list[Node]:
     return out
 
 
+_COMMENT = re.compile(r";[^\n]*")
+_READ_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+def _read(src: str) -> list[Node]:
+    """The top-level forms of ``src`` as parse_nodes reads them, but as
+    nested lists of plain ``str`` with no positions: one ``findall`` over
+    the text with its comments taken out. Open lists are kept on an explicit
+    stack, as in parse_nodes. Unbalanced parentheses raise a SexprError with
+    no position; parse_nodes places it."""
+    out: list[Node] = []
+    items = out
+    stack: list[list] = []
+    for tok in _READ_TOKEN.findall(_COMMENT.sub("", src)):
+        if tok == "(":
+            stack.append(items)
+            items = []
+        elif tok == ")":
+            if not stack:
+                raise SexprError("unexpected ')'")
+            enclosing = stack.pop()
+            enclosing.append(items)
+            items = enclosing
+        else:
+            items.append(tok)
+    if stack:
+        raise SexprError("unclosed parenthesis")
+    return out
+
+
+def _placed(parse, src: str, sig: Signature):
+    """``parse(tree, sig)`` on the positionless tree of ``src``. If that
+    raises a SexprError, the same parse runs on parse_nodes' tree, which
+    raises it again with the line and column of the fault."""
+    try:
+        return parse(_read(src), sig)
+    except SexprError:
+        parse(parse_nodes(src), sig)
+        raise
+
+
 def _head(node: Node) -> str:
-    if not isinstance(node, list) or not node or not isinstance(node[0], Atom):
+    if not isinstance(node, list) or not node or not isinstance(node[0], str):
         raise SexprError("expected a form starting with a symbol", *_pos(node))
-    return node[0].text
+    return node[0]
 
 
 def _pos(node: Node) -> tuple[int, int]:
-    """Where node's first symbol starts; an empty form's own ``(``."""
+    """Where node's first symbol starts; an empty form's own ``(``. A node
+    of the positionless tree (a plain ``str``, or ``[]``) is at (0, 0)."""
     while isinstance(node, list) and node:
         node = node[0]
-    return (node.line, node.col)
+    return (getattr(node, "line", 0), getattr(node, "col", 0))
 
 
 def _atom(node: Node, what: str) -> str:
-    if not isinstance(node, Atom):
+    if not isinstance(node, str):
         raise SexprError(f"expected {what}", *_pos(node))
-    return node.text
+    return node
 
 
 def _item(form: list, i: int, what: str) -> Node:
@@ -169,7 +208,7 @@ def _int(node: Node, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SexprError(f"expected an integer {what}, got {text!r}", node.line, node.col)
+        raise SexprError(f"expected an integer {what}, got {text!r}", *_pos(node))
 
 
 class Workspace:
@@ -187,6 +226,13 @@ class Workspace:
         self.clauses: dict[str, Clause] = {}
         self.rel_decls: list[tuple[str, tuple[str, ...]]] = []
         self._rel_sig: Optional[RelSignature] = None
+
+    def copy(self) -> Workspace:
+        """A workspace with the same definitions, each list and dict of them
+        copied, so that what is added to one is not added to the other."""
+        ws = Workspace.__new__(Workspace)
+        ws.__dict__ = {k: v.copy() if isinstance(v, (list, dict)) else v for k, v in self.__dict__.items()}
+        return ws
 
     def sig(self) -> Signature:
         if self._sig is None:
@@ -230,7 +276,7 @@ def parse_term(node: Node, sig: Signature) -> Term:
     """The term a node spells, read with an explicit stack, so nesting is
     bounded by memory, not by the recursion limit. Nodes are checked in the
     order of a left-to-right recursion."""
-    if isinstance(node, Atom):
+    if isinstance(node, str):
         return _symbol_term(node, sig)
     _check_term_op(node, sig)
     stack: list[tuple[list, list[Term]]] = [(node, [])]  # open nodes, each with the arguments read so far
@@ -238,28 +284,27 @@ def parse_term(node: Node, sig: Signature) -> Term:
         top, args = stack[-1]
         if len(args) == len(top) - 1:
             stack.pop()
-            t = app(top[0].text, *args)
+            t = app(top[0], *args)
             if not stack:
                 return t
             stack[-1][1].append(t)
             continue
         child = top[len(args) + 1]
-        if isinstance(child, Atom):
+        if isinstance(child, str):
             args.append(_symbol_term(child, sig))
         else:
             _check_term_op(child, sig)
             stack.append((child, []))
 
 
-def _symbol_term(node: Atom, sig: Signature) -> Term:
-    text = node.text
+def _symbol_term(text: str, sig: Signature) -> Term:
     if text.lstrip("-").isdigit():
-        raise SexprError("a bare number is not a term", node.line, node.col)
+        raise SexprError("a bare number is not a term", *_pos(text))
     arity = sig.arities.get(text)
     if arity is None:
         return var(text)
     if arity:
-        raise SexprError(f"operation {text!r} takes {arity} arguments", node.line, node.col)
+        raise SexprError(f"operation {text!r} takes {arity} arguments", *_pos(text))
     return app(text)
 
 
@@ -271,10 +316,10 @@ def _check_term_op(node: list, sig: Signature) -> None:
     name = _atom(head, "an operation name")
     arity = sig.arities.get(name)
     if arity is None:
-        raise SexprError(f"unknown operation {name!r}", head.line, head.col)
+        raise SexprError(f"unknown operation {name!r}", *_pos(head))
     if len(node) - 1 != arity:
         raise SexprError(
-            f"operation {name!r} takes {arity} arguments, got {len(node) - 1}", head.line, head.col
+            f"operation {name!r} takes {arity} arguments, got {len(node) - 1}", *_pos(head)
         )
 
 
@@ -286,12 +331,12 @@ def parse_pair(node: Node, sig: Signature) -> Pair:
 
 def parse_formula(node: Node, ws: Workspace) -> Formula:
     sig = ws.sig()
-    if isinstance(node, Atom):
-        if node.text == "true":
+    if isinstance(node, str):
+        if node == "true":
             return And(())
-        if node.text == "false":
+        if node == "false":
             return Or(())
-        raise SexprError(f"bare formula atom {node.text!r}", node.line, node.col)
+        raise SexprError(f"bare formula atom {node!r}", *_pos(node))
     head = _head(node)
     body = node[1:]
     if head == "eq":
@@ -372,12 +417,10 @@ def _parse_context(node: list, ws: Workspace) -> None:
     sig = ws.sig()
     decls = []
     for v in node[2:]:
-        if isinstance(v, Atom):
+        if isinstance(v, str):
             if len(sig.sorts) != 1:
-                raise SexprError(
-                    "bare context variables need a single-sorted signature", v.line, v.col
-                )
-            decls.append((v.text, sig.sorts[0]))
+                raise SexprError("bare context variables need a single-sorted signature", *_pos(v))
+            decls.append((v, sig.sorts[0]))
         else:
             if len(v) != 2:
                 raise SexprError("(var sort)", *_pos(v))
@@ -439,7 +482,7 @@ def _parse_clause(node: list, ws: Workspace) -> None:
                 ante.extend(parse_pair(p, sig) for p in form[1:])
             elif head == "cons":
                 saw_cons = True
-                if len(form) == 2 and isinstance(form[1], Atom) and form[1].text == "false":
+                if len(form) == 2 and form[1] == "false":
                     cons = None
                 elif len(form) == 3:
                     cons = (parse_term(form[1], sig), parse_term(form[2], sig))
@@ -455,8 +498,23 @@ def _parse_clause(node: list, ws: Workspace) -> None:
 
 
 def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
+    """The forms of ``src`` added to ``base`` (a new Workspace if None).
+
+    They are read without positions. Only if a form is wrong are they read
+    again by parse_nodes and added to a copy of ``base`` as it was, so that
+    the SexprError raised names the line and column of the fault."""
     ws = base if base is not None else Workspace()
-    for node in parse_nodes(src):
+    before = ws.copy()
+    try:
+        _load_forms(_read(src), ws)
+    except SexprError:
+        _load_forms(parse_nodes(src), before)
+        raise
+    return ws
+
+
+def _load_forms(nodes: list[Node], ws: Workspace) -> None:
+    for node in nodes:
         head = _head(node)
         if head == "sort":
             sname = _atom_at(node, 1, "a sort name")
@@ -505,7 +563,6 @@ def load_workspace(src: str, base: Optional[Workspace] = None) -> Workspace:
             _parse_clause(node, ws)
         else:
             raise SexprError(f"unknown form {head!r}", *_pos(node))
-    return ws
 
 
 def print_pair(p: Pair) -> str:
@@ -533,14 +590,20 @@ def print_formula(f: Formula) -> str:
 
 
 def parse_inline_term(text: str, sig: Signature) -> Term:
-    nodes = parse_nodes(text)
+    return _placed(_one_term, text, sig)
+
+
+def _one_term(nodes: list[Node], sig: Signature) -> Term:
     if len(nodes) != 1:
         raise SexprError("expected exactly one term")
     return parse_term(nodes[0], sig)
 
 
 def parse_inline_pair(text: str, sig: Signature) -> Pair:
-    nodes = parse_nodes(text)
+    return _placed(_one_pair, text, sig)
+
+
+def _one_pair(nodes: list[Node], sig: Signature) -> Pair:
     if len(nodes) == 1:
         return parse_pair(nodes[0], sig)
     if len(nodes) == 2:
@@ -548,10 +611,11 @@ def parse_inline_pair(text: str, sig: Signature) -> Pair:
     raise SexprError("expected a pair of terms")
 
 
-def parse_inline_subst(text: str, sig: Signature):
-    from .terms import Substitution
+def parse_inline_subst(text: str, sig: Signature) -> Substitution:
+    return _placed(_substitution, text, sig)
 
-    nodes = parse_nodes(text)
+
+def _substitution(nodes: list[Node], sig: Signature) -> Substitution:
     if len(nodes) == 1 and isinstance(nodes[0], list) and nodes[0] and isinstance(nodes[0][0], list):
         nodes = nodes[0]
     bindings = {}

@@ -223,9 +223,12 @@ _VARS: dict[str, Var] = {}
 _APPS: dict[tuple, App] = {}
 
 
+# a name given as a str subclass (a reader's positioned sexpr.Atom) finds the
+# node its text names; a new node keeps the plain str of its text
 def var(name: str) -> Var:
     t = _VARS.get(name)
     if t is None:
+        name = str(name)
         t = _VARS[name] = Var(name)
     return t
 
@@ -234,7 +237,8 @@ def app(op: str, *args: Term) -> App:
     key = (op, tuple(map(id, args)))
     t = _APPS.get(key)
     if t is None:
-        t = _APPS[key] = App(op, tuple(args))
+        op = str(op)
+        t = _APPS[op, key[1]] = App(op, tuple(args))
     return t
 
 

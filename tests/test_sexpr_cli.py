@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import re
 import shutil
 import subprocess
@@ -26,6 +27,7 @@ from uag.sexpr import (
     parse_formula,
     parse_inline_pair,
     parse_inline_subst,
+    parse_inline_term,
     parse_nodes,
     parse_term,
     print_formula,
@@ -117,6 +119,194 @@ def test_reader_makes_one_atom_per_symbol(monkeypatch):
     monkeypatch.setattr(sexpr, "Atom", Counted)
     assert [_shape(n) for n in parse_nodes(WS)] == oracles.o_parse_nodes(WS)
     assert made == [t for t in oracles.o_tokenize(WS) if t[0] not in "()"]
+
+
+def _symbols(tree):
+    """The symbols of a reader's tree, left to right."""
+    stack, out = [tree], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(reversed(node))
+        else:
+            out.append(node)
+    return out
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet="() \t\r\n;ab1-\f\u00e9\v\u00a0", max_size=60))
+def test_positionless_reader_agrees_with_parse_nodes(src):
+    """The reader workspaces are loaded with gives parse_nodes' tree of
+    texts, every symbol a plain str, or raises where parse_nodes raises."""
+    try:
+        want = parse_nodes(src)
+    except SexprError:
+        want = None
+    try:
+        got = sexpr._read(src)
+    except SexprError:
+        got = None
+    assert got == want  # an Atom equals its text, an EmptyForm []
+    if got is not None:
+        assert all(type(s) is str for s in _symbols(got))
+
+
+def test_positionless_reader_nests_deeper_than_the_recursion_limit():
+    depth = 5000
+    for read in (sexpr._read, parse_nodes):
+        [node] = read("(" * depth + "x" + ")" * depth)
+        for _ in range(depth):
+            [node] = node
+        assert node == "x"
+        for src in ("(" * depth + "x", "x" + ")" * depth):
+            with pytest.raises(SexprError, match="unclosed|unexpected"):
+                read(src)
+
+
+def _raised(load):
+    """The text of the error load raises, with the error's class; None if it
+    raises none."""
+    try:
+        load()
+    except ValueError as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def _mutations(src, rng, n):
+    """n copies of src, each with one token changed: a parenthesis dropped or
+    doubled, a symbol dropped, or two symbols swapped."""
+    tokens = [(m.start(), m.end(), m.group()) for m in re.finditer(r"[()]|[^ \t\r\n();]+", src)]
+    parens = [t for t in tokens if t[2] in "()"]
+    symbols = [t for t in tokens if t[2] not in "()"]
+    out = []
+    for _ in range(n):
+        how = rng.choice(("drop paren", "double paren", "drop symbol", "swap symbols"))
+        if how == "swap symbols":
+            (s1, e1, t1), (s2, e2, t2) = sorted(rng.sample(symbols, 2))
+            out.append(src[:s1] + t2 + src[e1:s2] + t1 + src[e2:])
+            continue
+        s, e, t = rng.choice(symbols if how == "drop symbol" else parens)
+        out.append(src[:s] + (2 * t if how == "double paren" else "") + src[e:])
+    return out
+
+
+def test_a_workspace_error_is_placed_as_parse_nodes_places_it():
+    """load_workspace raises, for a damaged WS, the error the forms of
+    parse_nodes(src) raise when added to a fresh workspace."""
+    rng = random.Random(35)
+    placed = 0
+    for src in _mutations(WS, rng, 400):
+        want = _raised(lambda: sexpr._load_forms(parse_nodes(src), sexpr.Workspace()))
+        assert _raised(lambda: load_workspace(src)) == want, src
+        placed += want is not None and re.match(r"\d+:\d+: ", want[1]) is not None
+    assert placed > 100
+
+
+SECOND = """(pairs U ((mul x y) (inv x)))
+(formula r (exists (y) (rel P (mul x y))))
+(clause k identity ((mul x e) x))
+(model N Z2 (rel P (0)))
+"""
+
+
+def test_a_second_file_error_is_placed_as_parse_nodes_places_it(tmp_path, capsys):
+    """A damaged file loaded after WS: its error is the one its forms raise
+    when added to WS's workspace as WS left it, and `uag parse` prints it
+    after the file's path."""
+    first = tmp_path / "first.sx"
+    first.write_text(WS)
+    second = tmp_path / "second.sx"
+    rng = random.Random(36)
+    failed = 0
+    for src in _mutations(SECOND, rng, 120):
+        want = _raised(lambda: sexpr._load_forms(parse_nodes(src), load_workspace(WS)))
+        assert _raised(lambda: load_workspace(src, load_workspace(WS))) == want, src
+        if want is not None and want[0] == "SexprError":
+            failed += 1
+            second.write_text(src)
+            capsys.readouterr()
+            assert run_cli("parse", "-f", str(first), "-f", str(second)) == (2, "")
+            assert capsys.readouterr().err == f"error: {second}:{want[1]}\n"
+    assert failed > 30
+
+
+def test_a_failed_load_is_placed_from_the_workspace_as_it_was():
+    """The forms a file added before its error are not seen by the read
+    that places the error: (op e ...) is not read as coming after a term."""
+    base = load_workspace("(sort g)\n(op mul (g g) g)")
+    with pytest.raises(SexprError) as e:
+        load_workspace("(op e () g)\n(pairs T ((mul x x) e))\n(bogus)", base)
+    assert str(e.value) == "3:2: unknown form 'bogus'"
+
+
+def _strings(obj):
+    """Every str reachable from obj through containers and through the
+    slots and instance dicts of the objects they hold."""
+    seen, out, stack = set(), [], [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, str):
+            out.append(o)
+            continue
+        if id(o) in seen or isinstance(o, (int, float, bytes, type(None))):
+            continue
+        seen.add(id(o))
+        if isinstance(o, dict):
+            stack.extend(o)
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack.extend(o)
+        else:
+            for cls in type(o).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(o, name):
+                        stack.append(getattr(o, name))
+            stack.extend(getattr(o, "__dict__", {}).values())
+    return out
+
+
+def test_a_valid_load_makes_no_atoms(monkeypatch, capsys):
+    """A valid workspace or --term is read without positions: no Atom is
+    made, and every name in the workspace and its terms is a plain str. A
+    malformed one makes the Atoms of exactly one parse_nodes read."""
+    made = []
+
+    class Counted(sexpr.Atom):
+        __slots__ = ()
+
+        def __init__(self, text, line, col):
+            made.append((text, line, col))
+            super().__init__(text, line, col)
+
+    monkeypatch.setattr(sexpr, "Atom", Counted)
+    ws = load_workspace(WS)
+    t = parse_inline_term("(mul x (inv y))", ws.sig())
+    parse_inline_pair("((mul x x) e)", ws.sig())
+    parse_inline_subst("((x (mul y y)) (y e))", ws.sig())
+    argv = ["eval", "--builtin", "group", "-a", "Z2", "-c", "C2", "--term", "(mul x (inv y))", "--point", "1,0"]
+    assert run_cli(*argv)[0] == 0
+    assert made == []
+    names = _strings([vars(ws), t])
+    assert {"g", "mul", "Z2", "C2", "x", "y", "T", "P", "M", "q", "comm", "boom"} <= set(names)
+    assert {type(s) for s in names} == {str}
+
+    for src in (WS + "(bogus x)\n", WS + "(pairs B ((mul x y) e)\n", WS.replace("(sort g)", "(sort g))")):
+        made.clear()
+        with pytest.raises(SexprError):
+            load_workspace(src)
+        got = list(made)
+        made.clear()
+        try:
+            parse_nodes(src)
+        except SexprError:
+            pass
+        assert got == made and got
+    made.clear()
+    assert run_cli(*argv[:-3], "(mul x", *argv[-2:]) == (2, "")
+    assert capsys.readouterr().err == "error: 1:1: unclosed parenthesis\n"
+    assert made == [("mul", 1, 2), ("x", 1, 6)]
 
 
 def test_load_workspace_full():
@@ -376,6 +566,16 @@ BAD_COUNTS_AND_POINTS = [
     (["eval", *_Z6, "-c", "C2", "--term", "x", "--point", "1,1,"], "error: point values must be integers: '1,1,'"),
     (["nullsatz", "--builtin", "group", "--image", "Z2", "--assignment", "1,,0", "--target", "Z2", "-c", "C2"],
      "error: point values must be integers: '1,,0'"),
+    # an entry is decimal digits with an optional leading "-": no "+", no "_"
+    (["eval", *_Z6, "-c", "C1", "--term", "x", "--point", "1_1"], "error: point values must be integers: '1_1'"),
+    (["eval", *_Z6, "-c", "C1", "--term", "x", "--point", "+1"], "error: point values must be integers: '+1'"),
+    (["eval", *_Z6, "-c", "C2", "--term", "x", "--point", "1,-+1"], "error: point values must be integers: '1,-+1'"),
+    (["point-closure", *_Z6, "-c", "C2", "--point", "0, +0"], "error: point values must be integers: '0, +0'"),
+    (["point-closure", *_Z6, "-c", "C2", "--point", "0,1_0"], "error: point values must be integers: '0,1_0'"),
+    (["nullsatz", "--builtin", "group", "--image", "Z2", "--assignment", "+1,0", "--target", "Z2", "-c", "C2"],
+     "error: point values must be integers: '+1,0'"),
+    (["nullsatz", "--builtin", "group", "--image", "Z2", "--assignment", "1,0_0", "--target", "Z2", "-c", "C2"],
+     "error: point values must be integers: '1,0_0'"),
 ]
 
 
@@ -398,6 +598,16 @@ def test_negative_counts_and_malformed_points_are_usage_errors(argv, message, mo
     except SystemExit as e:
         code = e.code
     assert (code, *capsys.readouterr()) == (2, "", proc.stderr)
+
+
+def test_point_entries_may_carry_a_minus_and_spaces(capsys):
+    """Spaces around an entry are allowed, and a leading "-" reads as a
+    negative value, which is then out of range."""
+    code, out = run_cli("eval", *_Z6, "-c", "C2", "--term", "(mul x y)", "--point", " 2 ,3\t", "--format", "json")
+    assert (code, json.loads(out)["point"], json.loads(out)["value"]) == (0, [2, 3], 5)
+    capsys.readouterr()
+    assert run_cli("point-closure", *_Z6, "-c", "C1", "--point", "-1") == (2, "")
+    assert capsys.readouterr().err == "error: value -1 for x out of range for Z6\n"
 
 
 def test_cli_parse_error_exit(tmp_path, capsys):
