@@ -32,6 +32,7 @@ from .congruences import (
     FinitePartitionCongruence,
     GroundCongruence,
     KernelCongruence,
+    LazyMeetKernel,
     PairSet,
     ground_closure,
     h_ker,
@@ -47,6 +48,7 @@ from .geometry import (
     Inconclusive,
     NotEquivalent,
     VarietyIso,
+    act_endo_variety,
     all_closed_point_sets,
     closure_pairs,
     closure_variety,
@@ -105,7 +107,7 @@ from .rules import (
     soundness_check,
     universal,
 )
-from .sexpr import SexprError, Workspace, load_workspace
+from .sexpr import SexprError, Workspace, load_workspace, print_formula
 from .spaces import GeoContext, PointSet
 from .terms import (
     Signature,

@@ -846,8 +846,8 @@ def _hom_candidates(sub: GeneratedSubalgebra, b: FiniteAlgebra, cap: Optional[in
 
 
 def product(gs: Sequence[FiniteAlgebra], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteAlgebra:
-    """The product of the factors, its elements numbered as tuple_to_index
-    numbers their rows: the generation seeded by every row of each sort, in
+    """The product of the factors, its elements numbered as index_to_tuple
+    reads their rows: the generation seeded by every row of each sort, in
     lexicographic order, which adds no member.
 
     The product's table cells are checked against cap first
@@ -872,13 +872,6 @@ def _common_sig(gs: Sequence[FiniteAlgebra]) -> Signature:
         if g.sig is not sig and (g.sig.sorts, g.sig.ops) != (sig.sorts, sig.ops):
             raise ValueError("product factors must share a signature")
     return sig
-
-
-def tuple_to_index(tup: Sequence[int], sizes: Sequence[int]) -> int:
-    i = 0
-    for v, n in zip(tup, sizes):
-        i = i * n + v
-    return i
 
 
 def index_to_tuple(i: int, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -1010,47 +1003,6 @@ def satisfies_identity(
         ctx = inferred_context(g.sig, pair)
     [(lhs, rhs)] = eval_pairs([pair], enumerate_points(ctx, g, cap), g, ctx)
     return lhs == rhs
-
-
-def ops_commute(g: FiniteAlgebra, name1: str, name2: str) -> bool:
-    """The commutation law for an op pair, checked over all value matrices.
-
-    With both ops at least unary, the law equates applying op1 along the rows
-    then op2 to the row results with applying op2 down the columns then op1 to
-    the column results. A nullary op commutes with an n-ary op when the n-ary
-    op is constant on the nullary value; two nullary ops commute when their
-    values are equal. Pairs whose law is not well-sorted (cross-sort nullaries,
-    inconsistent matrix sorts) commute vacuously.
-    """
-    op1, op2 = g.sig.op(name1), g.sig.op(name2)
-    n, m = op1.arity, op2.arity
-    # matrix of m rows by n columns; entry (i,j) must inhabit both arg sorts.
-    # With a nullary op the matrix is empty, and the law compares the other
-    # op, applied to the constant throughout, with the constant.
-    if op1.result != op2.result:
-        return True
-    if any(s != op1.result for s in op2.args) or any(s != op2.result for s in op1.args):
-        # op2 must accept op1 results and vice versa for the law to be a term
-        return True
-    if any(op1.args[j] != op2.args[i] for i in range(m) for j in range(n)):
-        return True
-    cell_sorts = [g.sizes[op1.args[j]] for j in range(n)]
-    for rows in itertools.product(*(itertools.product(*[range(k) for k in cell_sorts]) for _ in range(m))):
-        lhs = g.apply(name2, [g.apply(name1, row) for row in rows])
-        cols = [[rows[i][j] for i in range(m)] for j in range(n)]
-        rhs = g.apply(name1, [g.apply(name2, col) for col in cols])
-        if lhs != rhs:
-            return False
-    return True
-
-
-def is_commutative(g: FiniteAlgebra) -> bool:
-    names = [op.name for op in g.sig.ops]
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if not ops_commute(g, a, b):
-                return False
-    return True
 
 
 def extend_with_constants(g: FiniteAlgebra, sig_c: Signature) -> FiniteAlgebra:

@@ -597,13 +597,6 @@ VERBS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
-    """The full parser: every verb in VERBS, each with COMMON and its own
-    arguments. ``main`` builds it only for an argv that does not start
-    with a verb or leaves arguments over (see ``_parse_args``)."""
-    return _parser(_formatter())
-
-
 def _formatter() -> partial:
     """A formatter class whose instances get the width a default
     ``HelpFormatter`` would compute. The terminal is asked once; argparse
@@ -613,6 +606,9 @@ def _formatter() -> partial:
 
 
 def _parser(fmt: partial) -> argparse.ArgumentParser:
+    """The full parser: every verb in VERBS, each with COMMON and its own
+    arguments. ``main`` builds it only for an argv that does not start
+    with a verb or leaves arguments over (see ``_parse_args``)."""
     top = argparse.ArgumentParser(prog="uag", description=__doc__, formatter_class=fmt)
     sub = top.add_subparsers(dest="verb", required=True, prog="uag")
     for name, (help_text, _) in VERBS.items():

@@ -52,7 +52,6 @@ from .terms import (
     Value,
     adjoin_constants,
     app,
-    apply_subst,
     constant_name,
     term_vars,
     var,
@@ -194,11 +193,6 @@ def verbal_variety(
     classes, of_point = point_subalgebras(gctx)
     ok = [all(satisfies_identity(sub.as_algebra(), pair, ictx, cap) for pair in identities) for _, sub in classes]
     return PointSet.of_flags(gctx, map(ok.__getitem__, of_point))
-
-
-def act_endo_pairs(s: Substitution, pairs: Iterable[Pair]) -> PairSet:
-    """Image of an equation set under an endomorphism of the term algebra."""
-    return PairSet((apply_subst(s, w), apply_subst(s, w2)) for w, w2 in pairs)
 
 
 def _points_through(s: Substitution, points: Sequence[Point], gctx: GeoContext, out_ctx=None) -> list[Point]:

@@ -257,13 +257,6 @@ def forall_set(a: PointSet, ys: Iterable[str]) -> PointSet:
     return exists_set(a.complement(), ys).complement()
 
 
-def support_set(a: PointSet) -> frozenset[str]:
-    """Variables the value set genuinely depends on."""
-    return frozenset(
-        name for name, _ in a.gctx.ctx.vars if exists_set(a, [name]) != a
-    )
-
-
 def subst_formula(s: Substitution, f: Formula) -> Formula:
     """Apply a substitution to free occurrences; refuses variable capture."""
     if isinstance(f, Eq):
@@ -407,17 +400,6 @@ def filter_generated(
     if all(a.mask == gctx.full_mask for a in gens):
         return {gctx.full()}
     return {PointSet.of_mask(gctx, a) for a in range(1 << n)}
-
-
-def universal_part(family: Iterable[PointSet], gctx: GeoContext) -> set[PointSet]:
-    """Members whose full universal closure stays in the family."""
-    fam = {a.mask for a in family}
-    names = [nm for nm, _ in gctx.ctx.vars]
-    return {
-        PointSet.of_mask(gctx, a)
-        for a in fam
-        if forall_set(PointSet.of_mask(gctx, a), names).mask in fam
-    }
 
 
 class SubmodelView:

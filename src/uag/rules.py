@@ -166,36 +166,6 @@ def _holds_at(g: FiniteAlgebra, c: Clause, ctx, points: list, memo: dict) -> boo
     return sat == full
 
 
-def rho_membership(premises: Iterable[Pair], query: Pair, extra_terms: Iterable[Term] = ()) -> bool:
-    """Is the query a ground consequence of the premise equations?
-
-    Variables are treated as opaque constants, which under-approximates full
-    equational consequence; every rule that consults this stays sound.
-    """
-    gc = ground_closure(PairSet(premises), extra_terms)
-    return gc.contains(query)
-
-
-def circ_pseudo_member(premises: Sequence[Clause], candidate: Clause) -> bool:
-    """The composition test: every choice of one disjunct per premise must
-    ground-derive some disjunct of the candidate. Pseudoidentities are the
-    negation-free universal clauses, so this is circ_universal_member."""
-    return circ_universal_member(premises, candidate)
-
-
-def circ_universal_member(premises: Sequence[Clause], candidate: Clause) -> bool:
-    """Composition for mixed clauses: each premise contributes either one of
-    its equations (kept as a premise) or one of its negated equations (kept
-    as a goal); the candidate's negated side always joins the premises.
-
-    The one-candidate, one-combination case of the engine derive_closure
-    runs, with closures of its own; False when the premises have more than
-    _CHOICE_CAP choices.
-    """
-    groups, todo = _grouped([candidate], ())
-    return _derived_mask(premises, groups, todo, {}) == todo
-
-
 class _Group:
     """Candidates with one negated side, which joins every choice's premises.
 

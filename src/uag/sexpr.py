@@ -65,10 +65,6 @@ class Atom(str):
     def __init__(self, _text: str, line: int, col: int):
         self.line, self.col = line, col
 
-    @property
-    def text(self) -> str:
-        return str(self)
-
 
 class EmptyForm(list):
     """``()``, which has no first item to be located by, so it keeps the
@@ -563,10 +559,6 @@ def _load_forms(nodes: list[Node], ws: Workspace) -> None:
             _parse_clause(node, ws)
         else:
             raise SexprError(f"unknown form {head!r}", *_pos(node))
-
-
-def print_pair(p: Pair) -> str:
-    return f"({render(p[0])} {render(p[1])})"
 
 
 def print_formula(f: Formula) -> str:

@@ -376,14 +376,6 @@ def sort_of(t: Term, sig: Signature, ctx: VarContext) -> int:
     return s
 
 
-def well_sorted(t: Term, sig: Signature, ctx: VarContext) -> bool:
-    try:
-        sort_of(t, sig, ctx)
-        return True
-    except ValueError:
-        return False
-
-
 class Substitution:
     """Sort-preserving map from variable names to terms; identity where unbound."""
 
@@ -408,15 +400,6 @@ def apply_subst(s: Substitution, t: Term) -> Term:
     for u in postorder(t):
         image[id(u)] = s(u.name) if isinstance(u, Var) else app(u.op, *[image[id(a)] for a in u.args])
     return image[id(t)]
-
-
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """compose(s1,s2) applied to t equals s1 applied to (s2 applied to t)."""
-    out = {name: apply_subst(s1, t) for name, t in s2.bindings.items()}
-    for name, t in s1.bindings.items():
-        if name not in out:
-            out[name] = t
-    return Substitution(out)
 
 
 def subterm_universe(terms: Iterable[Term]) -> list[Term]:

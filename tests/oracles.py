@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from uag.algebras import FiniteAlgebra, dense_blocks, index_to_tuple, tuple_to_index
+from uag.algebras import FiniteAlgebra, dense_blocks, index_to_tuple
 from uag.terms import App, Term, Var, VarContext, app
 
 
@@ -236,6 +236,12 @@ def o_apply_subst(s, t: Term) -> Term:
     return app(t.op, *[o_apply_subst(s, a) for a in t.args])
 
 
+def o_act_endo_pairs(s, pairs):
+    """Image of an equation set under an endomorphism of the term algebra,
+    pair by pair through o_apply_subst."""
+    return [(o_apply_subst(s, w), o_apply_subst(s, w2)) for w, w2 in pairs]
+
+
 def o_ground_closure_classes(pairs, extra_terms=()):
     """Congruence closure by iterated relabeling over the subterm universe."""
     universe = o_subterms([t for p in pairs for t in p] + list(extra_terms))
@@ -375,11 +381,16 @@ def o_quotient(g, partition, name=None):
     return FiniteAlgebra(g.sig, counts, tables, name=name or f"{g.name}/~")
 
 
+def o_tuple_to_index(tup, sizes) -> int:
+    """The number of a row of factor elements, first factor most significant."""
+    return sum(v * math.prod(sizes[k + 1 :]) for k, v in enumerate(tup))
+
+
 def o_product(gs, name=None):
     """The product of the factors, cell by cell: each argument's number is
     turned into its row of factor elements (index_to_tuple), every factor
     applies the op, and the row of results is numbered back
-    (tuple_to_index); FiniteAlgebra then checks and nests the tables."""
+    (o_tuple_to_index); FiniteAlgebra then checks and nests the tables."""
     sig = gs[0].sig
     factor_sizes = [tuple(g.sizes[s] for g in gs) for s in range(len(sig.sorts))]
     sizes = [math.prod(fs) for fs in factor_sizes]
@@ -389,7 +400,7 @@ def o_product(gs, name=None):
         for args in itertools.product(*[range(sizes[s]) for s in op.args]):
             comps = [index_to_tuple(arg, factor_sizes[s]) for arg, s in zip(args, op.args)]
             result = [g.tables[op.name][tuple(comp[k] for comp in comps)] for k, g in enumerate(gs)]
-            table[args] = tuple_to_index(result, factor_sizes[op.result])
+            table[args] = o_tuple_to_index(result, factor_sizes[op.result])
     return FiniteAlgebra(sig, sizes, tables, name=name or "x".join(g.name for g in gs))
 
 
@@ -492,30 +503,6 @@ def o_closure_member(g, ctx, t_pairs, query) -> bool:
     for p in o_variety(g, ctx, t_pairs):
         env = o_env(ctx, p)
         if o_eval(query[0], env, g.tables) != o_eval(query[1], env, g.tables):
-            return False
-    return True
-
-
-def o_commute(g, op1, op2) -> bool:
-    """Matrix law, written over explicit argument matrices."""
-    f, h = g.sig.op(op1), g.sig.op(op2)
-    if f.result != h.result:
-        return True
-    if any(s != f.result for s in f.args) or any(s != h.result for s in h.args):
-        return True
-    n, m = f.arity, h.arity
-    size = g.sizes[f.result]
-    if n == 0 and m == 0:
-        return g.tables[op1][()] == g.tables[op2][()]
-    if n == 0:
-        return g.tables[op2][tuple([g.tables[op1][()]] * m)] == g.tables[op1][()]
-    if m == 0:
-        return g.tables[op1][tuple([g.tables[op2][()]] * n)] == g.tables[op2][()]
-    for flat in itertools.product(range(size), repeat=n * m):
-        matrix = [flat[i * m : (i + 1) * m] for i in range(n)]
-        row_then_f = g.tables[op2][tuple(g.tables[op1][tuple(matrix[i][j] for i in range(n))] for j in range(m))]
-        col_then_h = g.tables[op1][tuple(g.tables[op2][tuple(matrix[i][j] for j in range(m))] for i in range(n))]
-        if row_then_f != col_then_h:
             return False
     return True
 

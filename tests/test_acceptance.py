@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from uag import rules
 from uag.algebras import (
     GROUP_SIG,
     RING_SIG,
@@ -32,7 +33,6 @@ from uag.congruences import (
 from uag.geometry import (
     Equivalent,
     NotEquivalent,
-    act_endo_pairs,
     act_endo_variety,
     candidate_pairs,
     closure_pairs,
@@ -66,12 +66,10 @@ from uag.logic import (
 )
 from uag.rules import (
     SaturationBounds,
-    circ_pseudo_member,
     derive_closure,
     identity,
     pseudo,
     quasi,
-    rho_membership,
     soundness_check,
     universal,
 )
@@ -240,7 +238,7 @@ def test_criterion_6(z2, z4, klein, gctx2):
                     range(len(gctx.points)), rng.randint(0, min(5, len(gctx.points)))
                 ),
             )
-            left = variety_of(gctx, act_endo_pairs(s, t))
+            left = variety_of(gctx, oracles.o_act_endo_pairs(s, t))
             right = act_endo_variety(s, variety_of(gctx, t))
             assert left == right
             sp = (ident, swap)[rng.randrange(2)]
@@ -287,10 +285,9 @@ def test_criterion_7(z2, z3, z4, klein, gctx2, gctx3):
                 res = derive_closure(kind, seeds, GROUP_SIG, gctx2, bounds)
                 viols = soundness_check(res.clauses, seeds, pool, gctx2)
                 assert viols == [], (kind, j, viols[:3])
-        assert rho_membership([(X, Y), (Y, Z)], (X, Z))
-        assert circ_pseudo_member(
-            [pseudo([(X, Y)]), pseudo([(Y, Z)])], pseudo([(X, Z)])
-        )
+        assert ground_closure(PairSet([(X, Y), (Y, Z)])).contains((X, Z))
+        premises = [pseudo([(X, Y)]), pseudo([(Y, Z)])]
+        assert rules._derived_mask(premises, *rules._grouped([pseudo([(X, Z)])], ()), {})
 
 
 def test_criterion_8(z2, gctx2):

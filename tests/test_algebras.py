@@ -26,17 +26,14 @@ from uag.algebras import (
     extend_with_constants,
     generate,
     inferred_context,
-    is_commutative,
     klein_four,
     mod_ring,
-    ops_commute,
     point_count,
     product,
     quotient,
     satisfies_identity,
     subalgebra_generated,
     symmetric_group_3,
-    tuple_to_index,
     unit_algebra,
     index_to_tuple,
     vee_semilattice,
@@ -462,11 +459,11 @@ def test_product_mixed_radix(z2, z3):
     p = product([z2, z3])
     assert p.sizes == (6,)
     # first factor most significant
-    assert tuple_to_index((1, 2), [2, 3]) == 5
+    assert oracles.o_tuple_to_index((1, 2), [2, 3]) == 5
     assert index_to_tuple(5, [2, 3]) == (1, 2)
-    x = tuple_to_index((1, 1), [2, 3])
-    y = tuple_to_index((0, 2), [2, 3])
-    want = tuple_to_index(((1 + 0) % 2, (1 + 2) % 3), [2, 3])
+    x = oracles.o_tuple_to_index((1, 1), [2, 3])
+    y = oracles.o_tuple_to_index((0, 2), [2, 3])
+    want = oracles.o_tuple_to_index(((1 + 0) % 2, (1 + 2) % 3), [2, 3])
     assert p.apply("mul", (x, y)) == want
 
 
@@ -561,24 +558,6 @@ def test_inferred_context_sorts():
     ctx = inferred_context(GROUP_SIG, [t])
     assert ctx.names == ("a", "b")
     assert ctx.sort_of("a") == 0
-
-
-def test_ops_commute_against_oracle(r5):
-    for a, b in itertools.combinations([op.name for op in RING_SIG.ops], 2):
-        assert ops_commute(r5, a, b) == oracles.o_commute(r5, a, b)
-
-
-def test_zero_commutes_one_does_not(r5):
-    # additive zero commutes with both add and mul; one does not commute with add
-    assert ops_commute(r5, "zero", "add")
-    assert ops_commute(r5, "zero", "mul")
-    assert not ops_commute(r5, "one", "add")
-    assert ops_commute(r5, "one", "mul")
-
-
-def test_is_commutative(z2):
-    r2 = cyclic_group(2)
-    assert is_commutative(z2) == is_commutative(r2)
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=4))

@@ -51,9 +51,7 @@ from uag.logic import (
     restrict_submodel,
     subst_formula,
     substitution_theorem_check,
-    support_set,
     ultrapower_model,
-    universal_part,
 )
 from uag.spaces import GeoContext, PointSet
 from uag.terms import Substitution, VarContext, app, var
@@ -200,14 +198,6 @@ def test_exists_rejects_unknown_variable(m_z4, gctx2):
     gctx = GeoContext(m_z4.algebra, gctx2)
     with pytest.raises(ValueError):
         exists_set(gctx.full(), ["q"])
-
-
-def test_support_set(m_z2, gctx2):
-    gctx = GeoContext(m_z2.algebra, gctx2)
-    # x = 0, y free: support is {x}
-    a = eval_formula(m_z2, Eq(X, app("e")), gctx)
-    assert support_set(a) == frozenset({"x"})
-    assert support_set(gctx.full()) == frozenset()
 
 
 def _group_ctx(k):
@@ -436,7 +426,6 @@ def test_filters(m_z2, gctx2):
     fam2 = filter_generated([diag], gctx)
     assert is_filter(fam2, gctx)
     assert gctx.empty() in fam2
-    assert top in universal_part(fam2, gctx)
 
 
 def _filter_spaces(sizes):

@@ -31,7 +31,6 @@ from uag.sexpr import (
     parse_nodes,
     parse_term,
     print_formula,
-    print_pair,
 )
 from uag.terms import app, render, var
 
@@ -60,13 +59,13 @@ WS = """
 
 def test_tokenize_positions():
     [form] = parse_nodes("(a\n  b ())")
-    assert [(t.text, t.line, t.col) for t in form[:2]] == [("a", 1, 2), ("b", 2, 3)]
+    assert [(t, t.line, t.col) for t in form[:2]] == [("a", 1, 2), ("b", 2, 3)]
     assert (form[2].line, form[2].col) == (2, 5)
 
 
 def test_tokenize_comments():
     [form] = parse_nodes("(a ; comment (here\n b)")
-    assert [t.text for t in form] == ["a", "b"]
+    assert form == ["a", "b"]
 
 
 def test_parse_unclosed():
@@ -79,7 +78,7 @@ def test_parse_unclosed():
 def _shape(node):
     if isinstance(node, list):
         return [_shape(n) for n in node]
-    return (node.text, node.line, node.col)
+    return (node, node.line, node.col)
 
 
 @settings(max_examples=400)
@@ -101,7 +100,7 @@ def test_reader_nests_deeper_than_the_recursion_limit():
     [node] = parse_nodes("(" * depth + "x" + ")" * depth)
     for _ in range(depth):
         [node] = node
-    assert (node.text, node.line, node.col) == ("x", 1, depth + 1)
+    assert (node, node.line, node.col) == ("x", 1, depth + 1)
 
 
 def test_reader_makes_one_atom_per_symbol(monkeypatch):
@@ -380,7 +379,6 @@ def test_inline_helpers():
     assert p2 == p
     s = parse_inline_subst("((x (mul y y)) (y e))", ws.sig())
     assert render(s("x")) == "(mul y y)"
-    assert print_pair(p) == "((mul x x) e)"
 
 
 def test_declarations_freeze_after_use():
@@ -1003,7 +1001,7 @@ def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, capsys):
     codes = set()
     for argv in ARGV_CORPUS:
         got = _parsed(through_main, argv, capsys)
-        assert got == _parsed(cli.make_parser().parse_args, argv, capsys), argv
+        assert got == _parsed(cli._parser(cli._formatter()).parse_args, argv, capsys), argv
         codes.add(got[0])
     assert codes == {0, 2}
 
@@ -1282,6 +1280,23 @@ def test_workspace_verbs_exit_2_at_the_caps_they_reach(tmp_path, cap):
         with contextlib.redirect_stderr(err):
             code, _ = run_cli(*argv, "-f", str(path), "--cap", str(cap))
         assert (code, err.getvalue()) == ((2, line) if argv[0] in verbs else (0, "")), argv
+
+
+@pytest.mark.parametrize("cap", (2, 5, 16, 256))
+def test_check_under_small_caps_exits_0_1_or_2(cap):
+    """`uag check`, which reads no workspace, run on each suite at one trial
+    and on the default suite: it exits 0 or 1, or 2 with exactly one error
+    line; a CapExceeded that escaped main would fail here."""
+    for argv in [["--suite", suite, "--trials", "1"] for suite in sorted(cli._BATTERIES)] + [[]]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, _ = run_cli("check", *argv, "--cap", str(cap))
+        err = err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert "error:" not in err, (argv, err)
 
 
 def test_argv_the_verb_parser_leaves_goes_to_the_full_parser(capsys):

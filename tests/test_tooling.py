@@ -187,16 +187,20 @@ def test_every_parameter_is_read():
     assert {name: params for name, params in found.items() if params} == {}
 
 
-def private_definitions_without_readers(sources: dict[str, str]) -> list[str]:
-    """Module-level _-prefixed functions and classes, as module.name, that no
-    statement of any of the modules but their own definition refers to: by
-    name, as an attribute, or in an import."""
+def definitions_without_readers(
+    sources: dict[str, str], checked: Optional[set[str]] = None, exempt: tuple[str, ...] = ()
+) -> list[str]:
+    """Module-level functions and classes of the checked modules (every
+    module if None), as module.name, that no statement of any of the
+    sources but their own definition refers to: by name, as an attribute,
+    or in an import. Names with an exempt prefix are not listed."""
     defined, read = [], set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = getattr(stmt, "name", None)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and own.startswith("_"):
-                defined.append((module, own))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if (checked is None or module in checked) and not own.startswith(exempt):
+                    defined.append((module, own))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -211,17 +215,30 @@ def private_definitions_without_readers(sources: dict[str, str]) -> list[str]:
     return [f"{module}.{name}" for module, name in defined if name not in read]
 
 
-def test_private_definitions_detector():
+def test_definitions_without_readers_detector():
     sources = {
-        "a": "def _used():\n    pass\ndef _self_only():\n    return _self_only()\nclass _K:\n    pass\nx = _used\n",
+        "a": "def _used():\n    pass\ndef _self_only():\n    return _self_only()\nclass _K:\n    pass\nx = _used\n"
+        "def unread():\n    pass\ndef cmd_x():\n    pass\n",
         "b": "from a import _K\ndef f():\n    return 1\n",
     }
-    assert private_definitions_without_readers(sources) == ["a._self_only"]
+    assert definitions_without_readers(sources) == ["a._self_only", "a.unread", "a.cmd_x", "b.f"]
+    assert definitions_without_readers(sources, exempt=("cmd_",)) == ["a._self_only", "a.unread", "b.f"]
+    assert definitions_without_readers(sources, checked={"b"}) == ["b.f"]
 
 
-def test_every_private_definition_has_a_reader():
+def test_every_definition_has_a_reader():
+    """Every module-level function and class in the package, private or
+    public, is read in the package or exported from uag: code only tests
+    call belongs in tests. main binds the cmd_* functions by verb name."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert private_definitions_without_readers(sources) == []
+    assert definitions_without_readers(sources, exempt=("cmd_",)) == []
+
+
+def test_every_oracle_has_a_reader():
+    """Each oracle is read by a test or by the benchmark's reference."""
+    files = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    sources = {f"{p.parent.name}/{p.stem}": p.read_text(encoding="utf-8") for p in files}
+    assert definitions_without_readers(sources, checked={"tests/oracles"}) == []
 
 
 def test_every_cmd_function_is_bound_to_exactly_one_verb():
