@@ -1052,12 +1052,17 @@ def klein_four() -> FiniteAlgebra:
 
 
 def symmetric_group_3() -> FiniteAlgebra:
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    # mul(a, b) applies b first: (a*b)(x) = a(b(x))
-    mul = [[index[tuple(a[x] for x in b)] for b in perms] for a in perms]
-    inv = [index[tuple(sorted(range(3), key=a.__getitem__))] for a in perms]
-    return _total(GROUP_SIG, (6,), {"mul": mul, "inv": inv, "e": index[(0, 1, 2)]}, "S3")
+    """The permutations of {0, 1, 2} in sorted order, element i the i-th;
+    mul(a, b) applies b first: (a*b)(x) = a(b(x))."""
+    mul = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 4, 5, 2, 3],
+        [2, 3, 0, 1, 5, 4],
+        [3, 2, 5, 4, 0, 1],
+        [4, 5, 1, 0, 3, 2],
+        [5, 4, 3, 2, 1, 0],
+    ]
+    return _total(GROUP_SIG, (6,), {"mul": mul, "inv": [0, 1, 2, 4, 3, 5], "e": 0}, "S3")
 
 
 def chain_semilattice(n: int) -> FiniteAlgebra:

@@ -623,14 +623,75 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> argparse.ArgumentPa
     return p
 
 
+def _dest(flags: tuple) -> str:
+    """The attribute argparse stores an option under: its first long flag,
+    else its first flag, without its leading dashes and with ``-`` read as
+    ``_``."""
+    return ([f for f in flags if f.startswith("--")] or flags)[0].lstrip("-").replace("-", "_")
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace the verb's parser would give for argv, read off COMMON
+    and VERBS with no parser built; None where this reading declines and
+    argparse decides. It takes only exact option strings, each but a
+    ``store_true`` one followed by one value that is not empty and does not
+    start with ``-``; it applies ``type``, ``choices`` and ``required`` and
+    fills absent options with their defaults. It declines help, an
+    abbreviation, ``--opt=value``, a glued short option, a repeated
+    option other than an ``append`` one, a bad value, a missing required
+    option and argv that does not start with a verb, so every help, usage
+    and error line is argparse's."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    specs = [(_dest(flags), flags, kwargs) for flags, kwargs in COMMON + VERBS[argv[0]][1]]
+    options = {flag: (dest, kwargs) for dest, flags, kwargs in specs for flag in flags}
+    values: dict = {}
+    rest = iter(argv[1:])
+    for token in rest:
+        if token not in options:
+            return None
+        dest, kwargs = options[token]
+        action = kwargs.get("action")
+        if action == "store_true":
+            value = True
+        else:
+            value = next(rest, "")
+            if not value or value[0] == "-":
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        if action == "append":
+            values.setdefault(dest, []).append(value)
+        elif dest in values:
+            return None
+        else:
+            values[dest] = value
+    ns = argparse.Namespace(verb=argv[0])
+    for dest, _, kwargs in specs:
+        if dest not in values:
+            if kwargs.get("required"):
+                return None
+            values[dest] = kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+        setattr(ns, dest, values[dest])
+    return ns
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as by the full parser. When argv starts with a verb, only
+    """argv parsed as by the full parser. ``_read_argv`` reads a valid argv
+    with no parser built; building one costs more than many verbs' own work
+    on small inputs. Where it declines and argv starts with a verb, only
     that verb's parser is built, as ``add_parser`` would build it, and it
-    parses the rest of argv, which the full parser would hand it whole;
-    building every verb's parser costs more than many verbs' own work on
-    small inputs. The full parser is built only when argv does not start
-    with a verb or leaves arguments over, which it reports as
-    unrecognized."""
+    parses the rest of argv, which the full parser would hand it whole. The
+    full parser is built only when argv does not start with a verb or
+    leaves arguments over, which it reports as unrecognized."""
+    args = _read_argv(argv)
+    if args is not None:
+        return args
     fmt = _formatter()
     if argv and argv[0] in VERBS:
         verb = argv[0]

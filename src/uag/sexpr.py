@@ -121,19 +121,27 @@ def parse_nodes(src: str) -> list[Node]:
 
 
 _COMMENT = re.compile(r";[^\n]*")
-_READ_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+")
+
+
+def _tokens(src: str):
+    """The tokens of ``src`` with its comments taken out: each paren, and
+    each run of other characters but space, tab, CR and LF. The text is
+    split at spaces once each paren is padded with spaces and each tab, CR
+    and LF is a space."""
+    text = _COMMENT.sub("", src).replace("(", " ( ").replace(")", " ) ")
+    return filter(None, text.replace("\t", " ").replace("\r", " ").replace("\n", " ").split(" "))
 
 
 def _read(src: str) -> list[Node]:
     """The top-level forms of ``src`` as parse_nodes reads them, but as
-    nested lists of plain ``str`` with no positions: one ``findall`` over
-    the text with its comments taken out. Open lists are kept on an explicit
-    stack, as in parse_nodes. Unbalanced parentheses raise a SexprError with
-    no position; parse_nodes places it."""
+    nested lists of plain ``str`` with no positions, read off ``_tokens``.
+    Open lists are kept on an explicit stack, as in parse_nodes. Unbalanced
+    parentheses raise a SexprError with no position; parse_nodes places
+    it."""
     out: list[Node] = []
     items = out
     stack: list[list] = []
-    for tok in _READ_TOKEN.findall(_COMMENT.sub("", src)):
+    for tok in _tokens(src):
         if tok == "(":
             stack.append(items)
             items = []

@@ -961,7 +961,21 @@ VALID_ARGS = {
     "check": ["--suite", "halmos", "--trials", "3", "--seed", "4"],
 }
 
-ARGV_CORPUS = [[], ["-h"], ["bogus"], ["--format", "json", "parse"]] + [
+# argv that cli._read_argv leaves to argparse: valid ones argparse reads
+# (an abbreviation, --opt=value, a glued short option, a negative or empty
+# value, a repeated option, a lone --) and one it rejects
+DECLINED = [
+    ["parse", "--form", "json"],
+    ["parse", "--format=json"],
+    ["eval", *VALID_ARGS["eval"][:2], "-aZ4", *VALID_ARGS["eval"][4:]],
+    ["variety", *VALID_ARGS["variety"][:-1], "-5"],
+    ["variety", "-a", "Z2", *VALID_ARGS["variety"]],
+    ["parse", "--"],
+    ["eval", *VALID_ARGS["eval"][:-1], ""],
+    ["derive", "--kind", "pseudo", "--seeds", "a", "--quackenbush", "x"],
+]
+
+ARGV_CORPUS = [[], ["-h"], ["bogus"], ["--format", "json", "parse"], *DECLINED] + [
     argv
     for verb, rest in VALID_ARGS.items()
     for argv in (
@@ -1017,16 +1031,49 @@ def test_seed_and_depth_belong_to_the_verbs_that_read_them(capsys):
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
+def test_the_reader_takes_valid_argv_and_declines_the_rest():
+    for verb, rest in VALID_ARGS.items():
+        assert cli._read_argv([verb, *rest]) is not None, verb
+    for argv in DECLINED:
+        assert cli._read_argv(argv) is None, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_argv_the_reader_takes_reads_as_with_argparse(data):
+    """A verb's required options and a few more of its options, in any
+    order, each with a value drawn from its choices and a small pool; where
+    the reader takes the argv, the full parser gives the same namespace."""
+    verb = data.draw(st.sampled_from(sorted(cli.VERBS)))
+    specs = cli.COMMON + cli.VERBS[verb][1]
+    required = [spec for spec in specs if spec[1].get("required")]
+    more = data.draw(st.lists(st.sampled_from(specs), max_size=3))
+    argv = [verb]
+    for flags, kwargs in data.draw(st.permutations(required + more)):
+        argv.append(data.draw(st.sampled_from(flags)))
+        if kwargs.get("action") != "store_true":
+            argv.append(data.draw(st.sampled_from([*kwargs.get("choices", ()), "3", " 7", "Z4", "x", "-5", ""])))
+    got = cli._read_argv(argv)
+    if got is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert got == cli._parser(cli._formatter()).parse_args(argv), argv
+
+
 def test_a_call_registers_only_its_verb(monkeypatch, capsys):
-    registered, tops = [], []
+    registered, tops, built = [], [], []
     add_arguments, add_subparsers = cli._add_arguments, argparse.ArgumentParser.add_subparsers
+    init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(cli, "_add_arguments", lambda p, verb: registered.append(verb) or add_arguments(p, verb))
     monkeypatch.setattr(
         argparse.ArgumentParser, "add_subparsers", lambda self, **kw: tops.append(self.prog) or add_subparsers(self, **kw)
     )
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, **kw: built.append(kw) or init(self, **kw))
+    # a valid call builds no parser at all
     assert run_cli("parse", "--builtin", "group")[0] == 0
-    # the verb's parser alone, with no top-level parser around it
-    assert registered == ["parse"] and tops == []
+    assert registered == tops == built == []
+    # argv the reader declines builds the verb's parser alone
+    assert run_cli("parse", "--builtin=group")[0] == 0
+    assert registered == ["parse"] and tops == [] and len(built) == 1
     for argv, verbs in ((["parse", "--bogus"], ["parse", *cli.VERBS]), (["bogus"], list(cli.VERBS))):
         registered.clear()
         tops.clear()
@@ -1038,6 +1085,7 @@ def test_a_call_registers_only_its_verb(monkeypatch, capsys):
 
 
 def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
+    """At most once: a valid call never asks, help and errors ask once."""
     asked = []
     real = shutil.get_terminal_size
 
@@ -1046,13 +1094,19 @@ def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(shutil, "get_terminal_size", counting)
-    for argv in (["eval", *VALID_ARGS["eval"]], ["eval", "-h"], ["eval", "--bogus"], ["bogus"], ["-h"]):
+    for argv, asks in (
+        (["eval", *VALID_ARGS["eval"]], 0),
+        (["eval", "-h"], 1),
+        (["eval", "--bogus"], 1),
+        (["bogus"], 1),
+        (["-h"], 1),
+    ):
         asked.clear()
         try:
             main(argv)
         except SystemExit:
             pass
-        assert len(asked) == 1, argv
+        assert len(asked) == asks, argv
     capsys.readouterr()
 
 
@@ -1150,6 +1204,20 @@ def test_reader_error_line(tmp_path, capsys, text, want):
     capsys.readouterr()
     assert run_cli("parse", "-f", str(path)) == (2, "")
     assert capsys.readouterr().err == f"error: {path}:{want}\n"
+
+
+def test_tokens_are_the_old_regex_tokens():
+    """sexpr._tokens gives what ``[()]|[^ \\t\\r\\n();]+`` finds in the text
+    without its comments: \\x0b, \\x0c and \\xa0 stay inside a token."""
+    texts = [text for text, _ in READER_ERRORS.values()] + [
+        "(sort g)\x0b(op\x0ce () g)\xa0x",
+        "\t(a\tb)\r\n(c\rd) ; (e\r\n\x0c ;;\n\xa0( f\x0b)\x0b",
+        "",
+        " \t\r\n",
+    ]
+    for text in texts:
+        want = re.findall(r"[()]|[^ \t\r\n();]+", re.sub(r";[^\n]*", "", text))
+        assert list(sexpr._tokens(text)) == want, text
 
 
 # the inline readers' raise sites, reached through the verbs whose arguments

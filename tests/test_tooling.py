@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -193,26 +194,35 @@ def definitions_without_readers(
     """Module-level functions and classes of the checked modules (every
     module if None), as module.name, that no statement of any of the
     sources but their own definition refers to: by name, as an attribute,
-    or in an import. Names with an exempt prefix are not listed."""
-    defined, read = [], set()
+    or in an import. A reference from a listed definition does not count,
+    so the check runs until the list stops growing: a chain of definitions
+    that only read each other is listed whole. Names with an exempt prefix
+    are not listed."""
+    defined, statements = [], []  # statements: (the definition it is, if listed; names it reads)
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = getattr(stmt, "name", None)
+            key = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if (checked is None or module in checked) and not own.startswith(exempt):
-                    defined.append((module, own))
+                    key = (module, own)
+                    defined.append(key)
+            names = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
-                    name = node.id
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    name = node.attr
+                    names.add(node.attr)
                 elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != own:
-                    read.add(name)
-    return [f"{module}.{name}" for module, name in defined if name not in read]
+                    names.add(node.name)
+            statements.append((key, names - {own}))
+    unread: set = set()
+    while True:
+        read = set().union(*(names for key, names in statements if key not in unread))
+        now = {key for key in defined if key[1] not in read}
+        if now == unread:
+            return [f"{module}.{name}" for module, name in defined if (module, name) in unread]
+        unread = now
 
 
 def test_definitions_without_readers_detector():
@@ -220,9 +230,11 @@ def test_definitions_without_readers_detector():
         "a": "def _used():\n    pass\ndef _self_only():\n    return _self_only()\nclass _K:\n    pass\nx = _used\n"
         "def unread():\n    pass\ndef cmd_x():\n    pass\n",
         "b": "from a import _K\ndef f():\n    return 1\n",
+        # an unread chain: _b is read only by _a, which nothing reads
+        "c": "def _a():\n    return _b()\ndef _b():\n    pass\n",
     }
-    assert definitions_without_readers(sources) == ["a._self_only", "a.unread", "a.cmd_x", "b.f"]
-    assert definitions_without_readers(sources, exempt=("cmd_",)) == ["a._self_only", "a.unread", "b.f"]
+    assert definitions_without_readers(sources) == ["a._self_only", "a.unread", "a.cmd_x", "b.f", "c._a", "c._b"]
+    assert definitions_without_readers(sources, exempt=("cmd_", "_a")) == ["a._self_only", "a.unread", "b.f"]
     assert definitions_without_readers(sources, checked={"b"}) == ["b.f"]
 
 
@@ -248,6 +260,22 @@ def test_every_cmd_function_is_bound_to_exactly_one_verb():
     assert len(bound) == 14
     assert len(set(bound.values())) == len(bound)
     assert set(bound.values()) == cmds
+
+
+def test_the_option_tables_use_only_what_the_argv_reader_reads():
+    """cli._read_argv reads argv off COMMON and VERBS. For every verb, each
+    option's dest there is the one argparse gives it, and each option is
+    one the reader handles: one value or store_true or append, with at most
+    type, choices, default and required."""
+    for verb in cli.VERBS:
+        p = cli._add_arguments(argparse.ArgumentParser(prog=f"uag {verb}"), verb)
+        actions = {tuple(a.option_strings): a.dest for a in p._actions if a.dest != "help"}
+        specs = cli.COMMON + cli.VERBS[verb][1]
+        assert actions == {flags: cli._dest(flags) for flags, _ in specs}, verb
+        for flags, kwargs in specs:
+            assert kwargs.get("action") in (None, "store_true", "append"), (verb, flags)
+            assert set(kwargs) <= {"action", "type", "choices", "default", "required", "help"}, (verb, flags)
+            assert not isinstance(kwargs.get("default"), str) or "type" not in kwargs, (verb, flags)
 
 
 def readme_verbs(text: str) -> list[str]:
